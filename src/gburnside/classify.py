@@ -2,6 +2,12 @@
 pieces, and enumeration of the transitive basis underlying the Grothendieck
 rings.
 
+Coordinates over the basis come from the table of marks (``MarkTable``):
+a labeled G-set is determined up to isomorphism by how many of its
+elements each (subgroup, label) pair fixes, and the marks of the basis
+form a triangular integer matrix.  ``express_by_decomposition`` is the
+reference route, by orbit decomposition and transporter search.
+
 Two independent enumeration routes are provided.  ``enumerate_basis``
 classifies transitive crossed sets by pairs (subgroup of an isotropy group,
 invariant label) up to simultaneous conjugacy and realizes each class as an
@@ -14,12 +20,12 @@ cross-validate the classification and must stay independent of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import BoundTooSmall, UnmatchedPiece
+from .errors import BoundTooSmall, MarksNotTriangular, UnmatchedPiece
 from .crossed import CrossedGSet, CrossedMap, same_weight
 from .groupoid import FiniteGroupoid, component_transports, connected_components
-from .gsets import GMonoid, GSet, is_transitive, orbit_decomposition
+from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition
 
 
 # -- small-group helpers (tables on dense ids) --------------------------------
@@ -270,21 +276,176 @@ def induced_crossed(
     return CrossedGSet(GSet(g, fibers, action), weight, label).validate()
 
 
+# -- the table of marks ------------------------------------------------------------
+
+def label_marks(carrier: GSet, label: list[list[int]], rep: int, subgroup) -> dict[int, int]:
+    """Per label value u, the mark phi_(K, u): how many elements of the
+    fiber at rep every loop of the subgroup K fixes and carry label u.
+    Labels without such an element are absent."""
+    counts: dict[int, int] = {}
+    lab = label[rep]
+    for i in fixed_points(carrier, rep, subgroup):
+        counts[lab[i]] = counts.get(lab[i], 0) + 1
+    return counts
+
+
+class MarkTable:
+    """The marks of a catalog's entries, and coordinates from marks.
+
+    Each entry is ``(rep, K, u, carrier, label)``: a transitive labeled
+    G-set at component representative rep together with the (stabilizer,
+    label) pair (K, u) of one of its elements there.  Row k of the table is
+    the mark phi_(K_k, u_k).  A transitive X has phi_(K, u)(X) > 0 only if
+    K fixes an element x of X with label u, so |K| <= |Stab(x)|; with
+    equality (K, u) is the (stabilizer, label) pair of x, which makes X
+    isomorphic to the entry of that row.  With the entries pairwise
+    non-isomorphic and ordered by ascending |K| within each component, the
+    table is upper-triangular with diagonal |Stab_N(K)(u) : K| > 0; the
+    constructor checks this.  Coordinates then follow from marks by exact
+    integer back-substitution.
+    """
+
+    def __init__(self, entries):
+        d = len(entries)
+        self.dim = d
+        self.reps = [e[0] for e in entries]
+        self.names = [
+            f"(component {rep}, subgroup {sorted(sub)}, label {u})"
+            for rep, sub, u, _, _ in entries
+        ]
+        self.totals = [carrier.total_size for _, _, _, carrier, _ in entries]
+        # distinct (rep, K) over the rows, and the rows using each
+        ids: dict[tuple[int, frozenset[int]], int] = {}
+        self.subgroups: list[tuple[int, frozenset[int]]] = []
+        self.rows_of: list[list[int]] = []
+        self.row_label: list[int] = []
+        for k, (rep, sub, u, _, _) in enumerate(entries):
+            key = (rep, frozenset(sub))
+            if key not in ids:
+                ids[key] = len(self.subgroups)
+                self.subgroups.append(key)
+                self.rows_of.append([])
+            self.rows_of[ids[key]].append(k)
+            self.row_label.append(u)
+        self.at_rep: dict[int, list[int]] = {}
+        for s, (rep, _) in enumerate(self.subgroups):
+            self.at_rep.setdefault(rep, []).append(s)
+        # fixed[j][s]: label -> mark of entry j under subgroup s, every label
+        # (the tensor convolution sums over all factorizations of a label)
+        self.fixed = [
+            self._fixed(carrier, label, [rep]) for rep, _, _, carrier, label in entries
+        ]
+        self.diag = [0] * d
+        self.above: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+        for j in range(d):
+            column = self._phi(self.fixed[j])
+            for k, m in enumerate(column):
+                if m and k > j:
+                    raise MarksNotTriangular(
+                        f"mark of row {k} {self.names[k]} is {m} on basis entry "
+                        f"{j} {self.names[j]} below the diagonal"
+                    )
+                if m and k < j:
+                    self.above[j].append((k, m))
+            self.diag[j] = column[j]
+            if self.diag[j] <= 0:
+                raise MarksNotTriangular(
+                    f"diagonal mark of basis entry {j} {self.names[j]} is not positive"
+                )
+
+    def _fixed(self, carrier: GSet, label, reps) -> dict[int, dict[int, int]]:
+        out = {}
+        for rep in reps:
+            if carrier.size(rep) == 0:
+                continue
+            for s in self.at_rep.get(rep, ()):
+                counts = label_marks(carrier, label, rep, self.subgroups[s][1])
+                if counts:
+                    out[s] = counts
+        return out
+
+    def _phi(self, fixed: dict[int, dict[int, int]]) -> list[int]:
+        phi = [0] * self.dim
+        for s, counts in fixed.items():
+            for k in self.rows_of[s]:
+                phi[k] = counts.get(self.row_label[k], 0)
+        return phi
+
+    def solve(self, phi: list[int]) -> list[int]:
+        """The coordinates with these row marks, by back-substitution over
+        the columns, skipping zero coordinates."""
+        phi = list(phi)
+        coords = [0] * self.dim
+        for j in range(self.dim - 1, -1, -1):
+            v = phi[j]
+            if v == 0:
+                continue
+            q, r = divmod(v, self.diag[j])
+            if r or q < 0:
+                raise UnmatchedPiece(
+                    f"coordinate {v}/{self.diag[j]} of basis entry {j} {self.names[j]} "
+                    f"is not a non-negative integer"
+                )
+            coords[j] = q
+            for k, m in self.above[j]:
+                phi[k] -= m * q
+        return coords
+
+    def express(self, carrier: GSet, label) -> list[int]:
+        """Coordinates of a labeled G-set from its marks; every element must
+        be accounted for by the solution."""
+        coords = self.solve(self._phi(self._fixed(carrier, label, self.at_rep)))
+        covered = sum(n * t for n, t in zip(coords, self.totals))
+        if covered != carrier.total_size:
+            raise UnmatchedPiece(
+                f"coordinates account for {covered} of {carrier.total_size} "
+                f"elements; a transitive piece matched no catalog entry"
+            )
+        return coords
+
+    def product(self, i: int, j: int, combine) -> list[int]:
+        """Coordinates of a product of entries i and j whose marks are
+        ``combine(rep, marks_i, marks_j)`` per subgroup, each a dict from
+        label to mark; no carrier is built."""
+        rep = self.reps[i]
+        if self.reps[j] != rep:
+            return [0] * self.dim
+        fixed_j = self.fixed[j]
+        prod = {}
+        for s, a in self.fixed[i].items():
+            b = fixed_j.get(s)
+            if b:
+                prod[s] = combine(rep, a, b)
+        return self.solve(self._phi(prod))
+
+
 # -- the catalog -----------------------------------------------------------------
 
 @dataclass
 class BasisCatalog:
     """Ordered, pairwise non-isomorphic transitive representatives, with a
-    fingerprint index for candidate lookup."""
+    fingerprint index for candidate lookup and a table of marks built on
+    first use."""
 
     base: FiniteGroupoid
     weight: GMonoid
     entries: list[TransitivePiece]
     index: dict[tuple, list[int]]
+    _marks: MarkTable | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.entries)
+
+    def marks(self) -> MarkTable:
+        if self._marks is None:
+            self._marks = MarkTable(
+                [
+                    (e.component_rep, *e.standard_pair, e.crossed.carrier, e.crossed.label)
+                    for e in self.entries
+                ]
+            )
+        return self._marks
 
     def find(self, piece: TransitivePiece) -> int | None:
         for k in self.index.get(piece.fingerprint, []):
@@ -350,7 +511,15 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid) -> BasisCatalog:
 
 
 def express_in_basis(c: CrossedGSet, catalog: BasisCatalog) -> list[int]:
-    """Multiplicity of each catalog entry in the transitive decomposition."""
+    """Multiplicity of each catalog entry in the transitive decomposition,
+    from the marks of c by back-substitution in the catalog's table of
+    marks."""
+    return catalog.marks().express(c.carrier, c.label)
+
+
+def express_by_decomposition(c: CrossedGSet, catalog: BasisCatalog) -> list[int]:
+    """Reference route for ``express_in_basis``: split c into orbits and
+    match every piece to its catalog entry by transporter search."""
     coords = [0] * catalog.dim
     for piece in transitive_decomposition(c):
         k = catalog.find(piece)

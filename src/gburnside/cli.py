@@ -2,7 +2,12 @@
 
 Commands: validate, components, isotropy, action-groupoid, burnside,
 hadamard, crossed-burnside, and verify with the targets axioms, embedding,
-reduction, decomposition, action-groupoid-iso, basis-oracle.
+reduction, decomposition, action-groupoid-iso, basis-oracle, marks.
+
+``verify marks`` builds the crossed Burnside ring for --weight (and the
+Hadamard ring over --gset, when given) by the table-of-marks route and by
+the expand-and-decompose reference route, and reports the first basis pair
+whose coordinates differ.
 
 Exit status: 0 on success or verified; 1 on a verification counterexample
 (the report carries a witness); 2 on input errors.  Identical invocations
@@ -30,9 +35,11 @@ from .rings import (
     burnside_ring,
     connected_reduction_hom,
     crossed_burnside_ring,
+    crossed_burnside_ring_by_decomposition,
     decomposition_hom,
     embedding_hom,
     hadamard_ring,
+    hadamard_ring_by_decomposition,
 )
 from .sampling import sample_many
 from .serialize import (
@@ -55,6 +62,7 @@ VERIFY_TARGETS = (
     "decomposition",
     "action-groupoid-iso",
     "basis-oracle",
+    "marks",
 )
 
 
@@ -408,6 +416,42 @@ def _verify_basis_oracle(job: JobSpec, g: FiniteGroupoid):
     return (0 if ok else 1), report
 
 
+def _route_difference(fast: RingPresentation, ref: RingPresentation) -> dict | None:
+    """Where the marks route and the reference route first disagree."""
+    if fast.dim != ref.dim:
+        return {"dims": {"marks": fast.dim, "decomposition": ref.dim}}
+    for i in range(fast.dim):
+        for j in range(fast.dim):
+            a = fast.structure_constants[i][j]
+            b = ref.structure_constants[i][j]
+            if a != b:
+                return {"pair": [i, j], "marks": list(a), "decomposition": list(b)}
+    if fast.unit_vector != ref.unit_vector:
+        return {
+            "unit": {"marks": list(fast.unit_vector), "decomposition": list(ref.unit_vector)}
+        }
+    return None
+
+
+def _verify_marks(job: JobSpec, g: FiniteGroupoid):
+    weight = _get_weight(job, g)
+    routes = [("crossed-burnside", crossed_burnside_ring(g, weight),
+               crossed_burnside_ring_by_decomposition(g, weight))]
+    if job.gset:
+        x = parse_gset(_load_json(job.gset), g)
+        routes.append(("hadamard", hadamard_ring(g, x), hadamard_ring_by_decomposition(g, x)))
+    rings = []
+    for name, fast, ref in routes:
+        witness = _route_difference(fast, ref)
+        rings.append({
+            "ring": name,
+            "dim": fast.dim,
+            "status": "ok" if witness is None else {"witness": witness},
+        })
+    ok = all(r["status"] == "ok" for r in rings)
+    return (0 if ok else 1), {"target": "marks", "rings": rings}
+
+
 def _cmd_verify(job: JobSpec):
     g = _get_groupoid(job)
     handler = {
@@ -417,6 +461,7 @@ def _cmd_verify(job: JobSpec):
         "decomposition": _verify_decomposition,
         "action-groupoid-iso": _verify_action_groupoid_iso,
         "basis-oracle": _verify_basis_oracle,
+        "marks": _verify_marks,
     }[job.verify_target]
     code, report = handler(job, g)
     report = {"command": "verify", **report}

@@ -84,6 +84,11 @@ class UnmatchedPiece(GBError):
     """A transitive piece matched no catalog entry (catalog incomplete)."""
 
 
+class MarksNotTriangular(GBError):
+    """A catalog's table of marks is not upper-triangular with a positive
+    diagonal (entries out of order by subgroup size, or isomorphic)."""
+
+
 class BoundTooSmall(GBError):
     """Brute-force size bound below the largest transitive carrier."""
 

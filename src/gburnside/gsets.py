@@ -526,6 +526,13 @@ def check_subgroup(g: FiniteGroupoid, x: int, subgroup: frozenset[int]) -> None:
                 raise NotSubgroup(f"composite of ({a}, {b}) missing")
 
 
+def fixed_points(x: GSet, rep: int, subgroup) -> list[int]:
+    """Elements of the fiber at rep fixed by every loop in the subgroup,
+    ascending; the subgroup is not checked."""
+    acts = [x.action[h] for h in subgroup]
+    return [i for i in range(x.size(rep)) if all(a[i] == i for a in acts)]
+
+
 def marks(g: FiniteGroupoid, x: GSet, rep: int, subgroup) -> int:
     """Number of elements of the fiber at rep fixed by every loop in the
     subgroup; an isomorphism invariant of G-sets."""
@@ -533,8 +540,4 @@ def marks(g: FiniteGroupoid, x: GSet, rep: int, subgroup) -> int:
         raise UnknownObject(f"object {rep} not in 0..{g.n_objects - 1}")
     sub = frozenset(subgroup)
     check_subgroup(g, rep, sub)
-    return sum(
-        1
-        for i in range(x.size(rep))
-        if all(x.action[h][i] == i for h in sub)
-    )
+    return len(fixed_points(x, rep, sub))

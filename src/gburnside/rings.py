@@ -4,9 +4,15 @@ crossed Burnside ring of a G-monoid, together with the theorem witnesses:
 the trivial-label embedding, connected reduction, component decomposition,
 and the action-groupoid comparison.
 
-Structure constants are always computed by expanding the defining product
-on explicit carriers and decomposing the result over the transitive basis;
-no closed product formula is used anywhere.  All arithmetic is exact; the
+Structure constants come from the table of marks (production route): the
+marks of a product of basis elements are computed from the marks of the
+factors by a closed formula (a convolution over the weight monoid for the
+tensor product, a pointwise product for the fiber product), and solved by
+exact back-substitution in the triangular table of marks of the basis; no
+product carrier is built.  The ``*_by_decomposition`` functions keep the
+reference route, which expands every product on explicit carriers and
+decomposes it over the transitive basis by transporter search; ``verify
+marks`` and the tests compare the two.  All arithmetic is exact; the
 numpy-backed associativity check guards its intermediate bound explicitly
 and refuses to run where int64 could wrap.
 """
@@ -20,12 +26,13 @@ import numpy as np
 from .errors import NotConnected, NotNatural, RingMismatch
 from .classify import (
     BasisCatalog,
+    MarkTable,
     _transitive_iso,
     enumerate_basis,
+    express_by_decomposition,
     express_in_basis,
 )
 from .crossed import (
-    CrossedGSet,
     tensor,
     transport_restrict,
     trivial_label_embed,
@@ -38,10 +45,8 @@ from .gsets import (
     GSet,
     action_groupoid,
     conjugation_action,
-    gset_product,
     orbit_decomposition,
     same_base,
-    terminal_gset,
     trivial_gmonoid,
 )
 
@@ -182,14 +187,47 @@ def _catalog_info(catalog: BasisCatalog) -> list[dict]:
     return out
 
 
+def _catalog_ring(catalog: BasisCatalog, constants, unit) -> RingPresentation:
+    return RingPresentation(
+        catalog.dim, constants, unit, basis=catalog, basis_info=_catalog_info(catalog)
+    ).validate()
+
+
 def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentation:
-    """Basis from the (H, s) classification; products by expanding the
-    tensor of basis carriers and re-expressing over the basis."""
+    """Basis from the (H, s) classification; the marks of a tensor of basis
+    elements are convolved from the marks of the factors,
+    phi_(H,u)(X (x) Y) = sum over ab = u of phi_(H,a)(X) phi_(H,b)(Y),
+    and solved in the table of marks."""
+    catalog = enumerate_basis(g, weight)
+    marks = catalog.marks()
+
+    def convolve(rep: int, a: dict, b: dict) -> dict:
+        table = weight.monoids[rep].table
+        out: dict[int, int] = {}
+        for x, mx in a.items():
+            row = table[x]
+            for y, my in b.items():
+                out[row[y]] = out.get(row[y], 0) + mx * my
+        return out
+
+    d = catalog.dim
+    constants = [[marks.product(i, j, convolve) for j in range(d)] for i in range(d)]
+    return _catalog_ring(
+        catalog, constants, express_in_basis(unit_object(g, weight), catalog)
+    )
+
+
+def crossed_burnside_ring_by_decomposition(
+    g: FiniteGroupoid, weight: GMonoid
+) -> RingPresentation:
+    """Reference route: expand the tensor of every pair of basis carriers
+    and decompose it over the basis by orbit splitting and transporter
+    search."""
     catalog = enumerate_basis(g, weight)
     d = catalog.dim
     constants = [
         [
-            express_in_basis(
+            express_by_decomposition(
                 tensor(catalog.entries[i].crossed, catalog.entries[j].crossed,
                        check=False),
                 catalog,
@@ -198,40 +236,15 @@ def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentatio
         ]
         for i in range(d)
     ]
-    unit = express_in_basis(unit_object(g, weight), catalog)
-    return RingPresentation(
-        d, constants, unit, basis=catalog, basis_info=_catalog_info(catalog)
-    ).validate()
+    return _catalog_ring(
+        catalog, constants, express_by_decomposition(unit_object(g, weight), catalog)
+    )
 
 
 def burnside_ring(g: FiniteGroupoid) -> RingPresentation:
     """Transitive G-sets up to isomorphism with the cartesian product,
     carried as trivially-weighted crossed sets."""
-    weight = trivial_gmonoid(g)
-    catalog = enumerate_basis(g, weight)
-    d = catalog.dim
-
-    def product(i: int, j: int) -> CrossedGSet:
-        carrier = gset_product(
-            catalog.entries[i].crossed.carrier,
-            catalog.entries[j].crossed.carrier,
-            check=False,
-        )
-        return CrossedGSet(
-            carrier, weight, [[0] * carrier.size(x) for x in g.objects]
-        )
-
-    constants = [
-        [express_in_basis(product(i, j), catalog) for j in range(d)]
-        for i in range(d)
-    ]
-    unit_carrier = terminal_gset(g)
-    unit = express_in_basis(
-        CrossedGSet(unit_carrier, weight, [[0] for _ in g.objects]), catalog
-    )
-    return RingPresentation(
-        d, constants, unit, basis=catalog, basis_info=_catalog_info(catalog)
-    ).validate()
+    return crossed_burnside_ring(g, trivial_gmonoid(g))
 
 
 # -- the Hadamard ring of a slice over a G-set -------------------------------------
@@ -252,9 +265,13 @@ class SliceObject:
 
 @dataclass
 class SlicePiece:
+    """A transitive slice object, with the stabilizer of its base element
+    (element 0 of the fiber at component_rep)."""
+
     component_rep: int
     carrier: GSet
     label: list[list[int]]
+    stabilizer: frozenset[int]
 
     @property
     def fingerprint(self) -> tuple:
@@ -270,10 +287,28 @@ class SliceCatalog:
     over: GSet
     entries: list[SlicePiece]
     index: dict[tuple, list[int]]
+    _marks: MarkTable | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.entries)
+
+    def marks(self) -> MarkTable:
+        """The table of marks, built on first use; row k is the stabilizer
+        and base image of entry k."""
+        if self._marks is None:
+            self._marks = MarkTable(
+                [
+                    (e.component_rep, e.stabilizer, e.label[e.component_rep][0],
+                     e.carrier, e.label)
+                    for e in self.entries
+                ]
+            )
+        return self._marks
+
+
+def _base_stabilizer(g: FiniteGroupoid, carrier: GSet, rep: int) -> frozenset[int]:
+    return frozenset(h for h in g.loops(rep) if carrier.action[h][0] == 0)
 
 
 def _slice_decompose(g: FiniteGroupoid, s: SliceObject) -> list[SlicePiece]:
@@ -283,11 +318,22 @@ def _slice_decompose(g: FiniteGroupoid, s: SliceObject) -> list[SlicePiece]:
             [s.label[x][i] for i in embed.components[x]] for x in g.objects
         ]
         rep = min(x for x in g.objects if carrier.size(x) > 0)
-        pieces.append(SlicePiece(rep, carrier, label))
+        pieces.append(
+            SlicePiece(rep, carrier, label, _base_stabilizer(g, carrier, rep))
+        )
     return pieces
 
 
 def _slice_express(g: FiniteGroupoid, s: SliceObject, catalog: SliceCatalog) -> list[int]:
+    """Coordinates of a slice object from its marks."""
+    return catalog.marks().express(s.carrier, s.label)
+
+
+def _slice_express_by_decomposition(
+    g: FiniteGroupoid, s: SliceObject, catalog: SliceCatalog
+) -> list[int]:
+    """Reference route for ``_slice_express``: orbit pieces matched by
+    transporter search."""
     coords = [0] * catalog.dim
     for piece in _slice_decompose(g, s):
         hit = None
@@ -313,7 +359,7 @@ def _slice_basis(g: FiniteGroupoid, x: GSet) -> SliceCatalog:
     for entry in plain.entries:
         rep = entry.component_rep
         carrier = entry.crossed.carrier
-        stab = [h for h in g.loops(rep) if carrier.action[h][0] == 0]
+        stab = _base_stabilizer(g, carrier, rep)
         for b in range(x.size(rep)):
             if any(x.action[h][b] != b for h in stab):
                 continue
@@ -326,7 +372,7 @@ def _slice_basis(g: FiniteGroupoid, x: GSet) -> SliceCatalog:
                     label[y][i] = v
                 elif label[y][i] != v:
                     raise NotNatural("inconsistent label propagation")  # unreachable
-            piece = SlicePiece(rep, carrier, label)
+            piece = SlicePiece(rep, carrier, label, stab)
             SliceObject(carrier, x, label).validate()
             if any(
                 other.fingerprint == piece.fingerprint
@@ -370,28 +416,18 @@ def _slice_pullback(g: FiniteGroupoid, a: SlicePiece, b: SlicePiece, x: GSet) ->
     return SliceObject(carrier, x, label)
 
 
-def hadamard_ring(g: FiniteGroupoid, x: GSet) -> RingPresentation:
-    """The Grothendieck ring of the slice over x under the fiber-product
-    multiplication; the unit is the class of the identity slice (x, id)."""
+def _hadamard_ring(g: FiniteGroupoid, x: GSet, products, express) -> RingPresentation:
+    """Shared frame of both Hadamard routes: ``products(catalog)`` gives the
+    d x d coordinate table; the unit is the class of the identity slice
+    (x, id)."""
     if not same_base(g, x.base):
         raise RingMismatch("G-set does not live over this groupoid")
     catalog = _slice_basis(g, x)
-    d = catalog.dim
-    constants = [
-        [
-            _slice_express(
-                g,
-                _slice_pullback(g, catalog.entries[i], catalog.entries[j], x).validate(),
-                catalog,
-            )
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
+    constants = products(catalog)
     ident = SliceObject(
         x, x, [list(range(x.size(o))) for o in g.objects]
     ).validate()
-    unit = _slice_express(g, ident, catalog)
+    unit = express(g, ident, catalog)
     info = [
         {
             "component": e.component_rep,
@@ -401,8 +437,43 @@ def hadamard_ring(g: FiniteGroupoid, x: GSet) -> RingPresentation:
         for e in catalog.entries
     ]
     return RingPresentation(
-        d, constants, unit, basis=catalog, basis_info=info
+        catalog.dim, constants, unit, basis=catalog, basis_info=info
     ).validate()
+
+
+def hadamard_ring(g: FiniteGroupoid, x: GSet) -> RingPresentation:
+    """The Grothendieck ring of the slice over x under the fiber-product
+    multiplication, whose marks are pointwise products:
+    phi_(H,b)(A x_X B) = phi_(H,b)(A) phi_(H,b)(B)."""
+
+    def meet(rep: int, a: dict, b: dict) -> dict:
+        return {v: m * b[v] for v, m in a.items() if v in b}
+
+    def products(catalog: SliceCatalog):
+        marks = catalog.marks()
+        d = catalog.dim
+        return [[marks.product(i, j, meet) for j in range(d)] for i in range(d)]
+
+    return _hadamard_ring(g, x, products, _slice_express)
+
+
+def hadamard_ring_by_decomposition(g: FiniteGroupoid, x: GSet) -> RingPresentation:
+    """Reference route: build every fiber product of basis carriers and
+    decompose it over the basis by transporter search."""
+
+    def products(catalog: SliceCatalog):
+        entries, d = catalog.entries, catalog.dim
+        return [
+            [
+                _slice_express_by_decomposition(
+                    g, _slice_pullback(g, entries[i], entries[j], x).validate(), catalog
+                )
+                for j in range(d)
+            ]
+            for i in range(d)
+        ]
+
+    return _hadamard_ring(g, x, products, _slice_express_by_decomposition)
 
 
 # -- ring homomorphisms --------------------------------------------------------------
@@ -606,7 +677,7 @@ def _ring_bijection(a: RingPresentation, b: RingPresentation) -> list[int] | Non
         for p in assigned:
             for q in assigned:
                 for r in assigned:
-                    if ca[p][q][perm[r]] != cb[perm[p]][perm[q]][perm[r]]:
+                    if ca[p][q][r] != cb[perm[p]][perm[q]][perm[r]]:
                         return False
         return True
 

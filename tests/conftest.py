@@ -148,12 +148,16 @@ def s3_perms() -> list[tuple[int, ...]]:
 
 
 def regular_gset(g: gb.FiniteGroupoid) -> GSet:
-    """Left-translation action of a one-object groupoid on its morphisms."""
-    assert g.n_objects == 1
-    n = g.n_morphisms
-    return GSet(
-        g, [list(range(n))], [list(g.compose_table[m]) for m in g.morphisms]
-    ).validate()
+    """Left-translation action on the morphisms: the fiber at x is the
+    morphisms with codomain x, ascending, and m acts by post-composition.
+    On a one-object groupoid this is the regular action on the group."""
+    fibers = [g.by_cod(x) for x in g.objects]
+    pos = [{f: i for i, f in enumerate(fib)} for fib in fibers]
+    action = [
+        [pos[g.cod[m]][g.compose_table[m][f]] for f in fibers[g.dom[m]]]
+        for m in g.morphisms
+    ]
+    return GSet(g, [list(range(len(fib))) for fib in fibers], action).validate()
 
 
 def fixed_points_gset(g: gb.FiniteGroupoid, k: int) -> GSet:

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import gburnside as gb
+from gburnside import cli
 from gburnside.cli import main
 
 from conftest import cyclic_table
@@ -34,6 +36,12 @@ def inputs(tmp_path):
     write("c2_pair2.json", {"product": [{"group": {"table": cyclic_table(2)}}, {"pair": 2}]})
     write("regular.json", {"fibers": {"0": 2}, "action": {"1": [1, 0]}})
     write("fixed.json", {"fibers": {"0": 1}, "action": {"1": [0]}})
+    s3 = gb.from_group(gb.group_table_from_perm_gens([[1, 0, 2], [1, 2, 0]]))
+    conj = gb.conjugation_action(s3)
+    write("s3_conjugation.json", {
+        "fibers": {"0": conj.size(0)},
+        "action": {str(m): conj.action[m] for m in s3.morphisms},
+    })
     write(
         "bad_groupoid.json",
         {
@@ -222,6 +230,48 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["enumerated"] == report["brute_force"] == 8
+
+
+class TestVerifyMarks:
+    def test_routes_agree(self, inputs, capsys):
+        code, out = run_cli(
+            capsys,
+            "verify", "marks",
+            "--groupoid", inputs["s3.json"],
+            "--gset", inputs["s3_conjugation.json"],
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["target"] == "marks"
+        assert [(r["ring"], r["dim"], r["status"]) for r in report["rings"]] == [
+            ("crossed-burnside", 8, "ok"),
+            ("hadamard", 8, "ok"),
+        ]
+
+    def test_crossed_only_without_gset(self, inputs, capsys):
+        code, out = run_cli(
+            capsys, "verify", "marks", "--groupoid", inputs["c2_plus_s3.json"],
+            "--weight", "trivial",
+        )
+        assert code == 0
+        assert [r["ring"] for r in json.loads(out)["rings"]] == ["crossed-burnside"]
+
+    def test_corrupted_constant_exits_1(self, inputs, capsys, monkeypatch):
+        real = cli.crossed_burnside_ring
+
+        def corrupted(g, weight):
+            ring = real(g, weight)
+            ring.structure_constants[1][2][3] += 1
+            return ring
+
+        monkeypatch.setattr(cli, "crossed_burnside_ring", corrupted)
+        code, out = run_cli(capsys, "verify", "marks", "--groupoid", inputs["s3.json"])
+        assert code == 1
+        (ring,) = json.loads(out)["rings"]
+        witness = ring["status"]["witness"]
+        assert ring["ring"] == "crossed-burnside"
+        assert witness["pair"] == [1, 2]
+        assert witness["marks"][3] == witness["decomposition"][3] + 1
 
 
 class TestDeterminism:

@@ -1,0 +1,168 @@
+"""Coordinates from the table of marks against the expand-and-decompose
+reference route, on the whole acceptance corpus."""
+
+from __future__ import annotations
+
+import pytest
+
+import gburnside as gb
+from gburnside import rings
+from gburnside.classify import (
+    BasisCatalog,
+    MarkTable,
+    enumerate_basis,
+    express_by_decomposition,
+    express_in_basis,
+)
+from gburnside.errors import MarksNotTriangular, UnmatchedPiece
+from gburnside.rings import (
+    burnside_ring,
+    connected_reduction_hom,
+    crossed_burnside_ring,
+    crossed_burnside_ring_by_decomposition,
+    decomposition_hom,
+    embedding_hom,
+    hadamard_ring,
+    hadamard_ring_by_decomposition,
+)
+from gburnside.sampling import sample_many
+
+from conftest import build_corpus, regular_gset
+
+CORPUS = build_corpus()
+NAMES = sorted(CORPUS)
+
+
+def assert_same_ring(fast, ref):
+    assert fast.dim == ref.dim
+    assert fast.basis_info == ref.basis_info
+    for i in range(fast.dim):
+        for j in range(fast.dim):
+            assert fast.structure_constants[i][j] == ref.structure_constants[i][j], (i, j)
+    assert fast.unit_vector == ref.unit_vector
+
+
+class TestRoutesAgreeOnCorpus:
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    def test_crossed_ring(self, name, weight):
+        g = CORPUS[name]
+        w = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+        assert_same_ring(
+            crossed_burnside_ring(g, w), crossed_burnside_ring_by_decomposition(g, w)
+        )
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_burnside_ring(self, name):
+        g = CORPUS[name]
+        assert_same_ring(
+            burnside_ring(g),
+            crossed_burnside_ring_by_decomposition(g, gb.trivial_gmonoid(g)),
+        )
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("over", ["conjugation", "regular"])
+    def test_hadamard_ring(self, name, over):
+        g = CORPUS[name]
+        x = gb.conjugation_action(g).underlying() if over == "conjugation" else regular_gset(g)
+        assert_same_ring(hadamard_ring(g, x), hadamard_ring_by_decomposition(g, x))
+
+    @staticmethod
+    def both_routes(monkeypatch, build):
+        """build() with the hom columns from marks, then from the reference
+        route (the homs call ``rings.express_in_basis`` for every column)."""
+        fast = build().matrix
+        monkeypatch.setattr(rings, "express_in_basis", express_by_decomposition)
+        return fast, build().matrix
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_embedding_hom(self, name, monkeypatch):
+        g = CORPUS[name]
+        conj = gb.conjugation_action(g)
+        fast, ref = self.both_routes(monkeypatch, lambda: embedding_hom(g, conj))
+        assert fast == ref
+
+    @pytest.mark.parametrize("name", [n for n in NAMES if gb.is_connected(CORPUS[n])])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_connected_reduction_hom(self, name, last, monkeypatch):
+        g = CORPUS[name]
+        z = g.n_objects - 1 if last else 0
+        fast, ref = self.both_routes(monkeypatch, lambda: connected_reduction_hom(g, z))
+        assert fast == ref
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_decomposition_hom(self, name, monkeypatch):
+        g = CORPUS[name]
+        fast, ref = self.both_routes(monkeypatch, lambda: decomposition_hom(g))
+        assert fast == ref
+
+
+class TestMarkTable:
+    def test_diagonal_is_normalizer_index(self, s3):
+        # S3 conjugation: (1, e) has diagonal 6; (C2, e) has |N(C2) : C2| = 1;
+        # (C3, e) and (S3, e) have 2 and 1; (1, s) for a transposition s
+        # has |Stab(s) : 1| = 2.
+        catalog = enumerate_basis(s3, gb.conjugation_action(s3))
+        marks = catalog.marks()
+        diag = {
+            (len(e.standard_pair[0]), e.standard_pair[1]): marks.diag[k]
+            for k, e in enumerate(catalog.entries)
+        }
+        identity = s3.identity[0]
+        assert diag[(1, s3.loops(0).index(identity))] == 6
+        assert diag[(6, s3.loops(0).index(identity))] == 1
+        assert all(v > 0 for v in marks.diag)
+        assert all(k < j for j, col in enumerate(marks.above) for k, _ in col)
+
+    def test_built_once(self, c2):
+        catalog = enumerate_basis(c2, gb.conjugation_action(c2))
+        assert catalog.marks() is catalog.marks()
+
+    def test_out_of_order_catalog_rejected(self, s3):
+        catalog = enumerate_basis(s3, gb.conjugation_action(s3))
+        reversed_entries = list(reversed(catalog.entries))
+        bad = BasisCatalog(s3, catalog.weight, reversed_entries, {})
+        with pytest.raises(MarksNotTriangular):
+            bad.marks()
+
+    def test_duplicate_entry_rejected(self, c2):
+        catalog = enumerate_basis(c2, gb.conjugation_action(c2))
+        e = catalog.entries[0]
+        table = [
+            (e.component_rep, *e.standard_pair, e.crossed.carrier, e.crossed.label)
+        ] * 2
+        with pytest.raises(MarksNotTriangular):
+            MarkTable(table)
+
+    def test_non_integral_coordinate_names_entry(self, c2):
+        catalog = enumerate_basis(c2, gb.conjugation_action(c2))
+        marks = catalog.marks()
+        phi = [0] * catalog.dim
+        phi[0] = 1  # the free orbit has mark 2 under the trivial subgroup
+        with pytest.raises(UnmatchedPiece, match="basis entry 0"):
+            marks.solve(phi)
+
+    def test_negative_coordinate_rejected(self, c2):
+        catalog = enumerate_basis(c2, gb.conjugation_action(c2))
+        marks = catalog.marks()
+        k = max(range(catalog.dim), key=lambda j: len(marks.above[j]))
+        phi = [0] * catalog.dim
+        phi[k] = marks.diag[k]  # coordinate 1 at k forces negative rows above
+        with pytest.raises(UnmatchedPiece, match="coordinate -"):
+            marks.solve(phi)
+
+    def test_piece_with_zero_marks_unmatched(self, c2):
+        # without the free orbits every remaining row is a C2-mark, and the
+        # free orbit has none: its marks solve to 0, which leaves it unaccounted
+        conj = gb.conjugation_action(c2)
+        catalog = enumerate_basis(c2, conj)
+        fixed_only = BasisCatalog(c2, conj, catalog.entries[2:], {})
+        with pytest.raises(UnmatchedPiece, match="account for 0 of 2"):
+            express_in_basis(catalog.entries[0].crossed, fixed_only)
+
+    def test_express_matches_reference_on_samples(self, corpus):
+        g = corpus["C2+S3"]
+        conj = gb.conjugation_action(g)
+        catalog = enumerate_basis(g, conj)
+        for c in sample_many(g, conj, 12, seed=9):
+            assert express_in_basis(c, catalog) == express_by_decomposition(c, catalog)

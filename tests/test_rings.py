@@ -305,6 +305,20 @@ class TestActionGroupoidIso:
         assert report["status"] == "ok"
         assert report["dim_hadamard"] == 4
 
+    @pytest.mark.parametrize(
+        "gens, dim",
+        [
+            ([[1, 2, 3, 0], [0, 3, 2, 1]], 29),  # D4
+            ([[1, 2, 0, 3], [0, 2, 3, 1]], 14),  # A4
+        ],
+    )
+    def test_conjugation_gset(self, gens, dim):
+        g = gb.from_group(gb.group_table_from_perm_gens(gens))
+        report = action_groupoid_iso_check(g, gb.conjugation_action(g).underlying())
+        assert report["status"] == "ok"
+        assert report["dim_hadamard"] == report["dim_action_groupoid_burnside"] == dim
+        assert sorted(report["bijection"]) == list(range(dim))
+
 
 class TestIntDet:
     def test_known_values(self):
