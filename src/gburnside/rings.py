@@ -12,16 +12,18 @@ exact back-substitution in the triangular table of marks of the basis; no
 product carrier is built.  The ``*_by_decomposition`` functions keep the
 reference route, which expands every product on explicit carriers and
 decomposes it over the transitive basis by transporter search; ``verify
-marks`` and the tests compare the two.  All arithmetic is exact; the
-numpy-backed associativity check guards its intermediate bound explicitly
-and refuses to run where int64 could wrap.
+marks`` and the tests compare the two.
+
+Every presentation is validated and every homomorphism verified
+exhaustively: the unit law on all d basis elements, associativity on all
+d^3 basis triples, multiplicativity on all d^2 basis pairs.  The checks
+run on sparse rows of the structure constants, visiting only non-zero
+constants, in exact Python integers, so no size of constant is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import NotConnected, NotNatural, RingMismatch
 from .classify import (
@@ -53,6 +55,36 @@ from .gsets import (
 
 # -- presentations --------------------------------------------------------------
 
+# A sparse vector ((k, v), ...) lists its non-zero coordinates, k ascending,
+# so two sparse vectors are equal exactly when their tuples are.
+Sparse = tuple[tuple[int, int], ...]
+
+
+def _sparse_rows(c: list[list[list[int]]]) -> list[list[Sparse]]:
+    """rows[i][j] = ((k, c_ijk), ...) over the non-zero constants: the
+    product e_i e_j as a sparse vector."""
+    return [[tuple((k, v) for k, v in enumerate(cij) if v) for cij in ci] for ci in c]
+
+
+def _combine(terms: Sparse, vecs) -> Sparse:
+    """The sparse vector sum of c * vecs[n] over (n, c) in terms."""
+    if len(terms) == 1:
+        (n, c), = terms
+        vec = vecs[n]
+        return vec if c == 1 else tuple((k, c * v) for k, v in vec)
+    out: dict[int, int] = {}
+    for n, c in terms:
+        for k, v in vecs[n]:
+            out[k] = out.get(k, 0) + c * v
+    return tuple(sorted((k, v) for k, v in out.items() if v))
+
+
+def _first_difference(x: Sparse, y: Sparse) -> int:
+    """The smallest coordinate where two unequal sparse vectors differ."""
+    dx, dy = dict(x), dict(y)
+    return min(k for k in dx.keys() | dy.keys() if dx.get(k) != dy.get(k))
+
+
 @dataclass
 class RingPresentation:
     """A free Z-module on a transitive basis with an explicit integer
@@ -71,55 +103,57 @@ class RingPresentation:
             len(ci) != d or any(len(cij) != d for cij in ci) for ci in c
         ):
             raise NotNatural("structure constants are not dim^3")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if c[i][j][k] < 0:
+        # built on every call, never cached: callers may edit the constants
+        rows = _sparse_rows(c)
+        for i, ri in enumerate(rows):
+            for j, rij in enumerate(ri):
+                for k, v in rij:
+                    if v < 0:
                         raise NotNatural(
                             f"negative structure constant at ({i}, {j}, {k})"
                         )
         if len(self.unit_vector) != d:
             raise NotNatural("unit vector has wrong length")
-        self._check_unit()
-        self._check_associativity()
+        self._check_unit(rows)
+        self._check_associativity(rows)
         return self
 
-    def _check_unit(self) -> None:
-        d, c, u = self.dim, self.structure_constants, self.unit_vector
-        for j in range(d):
-            left = [
-                sum(u[i] * c[i][j][k] for i in range(d)) for k in range(d)
-            ]
-            right = [
-                sum(u[i] * c[j][i][k] for i in range(d)) for k in range(d)
-            ]
-            expected = [1 if k == j else 0 for k in range(d)]
-            if left != expected or right != expected:
+    def _check_unit(self, rows: list[list[Sparse]]) -> None:
+        """u e_j = e_j = e_j u for every basis element j, summed over the
+        non-zero coordinates of u."""
+        unit = tuple((i, ui) for i, ui in enumerate(self.unit_vector) if ui)
+        for j, (row, col) in enumerate(zip(rows, zip(*rows))):
+            expected = ((j, 1),)
+            if _combine(unit, col) != expected or _combine(unit, row) != expected:
                 raise NotNatural(f"unit law fails at basis element {j}")
 
-    def _check_associativity(self) -> None:
-        d = self.dim
-        if d == 0:
-            return
-        c = self.structure_constants
-        bound = max(max(max(row) for row in ci) for ci in c)
-        # sums of d products of two constants; refuse if int64 could wrap
-        if d * (bound + 1) * (bound + 1) >= 2**62:
-            raise OverflowError("structure constants too large for exact check")
-        arr = np.asarray(c, dtype=np.int64)
-        for i in range(d):
-            # lhs[j, k, l] = sum_m c[i][j][m] * c[m][k][l]
-            lhs = np.tensordot(arr[i], arr, axes=([1], [0]))
-            # rhs[j, k, l] = sum_m c[j][k][m] * c[i][m][l]
-            rhs = np.tensordot(arr, arr[i], axes=([2], [0]))
-            if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs != rhs)[0]
-                raise NotNatural(
-                    f"associativity fails at (i, j, k, l) = ({i}, {bad[0]}, {bad[1]}, {bad[2]})"
-                )
-
-    def mul_basis(self, i: int, j: int) -> list[int]:
-        return list(self.structure_constants[i][j])
+    def _check_associativity(self, rows: list[list[Sparse]]) -> None:
+        """(e_i e_j) e_k = e_i (e_j e_k) on all d^3 basis triples:
+        sum_m c_ijm (e_m e_k) against sum_m c_jkm (e_i e_m).  Both sides are
+        linear combinations keyed by a product vector, so each distinct one
+        is computed once: the left side by e_i e_j, for every k at once, and
+        the right side by e_j e_k, for the current i.  The witness is the
+        lexicographically first failing (i, j, k, l)."""
+        cols = list(zip(*rows))  # cols[k][m] = e_m e_k
+        lefts_by_product: dict[Sparse, list[Sparse]] = {}
+        for i, ri in enumerate(rows):
+            right_by_product: dict[Sparse, Sparse] = {}
+            for j, ij in enumerate(ri):
+                lefts = lefts_by_product.get(ij)
+                if lefts is None:
+                    lefts = lefts_by_product[ij] = [_combine(ij, col) for col in cols]
+                rights = []
+                for jk in rows[j]:
+                    right = right_by_product.get(jk)
+                    if right is None:
+                        right = right_by_product[jk] = _combine(jk, ri)
+                    rights.append(right)
+                if lefts != rights:
+                    k = next(k for k, (x, y) in enumerate(zip(lefts, rights)) if x != y)
+                    l = _first_difference(lefts[k], rights[k])
+                    raise NotNatural(
+                        f"associativity fails at (i, j, k, l) = ({i}, {j}, {k}, {l})"
+                    )
 
     def element(self, coords) -> "RingElement":
         return RingElement(self, list(coords))
@@ -495,23 +529,28 @@ class RingHom:
         ]
 
     def verify(self) -> "RingHom":
+        """Unital, bijective, and multiplicative on all d^2 basis pairs:
+        phi(e_i e_j) = sum_m c_ijm phi(e_m) against phi(e_i) phi(e_j), with
+        the images phi(e_m) as sparse columns.  The witness is the first
+        failing (i, j) in row-major order."""
         src, tgt = self.source, self.target
         unital = self.apply(src.unit_vector) == tgt.unit_vector
-        multiplicative = True
+        images = [
+            tuple((r, row[m]) for r, row in enumerate(self.matrix) if row[m])
+            for m in range(src.dim)
+        ]
+        tgt_cols = list(zip(*_sparse_rows(tgt.structure_constants)))
         witness = None
-        for i in range(src.dim):
-            ei = [1 if t == i else 0 for t in range(src.dim)]
-            mi = RingElement(tgt, self.apply(ei))
-            for j in range(src.dim):
-                ej = [1 if t == j else 0 for t in range(src.dim)]
-                lhs = self.apply(src.mul_basis(i, j))
-                rhs = ring_mul(mi, RingElement(tgt, self.apply(ej))).coords
-                if lhs != rhs:
-                    multiplicative = False
+        for i, ri in enumerate(_sparse_rows(src.structure_constants)):
+            # left[s] = phi(e_i) e_s in the target
+            left = [_combine(images[i], col) for col in tgt_cols]
+            for j, ij in enumerate(ri):
+                if _combine(ij, images) != _combine(images[j], left):
                     witness = (i, j)
                     break
-            if not multiplicative:
+            if witness is not None:
                 break
+        multiplicative = witness is None
         bijective = src.dim == tgt.dim and abs(_int_det(self.matrix)) == 1
         self.verified = {
             "unital": unital,
@@ -673,12 +712,18 @@ def _ring_bijection(a: RingPresentation, b: RingPresentation) -> list[int] | Non
     ca, cb = a.structure_constants, b.structure_constants
 
     def consistent(i: int) -> bool:
-        assigned = [t for t in range(i + 1)]
-        for p in assigned:
-            for q in assigned:
-                for r in assigned:
-                    if ca[p][q][r] != cb[perm[p]][perm[q]][perm[r]]:
-                        return False
+        # triples among 0..i-1 were checked when their last index was placed
+        pi = perm[i]
+        for p in range(i + 1):
+            pp = perm[p]
+            for q in range(i + 1):
+                pq = perm[q]
+                if (
+                    ca[i][p][q] != cb[pi][pp][pq]
+                    or ca[p][i][q] != cb[pp][pi][pq]
+                    or ca[p][q][i] != cb[pp][pq][pi]
+                ):
+                    return False
         return True
 
     def extend(i: int) -> bool:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +330,18 @@ class TestDeterminism:
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["checks"] == r2["checks"]
         assert r1["seed"] != r2["seed"]
+
+
+def test_cli_import_loads_no_numpy():
+    """The package has no runtime dependencies: importing the CLI must not
+    pull in numpy, whose import alone costs start-up time and memory."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import gburnside.cli, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import itertools
+import random
+import re
 
 import pytest
 
@@ -11,6 +13,7 @@ import gburnside as gb
 from gburnside.errors import NotConnected, NotNatural, RingMismatch
 from gburnside.rings import (
     RingElement,
+    RingHom,
     RingPresentation,
     action_groupoid_iso_check,
     burnside_ring,
@@ -24,6 +27,9 @@ from gburnside.rings import (
     ring_eq,
     ring_mul,
     _int_det,
+    _combine,
+    _ring_bijection,
+    _sparse_rows,
 )
 from gburnside.gsets import GSet
 
@@ -320,9 +326,258 @@ class TestActionGroupoidIso:
         assert sorted(report["bijection"]) == list(range(dim))
 
 
+def _relabeled(ring: RingPresentation, sigma: list[int]) -> RingPresentation:
+    """The same ring with basis element i renamed sigma[i]."""
+    d = ring.dim
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i, j, k in itertools.product(range(d), repeat=3):
+        c[sigma[i]][sigma[j]][sigma[k]] = ring.structure_constants[i][j][k]
+    unit = [0] * d
+    for i in range(d):
+        unit[sigma[i]] = ring.unit_vector[i]
+    return RingPresentation(d, c, unit).validate()
+
+
+class TestRingBijection:
+    @pytest.mark.parametrize("name", ["S3", "C2+S3", "(C2xPair(2))+C3"])
+    def test_finds_a_structure_preserving_relabeling(self, corpus, name):
+        g = corpus[name]
+        a = crossed_burnside_ring(g, gb.conjugation_action(g))
+        sigma = list(range(a.dim))
+        random.Random(name).shuffle(sigma)
+        b = _relabeled(a, sigma)
+        perm = _ring_bijection(a, b)
+        assert perm is not None and sorted(perm) == list(range(a.dim))
+        ca, cb = a.structure_constants, b.structure_constants
+        for p, q, r in itertools.product(range(a.dim), repeat=3):
+            assert ca[p][q][r] == cb[perm[p]][perm[q]][perm[r]]
+        assert [b.unit_vector[perm[i]] for i in range(a.dim)] == a.unit_vector
+
+    def test_every_returned_bijection_preserves_every_constant(self, corpus):
+        # Move one unit of a product e_p e_q (p != q) to another output
+        # coordinate: row sums, diagonal constants and the unit stay the
+        # same, so the fingerprints do not separate the two rings and only
+        # the constant-by-constant check can.
+        a = crossed_burnside_ring(corpus["S3"], gb.conjugation_action(corpus["S3"]))
+        d, ca = a.dim, a.structure_constants
+        moves = [
+            (p, q, k, t)
+            for p, q, k, t in itertools.product(range(d), repeat=4)
+            if p != q and ca[p][q][k] and t != k
+        ]
+        rejected = 0
+        for p, q, k, t in random.Random("moves").sample(moves, 40):
+            b = RingPresentation(d, copy.deepcopy(ca), list(a.unit_vector))
+            b.structure_constants[p][q][k] -= 1
+            b.structure_constants[p][q][t] += 1
+            perm = _ring_bijection(a, b)
+            if perm is None:
+                rejected += 1
+                continue
+            cb = b.structure_constants
+            for x, y, z in itertools.product(range(d), repeat=3):
+                assert ca[x][y][z] == cb[perm[x]][perm[y]][perm[z]], (p, q, k, t)
+        assert rejected > 0
+
+    def test_rejects_a_changed_constant(self, bc_c2):
+        other = RingPresentation(
+            bc_c2.dim, copy.deepcopy(bc_c2.structure_constants), list(bc_c2.unit_vector)
+        )
+        other.structure_constants[3][3] = [0, 0, 0, 1]
+        assert _ring_bijection(bc_c2, other) is None
+
+
 class TestIntDet:
     def test_known_values(self):
         assert _int_det([[2, 0], [0, 3]]) == 6
         assert _int_det([[0, 1], [1, 0]]) == -1
         assert _int_det([[1, 2], [2, 4]]) == 0
         assert _int_det([[2, 3, 1], [4, 1, 3], [1, 5, 2]]) == -22
+
+
+# -- exact sparse arithmetic --------------------------------------------------------
+
+def test_combine_drops_cancelled_coordinates():
+    # sparse vectors are compared as tuples, so a sum that cancels must not
+    # leave a (k, 0) entry behind
+    vecs = [((0, 2), (1, 1)), ((0, 2),)]
+    assert _combine(((0, 1), (1, -1)), vecs) == ((1, 1),)
+    assert _combine(((0, 1), (1, -1)), [((0, 2),), ((0, 2),)]) == ()
+
+
+# -- exact checks on constants beyond any fixed-width integer ----------------------
+
+class TestLargeConstants:
+    def test_two_dim_ring_with_huge_constant_validates(self):
+        # basis {1, x} with x^2 = 2^40 x
+        n = 2**40
+        c = [[[1, 0], [0, 1]], [[0, 1], [0, n]]]
+        ring = RingPresentation(2, c, [1, 0]).validate()
+        x = ring.element([0, 1])
+        assert ring_mul(x, ring_mul(x, x)).coords == [0, n * n]
+
+    def test_huge_constants_associativity_witness(self):
+        # basis {1, x, y}: x^2 = n y, y^2 = n x, xy = yx = 0, so that
+        # (x x) y = n^2 x while x (x y) = 0
+        n = 2**40
+        c = [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, n], [0, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [0, n, 0]],
+        ]
+        assert oracle_unit_failure(c, [1, 0, 0]) is None
+        assert oracle_associativity_failure(c) == (1, 1, 2, 1)
+        with pytest.raises(
+            NotNatural, match=re.escape("(i, j, k, l) = (1, 1, 2, 1)")
+        ):
+            RingPresentation(3, c, [1, 0, 0]).validate()
+
+
+# -- differential tests against a dense oracle --------------------------------------
+#
+# The oracle is the definition, written as plain loops over every coordinate;
+# the production checks visit only non-zero constants and must agree with it
+# on the verdict and on the witness.
+
+def oracle_unit_failure(c, u):
+    """The first basis element j with u e_j != e_j or e_j u != e_j."""
+    d = len(c)
+    for j in range(d):
+        expected = [1 if k == j else 0 for k in range(d)]
+        left = [sum(u[i] * c[i][j][k] for i in range(d)) for k in range(d)]
+        right = [sum(u[i] * c[j][i][k] for i in range(d)) for k in range(d)]
+        if left != expected or right != expected:
+            return j
+    return None
+
+
+def oracle_associativity_failure(c):
+    """The lexicographically first (i, j, k, l) where the coordinate l of
+    (e_i e_j) e_k and of e_i (e_j e_k) differ."""
+    d = len(c)
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        lhs = sum(c[i][j][m] * c[m][k][l] for m in range(d))
+        rhs = sum(c[j][k][m] * c[i][m][l] for m in range(d))
+        if lhs != rhs:
+            return (i, j, k, l)
+    return None
+
+
+def oracle_hom_failure(src, tgt, matrix):
+    """The first (i, j), row-major, with phi(e_i e_j) != phi(e_i) phi(e_j)."""
+    ds, dt = src.dim, tgt.dim
+    ct = tgt.structure_constants
+
+    def image(v):
+        return [sum(matrix[r][m] * v[m] for m in range(ds)) for r in range(dt)]
+
+    def product(x, y):
+        return [
+            sum(x[r] * y[s] * ct[r][s][t] for r in range(dt) for s in range(dt))
+            for t in range(dt)
+        ]
+
+    basis = [[1 if m == i else 0 for m in range(ds)] for i in range(ds)]
+    for i, j in itertools.product(range(ds), repeat=2):
+        if image(src.structure_constants[i][j]) != product(
+            image(basis[i]), image(basis[j])
+        ):
+            return (i, j)
+    return None
+
+
+def _corpus_rings(corpus, max_dim=14):
+    """Crossed Burnside rings of the corpus under both weights, and the
+    block-diagonal target of the C2+S3 decomposition."""
+    for name, g in corpus.items():
+        for weight in ("conjugation", "trivial"):
+            m = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+            ring = crossed_burnside_ring(g, m)
+            if ring.dim <= max_dim:
+                yield f"{name}/{weight}", ring
+    yield "C2+S3/product", decomposition_hom(corpus["C2+S3"]).target
+
+
+def _corruptions(name, ring, count=6):
+    """A fixed sample of single-constant changes: half add 1 anywhere, half
+    zero out a non-zero constant."""
+    rng = random.Random(name)
+    d, c = ring.dim, ring.structure_constants
+    nonzero = [
+        (i, j, k) for i, j, k in itertools.product(range(d), repeat=3) if c[i][j][k]
+    ]
+    for n in range(count):
+        if n % 2 == 0:
+            pos = tuple(rng.randrange(d) for _ in range(3))
+            yield pos, c[pos[0]][pos[1]][pos[2]] + 1
+        else:
+            yield rng.choice(nonzero), 0
+
+
+class TestDenseOracle:
+    def test_corpus_rings_pass_both(self, corpus):
+        for name, ring in _corpus_rings(corpus):
+            c = ring.structure_constants
+            assert oracle_unit_failure(c, ring.unit_vector) is None, name
+            assert oracle_associativity_failure(c) is None, name
+
+    def test_corrupted_constants_same_verdict_and_witness(self, corpus):
+        rejected = {"unit": 0, "associativity": 0}
+        for name, ring in _corpus_rings(corpus):
+            for (i, j, k), value in _corruptions(name, ring):
+                c = copy.deepcopy(ring.structure_constants)
+                c[i][j][k] = value
+                bad = RingPresentation(ring.dim, c, list(ring.unit_vector))
+                case = f"{name} c[{i}][{j}][{k}] = {value}"
+
+                unit_failure = oracle_unit_failure(c, bad.unit_vector)
+                assoc_failure = oracle_associativity_failure(c)
+                if assoc_failure is None:
+                    bad._check_associativity(_sparse_rows(c))
+                else:
+                    rejected["associativity"] += 1
+                    with pytest.raises(NotNatural) as err:
+                        bad._check_associativity(_sparse_rows(c))
+                    assert str(err.value) == (
+                        f"associativity fails at (i, j, k, l) = {assoc_failure}"
+                    ), case
+
+                if unit_failure is not None:
+                    rejected["unit"] += 1
+                    expected = f"unit law fails at basis element {unit_failure}"
+                elif assoc_failure is not None:
+                    expected = f"associativity fails at (i, j, k, l) = {assoc_failure}"
+                else:
+                    bad.validate()
+                    continue
+                with pytest.raises(NotNatural) as err:
+                    bad.validate()
+                assert str(err.value) == expected, case
+        assert rejected["unit"] > 0 and rejected["associativity"] > 0
+
+    def test_corrupted_hom_same_witness(self, corpus):
+        hom = decomposition_hom(corpus["C2+S3"])
+        src, tgt = hom.source, hom.target
+        assert oracle_hom_failure(src, tgt, hom.matrix) is None
+        assert hom.verified["multiplicative"] and "witness" not in hom.verified
+        rng = random.Random("C2+S3 hom")
+        caught = 0
+        for _ in range(8):
+            r, m = rng.randrange(tgt.dim), rng.randrange(src.dim)
+            matrix = [list(row) for row in hom.matrix]
+            matrix[r][m] += 1
+            expected = oracle_hom_failure(src, tgt, matrix)
+            verified = RingHom(src, tgt, matrix).verify().verified
+            assert verified["multiplicative"] == (expected is None), (r, m)
+            assert verified.get("witness") == expected, (r, m)
+            caught += expected is not None
+        assert caught > 0
+
+    def test_hom_with_cancelling_entries(self, b_c2):
+        # On B(C2) with a = [C2/1], a^2 = 2a, the map a -> 2 - a, 1 -> 1 is
+        # a ring automorphism; phi(a) a = -a^2 + 2a = 0 cancels to zero.
+        hom = RingHom(b_c2, b_c2, [[-1, 0], [2, 1]])
+        assert oracle_hom_failure(b_c2, b_c2, hom.matrix) is None
+        assert hom.verify().verified == {
+            "unital": True, "multiplicative": True, "bijective": True,
+        }
