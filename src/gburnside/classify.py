@@ -8,6 +8,10 @@ elements each (subgroup, label) pair fixes, and the marks of the basis
 form a triangular integer matrix.  ``express_by_decomposition`` is the
 reference route, by orbit decomposition and transporter search.
 
+Labels live in a target G-set: the weight G-monoid of the crossed
+Burnside ring, or any G-set for the Hadamard ring of a slice.  Nothing
+here uses a monoid product, so one catalog serves both rings.
+
 Two independent enumeration routes are provided.  ``enumerate_basis``
 classifies transitive crossed sets by pairs (subgroup of an isotropy group,
 invariant label) up to simultaneous conjugacy and realizes each class as an
@@ -24,7 +28,13 @@ from dataclasses import dataclass, field
 
 from .errors import BoundTooSmall, MarksNotTriangular, UnmatchedPiece
 from .crossed import CrossedGSet, CrossedMap, same_weight
-from .groupoid import FiniteGroupoid, component_transports, connected_components
+from .groupoid import (
+    FiniteGroupoid,
+    component_transports,
+    connected_components,
+    loop_table,
+    retract,
+)
 from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition
 
 
@@ -45,8 +55,9 @@ def group_inverses(table: list[list[int]]) -> list[int]:
 
 
 def subgroup_closure(table: list[list[int]], seed) -> frozenset[int]:
-    e = group_identity(table)
-    elems = {e} | set(seed)
+    """The subgroup generated by a non-empty seed: in a finite group the
+    closure under products already holds the identity and all inverses."""
+    elems = set(seed)
     frontier = list(elems)
     while frontier:
         fresh = []
@@ -228,7 +239,7 @@ def are_isomorphic(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap | None:
 
 def induced_crossed(
     g: FiniteGroupoid,
-    weight: GMonoid,
+    weight: GMonoid | GSet,
     rep: int,
     subgroup: frozenset[int],
     label_value: int,
@@ -240,7 +251,7 @@ def induced_crossed(
     The fiber at every component object is the set of left cosets of the
     subgroup in the isotropy group at rep; a morphism m : y -> w acts by
     left multiplication with t_w^-1 m t_y, and labels are transported by
-    conjugation of the weight.
+    the action of the target.
     """
     t = component_transports(g, rep)
     loops = g.loops(rep)
@@ -258,11 +269,10 @@ def induced_crossed(
     ]
     action = []
     for m in g.morphisms:
-        y, w = g.dom[m], g.cod[m]
-        if y not in t:
+        if g.dom[m] not in t:
             action.append([])
             continue
-        u = g.compose_table[g.inverse[t[w]]][g.compose_table[m][t[y]]]
+        u = retract(g, t, m)
         action.append(
             [coset_of[g.compose_table[u][coset_reps[k]]] for k in range(n_cosets)]
         )
@@ -428,7 +438,7 @@ class BasisCatalog:
     first use."""
 
     base: FiniteGroupoid
-    weight: GMonoid
+    weight: GMonoid | GSet  # the target the labels live in
     entries: list[TransitivePiece]
     index: dict[tuple, list[int]]
     _marks: MarkTable | None = field(default=None, init=False, repr=False, compare=False)
@@ -461,10 +471,12 @@ class BasisCatalog:
         return None
 
 
-def enumerate_basis(g: FiniteGroupoid, weight: GMonoid) -> BasisCatalog:
+def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     """Classify transitive crossed sets per component by pairs (H, s), H a
     subgroup of the isotropy group up to conjugacy and s an H-invariant
-    label up to simultaneous conjugacy, realized as induced crossed sets.
+    label up to the action of the normalizer of H, realized as induced
+    crossed sets.  The labels live in ``weight``: a G-monoid, or any G-set
+    (the transitive objects of the slice over it).
 
     Entry order is (component, subgroup class by ascending order then
     elements, label class by least label id); the catalog is bit-for-bit
@@ -472,11 +484,7 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid) -> BasisCatalog:
     """
     entries = []
     for rep in connected_components(g).representatives:
-        loops = g.loops(rep)
-        pos = {m: k for k, m in enumerate(loops)}
-        table = [
-            [pos[g.compose_table[a][b]] for b in loops] for a in loops
-        ]
+        loops, _, table = loop_table(g, rep)
         inv = group_inverses(table)
         weight_act = [weight.action[m] for m in loops]  # by loop index
         for cls in subgroup_conjugacy_classes(table):
@@ -557,7 +565,7 @@ def _set_partitions(items: list[int]):
 
 
 def brute_force_basis(
-    g: FiniteGroupoid, weight: GMonoid, size_bound: int
+    g: FiniteGroupoid, weight: GMonoid | GSet, size_bound: int
 ) -> list[CrossedGSet]:
     """Independent oracle: enumerate every transitive crossed set with
     carrier size up to the bound and deduplicate with the generic

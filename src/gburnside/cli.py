@@ -24,7 +24,12 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .classify import brute_force_basis, enumerate_basis, transitive_decomposition
+from .classify import (
+    brute_force_basis,
+    enumerate_basis,
+    subgroup_closure,
+    transitive_decomposition,
+)
 from .crossed import check_monoidal_axioms
 from .errors import GBError
 from .groupoid import FiniteGroupoid, connected_components, isotropy_group
@@ -178,24 +183,12 @@ def _get_weight(job: JobSpec, g: FiniteGroupoid):
 
 def _subgroup_generators(g: FiniteGroupoid, rep: int, subgroup: list[int]) -> list[int]:
     """Greedy minimal generating set of a subgroup of loops, ascending."""
-    current = {g.identity[rep]}
+    current = frozenset({g.identity[rep]})
     gens: list[int] = []
-    members = set(subgroup)
-    for m in sorted(members):
-        if m in current:
-            continue
-        gens.append(m)
-        frontier = list(current | {m})
-        current = current | {m}
-        while frontier:
-            fresh = []
-            for a in list(current):
-                for b in frontier:
-                    for c in (g.compose_table[a][b], g.compose_table[b][a]):
-                        if c not in current:
-                            current.add(c)
-                            fresh.append(c)
-            frontier = fresh
+    for m in sorted(subgroup):
+        if m not in current:
+            gens.append(m)
+            current = subgroup_closure(g.compose_table, current | {m})
     return gens
 
 

@@ -1,8 +1,10 @@
-"""Crossed G-sets over a G-monoid: the slice objects, their tensor product
-(labels multiply in the weight monoid), the monoidal unit and coherence
-isomorphisms, the braiding over the conjugation weight, distributivity,
-the trivial-label embedding, and transport along the equivalence between a
-connected groupoid and an isotropy group.
+"""Crossed G-sets: G-sets labeled in a target G-set, the objects of the
+slice category over it.  The target is usually a G-monoid (the weight),
+but labels may live in any G-set: only the tensor product (labels multiply
+in the weight monoid), the monoidal unit and the braiding need the monoid.
+Also here: the coherence isomorphisms, the braiding over the conjugation
+weight, distributivity, the trivial-label embedding, and transport along
+the equivalence between a connected groupoid and an isotropy group.
 
 Coherence maps are built by honest label lookup in the structured element
 labels that products and coproducts create, then checked pointwise; the
@@ -20,7 +22,7 @@ from .errors import (
     WeightMismatch,
     WeightNotConjugation,
 )
-from .groupoid import FiniteGroupoid, isotropy_group, transports
+from .groupoid import FiniteGroupoid, isotropy_group, retract, transports
 from .gsets import (
     GMap,
     GMonoid,
@@ -35,19 +37,14 @@ from .gsets import (
 
 
 class CrossedGSet:
-    """A G-set with a natural labeling into the underlying G-set of a
-    G-monoid (an object of the slice category over the weight)."""
+    """A G-set with a natural labeling into a target ``weight``: a G-monoid
+    or any G-set (an object of the slice category over it).  Validation
+    reads only ``base``, ``size`` and ``action`` of the target."""
 
-    def __init__(self, carrier: GSet, weight: GMonoid, label):
+    def __init__(self, carrier: GSet, weight: GMonoid | GSet, label):
         self.carrier = carrier
         self.weight = weight
         self.label: list[list[int]] = [list(lab) for lab in label]
-
-    def label_of(self, x: int, i: int) -> int:
-        return self.label[x][i]
-
-    def label_gmap(self) -> GMap:
-        return GMap(self.carrier, self.weight.underlying(), self.label)
 
     @property
     def total_size(self) -> int:
@@ -418,9 +415,7 @@ def transport_induce(cz: CrossedGSet, g: FiniteGroupoid, z: int) -> CrossedGSet:
     fibers = [list(fiber) for _ in g.objects]
     action = []
     for m in g.morphisms:
-        y, w = g.dom[m], g.cod[m]
-        loop = g.compose_table[g.inverse[t[w]]][g.compose_table[m][t[y]]]
-        action.append(list(cz.carrier.action[loop_pos[loop]]))
+        action.append(list(cz.carrier.action[loop_pos[retract(g, t, m)]]))
     carrier = GSet(g, fibers, action)
     conj = conjugation_action(g)
     conj_pos = [

@@ -486,6 +486,17 @@ def is_connected(g: FiniteGroupoid) -> bool:
     return connected_components(g).count == 1
 
 
+def loop_table(
+    g: FiniteGroupoid, x: int
+) -> tuple[list[int], dict[int, int], list[list[int]]]:
+    """The loops at x in ascending morphism-id order, the position of each
+    loop in that order, and the multiplication table of the isotropy group
+    on positions."""
+    loops = g.loops(x)
+    pos = {m: k for k, m in enumerate(loops)}
+    return loops, pos, [[pos[g.compose_table[a][b]] for b in loops] for a in loops]
+
+
 def isotropy_group(
     g: FiniteGroupoid, x: int
 ) -> tuple[FiniteGroupoid, GroupoidFunctor]:
@@ -496,10 +507,8 @@ def isotropy_group(
     """
     if not 0 <= x < g.n_objects:
         raise UnknownObject(f"object {x} not in 0..{g.n_objects - 1}")
-    loops = g.loops(x)
-    pos = {m: k for k, m in enumerate(loops)}
+    loops, pos, table = loop_table(g, x)
     n = len(loops)
-    table = [[pos[g.compose_table[a][b]] for b in loops] for a in loops]
     iso = validate_groupoid(
         FiniteGroupoid(
             n_objects=1,
@@ -539,6 +548,12 @@ def transports(g: FiniteGroupoid, x: int) -> dict[int, int]:
     return t
 
 
+def retract(g: FiniteGroupoid, t: dict[int, int], m: int) -> int:
+    """The loop t_w^-1 m t_y at the base of the transports t, for
+    m : y -> w with both ends in the component of the base."""
+    return g.compose_table[g.inverse[t[g.cod[m]]]][g.compose_table[m][t[g.dom[m]]]]
+
+
 def connected_structure_iso(g: FiniteGroupoid, x: int) -> GroupoidFunctor:
     """Isomorphism from a connected g onto isotropy(x) x Pair(objects).
 
@@ -554,8 +569,7 @@ def connected_structure_iso(g: FiniteGroupoid, x: int) -> GroupoidFunctor:
     morphism_map = []
     for m in g.morphisms:
         y, z = g.dom[m], g.cod[m]
-        loop = g.compose_table[g.inverse[t[z]]][g.compose_table[m][t[y]]]
-        morphism_map.append(pos[loop] * n_pair_mor + (y * n + z))
+        morphism_map.append(pos[retract(g, t, m)] * n_pair_mor + (y * n + z))
     functor = GroupoidFunctor(g, target, object_map, morphism_map).validate()
     if not functor.is_isomorphism():
         raise NonAssociative("structure functor is not bijective")  # unreachable
@@ -607,11 +621,7 @@ def inclusion_equivalence(g: FiniteGroupoid, z: int) -> EquivalenceData:
     iso, inclusion = isotropy_group(g, z)
     t = transports(g, z)
     pos = {m: k for k, m in enumerate(inclusion.morphism_map)}
-    morphism_map = []
-    for m in g.morphisms:
-        y, w = g.dom[m], g.cod[m]
-        loop = g.compose_table[g.inverse[t[w]]][g.compose_table[m][t[y]]]
-        morphism_map.append(pos[loop])
+    morphism_map = [pos[retract(g, t, m)] for m in g.morphisms]
     retraction = GroupoidFunctor(g, iso, [0] * g.n_objects, morphism_map).validate()
     eta = [t[y] for y in g.objects]
     epsilon = [iso.identity[0]]

@@ -21,7 +21,14 @@ from .errors import (
     NotSubgroup,
     UnknownObject,
 )
-from .groupoid import SENTINEL, FiniteGroupoid, GroupoidFunctor, validate_groupoid
+from .groupoid import (
+    SENTINEL,
+    FiniteGroupoid,
+    GroupoidFunctor,
+    _UnionFind,
+    loop_table,
+    validate_groupoid,
+)
 
 
 def same_base(a: FiniteGroupoid, b: FiniteGroupoid) -> bool:
@@ -228,13 +235,8 @@ def conjugation_action(g: FiniteGroupoid) -> GMonoid:
     Element k of the monoid at x is the k-th loop at x in ascending
     morphism-id order.
     """
-    loops = [g.loops(x) for x in g.objects]
-    pos = [{m: k for k, m in enumerate(lp)} for lp in loops]
-    monoids = []
-    for x in g.objects:
-        lp = loops[x]
-        table = [[pos[x][g.compose_table[a][b]] for b in lp] for a in lp]
-        monoids.append(Monoid(table, pos[x][g.identity[x]]))
+    loops, pos, tables = zip(*(loop_table(g, x) for x in g.objects))
+    monoids = [Monoid(tables[x], pos[x][g.identity[x]]) for x in g.objects]
     action = []
     for m in g.morphisms:
         x, y = g.dom[m], g.cod[m]
@@ -312,22 +314,6 @@ class GMap:
         return f"GMap(components={[len(c) for c in self.components]})"
 
 
-def identity_gmap(x: GSet) -> GMap:
-    return GMap(x, x, [list(range(x.size(o))) for o in x.base.objects])
-
-
-def compose_gmaps(second: GMap, first: GMap) -> GMap:
-    """second after first."""
-    return GMap(
-        first.source,
-        second.target,
-        [
-            [second.components[x][i] for i in first.components[x]]
-            for x in first.source.base.objects
-        ],
-    )
-
-
 # -- action groupoid ---------------------------------------------------------
 
 @dataclass
@@ -400,29 +386,15 @@ def _orbit_classes(x: GSet) -> list[list[tuple[int, int]]]:
     for o in g.objects:
         offsets.append(total)
         total += x.size(o)
-    parent = list(range(total))
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
+    uf = _UnionFind(total)
     for m in g.morphisms:
         do, co = offsets[g.dom[m]], offsets[g.cod[m]]
         for i, j in enumerate(x.action[m]):
-            ra, rb = find(do + i), find(co + j)
-            if ra != rb:
-                if ra < rb:
-                    parent[rb] = ra
-                else:
-                    parent[ra] = rb
+            uf.union(do + i, co + j)
     buckets: dict[int, list[tuple[int, int]]] = {}
     for o in g.objects:
         for i in range(x.size(o)):
-            buckets.setdefault(find(offsets[o] + i), []).append((o, i))
+            buckets.setdefault(uf.find(offsets[o] + i), []).append((o, i))
     return [buckets[r] for r in sorted(buckets)]
 
 

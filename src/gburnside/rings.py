@@ -4,6 +4,13 @@ crossed Burnside ring of a G-monoid, together with the theorem witnesses:
 the trivial-label embedding, connected reduction, component decomposition,
 and the action-groupoid comparison.
 
+All three rings are free on one kind of basis: the transitive G-sets
+labeled in a target, classified by ``enumerate_basis`` as pairs (H, t in
+T^H).  The target is the weight G-monoid for the crossed Burnside ring
+(the trivial one for the Burnside ring) and the G-set X for the Hadamard
+ring; only the product rule differs (the tensor product, which needs the
+monoid, or the fiber product over X).
+
 Structure constants come from the table of marks (production route): the
 marks of a product of basis elements are computed from the marks of the
 factors by a closed formula (a convolution over the weight monoid for the
@@ -28,13 +35,13 @@ from dataclasses import dataclass, field
 from .errors import NotConnected, NotNatural, RingMismatch
 from .classify import (
     BasisCatalog,
-    MarkTable,
-    _transitive_iso,
+    TransitivePiece,
     enumerate_basis,
     express_by_decomposition,
     express_in_basis,
 )
 from .crossed import (
+    CrossedGSet,
     tensor,
     transport_restrict,
     trivial_label_embed,
@@ -42,12 +49,10 @@ from .crossed import (
 )
 from .groupoid import FiniteGroupoid, connected_components, is_connected, isotropy_group
 from .gsets import (
-    GMap,
     GMonoid,
     GSet,
     action_groupoid,
     conjugation_action,
-    orbit_decomposition,
     same_base,
     trivial_gmonoid,
 )
@@ -206,34 +211,45 @@ def ring_eq(a: RingElement, b: RingElement) -> bool:
 
 # -- ring constructors ------------------------------------------------------------
 
-def _catalog_info(catalog: BasisCatalog) -> list[dict]:
-    out = []
-    for e in catalog.entries:
-        sub, lab = e.standard_pair
-        out.append(
-            {
-                "component": e.component_rep,
-                "subgroup": sorted(sub),
-                "label": lab,
-                "carrier_size": e.crossed.total_size,
-            }
-        )
-    return out
-
-
-def _catalog_ring(catalog: BasisCatalog, constants, unit) -> RingPresentation:
+def _ring(catalog: BasisCatalog, product, unit: list[int], info) -> RingPresentation:
+    """The validated presentation on a catalog with e_i e_j = product(i, j)
+    and the given unit coordinates; ``info`` reports one basis entry."""
+    d = catalog.dim
+    constants = [[product(i, j) for j in range(d)] for i in range(d)]
     return RingPresentation(
-        catalog.dim, constants, unit, basis=catalog, basis_info=_catalog_info(catalog)
+        d, constants, unit, basis=catalog, basis_info=[info(e) for e in catalog.entries]
     ).validate()
 
 
-def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentation:
-    """Basis from the (H, s) classification; the marks of a tensor of basis
-    elements are convolved from the marks of the factors,
-    phi_(H,u)(X (x) Y) = sum over ab = u of phi_(H,a)(X) phi_(H,b)(Y),
-    and solved in the table of marks."""
-    catalog = enumerate_basis(g, weight)
+def _by_marks(catalog: BasisCatalog, combine):
+    """Products from the table of marks: ``combine(rep, a, b)`` gives the
+    marks of a product from the marks of its factors, per subgroup."""
     marks = catalog.marks()
+    return lambda i, j: marks.product(i, j, combine)
+
+
+def _by_decomposition(catalog: BasisCatalog, multiply):
+    """Products built on carriers by ``multiply`` and decomposed over the
+    catalog by transporter search."""
+    entries = catalog.entries
+    return lambda i, j: express_by_decomposition(
+        multiply(entries[i].crossed, entries[j].crossed), catalog
+    )
+
+
+def _crossed_info(e: TransitivePiece) -> dict:
+    sub, lab = e.standard_pair
+    return {
+        "component": e.component_rep,
+        "subgroup": sorted(sub),
+        "label": lab,
+        "carrier_size": e.crossed.total_size,
+    }
+
+
+def _convolution(weight: GMonoid):
+    """The marks of a tensor product, convolved over the weight monoid:
+    phi_(H,u)(X (x) Y) = sum over ab = u of phi_(H,a)(X) phi_(H,b)(Y)."""
 
     def convolve(rep: int, a: dict, b: dict) -> dict:
         table = weight.monoids[rep].table
@@ -244,11 +260,16 @@ def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentatio
                 out[row[y]] = out.get(row[y], 0) + mx * my
         return out
 
-    d = catalog.dim
-    constants = [[marks.product(i, j, convolve) for j in range(d)] for i in range(d)]
-    return _catalog_ring(
-        catalog, constants, express_in_basis(unit_object(g, weight), catalog)
-    )
+    return convolve
+
+
+def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentation:
+    """Basis from the (H, s) classification; the marks of a tensor of basis
+    elements are convolved from the marks of the factors and solved in the
+    table of marks."""
+    catalog = enumerate_basis(g, weight)
+    unit = express_in_basis(unit_object(g, weight), catalog)
+    return _ring(catalog, _by_marks(catalog, _convolution(weight)), unit, _crossed_info)
 
 
 def crossed_burnside_ring_by_decomposition(
@@ -258,21 +279,9 @@ def crossed_burnside_ring_by_decomposition(
     and decompose it over the basis by orbit splitting and transporter
     search."""
     catalog = enumerate_basis(g, weight)
-    d = catalog.dim
-    constants = [
-        [
-            express_by_decomposition(
-                tensor(catalog.entries[i].crossed, catalog.entries[j].crossed,
-                       check=False),
-                catalog,
-            )
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    return _catalog_ring(
-        catalog, constants, express_by_decomposition(unit_object(g, weight), catalog)
-    )
+    unit = express_by_decomposition(unit_object(g, weight), catalog)
+    products = _by_decomposition(catalog, lambda a, b: tensor(a, b, check=False))
+    return _ring(catalog, products, unit, _crossed_info)
 
 
 def burnside_ring(g: FiniteGroupoid) -> RingPresentation:
@@ -283,231 +292,77 @@ def burnside_ring(g: FiniteGroupoid) -> RingPresentation:
 
 # -- the Hadamard ring of a slice over a G-set -------------------------------------
 
-@dataclass
-class SliceObject:
-    """A G-set mapped into a fixed G-set: an object of the slice category."""
-
-    carrier: GSet
-    over: GSet
-    label: list[list[int]]
-
-    def validate(self) -> "SliceObject":
-        self.carrier.validate()
-        GMap(self.carrier, self.over, self.label).validate()
-        return self
+def _slice_info(e: TransitivePiece) -> dict:
+    return {
+        "component": e.component_rep,
+        "carrier_size": e.crossed.total_size,
+        "base_image": e.standard_pair[1],
+    }
 
 
-@dataclass
-class SlicePiece:
-    """A transitive slice object, with the stabilizer of its base element
-    (element 0 of the fiber at component_rep)."""
-
-    component_rep: int
-    carrier: GSet
-    label: list[list[int]]
-    stabilizer: frozenset[int]
-
-    @property
-    def fingerprint(self) -> tuple:
-        return tuple(
-            (self.carrier.size(x), tuple(sorted(self.label[x])))
-            for x in self.carrier.base.objects
-        )
+def _meet(rep: int, a: dict, b: dict) -> dict:
+    """The marks of a fiber product, label by label:
+    phi_(H,b)(A x_X B) = phi_(H,b)(A) phi_(H,b)(B)."""
+    return {v: m * b[v] for v, m in a.items() if v in b}
 
 
-@dataclass
-class SliceCatalog:
-    base: FiniteGroupoid
-    over: GSet
-    entries: list[SlicePiece]
-    index: dict[tuple, list[int]]
-    _marks: MarkTable | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def marks(self) -> MarkTable:
-        """The table of marks, built on first use; row k is the stabilizer
-        and base image of entry k."""
-        if self._marks is None:
-            self._marks = MarkTable(
-                [
-                    (e.component_rep, e.stabilizer, e.label[e.component_rep][0],
-                     e.carrier, e.label)
-                    for e in self.entries
-                ]
-            )
-        return self._marks
-
-
-def _base_stabilizer(g: FiniteGroupoid, carrier: GSet, rep: int) -> frozenset[int]:
-    return frozenset(h for h in g.loops(rep) if carrier.action[h][0] == 0)
-
-
-def _slice_decompose(g: FiniteGroupoid, s: SliceObject) -> list[SlicePiece]:
-    pieces = []
-    for carrier, embed in orbit_decomposition(g, s.carrier):
-        label = [
-            [s.label[x][i] for i in embed.components[x]] for x in g.objects
+def _fiber_product(a: CrossedGSet, b: CrossedGSet) -> CrossedGSet:
+    """The Hadamard product A x_X B: the pairs (p, q) with equal labels,
+    with the diagonal action and the common label."""
+    g = a.carrier.base
+    keep = [
+        [
+            (i, j)
+            for i, u in enumerate(a.label[o])
+            for j, v in enumerate(b.label[o])
+            if u == v
         ]
-        rep = min(x for x in g.objects if carrier.size(x) > 0)
-        pieces.append(
-            SlicePiece(rep, carrier, label, _base_stabilizer(g, carrier, rep))
-        )
-    return pieces
-
-
-def _slice_express(g: FiniteGroupoid, s: SliceObject, catalog: SliceCatalog) -> list[int]:
-    """Coordinates of a slice object from its marks."""
-    return catalog.marks().express(s.carrier, s.label)
-
-
-def _slice_express_by_decomposition(
-    g: FiniteGroupoid, s: SliceObject, catalog: SliceCatalog
-) -> list[int]:
-    """Reference route for ``_slice_express``: orbit pieces matched by
-    transporter search."""
-    coords = [0] * catalog.dim
-    for piece in _slice_decompose(g, s):
-        hit = None
-        for k in catalog.index.get(piece.fingerprint, []):
-            entry = catalog.entries[k]
-            if entry.component_rep != piece.component_rep:
-                continue
-            if _transitive_iso(piece, entry, piece.component_rep) is not None:
-                hit = k
-                break
-        if hit is None:
-            raise NotNatural("slice piece matched no catalog entry")
-        coords[hit] += 1
-    return coords
-
-
-def _slice_basis(g: FiniteGroupoid, x: GSet) -> SliceCatalog:
-    """Transitive slice objects up to slice isomorphism: every transitive
-    carrier paired with every stabilizer-invariant base image, dedupued by
-    the transporter search."""
-    plain = enumerate_basis(g, trivial_gmonoid(g))
-    entries: list[SlicePiece] = []
-    for entry in plain.entries:
-        rep = entry.component_rep
-        carrier = entry.crossed.carrier
-        stab = _base_stabilizer(g, carrier, rep)
-        for b in range(x.size(rep)):
-            if any(x.action[h][b] != b for h in stab):
-                continue
-            label = [[-1] * carrier.size(o) for o in g.objects]
-            for f in g.by_dom(rep):
-                y = g.cod[f]
-                i = carrier.action[f][0]
-                v = x.action[f][b]
-                if label[y][i] == -1:
-                    label[y][i] = v
-                elif label[y][i] != v:
-                    raise NotNatural("inconsistent label propagation")  # unreachable
-            piece = SlicePiece(rep, carrier, label, stab)
-            SliceObject(carrier, x, label).validate()
-            if any(
-                other.fingerprint == piece.fingerprint
-                and other.component_rep == rep
-                and _transitive_iso(piece, other, rep) is not None
-                for other in entries
-            ):
-                continue
-            entries.append(piece)
-    index: dict[tuple, list[int]] = {}
-    for k, e in enumerate(entries):
-        index.setdefault(e.fingerprint, []).append(k)
-    return SliceCatalog(g, x, entries, index)
-
-
-def _slice_pullback(g: FiniteGroupoid, a: SlicePiece, b: SlicePiece, x: GSet) -> SliceObject:
-    """Hadamard product: the equalizing pairs {(p, q) | theta(p) = tau(q)}
-    with the diagonal action and the common image as label."""
-    keep: list[list[tuple[int, int]]] = []
-    for o in g.objects:
-        keep.append(
-            [
-                (i, j)
-                for i in range(a.carrier.size(o))
-                for j in range(b.carrier.size(o))
-                if a.label[o][i] == b.label[o][j]
-            ]
-        )
-    pos = [{pair: k for k, pair in enumerate(lst)} for lst in keep]
+        for o in g.objects
+    ]
+    pos = [{pair: k for k, pair in enumerate(pairs)} for pairs in keep]
     fibers = [
         [(a.carrier.fibers[o][i], b.carrier.fibers[o][j]) for i, j in keep[o]]
         for o in g.objects
     ]
     action = []
     for m in g.morphisms:
-        src, dst = g.dom[m], g.cod[m]
         aa, ba = a.carrier.action[m], b.carrier.action[m]
-        action.append([pos[dst][(aa[i], ba[j])] for i, j in keep[src]])
+        action.append([pos[g.cod[m]][(aa[i], ba[j])] for i, j in keep[g.dom[m]]])
     label = [[a.label[o][i] for i, _ in keep[o]] for o in g.objects]
-    carrier = GSet(g, fibers, action)
-    return SliceObject(carrier, x, label)
+    return CrossedGSet(GSet(g, fibers, action), a.weight, label).validate()
 
 
-def _hadamard_ring(g: FiniteGroupoid, x: GSet, products, express) -> RingPresentation:
-    """Shared frame of both Hadamard routes: ``products(catalog)`` gives the
-    d x d coordinate table; the unit is the class of the identity slice
-    (x, id)."""
+def _identity_slice(g: FiniteGroupoid, x: GSet) -> CrossedGSet:
+    """x labeled by itself through the identity: the unit of the Hadamard
+    ring."""
     if not same_base(g, x.base):
         raise RingMismatch("G-set does not live over this groupoid")
-    catalog = _slice_basis(g, x)
-    constants = products(catalog)
-    ident = SliceObject(
-        x, x, [list(range(x.size(o))) for o in g.objects]
-    ).validate()
-    unit = express(g, ident, catalog)
-    info = [
-        {
-            "component": e.component_rep,
-            "carrier_size": sum(e.carrier.size(o) for o in g.objects),
-            "base_image": e.label[e.component_rep][0],
-        }
-        for e in catalog.entries
-    ]
-    return RingPresentation(
-        catalog.dim, constants, unit, basis=catalog, basis_info=info
-    ).validate()
+    return CrossedGSet(x, x, [list(range(x.size(o))) for o in g.objects]).validate()
+
+
+def _slice_express(c: CrossedGSet, catalog: BasisCatalog) -> list[int]:
+    # Kept as its own function although it only forwards: the traced
+    # benchmark (perfbench/spans.py) wraps this name and fails without it.
+    return express_in_basis(c, catalog)
 
 
 def hadamard_ring(g: FiniteGroupoid, x: GSet) -> RingPresentation:
-    """The Grothendieck ring of the slice over x under the fiber-product
-    multiplication, whose marks are pointwise products:
-    phi_(H,b)(A x_X B) = phi_(H,b)(A) phi_(H,b)(B)."""
-
-    def meet(rep: int, a: dict, b: dict) -> dict:
-        return {v: m * b[v] for v, m in a.items() if v in b}
-
-    def products(catalog: SliceCatalog):
-        marks = catalog.marks()
-        d = catalog.dim
-        return [[marks.product(i, j, meet) for j in range(d)] for i in range(d)]
-
-    return _hadamard_ring(g, x, products, _slice_express)
+    """The Grothendieck ring of the slice over x under the fiber product:
+    the basis is the (H, b in X^H) classification, and the marks of a
+    product are the pointwise products of the marks of the factors."""
+    ident = _identity_slice(g, x)
+    catalog = enumerate_basis(g, x)
+    unit = _slice_express(ident, catalog)
+    return _ring(catalog, _by_marks(catalog, _meet), unit, _slice_info)
 
 
 def hadamard_ring_by_decomposition(g: FiniteGroupoid, x: GSet) -> RingPresentation:
     """Reference route: build every fiber product of basis carriers and
     decompose it over the basis by transporter search."""
-
-    def products(catalog: SliceCatalog):
-        entries, d = catalog.entries, catalog.dim
-        return [
-            [
-                _slice_express_by_decomposition(
-                    g, _slice_pullback(g, entries[i], entries[j], x).validate(), catalog
-                )
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-
-    return _hadamard_ring(g, x, products, _slice_express_by_decomposition)
+    ident = _identity_slice(g, x)
+    catalog = enumerate_basis(g, x)
+    unit = express_by_decomposition(ident, catalog)
+    return _ring(catalog, _by_decomposition(catalog, _fiber_product), unit, _slice_info)
 
 
 # -- ring homomorphisms --------------------------------------------------------------
@@ -583,10 +438,6 @@ def _int_det(matrix: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def _indicator(dim: int, k: int) -> list[int]:
-    return [1 if t == k else 0 for t in range(dim)]
 
 
 def embedding_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:

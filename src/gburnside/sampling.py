@@ -13,7 +13,7 @@ import random
 
 from .classify import all_subgroups, induced_crossed
 from .crossed import CrossedGSet, crossed_coproduct, empty_crossed
-from .groupoid import FiniteGroupoid, connected_components
+from .groupoid import FiniteGroupoid, connected_components, loop_table
 from .gsets import GMonoid, GSet
 
 
@@ -23,9 +23,7 @@ def _orbit_options(g: FiniteGroupoid, weight: GMonoid):
     options = []
     comps = connected_components(g)
     for rep, cls in zip(comps.representatives, comps.classes):
-        loops = g.loops(rep)
-        pos = {m: k for k, m in enumerate(loops)}
-        table = [[pos[g.compose_table[a][b]] for b in loops] for a in loops]
+        loops, _, table = loop_table(g, rep)
         for sub in all_subgroups(table):
             sub_loops = frozenset(loops[h] for h in sub)
             invariant = [

@@ -227,9 +227,12 @@ class TestBruteForce:
             brute_force_basis(s3, gb.conjugation_action(s3), 5)
 
     def test_matches_enumerate_small_orders(self):
-        for name in ("trivial", "C2", "C3", "C4", "V4"):
+        # the G-set targets cross-check the Hadamard basis
+        for name in ("trivial", "C2", "C3", "C4", "V4", "S3", "D4", "Q8"):
             g = gb.from_group(GROUP_TABLES_LEQ8[name])
-            for weight in (gb.conjugation_action(g), gb.trivial_gmonoid(g)):
+            conj = gb.conjugation_action(g)
+            targets = (conj, gb.trivial_gmonoid(g), conj.underlying(), regular_gset(g))
+            for weight in targets:
                 catalog = enumerate_basis(g, weight)
                 brute = brute_force_basis(g, weight, g.n_morphisms)
                 assert len(brute) == catalog.dim
@@ -253,13 +256,14 @@ class TestBruteForce:
         ]
         g = gb.from_group(table)
         assert g.identity[0] == 2
-        weight = gb.conjugation_action(g)
-        catalog = enumerate_basis(g, weight)
-        brute = brute_force_basis(g, weight, 3)
-        assert catalog.dim == len(brute) == 6
-        for crossed in brute:
-            (piece,) = transitive_decomposition(crossed)
-            assert catalog.find(piece) is not None
+        conj = gb.conjugation_action(g)
+        for weight, dim in ((conj, 6), (conj.underlying(), 6), (regular_gset(g), 1)):
+            catalog = enumerate_basis(g, weight)
+            brute = brute_force_basis(g, weight, 3)
+            assert catalog.dim == len(brute) == dim
+            for crossed in brute:
+                (piece,) = transitive_decomposition(crossed)
+                assert catalog.find(piece) is not None
 
 
 class TestExpressInBasis:

@@ -237,6 +237,32 @@ class TestHadamard:
         ring = hadamard_ring(c2, x)
         assert sum(ring.unit_vector) == 2  # (X, id) splits into two pieces
 
+    @pytest.mark.parametrize(
+        "gens",
+        [[[1, 0, 2], [1, 2, 0]], [[1, 2, 0, 3], [0, 2, 3, 1]]],  # S3, A4
+        ids=["S3", "A4"],
+    )
+    @pytest.mark.parametrize("over", ["conjugation", "regular"])
+    def test_identity_not_least_loop(self, gens, over):
+        table = gb.group_table_from_perm_gens(gens)
+        n = len(table)
+        new_id = [(a + 1) % n for a in range(n)]  # the identity 0 becomes 1
+        old_id = sorted(range(n), key=new_id.__getitem__)
+        renumbered = [
+            [new_id[table[old_id[a]][old_id[b]]] for b in range(n)] for a in range(n)
+        ]
+        standard, g = gb.from_group(table), gb.from_group(renumbered)
+        assert g.identity[0] != min(g.loops(0))
+
+        def target(h):
+            if over == "conjugation":
+                return gb.conjugation_action(h).underlying()
+            return regular_gset(h)
+
+        ring = hadamard_ring(g, target(g))
+        assert _ring_bijection(ring, hadamard_ring(standard, target(standard))) is not None
+        assert action_groupoid_iso_check(g, target(g))["status"] == "ok"
+
 
 class TestReduction:
     def test_one_object_is_identity(self, s3):
