@@ -337,6 +337,8 @@ def _cmd_crossed_burnside(job: JobSpec):
 
 
 def _verify_axioms(job: JobSpec, g: FiniteGroupoid):
+    if job.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {job.samples}")
     weight = _get_weight(job, g)
     samples = sample_many(g, weight, job.samples, job.seed)
     checks = check_monoidal_axioms(samples)

@@ -10,10 +10,19 @@ Coherence maps are built by honest label lookup in the structured element
 labels that products and coproducts create, then checked pointwise; the
 axiom checker compares composite maps as data, so a corrupted map is
 reported with a concrete witness.
+
+Within one window of the axiom checker, unchecked tensor products are
+built once and shared by every coherence map of that window: the pentagon
+alone needs (W (x) X) (x) (Y (x) Z) on both sides.  That memo is keyed by
+operand identity and dropped when the window ends, not kept for the whole
+check, because the iterated products of every window together would
+multiply the checker's peak memory.  The unit object, one element per
+object, is built once per check and shared by all windows.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import (
@@ -169,8 +178,21 @@ def invert_crossed_map(m: CrossedMap) -> CrossedMap:
 
 # -- monoidal structure -------------------------------------------------------
 
+# Set by check_monoidal_axioms: (tensor products of the current window,
+# unit objects of the whole check).  Keys hold operand ids; each value keeps
+# its operands alive, so no id is reused while the memo lives.
+_checker_memo: ContextVar[tuple[dict, dict] | None] = ContextVar(
+    "_checker_memo", default=None
+)
+
+
 def tensor(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedGSet:
     """Tensor product: cartesian carrier, labels multiplied in the weight."""
+    memo = _checker_memo.get()
+    products = None if check or memo is None else memo[0]
+    key = (id(c1), id(c2))
+    if products is not None and key in products:
+        return products[key][0]
     same_weight(c1, c2)
     carrier = gset_product(c1.carrier, c2.carrier, check=False)
     g = carrier.base
@@ -180,16 +202,28 @@ def tensor(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedGSet:
         l1, l2 = c1.label[x], c2.label[x]
         label.append([mon.table[a][b] for a in l1 for b in l2])
     out = CrossedGSet(carrier, c1.weight, label)
-    return out.validate() if check else out
+    if check:
+        return out.validate()
+    if products is not None:
+        products[key] = (out, c1, c2)
+    return out
 
 
 def unit_object(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
     """Singleton carrier labeled by the weight units."""
+    memo = _checker_memo.get()
+    units = None if memo is None else memo[1]
+    key = (id(g), id(s))
+    if units is not None and key in units:
+        return units[key][0]
     if not same_base(g, s.base):
         raise BaseMismatch("weight does not live over this groupoid")
-    return CrossedGSet(
+    out = CrossedGSet(
         terminal_gset(g), s, [[s.unit(x)] for x in g.objects]
     ).validate()
+    if units is not None:
+        units[key] = (out, g, s)
+    return out
 
 
 def empty_crossed(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
@@ -583,11 +617,16 @@ def check_monoidal_axioms(samples: list[CrossedGSet], associator_hook=None) -> l
             ("hexagon", 3, lambda w: _hexagon(*w, make_associator)),
             ("unitor-braiding", 1, lambda w: _unitor_braiding(*w)),
         ]
+    units: dict = {}
     report = []
     for name, arity, run in checks:
         status: object = "ok"
         for i in range(n):
-            witness = run(window(i, arity))
+            token = _checker_memo.set(({}, units))
+            try:
+                witness = run(window(i, arity))
+            finally:
+                _checker_memo.reset(token)
             if witness is not None:
                 witness["window"] = [(i + j) % n for j in range(arity)]
                 status = {"witness": witness}

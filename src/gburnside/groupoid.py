@@ -48,6 +48,9 @@ class FiniteGroupoid:
         self.inverse = list(inverse)
         self._by_dom: list[list[int]] | None = None
         self._by_cod: list[list[int]] | None = None
+        # filled by isotropy_group and gsets.conjugation_action
+        self._isotropy: dict[int, tuple[FiniteGroupoid, GroupoidFunctor]] = {}
+        self._conjugation = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -504,23 +507,26 @@ def isotropy_group(
 
     Loop k of the isotropy group is the k-th loop of g at x in ascending
     morphism-id order; the inclusion functor records the correspondence.
+    Built once per groupoid and object; every call returns the same pair.
     """
     if not 0 <= x < g.n_objects:
         raise UnknownObject(f"object {x} not in 0..{g.n_objects - 1}")
-    loops, pos, table = loop_table(g, x)
-    n = len(loops)
-    iso = validate_groupoid(
-        FiniteGroupoid(
-            n_objects=1,
-            dom=[0] * n,
-            cod=[0] * n,
-            compose_table=table,
-            identity=[pos[g.identity[x]]],
-            inverse=[pos[g.inverse[m]] for m in loops],
+    if x not in g._isotropy:
+        loops, pos, table = loop_table(g, x)
+        n = len(loops)
+        iso = validate_groupoid(
+            FiniteGroupoid(
+                n_objects=1,
+                dom=[0] * n,
+                cod=[0] * n,
+                compose_table=table,
+                identity=[pos[g.identity[x]]],
+                inverse=[pos[g.inverse[m]] for m in loops],
+            )
         )
-    )
-    inclusion = GroupoidFunctor(iso, g, [x], list(loops)).validate()
-    return iso, inclusion
+        inclusion = GroupoidFunctor(iso, g, [x], list(loops)).validate()
+        g._isotropy[x] = (iso, inclusion)
+    return g._isotropy[x]
 
 
 def component_transports(g: FiniteGroupoid, x: int) -> dict[int, int]:

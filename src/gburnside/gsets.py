@@ -233,28 +233,32 @@ def conjugation_action(g: FiniteGroupoid) -> GMonoid:
     """The G-monoid x -> isotropy(x), morphisms acting by a -> g a g^-1.
 
     Element k of the monoid at x is the k-th loop at x in ascending
-    morphism-id order.
+    morphism-id order.  Built and validated once per groupoid instance and
+    shared: every call on the same groupoid returns the same object, so
+    callers must not mutate it.
     """
-    loops, pos, tables = zip(*(loop_table(g, x) for x in g.objects))
-    monoids = [Monoid(tables[x], pos[x][g.identity[x]]) for x in g.objects]
-    action = []
-    for m in g.morphisms:
-        x, y = g.dom[m], g.cod[m]
-        mi = g.inverse[m]
-        action.append(
-            [
-                pos[y][g.compose_table[g.compose_table[m][a]][mi]]
-                for a in loops[x]
-            ]
-        )
-    return GMonoid(g, monoids, action).validate()
+    if g._conjugation is None:
+        loops, pos, tables = zip(*(loop_table(g, x) for x in g.objects))
+        monoids = [Monoid(tables[x], pos[x][g.identity[x]]) for x in g.objects]
+        action = []
+        for m in g.morphisms:
+            x, y = g.dom[m], g.cod[m]
+            mi = g.inverse[m]
+            action.append(
+                [
+                    pos[y][g.compose_table[g.compose_table[m][a]][mi]]
+                    for a in loops[x]
+                ]
+            )
+        g._conjugation = GMonoid(g, monoids, action).validate()
+    return g._conjugation
 
 
 def conjugation_loops(s: GMonoid) -> list[list[int]] | None:
     """If s is structurally the conjugation G-monoid, return per object the
     loop morphism id of each monoid element; otherwise None."""
     conj = conjugation_action(s.base)
-    if s.monoids == conj.monoids and s.action == conj.action:
+    if s is conj or (s.monoids == conj.monoids and s.action == conj.action):
         return [s.base.loops(x) for x in s.base.objects]
     return None
 
@@ -453,8 +457,8 @@ def gset_product(x: GSet, y: GSet, check: bool = True) -> GSet:
     action = []
     for m in g.morphisms:
         ax, ay = x.action[m], y.action[m]
-        w = y.size(g.cod[m])
-        action.append([ax[i] * w + ay[j] for i in range(len(ax)) for j in range(len(ay))])
+        w = len(y.fibers[g.cod[m]])
+        action.append([i * w + j for i in ax for j in ay])
     out = GSet(g, fibers, action)
     return out.validate() if check else out
 

@@ -39,10 +39,16 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not, although Python's
+    bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_groupoid(obj) -> FiniteGroupoid:
     _expect(isinstance(obj, dict), "groupoid input must be a JSON object")
     if "pair" in obj:
-        _expect(isinstance(obj["pair"], int), "field 'pair' must be an integer")
+        _expect(_is_int(obj["pair"]), "field 'pair' must be an integer")
         return pair_groupoid(obj["pair"])
     if "group" in obj:
         spec = obj["group"]
@@ -65,7 +71,7 @@ def parse_groupoid(obj) -> FiniteGroupoid:
         return out
     for field in ("objects", "morphisms", "compose", "identity", "inverse"):
         _expect(field in obj, f"groupoid input is missing field '{field}'")
-    _expect(isinstance(obj["objects"], int), "field 'objects' must be an integer")
+    _expect(_is_int(obj["objects"]), "field 'objects' must be an integer")
     morphisms = obj["morphisms"]
     _expect(isinstance(morphisms, list), "field 'morphisms' must be a list")
     dom, cod = [], []
@@ -104,7 +110,7 @@ def _parse_fiber_sizes(obj, g: FiniteGroupoid) -> list[int]:
         except ValueError:
             raise ParseError(f"fiber key {key!r} is not an object id") from None
         _expect(0 <= x < g.n_objects, f"fiber key {key!r} is not an object of the groupoid")
-        _expect(isinstance(val, int) and val >= 0, f"fiber size at {key!r} must be a non-negative integer")
+        _expect(_is_int(val) and val >= 0, f"fiber size at {key!r} must be a non-negative integer")
         sizes[x] = val
     return sizes
 

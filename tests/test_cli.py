@@ -104,6 +104,15 @@ class TestCommands:
         code, _ = run_cli(capsys, "components", "--groupoid", str(p))
         assert code == 2
 
+    def test_boolean_pair_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "pair_true.json"
+        p.write_text(json.dumps({"pair": True}))
+        code = main(["components", "--groupoid", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "'pair' must be an integer" in captured.err
+
     def test_components(self, inputs, capsys):
         code, out = run_cli(capsys, "components", "--groupoid", inputs["c2_plus_s3.json"])
         assert code == 0
@@ -182,6 +191,18 @@ class TestVerify:
         assert code == 0
         checks = json.loads(out)["checks"]
         assert all(c["status"] == "ok" for c in checks)
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_axioms_refuses_fewer_than_one_sample(self, inputs, capsys, samples):
+        code = main([
+            "verify", "axioms", "--groupoid", inputs["s3.json"],
+            "--samples", samples,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"--samples must be at least 1, got {samples}" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_embedding(self, inputs, capsys):
         code, out = run_cli(

@@ -236,6 +236,48 @@ class TestAxiomChecker:
         report = check_monoidal_axioms([])
         assert all(r["status"] == "ok" for r in report)
 
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_corruption_reported_in_its_own_window(self, s3, k):
+        # Only associators whose first operand is samples[k] are corrupted;
+        # in the pentagon that operand sits first or second in the window.
+        samples = sample_many(s3, gb.conjugation_action(s3), 8, seed=3)
+
+        def hook(a, b, c):
+            m = associator(a, b, c, check=False)
+            if a is samples[k]:
+                comp = m.components[0]
+                comp[0], comp[1] = comp[1], comp[0]
+            return m
+
+        report = check_monoidal_axioms(samples, associator_hook=hook)
+        pentagon = next(r for r in report if r["axiom"] == "pentagon")
+        assert k in pentagon["status"]["witness"]["window"]
+
+    def test_products_shared_only_within_a_window(self, s3):
+        samples = sample_many(s3, gb.conjugation_action(s3), 4, seed=5)
+        a, b = samples[0], samples[1]
+        built: dict[tuple[int, int], list] = {}
+
+        def hook(x, y, z):
+            t = tensor(x, y, check=False)
+            assert t is tensor(x, y, check=False)
+            built.setdefault((id(x), id(y)), []).append(t)
+            return associator(x, y, z, check=False)
+
+        check_monoidal_axioms(samples, associator_hook=hook)
+        # the pair (a, b) starts an associator in several windows, and each
+        # window builds its own product
+        assert len({id(t) for t in built[(id(a), id(b))]}) > 1
+        assert tensor(a, b, check=False) is not tensor(a, b, check=False)
+
+        def failing_hook(x, y, z):
+            raise RuntimeError("hook failed")
+
+        with pytest.raises(RuntimeError):
+            check_monoidal_axioms(samples, associator_hook=failing_hook)
+        assert tensor(a, b, check=False) is not tensor(a, b, check=False)
+        assert unit_object(s3, a.weight) is not unit_object(s3, a.weight)
+
 
 class TestDistributivity:
     def test_iso_is_crossed_map(self, c2_basis):

@@ -195,6 +195,11 @@ class TestIsotropy:
         with pytest.raises(UnknownObject):
             gb.isotropy_group(s3, 5)
 
+    def test_built_once_per_object(self, corpus):
+        g = corpus["C2xPair(2)"]
+        assert gb.isotropy_group(g, 0) is gb.isotropy_group(g, 0)
+        assert gb.isotropy_group(g, 1)[0] is not gb.isotropy_group(g, 0)[0]
+
 
 class TestStructureIso:
     @pytest.mark.parametrize("name,x", [("Pair(3)", 0), ("C2xPair(2)", 0), ("S3", 0)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
 from gburnside.errors import AllFibersEmpty, BaseMismatch, NotNatural, NotSubgroup
-from gburnside.gsets import GMap, GMonoid, GSet, Monoid
+from gburnside.gsets import GMap, GMonoid, GSet, Monoid, conjugation_loops
 
 from conftest import fixed_points_gset, regular_gset
 
@@ -76,6 +76,30 @@ class TestGMonoid:
             for m in s3.morphisms:
                 reached.add(conj.action[m][t])
         assert reached == transpositions
+
+    def test_conjugation_built_once(self, corpus):
+        for g in corpus.values():
+            assert gb.conjugation_action(g) is gb.conjugation_action(g)
+
+    def test_conjugation_loops_structural(self, corpus):
+        for name in ("S3", "C2+S3", "C2xPair(2)"):
+            g = corpus[name]
+            conj = gb.conjugation_action(g)
+            loops = [g.loops(x) for x in g.objects]
+            assert conjugation_loops(conj) == loops
+            copy = GMonoid(
+                g,
+                [Monoid([list(r) for r in m.table], m.unit) for m in conj.monoids],
+                [list(a) for a in conj.action],
+            )
+            assert copy is not conj
+            assert conjugation_loops(copy) == loops
+            assert conjugation_loops(gb.trivial_gmonoid(g)) is None
+            m = next(m for m in g.morphisms if len(copy.action[m]) > 1)
+            act = copy.action[m]
+            act[0], act[1] = act[1], act[0]
+            assert conjugation_loops(copy) is None
+            assert gb.conjugation_action(g).action == conj.action
 
     def test_underlying_gset(self, s3):
         bar = gb.underlying_gset(gb.conjugation_action(s3))

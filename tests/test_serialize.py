@@ -75,6 +75,18 @@ class TestParseGroupoid:
         with pytest.raises(ParseError):
             parse_groupoid([1, 2, 3])
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_pair_boolean_rejected(self, flag):
+        with pytest.raises(ParseError, match="'pair'"):
+            parse_groupoid({"pair": flag})
+
+    def test_objects_boolean_rejected(self):
+        with pytest.raises(ParseError, match="'objects'"):
+            parse_groupoid(
+                {"objects": True, "morphisms": [{"dom": 0, "cod": 0}],
+                 "compose": [[0, 0, 0]], "identity": [0], "inverse": [0]}
+            )
+
 
 class TestParseGSet:
     def test_regular_c2(self, c2):
@@ -96,6 +108,10 @@ class TestParseGSet:
     def test_unknown_object_key(self, c2):
         with pytest.raises(ParseError, match="fiber key"):
             parse_gset({"fibers": {"7": 1}, "action": {}}, c2)
+
+    def test_boolean_fiber_size_rejected(self, c2):
+        with pytest.raises(ParseError, match="fiber size"):
+            parse_gset({"fibers": {"0": True}, "action": {}}, c2)
 
 
 class TestParseGMonoid:
