@@ -32,27 +32,14 @@ from .groupoid import (
     FiniteGroupoid,
     component_transports,
     connected_components,
-    loop_table,
+    identity_and_inverses,
+    isotropy_group,
     retract,
 )
 from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition
 
 
 # -- small-group helpers (tables on dense ids) --------------------------------
-
-def group_identity(table: list[list[int]]) -> int:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][a] == a for a in range(n)):
-            return e
-    raise ValueError("table has no identity")
-
-
-def group_inverses(table: list[list[int]]) -> list[int]:
-    e = group_identity(table)
-    n = len(table)
-    return [next(b for b in range(n) if table[a][b] == e) for a in range(n)]
-
 
 def subgroup_closure(table: list[list[int]], seed) -> frozenset[int]:
     """The subgroup generated by a non-empty seed: in a finite group the
@@ -74,7 +61,7 @@ def subgroup_closure(table: list[list[int]], seed) -> frozenset[int]:
 def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
     """Every subgroup, by closing element-by-element extensions; sorted by
     (order, sorted elements)."""
-    e = group_identity(table)
+    e = identity_and_inverses(table)[0]
     n = len(table)
     subs = {frozenset({e})}
     frontier = [frozenset({e})]
@@ -98,7 +85,7 @@ def conjugate_subgroup(table, inv, a: int, sub: frozenset[int]) -> frozenset[int
 def subgroup_conjugacy_classes(table) -> list[list[frozenset[int]]]:
     """Conjugacy classes of subgroups; classes sorted by (order, least
     member), each class listing its canonical (least) representative first."""
-    inv = group_inverses(table)
+    inv = identity_and_inverses(table)[1]
     n = len(table)
     remaining = set(all_subgroups(table))
     classes = []
@@ -125,12 +112,13 @@ def crossed_fingerprint(c: CrossedGSet) -> tuple:
 
 @dataclass
 class TransitivePiece:
-    """A transitive crossed set supported on a single component, optionally
-    with (stabilizer subgroup, base label) coordinates."""
+    """A transitive crossed set supported on a single component, with the
+    (stabilizer subgroup, base label) coordinates of one of its elements
+    at the component representative."""
 
     component_rep: int
     crossed: CrossedGSet
-    standard_pair: tuple[frozenset[int], int] | None = None
+    standard_pair: tuple[frozenset[int], int]
 
     @property
     def fingerprint(self) -> tuple:
@@ -484,8 +472,8 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     """
     entries = []
     for rep in connected_components(g).representatives:
-        loops, _, table = loop_table(g, rep)
-        inv = group_inverses(table)
+        iso, inclusion = isotropy_group(g, rep)
+        loops, table, inv = inclusion.morphism_map, iso.compose_table, iso.inverse
         weight_act = [weight.action[m] for m in loops]  # by loop index
         for cls in subgroup_conjugacy_classes(table):
             canon = cls[0]
@@ -585,8 +573,7 @@ def brute_force_basis(
         )
     found: list[CrossedGSet] = []
     for rep in reps:
-        out = list(g.by_dom(rep))
-        for blocks in _set_partitions(out):
+        for blocks in _set_partitions(g.by_dom(rep)):
             if not _invariant_partition(g, blocks):
                 continue
             candidate_labels = _consistent_labels(g, weight, rep, blocks)
@@ -648,7 +635,6 @@ def _partition_crossed(g, weight, rep, blocks, labels) -> CrossedGSet:
         y = g.cod[block[0]]
         position[b] = len(per_object[y])
         per_object[y].append(b)
-    fibers = [list(per_object[y]) for y in g.objects]
     action = []
     for m in g.morphisms:
         action.append(
@@ -658,4 +644,4 @@ def _partition_crossed(g, weight, rep, blocks, labels) -> CrossedGSet:
             ]
         )
     label = [[labels[b] for b in per_object[y]] for y in g.objects]
-    return CrossedGSet(GSet(g, fibers, action), weight, label).validate()
+    return CrossedGSet(GSet(g, per_object, action), weight, label).validate()

@@ -287,7 +287,7 @@ def _cmd_isotropy(job: JobSpec):
         "object": job.object_id,
         "order": iso.n_morphisms,
         "loop_morphisms": inclusion.morphism_map,
-        "table": iso.compose_table,
+        "table": [list(row) for row in iso.compose_table],
     }
     return 0, report, None
 

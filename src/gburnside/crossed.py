@@ -18,6 +18,9 @@ operand identity and dropped when the window ends, not kept for the whole
 check, because the iterated products of every window together would
 multiply the checker's peak memory.  The unit object, one element per
 object, is built once per check and shared by all windows.
+
+``CrossedGSet`` and ``CrossedMap`` take ownership of the lists they are
+handed, as the G-set constructors do (see ``gsets``).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .gsets import (
     GSet,
     conjugation_action,
     conjugation_loops,
+    empty_gset,
     gset_coproduct,
     gset_product,
     same_base,
@@ -53,7 +57,7 @@ class CrossedGSet:
     def __init__(self, carrier: GSet, weight: GMonoid | GSet, label):
         self.carrier = carrier
         self.weight = weight
-        self.label: list[list[int]] = [list(lab) for lab in label]
+        self.label: list[list[int]] = label
 
     @property
     def total_size(self) -> int:
@@ -116,7 +120,7 @@ class CrossedMap:
     def __init__(self, source: CrossedGSet, target: CrossedGSet, components):
         self.source = source
         self.target = target
-        self.components: list[list[int]] = [list(c) for c in components]
+        self.components: list[list[int]] = components
 
     def apply(self, x: int, i: int) -> int:
         return self.components[x][i]
@@ -227,21 +231,14 @@ def unit_object(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
 
 
 def empty_crossed(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
-    return CrossedGSet(
-        GSet(g, [[] for _ in g.objects], [[] for _ in g.morphisms]),
-        s,
-        [[] for _ in g.objects],
-    ).validate()
+    return CrossedGSet(empty_gset(g), s, [[] for _ in g.objects]).validate()
 
 
 def crossed_coproduct(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedGSet:
     """Disjoint-union carrier with inherited labels."""
     same_weight(c1, c2)
     carrier = gset_coproduct(c1.carrier, c2.carrier, check=False)
-    label = [
-        list(c1.label[x]) + list(c2.label[x])
-        for x in carrier.base.objects
-    ]
+    label = [c1.label[x] + c2.label[x] for x in carrier.base.objects]
     out = CrossedGSet(carrier, c1.weight, label)
     return out.validate() if check else out
 
@@ -425,45 +422,27 @@ def transport_restrict(c: CrossedGSet, z: int) -> CrossedGSet:
     g = c.carrier.base
     iso, inclusion = isotropy_group(g, z)
     carrier = GSet(
-        iso,
-        [list(c.carrier.fibers[z])],
-        [list(c.carrier.action[m]) for m in inclusion.morphism_map],
+        iso, [c.carrier.fibers[z]], [c.carrier.action[m] for m in inclusion.morphism_map]
     )
-    return CrossedGSet(
-        carrier, conjugation_action(iso), [list(c.label[z])]
-    ).validate()
+    return CrossedGSet(carrier, conjugation_action(iso), [c.label[z]]).validate()
 
 
 def transport_induce(cz: CrossedGSet, g: FiniteGroupoid, z: int) -> CrossedGSet:
     """Spread a crossed set over the isotropy group at z across a connected
     groupoid along the retraction R(m : y -> w) = t_w^-1 m t_y, correcting
-    labels by conjugation with the transports."""
+    labels by conjugation with the transports: the label at y is the loop
+    t_y v t_y^-1, read off the conjugation action of g."""
     _require_conjugation(cz.weight)
     iso, inclusion = isotropy_group(g, z)
     if not same_base(cz.carrier.base, iso):
         raise BaseMismatch("input does not live over the isotropy group at z")
     t = transports(g, z)
     loop_pos = {m: k for k, m in enumerate(inclusion.morphism_map)}
-    z_loops = inclusion.morphism_map
-    fiber = list(cz.carrier.fibers[0])
-    fibers = [list(fiber) for _ in g.objects]
-    action = []
-    for m in g.morphisms:
-        action.append(list(cz.carrier.action[loop_pos[retract(g, t, m)]]))
-    carrier = GSet(g, fibers, action)
+    fiber = cz.carrier.fibers[0]
+    action = [cz.carrier.action[loop_pos[retract(g, t, m)]] for m in g.morphisms]
+    carrier = GSet(g, [fiber] * g.n_objects, action)
     conj = conjugation_action(g)
-    conj_pos = [
-        {m: k for k, m in enumerate(g.loops(x))} for x in g.objects
-    ]
-    label = []
-    for y in g.objects:
-        ty = t[y]
-        lab = []
-        for i in range(len(fiber)):
-            loop_at_z = z_loops[cz.label[0][i]]
-            conj_loop = g.compose_table[g.compose_table[ty][loop_at_z]][g.inverse[ty]]
-            lab.append(conj_pos[y][conj_loop])
-        label.append(lab)
+    label = [[conj.action[t[y]][v] for v in cz.label[0]] for y in g.objects]
     return CrossedGSet(carrier, conj, label).validate()
 
 
@@ -478,11 +457,7 @@ def transport_connected(c: CrossedGSet, z: int) -> TransportData:
     restricted = transport_restrict(c, z)
     induced = transport_induce(restricted, g, z)
     t = transports(g, z)
-    comps = [
-        [c.carrier.action[t[y]][i] for i in range(induced.carrier.size(y))]
-        for y in g.objects
-    ]
-    iso = CrossedMap(induced, c, comps).validate()
+    iso = CrossedMap(induced, c, [c.carrier.action[t[y]] for y in g.objects]).validate()
     if not iso.is_isomorphism():
         raise NotNatural("transport round trip is not bijective")  # unreachable
     return TransportData(restricted, induced, iso)

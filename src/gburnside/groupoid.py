@@ -35,19 +35,25 @@ class FiniteGroupoid:
 
     Objects are ``0..n_objects-1``.  Morphism ``m`` runs ``dom[m] -> cod[m]``.
     ``compose_table[g][f]`` is the composite ``g*f`` (apply f, then g) when
-    ``dom[g] == cod[f]`` and -1 otherwise.  Instances are immutable by
-    convention once validated; no operation mutates them.
+    ``dom[g] == cod[f]`` and -1 otherwise.
+
+    Instances are immutable: the constructor freezes every table into
+    tuples, so no instance, copy or deep copy changes after construction,
+    and the caches of ``by_dom``/``by_cod``, ``isotropy_group`` and
+    ``gsets.conjugation_action`` are sound.  A mutant is a new instance
+    built from edited tables.  Other structures share lists instead of
+    copying them (see ``gsets``).
     """
 
     def __init__(self, n_objects, dom, cod, compose_table, identity, inverse):
         self.n_objects = int(n_objects)
-        self.dom = list(dom)
-        self.cod = list(cod)
-        self.compose_table = [list(row) for row in compose_table]
-        self.identity = list(identity)
-        self.inverse = list(inverse)
-        self._by_dom: list[list[int]] | None = None
-        self._by_cod: list[list[int]] | None = None
+        self.dom = tuple(dom)
+        self.cod = tuple(cod)
+        self.compose_table = tuple(tuple(row) for row in compose_table)
+        self.identity = tuple(identity)
+        self.inverse = tuple(inverse)
+        self._by_dom: list[tuple[int, ...]] | None = None
+        self._by_cod: list[tuple[int, ...]] | None = None
         # filled by isotropy_group and gsets.conjugation_action
         self._isotropy: dict[int, tuple[FiniteGroupoid, GroupoidFunctor]] = {}
         self._conjugation = None
@@ -73,22 +79,22 @@ class FiniteGroupoid:
             raise DomCodMismatch(f"morphisms ({g}, {f}) are not composable")
         return gf
 
-    def by_dom(self, x: int) -> list[int]:
+    def _bucket(self, ends: tuple[int, ...]) -> list[tuple[int, ...]]:
+        out: list[list[int]] = [[] for _ in range(self.n_objects)]
+        for m, x in enumerate(ends):
+            out[x].append(m)
+        return list(map(tuple, out))
+
+    def by_dom(self, x: int) -> tuple[int, ...]:
         """Morphism ids with dom == x, ascending."""
         if self._by_dom is None:
-            out: list[list[int]] = [[] for _ in range(self.n_objects)]
-            for m in self.morphisms:
-                out[self.dom[m]].append(m)
-            self._by_dom = out
+            self._by_dom = self._bucket(self.dom)
         return self._by_dom[x]
 
-    def by_cod(self, x: int) -> list[int]:
+    def by_cod(self, x: int) -> tuple[int, ...]:
         """Morphism ids with cod == x, ascending."""
         if self._by_cod is None:
-            out: list[list[int]] = [[] for _ in range(self.n_objects)]
-            for m in self.morphisms:
-                out[self.cod[m]].append(m)
-            self._by_cod = out
+            self._by_cod = self._bucket(self.cod)
         return self._by_cod[x]
 
     def hom(self, x: int, y: int) -> list[int]:
@@ -190,47 +196,42 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
 
 # -- groups ----------------------------------------------------------------
 
-def check_group_table(table: list[list[int]]) -> int:
-    """Verify a multiplication table is a group table; return the identity."""
+def identity_and_inverses(table) -> tuple[int, list[int]]:
+    """The identity of a multiplication table on 0..n-1 and the two-sided
+    inverse of every element, or NotAGroup; associativity is not checked."""
+    n = len(table)
+    e = next((c for c in range(n) if all(table[c][b] == b == table[b][c] for b in range(n))), None)
+    if e is None:
+        raise NotAGroup("no identity element")
+    inv = [next((b for b in range(n) if table[a][b] == e == table[b][a]), None) for a in range(n)]
+    if None in inv:
+        raise NotAGroup(f"element {inv.index(None)} has no inverse")
+    return e, inv
+
+
+def check_group_table(table) -> tuple[int, list[int]]:
+    """Verify a multiplication table is a group table; return its identity
+    and inverses."""
     n = len(table)
     if n == 0:
         raise NotAGroup("empty table")
     for row in table:
         if len(row) != n or any(not (0 <= v < n) for v in row):
             raise NotAGroup("table is not n x n over 0..n-1")
-    e = None
-    for cand in range(n):
-        if all(table[cand][b] == b and table[b][cand] == b for b in range(n)):
-            e = cand
-            break
-    if e is None:
-        raise NotAGroup("no identity element")
-    for a in range(n):
-        if not any(table[a][b] == e and table[b][a] == e for b in range(n)):
-            raise NotAGroup(f"element {a} has no inverse")
+    units = identity_and_inverses(table)
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     raise NotAGroup(f"non-associative triple ({a}, {b}, {c})")
-    return e
+    return units
 
 
-def from_group(table: list[list[int]]) -> FiniteGroupoid:
+def from_group(table) -> FiniteGroupoid:
     """One-object groupoid whose morphism group is the given Cayley table."""
-    e = check_group_table(table)
+    e, inv = check_group_table(table)
     n = len(table)
-    inv = [next(b for b in range(n) if table[a][b] == e) for a in range(n)]
-    return validate_groupoid(
-        FiniteGroupoid(
-            n_objects=1,
-            dom=[0] * n,
-            cod=[0] * n,
-            compose_table=[list(row) for row in table],
-            identity=[e],
-            inverse=inv,
-        )
-    )
+    return validate_groupoid(FiniteGroupoid(1, [0] * n, [0] * n, table, [e], inv))
 
 
 def group_table_from_perm_gens(gens: list[list[int]]) -> list[list[int]]:

@@ -8,6 +8,11 @@ morphism, as an index map from the dom fiber into the cod fiber.  Products
 and coproducts build structured labels (tuples, tagged pairs) so that
 coherence maps can be constructed by honest label lookup instead of index
 arithmetic.
+
+The constructors of ``GSet``, ``GMonoid`` and ``GMap`` take ownership of
+the lists they are handed and store them without copying; no operation
+mutates such a list afterwards, so structures may share them.  A caller
+that wants to edit one (to build a mutant, say) passes its own copy.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ class GSet:
 
     def __init__(self, base: FiniteGroupoid, fibers, action):
         self.base = base
-        self.fibers: list[list] = [list(f) for f in fibers]
-        self.action: list[list[int]] = [list(a) for a in action]
+        self.fibers: list[list] = fibers
+        self.action: list[list[int]] = action
         self._index: list[dict] | None = None
 
     def size(self, x: int) -> int:
@@ -160,8 +165,8 @@ class GMonoid:
 
     def __init__(self, base: FiniteGroupoid, monoids, action):
         self.base = base
-        self.monoids: list[Monoid] = list(monoids)
-        self.action: list[list[int]] = [list(a) for a in action]
+        self.monoids: list[Monoid] = monoids
+        self.action: list[list[int]] = action
 
     def size(self, x: int) -> int:
         return self.monoids[x].size
@@ -269,7 +274,7 @@ class GMap:
     def __init__(self, source: GSet, target: GSet, components):
         self.source = source
         self.target = target
-        self.components: list[list[int]] = [list(c) for c in components]
+        self.components: list[list[int]] = components
 
     def apply(self, x: int, i: int) -> int:
         return self.components[x][i]
@@ -435,7 +440,7 @@ def orbit_decomposition(g: FiniteGroupoid, x: GSet) -> list[tuple[GSet, GMap]]:
             for m in g.morphisms
         ]
         piece = GSet(g, fibers, action)
-        embed = GMap(piece, x, [list(members[o]) for o in g.objects])
+        embed = GMap(piece, x, members)
         out.append((piece, embed))
     return out
 
@@ -475,9 +480,7 @@ def gset_coproduct(x: GSet, y: GSet, check: bool = True) -> GSet:
     action = []
     for m in g.morphisms:
         off = x.size(g.cod[m])
-        action.append(
-            list(x.action[m]) + [off + j for j in y.action[m]]
-        )
+        action.append(x.action[m] + [off + j for j in y.action[m]])
     out = GSet(g, fibers, action)
     return out.validate() if check else out
 

@@ -13,7 +13,7 @@ import random
 
 from .classify import all_subgroups, induced_crossed
 from .crossed import CrossedGSet, crossed_coproduct, empty_crossed
-from .groupoid import FiniteGroupoid, connected_components, loop_table
+from .groupoid import FiniteGroupoid, connected_components, isotropy_group
 from .gsets import GMonoid, GSet
 
 
@@ -23,8 +23,9 @@ def _orbit_options(g: FiniteGroupoid, weight: GMonoid):
     options = []
     comps = connected_components(g)
     for rep, cls in zip(comps.representatives, comps.classes):
-        loops, _, table = loop_table(g, rep)
-        for sub in all_subgroups(table):
+        iso, inclusion = isotropy_group(g, rep)
+        loops = inclusion.morphism_map
+        for sub in all_subgroups(iso.compose_table):
             sub_loops = frozenset(loops[h] for h in sub)
             invariant = [
                 v

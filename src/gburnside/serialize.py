@@ -45,6 +45,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _ints(value, what: str) -> list[int]:
+    """A JSON list of integers, checked before anything is built from it."""
+    _expect(isinstance(value, list) and all(map(_is_int, value)), f"{what} must be a list of integers")
+    return value
+
+
+def _int_rows(value, what: str) -> list[list[int]]:
+    _expect(isinstance(value, list), f"{what} must be a list of integer lists")
+    return [_ints(row, f"{what} row {k}") for k, row in enumerate(value)]
+
+
 def parse_groupoid(obj) -> FiniteGroupoid:
     _expect(isinstance(obj, dict), "groupoid input must be a JSON object")
     if "pair" in obj:
@@ -54,9 +65,10 @@ def parse_groupoid(obj) -> FiniteGroupoid:
         spec = obj["group"]
         _expect(isinstance(spec, dict), "field 'group' must be an object")
         if "table" in spec:
-            return from_group(spec["table"])
+            return from_group(_int_rows(spec["table"], "field 'group.table'"))
         if "perm_gens" in spec:
-            return from_group(group_table_from_perm_gens(spec["perm_gens"]))
+            gens = _int_rows(spec["perm_gens"], "field 'group.perm_gens'")
+            return from_group(group_table_from_perm_gens(gens))
         raise ParseError("field 'group' needs 'table' or 'perm_gens'")
     if "disjoint_union" in obj:
         parts = obj["disjoint_union"]
@@ -77,27 +89,24 @@ def parse_groupoid(obj) -> FiniteGroupoid:
     dom, cod = [], []
     for k, m in enumerate(morphisms):
         _expect(
-            isinstance(m, dict) and "dom" in m and "cod" in m,
-            f"morphism {k} needs 'dom' and 'cod'",
+            isinstance(m, dict) and _is_int(m.get("dom")) and _is_int(m.get("cod")),
+            f"morphism {k} needs integer 'dom' and 'cod'",
         )
         dom.append(m["dom"])
         cod.append(m["cod"])
     n_mor = len(morphisms)
     table = [[SENTINEL] * n_mor for _ in range(n_mor)]
-    for entry in obj["compose"]:
-        _expect(
-            isinstance(entry, list) and len(entry) == 3,
-            f"compose entry {entry!r} must be [g, f, gf]",
-        )
+    for entry in _int_rows(obj["compose"], "field 'compose'"):
+        _expect(len(entry) == 3, f"compose entry {entry!r} must be [g, f, gf]")
         g, f, gf = entry
         _expect(
             0 <= g < n_mor and 0 <= f < n_mor and 0 <= gf < n_mor,
             f"compose entry {entry!r} references unknown morphisms",
         )
         table[g][f] = gf
-    return validate_groupoid(
-        FiniteGroupoid(obj["objects"], dom, cod, table, obj["identity"], obj["inverse"])
-    )
+    identity = _ints(obj["identity"], "field 'identity'")
+    inverse = _ints(obj["inverse"], "field 'inverse'")
+    return validate_groupoid(FiniteGroupoid(obj["objects"], dom, cod, table, identity, inverse))
 
 
 def _parse_fiber_sizes(obj, g: FiniteGroupoid) -> list[int]:
@@ -125,8 +134,7 @@ def _parse_action(obj, g: FiniteGroupoid, sizes: list[int]) -> list[list[int]]:
         except ValueError:
             raise ParseError(f"action key {key!r} is not a morphism id") from None
         _expect(0 <= m < g.n_morphisms, f"action key {key!r} is not a morphism of the groupoid")
-        _expect(isinstance(img, list), f"action of morphism {m} must be an image list")
-        action[m] = img
+        action[m] = _ints(img, f"action of morphism {m}")
     identities = set(g.identity)
     for m in g.morphisms:
         if action[m] is None:
@@ -163,10 +171,10 @@ def parse_gmonoid(obj, g: FiniteGroupoid) -> GMonoid:
             raise ParseError(f"monoid key {key!r} is not an object id") from None
         _expect(0 <= x < g.n_objects, f"monoid key {key!r} is not an object of the groupoid")
         _expect(
-            isinstance(val, dict) and "table" in val and "unit" in val,
-            f"monoid at {key!r} needs 'table' and 'unit'",
+            isinstance(val, dict) and "table" in val and _is_int(val.get("unit")),
+            f"monoid at {key!r} needs 'table' and an integer 'unit'",
         )
-        monoids[x] = Monoid([list(r) for r in val["table"]], val["unit"])
+        monoids[x] = Monoid(_int_rows(val["table"], f"monoid table at {key!r}"), val["unit"])
     for x in g.objects:
         _expect(monoids[x] is not None, f"monoid at object {x} is missing")
     sizes = [m.size for m in monoids]  # type: ignore[union-attr]
@@ -194,10 +202,10 @@ def parse_crossed(obj, g: FiniteGroupoid, weight: GMonoid) -> CrossedGSet:
             raise ParseError(f"label key {key!r} is not an object id") from None
         _expect(0 <= x < g.n_objects, f"label key {key!r} is not an object of the groupoid")
         _expect(
-            isinstance(val, list) and len(val) == carrier.size(x),
+            len(_ints(val, f"labels at {key!r}")) == carrier.size(x),
             f"labels at {key!r} must list one weight element per carrier element",
         )
-        labels[x] = list(val)
+        labels[x] = val
         seen.add(x)
     for x in g.objects:
         _expect(

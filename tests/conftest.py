@@ -160,6 +160,19 @@ def regular_gset(g: gb.FiniteGroupoid) -> GSet:
     return GSet(g, [list(range(len(fib))) for fib in fibers], action).validate()
 
 
+def editable_tables(g: gb.FiniteGroupoid) -> dict:
+    """Mutable copies of a groupoid's frozen tables, keyed by constructor
+    argument: edit them, then build the mutant as a new instance with
+    ``gb.FiniteGroupoid(g.n_objects, **tables)``."""
+    return {
+        "dom": list(g.dom),
+        "cod": list(g.cod),
+        "compose_table": [list(row) for row in g.compose_table],
+        "identity": list(g.identity),
+        "inverse": list(g.inverse),
+    }
+
+
 def fixed_points_gset(g: gb.FiniteGroupoid, k: int) -> GSet:
     """k fixed points at every object."""
     return GSet(

@@ -35,6 +35,7 @@ from conftest import (
     GROUP_TABLES_LEQ8,
     build_corpus,
     cyclic_table,
+    editable_tables,
     fixed_points_gset,
     regular_gset,
 )
@@ -108,21 +109,22 @@ def test_criterion_01_validation_suites():
                     for f in g.morphisms
                     if g.compose_table[gg][f] != -1
                 )
-                m1 = copy.deepcopy(g)
-                m1.compose_table[pair[0]][pair[1]] = (
-                    m1.compose_table[pair[0]][pair[1]] + 1
+                # each mutant is a new instance built from edited tables
+                m1 = editable_tables(g)
+                m1["compose_table"][pair[0]][pair[1]] = (
+                    g.compose_table[pair[0]][pair[1]] + 1
                 ) % g.n_morphisms
-                mutants.append(m1)
-                m2 = copy.deepcopy(g)
-                m2.inverse[0] = (m2.inverse[0] + 1) % g.n_morphisms
-                mutants.append(m2)
-                m3 = copy.deepcopy(g)
-                m3.identity[0] = (m3.identity[0] + 1) % g.n_morphisms
-                mutants.append(m3)
+                mutants.append(gb.FiniteGroupoid(g.n_objects, **m1))
+                m2 = editable_tables(g)
+                m2["inverse"][0] = (g.inverse[0] + 1) % g.n_morphisms
+                mutants.append(gb.FiniteGroupoid(g.n_objects, **m2))
+                m3 = editable_tables(g)
+                m3["identity"][0] = (g.identity[0] + 1) % g.n_morphisms
+                mutants.append(gb.FiniteGroupoid(g.n_objects, **m3))
             if g.n_objects > 1:
-                m4 = copy.deepcopy(g)
-                m4.dom[0] = (m4.dom[0] + 1) % g.n_objects
-                mutants.append(m4)
+                m4 = editable_tables(g)
+                m4["dom"][0] = (g.dom[0] + 1) % g.n_objects
+                mutants.append(gb.FiniteGroupoid(g.n_objects, **m4))
             for mutant in mutants:
                 with pytest.raises(GBError):
                     gb.validate_groupoid(mutant)

@@ -113,6 +113,41 @@ class TestCommands:
         assert captured.out == ""
         assert "'pair' must be an integer" in captured.err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"compose": [["a", 0, 0]]},
+            {"identity": 0},
+            {"inverse": 0},
+            {"compose": 5},
+            {"morphisms": [{"dom": "0", "cod": 0}, {"dom": 0, "cod": 0}]},
+            {"group": {"table": "x"}},
+            {"group": {"perm_gens": [[0, "a"]]}},
+        ],
+        ids=[
+            "compose-entry-str", "identity-int", "inverse-int", "compose-int",
+            "dom-str", "group-table-str", "perm-gens-str",
+        ],
+    )
+    def test_malformed_groupoid_field_exits_2(self, tmp_path, capsys, edit):
+        # a valid C2 file with one field replaced by a value of the wrong type
+        spec = {
+            "objects": 1,
+            "morphisms": [{"dom": 0, "cod": 0}, {"dom": 0, "cod": 0}],
+            "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            "identity": [0],
+            "inverse": [0, 1],
+        }
+        spec = edit if "group" in edit else {**spec, **edit}
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(spec))
+        code = main(["validate", "--groupoid", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
+
     def test_components(self, inputs, capsys):
         code, out = run_cli(capsys, "components", "--groupoid", inputs["c2_plus_s3.json"])
         assert code == 0
@@ -126,6 +161,14 @@ class TestCommands:
         )
         assert code == 0
         assert json.loads(out)["order"] == 2
+
+    def test_isotropy_table_format_prints_lists(self, inputs, capsys):
+        code, out = run_cli(
+            capsys, "isotropy", "--groupoid", inputs["s3.json"], "--object", "0",
+            "--format", "table",
+        )
+        assert code == 0
+        assert "table: [[0, 1, 2, 3, 4, 5], [1, " in out
 
     def test_action_groupoid(self, inputs, capsys):
         code, out = run_cli(

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 import gburnside as gb
-from gburnside.classify import are_isomorphic, enumerate_basis
+from gburnside.classify import all_subgroups, are_isomorphic, enumerate_basis, induced_crossed
 from gburnside.crossed import (
     associator,
     braiding,
@@ -36,6 +36,7 @@ from gburnside.errors import (
     WeightMismatch,
     WeightNotConjugation,
 )
+from gburnside.groupoid import transports
 from gburnside.sampling import sample_many
 
 from conftest import regular_gset, fixed_points_gset
@@ -378,6 +379,23 @@ class TestTransport:
         lhs = transport_induce(tensor(a, b), g, 0)
         rhs = tensor(transport_induce(a, g, 0), transport_induce(b, g, 0))
         assert are_isomorphic(lhs, rhs) is not None
+
+    def test_round_trip_with_non_central_transports(self):
+        # S4 acting on the cosets of a point stabilizer: a connected action
+        # groupoid whose transports conjugate the isotropy S3 non-trivially,
+        # so induced labels must follow the conjugation action exactly
+        s4 = gb.from_group(gb.group_table_from_perm_gens([[1, 0, 2, 3], [1, 2, 3, 0]]))
+        sub = next(h for h in all_subgroups(s4.compose_table) if len(h) == 6)
+        cosets = induced_crossed(s4, gb.trivial_gmonoid(s4), 0, sub, 0).carrier
+        g = gb.action_groupoid(s4, cosets).groupoid
+        conj = gb.conjugation_action(g)
+        t = transports(g, 0)
+        assert any(conj.action[t[y]] != conj.action[g.inverse[t[y]]] for y in g.objects)
+        for entry in enumerate_basis(g, conj).entries:
+            for z in g.objects:
+                data = transport_connected(entry.crossed, z)
+                data.round_trip_iso.validate()
+                assert data.round_trip_iso.is_isomorphism()
 
     def test_not_connected(self, corpus):
         g = corpus["C2+S3"]

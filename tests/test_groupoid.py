@@ -27,7 +27,7 @@ from gburnside.groupoid import (
     identity_functor,
 )
 
-from conftest import cyclic_table, s3_table
+from conftest import cyclic_table, editable_tables, s3_table
 
 
 class TestValidateGroupoid:
@@ -37,22 +37,25 @@ class TestValidateGroupoid:
         assert g.n_morphisms == 2
 
     def test_dropped_compose_entry(self, c2):
-        bad = copy.deepcopy(c2)
-        bad.compose_table[1][1] = SENTINEL
+        tables = editable_tables(c2)
+        tables["compose_table"][1][1] = SENTINEL
+        bad = FiniteGroupoid(c2.n_objects, **tables)
         with pytest.raises(DomCodMismatch):
             gb.validate_groupoid(bad)
 
     def test_corrupted_inverse_in_pair_groupoid(self):
         g = gb.pair_groupoid(3)
-        bad = copy.deepcopy(g)
+        tables = editable_tables(g)
         # (0,1) has inverse (1,0); point it at a loop instead
-        bad.inverse[1] = 0
+        tables["inverse"][1] = 0
+        bad = FiniteGroupoid(g.n_objects, **tables)
         with pytest.raises(MissingInverse):
             gb.validate_groupoid(bad)
 
     def test_wrong_identity(self, c2):
-        bad = copy.deepcopy(c2)
-        bad.identity[0] = 1
+        tables = editable_tables(c2)
+        tables["identity"][0] = 1
+        bad = FiniteGroupoid(c2.n_objects, **tables)
         with pytest.raises(MissingIdentity):
             gb.validate_groupoid(bad)
 
@@ -60,14 +63,79 @@ class TestValidateGroupoid:
         # corrupt one compose entry of S3 so a triple fails before the
         # unit/inverse checks would notice
         g = gb.from_group(s3_table())
-        bad = copy.deepcopy(g)
-        bad.compose_table[4][5] = (bad.compose_table[4][5] + 1) % 6
+        tables = editable_tables(g)
+        tables["compose_table"][4][5] = (g.compose_table[4][5] + 1) % 6
+        bad = FiniteGroupoid(g.n_objects, **tables)
         with pytest.raises(gb.errors.GBError):
             gb.validate_groupoid(bad)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyObjectSet):
             gb.validate_groupoid(FiniteGroupoid(0, [], [], [], [], []))
+
+
+class TestImmutable:
+    """Tables are frozen at construction, so every cache answers from the
+    instance's own data; a mutant is a new instance."""
+
+    def test_deepcopy_tables_reject_assignment(self, s3):
+        gb.conjugation_action(s3)
+        gb.isotropy_group(s3, 0)
+        dup = copy.deepcopy(s3)
+        with pytest.raises(TypeError):
+            dup.compose_table[0][0] = 1
+        with pytest.raises(TypeError):
+            dup.compose_table[0] = [0] * 6
+        for field in ("dom", "cod", "identity", "inverse"):
+            with pytest.raises(TypeError):
+                getattr(dup, field)[0] = 1
+        assert dup == s3
+
+    def test_cached_buckets_are_frozen(self):
+        g = gb.pair_groupoid(3)
+        with pytest.raises(TypeError):
+            g.by_cod(1)[0] = 4
+        with pytest.raises(TypeError):
+            g.by_dom(1)[0] = 4
+
+    def test_mutant_by_cod_from_own_data(self):
+        g = gb.pair_groupoid(3)
+        assert list(g.by_cod(1)) == [1, 4, 7]
+        tables = editable_tables(g)
+        tables["cod"][1] = 0
+        mutant = FiniteGroupoid(g.n_objects, **tables)
+        assert list(mutant.by_cod(1)) == [4, 7]
+        assert list(mutant.by_cod(0)) == [0, 1, 3, 6]
+        assert list(g.by_cod(1)) == [1, 4, 7]
+
+    def test_mutant_isotropy_and_conjugation_from_own_data(self, s3):
+        conj = gb.conjugation_action(s3)
+        iso, _ = gb.isotropy_group(s3, 0)
+        # relabel two non-identity elements: a valid group, a different table
+        swap = list(range(6))
+        a, b = [m for m in range(6) if m != s3.identity[0]][:2]
+        swap[a], swap[b] = b, a
+        tables = editable_tables(s3)
+        tables["compose_table"] = [
+            [swap[s3.compose_table[swap[x]][swap[y]]] for y in range(6)] for x in range(6)
+        ]
+        tables["inverse"] = [swap[s3.inverse[swap[x]]] for x in range(6)]
+        relabeled = gb.validate_groupoid(FiniteGroupoid(1, **tables))
+        assert relabeled.compose_table != s3.compose_table
+        r_iso, _ = gb.isotropy_group(relabeled, 0)
+        assert r_iso is not iso
+        assert r_iso.compose_table == relabeled.compose_table
+        r_conj = gb.conjugation_action(relabeled)
+        assert r_conj is not conj
+        assert [list(r) for r in relabeled.compose_table] == r_conj.monoids[0].table
+        # a corrupted table is rejected, not answered from the original
+        tables = editable_tables(s3)
+        tables["compose_table"][4][5] = (s3.compose_table[4][5] + 1) % 6
+        corrupted = FiniteGroupoid(1, **tables)
+        with pytest.raises(gb.errors.GBError):
+            gb.isotropy_group(corrupted, 0)
+        with pytest.raises(gb.errors.GBError):
+            gb.conjugation_action(corrupted)
 
 
 class TestFromGroup:

@@ -189,3 +189,28 @@ class TestParseCrossed:
             parse_crossed(
                 {"fibers": {"0": 2}, "action": {"1": [1, 0]}}, c2, conj
             )
+
+
+class TestFieldTypes:
+    """Functor data of the wrong JSON type is a ParseError, raised before
+    anything is built, never a TypeError."""
+
+    def test_action_image_of_strings(self, c2):
+        with pytest.raises(ParseError, match="action of morphism 1"):
+            parse_gset({"fibers": {"0": 2}, "action": {"1": [0, "a"]}}, c2)
+
+    @pytest.mark.parametrize(
+        "monoid", [{"table": "x", "unit": 0}, {"table": [[0, "a"], [1, 0]], "unit": 0},
+                   {"table": [[0, 1], [1, 0]], "unit": "0"}],
+    )
+    def test_monoid_table_and_unit(self, c2, monoid):
+        with pytest.raises(ParseError, match="monoid"):
+            parse_gmonoid({"monoids": {"0": monoid}, "action": {"1": [0, 1]}}, c2)
+
+    def test_labels_of_strings(self, c2):
+        with pytest.raises(ParseError, match="labels at '0'"):
+            parse_crossed(
+                {"fibers": {"0": 2}, "action": {"1": [1, 0]}, "labels": {"0": [1, "a"]}},
+                c2,
+                gb.conjugation_action(c2),
+            )
