@@ -205,13 +205,9 @@ def _render_ring_table(g: FiniteGroupoid, ring: RingPresentation) -> list[str]:
     for k, info in enumerate(ring.basis_info):
         lines.append(f"  {f'e{k}':<{width}} = {_basis_entry_text(g, info)}")
     lines.append("products:")
-    for i in range(ring.dim):
-        for j in range(ring.dim):
-            terms = [
-                (f"{v} " if v != 1 else "") + f"e{k}"
-                for k, v in enumerate(ring.structure_constants[i][j])
-                if v
-            ]
+    for i, ri in enumerate(ring.structure_constants):
+        for j, rij in enumerate(ri):
+            terms = [(f"{v} " if v != 1 else "") + f"e{k}" for k, v in rij]
             rhs = " + ".join(terms) if terms else "0"
             lines.append(f"  {f'e{i}':<{width}} * {f'e{j}':<{width}} = {rhs}")
     return lines
@@ -415,12 +411,16 @@ def _route_difference(fast: RingPresentation, ref: RingPresentation) -> dict | N
     """Where the marks route and the reference route first disagree."""
     if fast.dim != ref.dim:
         return {"dims": {"marks": fast.dim, "decomposition": ref.dim}}
-    for i in range(fast.dim):
-        for j in range(fast.dim):
-            a = fast.structure_constants[i][j]
-            b = ref.structure_constants[i][j]
+    def dense(row) -> list[int]:
+        vec = [0] * fast.dim
+        for k, v in row:
+            vec[k] = v
+        return vec
+
+    for i, (fi, ri) in enumerate(zip(fast.structure_constants, ref.structure_constants)):
+        for j, (a, b) in enumerate(zip(fi, ri)):
             if a != b:
-                return {"pair": [i, j], "marks": list(a), "decomposition": list(b)}
+                return {"pair": [i, j], "marks": dense(a), "decomposition": dense(b)}
     if fast.unit_vector != ref.unit_vector:
         return {
             "unit": {"marks": list(fast.unit_vector), "decomposition": list(ref.unit_vector)}

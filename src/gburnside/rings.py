@@ -21,11 +21,12 @@ reference route, which expands every product on explicit carriers and
 decomposes it over the transitive basis by transporter search; ``verify
 marks`` and the tests compare the two.
 
+The structure constants are stored as sparse rows, the product e_i e_j as
+its non-zero coordinates ((k, c_ijk), ...); no dense d^3 table is built.
 Every presentation is validated and every homomorphism verified
-exhaustively: the unit law on all d basis elements, associativity on all
-d^3 basis triples, multiplicativity on all d^2 basis pairs.  The checks
-run on sparse rows of the structure constants, visiting only non-zero
-constants, in exact Python integers, so no size of constant is refused.
+exhaustively on these rows: the unit law on all d basis elements,
+associativity on all d^3 basis triples, multiplicativity on all d^2 basis
+pairs, in exact Python integers, so no size of constant is refused.
 """
 
 from __future__ import annotations
@@ -60,15 +61,14 @@ from .gsets import (
 
 # -- presentations --------------------------------------------------------------
 
-# A sparse vector ((k, v), ...) lists its non-zero coordinates, k ascending,
-# so two sparse vectors are equal exactly when their tuples are.
+# A sparse vector ((k, v), ...) lists its non-zero coordinates, k strictly
+# ascending, so two sparse vectors are equal exactly when their tuples are.
 Sparse = tuple[tuple[int, int], ...]
 
 
-def _sparse_rows(c: list[list[list[int]]]) -> list[list[Sparse]]:
-    """rows[i][j] = ((k, c_ijk), ...) over the non-zero constants: the
-    product e_i e_j as a sparse vector."""
-    return [[tuple((k, v) for k, v in enumerate(cij) if v) for cij in ci] for ci in c]
+def _sparse(vec: list[int]) -> Sparse:
+    """The non-zero coordinates of a dense vector."""
+    return tuple((k, v) for k, v in enumerate(vec) if v)
 
 
 def _combine(terms: Sparse, vecs) -> Sparse:
@@ -92,53 +92,56 @@ def _first_difference(x: Sparse, y: Sparse) -> int:
 
 @dataclass
 class RingPresentation:
-    """A free Z-module on a transitive basis with an explicit integer
-    structure-constant tensor c[i][j][k] and a unit vector."""
+    """A free Z-module on a transitive basis with a unit vector and integer
+    structure constants stored as sparse rows: ``structure_constants[i][j]``
+    is e_i e_j as a ``Sparse`` vector ((k, c_ijk), ...) of positive c_ijk."""
 
     dim: int
-    structure_constants: list[list[list[int]]]
+    structure_constants: list[list[Sparse]]
     unit_vector: list[int]
     basis: object = None
     basis_info: list[dict] = field(default_factory=list)
 
     def validate(self) -> "RingPresentation":
         d = self.dim
-        c = self.structure_constants
-        if len(c) != d or any(
-            len(ci) != d or any(len(cij) != d for cij in ci) for ci in c
-        ):
-            raise NotNatural("structure constants are not dim^3")
-        # built on every call, never cached: callers may edit the constants
-        rows = _sparse_rows(c)
+        rows = self.structure_constants
+        if len(rows) != d or any(len(ri) != d for ri in rows):
+            raise NotNatural("structure constants are not a dim x dim table of rows")
         for i, ri in enumerate(rows):
             for j, rij in enumerate(ri):
+                last = -1
                 for k, v in rij:
                     if v < 0:
                         raise NotNatural(
                             f"negative structure constant at ({i}, {j}, {k})"
                         )
+                    if v == 0 or not last < k < d:
+                        raise NotNatural(f"structure constants at ({i}, {j}) are not a sparse row")
+                    last = k
         if len(self.unit_vector) != d:
             raise NotNatural("unit vector has wrong length")
-        self._check_unit(rows)
-        self._check_associativity(rows)
+        self._check_unit()
+        self._check_associativity()
         return self
 
-    def _check_unit(self, rows: list[list[Sparse]]) -> None:
+    def _check_unit(self) -> None:
         """u e_j = e_j = e_j u for every basis element j, summed over the
         non-zero coordinates of u."""
-        unit = tuple((i, ui) for i, ui in enumerate(self.unit_vector) if ui)
+        rows = self.structure_constants
+        unit = _sparse(self.unit_vector)
         for j, (row, col) in enumerate(zip(rows, zip(*rows))):
             expected = ((j, 1),)
             if _combine(unit, col) != expected or _combine(unit, row) != expected:
                 raise NotNatural(f"unit law fails at basis element {j}")
 
-    def _check_associativity(self, rows: list[list[Sparse]]) -> None:
+    def _check_associativity(self) -> None:
         """(e_i e_j) e_k = e_i (e_j e_k) on all d^3 basis triples:
         sum_m c_ijm (e_m e_k) against sum_m c_jkm (e_i e_m).  Both sides are
         linear combinations keyed by a product vector, so each distinct one
         is computed once: the left side by e_i e_j, for every k at once, and
         the right side by e_j e_k, for the current i.  The witness is the
         lexicographically first failing (i, j, k, l)."""
+        rows = self.structure_constants
         cols = list(zip(*rows))  # cols[k][m] = e_m e_k
         lefts_by_product: dict[Sparse, list[Sparse]] = {}
         for i, ri in enumerate(rows):
@@ -186,20 +189,17 @@ def ring_add(a: RingElement, b: RingElement) -> RingElement:
 def ring_mul(a: RingElement, b: RingElement) -> RingElement:
     if a.ring is not b.ring:
         raise RingMismatch("elements of different rings")
-    d = a.ring.dim
-    c = a.ring.structure_constants
-    out = [0] * d
+    rows = a.ring.structure_constants
+    out = [0] * a.ring.dim
     for i, ai in enumerate(a.coords):
         if ai == 0:
             continue
         for j, bj in enumerate(b.coords):
             if bj == 0:
                 continue
-            cij = c[i][j]
             prod = ai * bj
-            for k in range(d):
-                if cij[k]:
-                    out[k] += prod * cij[k]
+            for k, v in rows[i][j]:
+                out[k] += prod * v
     return RingElement(a.ring, out)
 
 
@@ -215,7 +215,7 @@ def _ring(catalog: BasisCatalog, product, unit: list[int], info) -> RingPresenta
     """The validated presentation on a catalog with e_i e_j = product(i, j)
     and the given unit coordinates; ``info`` reports one basis entry."""
     d = catalog.dim
-    constants = [[product(i, j) for j in range(d)] for i in range(d)]
+    constants = [[_sparse(product(i, j)) for j in range(d)] for i in range(d)]
     return RingPresentation(
         d, constants, unit, basis=catalog, basis_info=[info(e) for e in catalog.entries]
     ).validate()
@@ -386,17 +386,17 @@ class RingHom:
     def verify(self) -> "RingHom":
         """Unital, bijective, and multiplicative on all d^2 basis pairs:
         phi(e_i e_j) = sum_m c_ijm phi(e_m) against phi(e_i) phi(e_j), with
-        the images phi(e_m) as sparse columns.  The witness is the first
-        failing (i, j) in row-major order."""
+        the images phi(e_m) as sparse columns.  Each failure carries a
+        witness: the first target coordinate where phi(1) differs from the
+        unit, the determinant of a square matrix that is not invertible over
+        Z, and the first non-multiplicative (i, j) in row-major order."""
         src, tgt = self.source, self.target
-        unital = self.apply(src.unit_vector) == tgt.unit_vector
-        images = [
-            tuple((r, row[m]) for r, row in enumerate(self.matrix) if row[m])
-            for m in range(src.dim)
-        ]
-        tgt_cols = list(zip(*_sparse_rows(tgt.structure_constants)))
+        unit_image = self.apply(src.unit_vector)
+        unital = unit_image == tgt.unit_vector
+        images = [_sparse(col) for col in zip(*self.matrix)]
+        tgt_cols = list(zip(*tgt.structure_constants))
         witness = None
-        for i, ri in enumerate(_sparse_rows(src.structure_constants)):
+        for i, ri in enumerate(src.structure_constants):
             # left[s] = phi(e_i) e_s in the target
             left = [_combine(images[i], col) for col in tgt_cols]
             for j, ij in enumerate(ri):
@@ -406,12 +406,19 @@ class RingHom:
             if witness is not None:
                 break
         multiplicative = witness is None
-        bijective = src.dim == tgt.dim and abs(_int_det(self.matrix)) == 1
+        det = _int_det(self.matrix) if src.dim == tgt.dim else None
+        bijective = det is not None and abs(det) == 1
         self.verified = {
             "unital": unital,
             "multiplicative": multiplicative,
             "bijective": bijective,
         }
+        if not unital:
+            self.verified["unit_witness"] = _first_difference(
+                _sparse(unit_image), _sparse(tgt.unit_vector)
+            )
+        if det is not None and not bijective:
+            self.verified["determinant"] = det
         if witness is not None:
             self.verified["witness"] = witness
         return self
@@ -449,10 +456,7 @@ def embedding_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
     for entry in plain.basis.entries:
         labeled = trivial_label_embed(entry.crossed.carrier, weight)
         cols.append(express_in_basis(labeled, crossed.basis))
-    matrix = [
-        [cols[c][r] for c in range(plain.dim)] for r in range(crossed.dim)
-    ]
-    hom = RingHom(plain, crossed, matrix).verify()
+    hom = RingHom(plain, crossed, [list(row) for row in zip(*cols)]).verify()
     hom.verified["injective"] = len({tuple(col) for col in cols}) == plain.dim and all(
         sum(col) == 1 and max(col) == 1 for col in cols
     )
@@ -471,27 +475,23 @@ def connected_reduction_hom(g: FiniteGroupoid, z: int) -> RingHom:
     for entry in source.basis.entries:
         restricted = transport_restrict(entry.crossed, z)
         cols.append(express_in_basis(restricted, target.basis))
-    matrix = [
-        [cols[c][r] for c in range(source.dim)] for r in range(target.dim)
-    ]
-    return RingHom(source, target, matrix).verify()
+    return RingHom(source, target, [list(row) for row in zip(*cols)]).verify()
 
 
 def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
-    """Direct product presentation: block-diagonal constants, concatenated
-    units, basis order inherited from block order."""
+    """Direct product presentation: each block's rows shifted by the
+    block's offset, empty rows across blocks, concatenated units, basis
+    order inherited from block order."""
     dim = sum(b.dim for b in blocks)
-    constants = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    constants = []
     unit = []
     info = []
     offset = 0
     for bi, block in enumerate(blocks):
-        for i in range(block.dim):
-            for j in range(block.dim):
-                for k in range(block.dim):
-                    constants[offset + i][offset + j][offset + k] = (
-                        block.structure_constants[i][j][k]
-                    )
+        before, after = [()] * offset, [()] * (dim - offset - block.dim)
+        for ri in block.structure_constants:
+            shifted = [tuple((offset + k, v) for k, v in rij) for rij in ri]
+            constants.append(before + shifted + after)
         unit.extend(block.unit_vector)
         for entry in block.basis_info:
             info.append({"block": bi, **entry})
@@ -507,32 +507,22 @@ def decomposition_hom(g: FiniteGroupoid) -> RingHom:
     comps = connected_components(g)
     source = crossed_burnside_ring(g, conjugation_action(g))
     blocks = []
-    block_catalogs = []
     for rep in comps.representatives:
         iso, _ = isotropy_group(g, rep)
-        ring = crossed_burnside_ring(iso, conjugation_action(iso))
-        blocks.append(ring)
-        block_catalogs.append(ring.basis)
+        blocks.append(crossed_burnside_ring(iso, conjugation_action(iso)))
     target = product_ring(blocks)
-    offsets = []
-    total = 0
-    for b in blocks:
-        offsets.append(total)
-        total += b.dim
-    rep_to_block = {rep: k for k, rep in enumerate(comps.representatives)}
+    # component representative -> (offset of its block, the block)
+    where, offset = {}, 0
+    for rep, block in zip(comps.representatives, blocks):
+        where[rep] = (offset, block)
+        offset += block.dim
     cols = []
     for entry in source.basis.entries:
-        block = rep_to_block[entry.component_rep]
+        offset, block = where[entry.component_rep]
         restricted = transport_restrict(entry.crossed, entry.component_rep)
-        local = express_in_basis(restricted, block_catalogs[block])
-        col = [0] * target.dim
-        for k, v in enumerate(local):
-            col[offsets[block] + k] = v
-        cols.append(col)
-    matrix = [
-        [cols[c][r] for c in range(source.dim)] for r in range(target.dim)
-    ]
-    return RingHom(source, target, matrix).verify()
+        local = express_in_basis(restricted, block.basis)
+        cols.append([0] * offset + local + [0] * (target.dim - offset - block.dim))
+    return RingHom(source, target, [list(row) for row in zip(*cols)]).verify()
 
 
 # -- action-groupoid comparison ---------------------------------------------------
@@ -545,12 +535,12 @@ def _ring_bijection(a: RingPresentation, b: RingPresentation) -> list[int] | Non
         return None
 
     def invariant(ring: RingPresentation, i: int) -> tuple:
-        c = ring.structure_constants
+        rows = ring.structure_constants
         return (
             ring.unit_vector[i],
-            c[i][i][i],
-            tuple(sorted(sum(c[i][j][k] for k in range(d)) for j in range(d))),
-            tuple(sorted(sum(c[j][i][k] for k in range(d)) for j in range(d))),
+            dict(rows[i][i]).get(i, 0),
+            tuple(sorted(sum(v for _, v in rij) for rij in rows[i])),
+            tuple(sorted(sum(v for _, v in rj[i]) for rj in rows)),
         )
 
     inv_a = [invariant(a, i) for i in range(d)]
@@ -560,7 +550,9 @@ def _ring_bijection(a: RingPresentation, b: RingPresentation) -> list[int] | Non
     ]
     perm = [-1] * d
     used = [False] * d
-    ca, cb = a.structure_constants, b.structure_constants
+    # one dict per row, so that c_ijk is ca[i][j].get(k, 0)
+    ca = [[dict(rij) for rij in ri] for ri in a.structure_constants]
+    cb = [[dict(rij) for rij in ri] for ri in b.structure_constants]
 
     def consistent(i: int) -> bool:
         # triples among 0..i-1 were checked when their last index was placed
@@ -570,9 +562,9 @@ def _ring_bijection(a: RingPresentation, b: RingPresentation) -> list[int] | Non
             for q in range(i + 1):
                 pq = perm[q]
                 if (
-                    ca[i][p][q] != cb[pi][pp][pq]
-                    or ca[p][i][q] != cb[pp][pi][pq]
-                    or ca[p][q][i] != cb[pp][pq][pi]
+                    ca[i][p].get(q, 0) != cb[pi][pp].get(pq, 0)
+                    or ca[p][i].get(q, 0) != cb[pp][pi].get(pq, 0)
+                    or ca[p][q].get(i, 0) != cb[pp][pq].get(pi, 0)
                 ):
                     return False
         return True
@@ -593,9 +585,7 @@ def _ring_bijection(a: RingPresentation, b: RingPresentation) -> list[int] | Non
 
     if not extend(0):
         return None
-    if [a.unit_vector[i] for i in range(d)] != [
-        b.unit_vector[perm[i]] for i in range(d)
-    ]:
+    if a.unit_vector != [b.unit_vector[p] for p in perm]:
         return None
     return list(perm)
 

@@ -17,6 +17,7 @@ Input schemas:
 from __future__ import annotations
 
 from .crossed import CrossedGSet
+from .errors import NotNatural
 from .groupoid import (
     SENTINEL,
     FiniteGroupoid,
@@ -135,6 +136,9 @@ def _parse_action(obj, g: FiniteGroupoid, sizes: list[int]) -> list[list[int]]:
             raise ParseError(f"action key {key!r} is not a morphism id") from None
         _expect(0 <= m < g.n_morphisms, f"action key {key!r} is not a morphism of the groupoid")
         action[m] = _ints(img, f"action of morphism {m}")
+        # before any fiber of the declared sizes is built
+        if len(img) != sizes[g.dom[m]]:
+            raise NotNatural(f"action of morphism {m} has wrong domain size")
     identities = set(g.identity)
     for m in g.morphisms:
         if action[m] is None:
@@ -233,13 +237,7 @@ def groupoid_to_obj(g: FiniteGroupoid) -> dict:
 
 
 def ring_to_obj(ring) -> dict:
-    table = [
-        [
-            [[k, v] for k, v in enumerate(ring.structure_constants[i][j]) if v]
-            for j in range(ring.dim)
-        ]
-        for i in range(ring.dim)
-    ]
+    table = [[[[k, v] for k, v in rij] for rij in ri] for ri in ring.structure_constants]
     return {
         "dim": ring.dim,
         "basis": ring.basis_info,

@@ -173,6 +173,24 @@ def editable_tables(g: gb.FiniteGroupoid) -> dict:
     }
 
 
+def dense_constants(ring) -> list[list[list[int]]]:
+    """A ring's structure constants as a dense d x d x d table c[i][j][k],
+    for oracles written as plain loops over every coordinate."""
+    d = ring.dim
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i, ri in enumerate(ring.structure_constants):
+        for j, rij in enumerate(ri):
+            for k, v in rij:
+                c[i][j][k] = v
+    return c
+
+
+def sparse_rows(c: list[list[list[int]]]) -> list[list[tuple]]:
+    """A dense table c[i][j][k] in the stored format: rows[i][j] lists the
+    non-zero ((k, c_ijk), ...), k ascending."""
+    return [[tuple((k, v) for k, v in enumerate(cij) if v) for cij in ci] for ci in c]
+
+
 def fixed_points_gset(g: gb.FiniteGroupoid, k: int) -> GSet:
     """k fixed points at every object."""
     return GSet(

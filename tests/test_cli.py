@@ -14,7 +14,7 @@ import gburnside as gb
 from gburnside import cli
 from gburnside.cli import main
 
-from conftest import cyclic_table
+from conftest import cyclic_table, dense_constants, sparse_rows
 
 
 @pytest.fixture
@@ -329,7 +329,9 @@ class TestVerifyMarks:
 
         def corrupted(g, weight):
             ring = real(g, weight)
-            ring.structure_constants[1][2][3] += 1
+            c = dense_constants(ring)
+            c[1][2][3] += 1
+            ring.structure_constants[1][2] = sparse_rows(c)[1][2]
             return ring
 
         monkeypatch.setattr(cli, "crossed_burnside_ring", corrupted)

@@ -29,11 +29,16 @@ from gburnside.rings import (
     _int_det,
     _combine,
     _ring_bijection,
-    _sparse_rows,
 )
 from gburnside.gsets import GSet
 
-from conftest import cyclic_table, fixed_points_gset, regular_gset
+from conftest import (
+    cyclic_table,
+    dense_constants,
+    fixed_points_gset,
+    regular_gset,
+    sparse_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +60,29 @@ def s3_natural(s3, s3_perms) -> GSet:
 
 class TestPresentationValidation:
     def test_negative_constant_rejected(self, b_c2):
-        bad = RingPresentation(
-            b_c2.dim,
-            copy.deepcopy(b_c2.structure_constants),
-            list(b_c2.unit_vector),
-        )
-        bad.structure_constants[0][0][1] = -1
+        c = dense_constants(b_c2)
+        c[0][0][1] = -1
+        bad = RingPresentation(b_c2.dim, sparse_rows(c), list(b_c2.unit_vector))
         with pytest.raises(NotNatural):
+            bad.validate()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (((0, 1), (1, 0)), "structure constants at (0, 1) are not a sparse row"),
+            (((1, 1), (0, 1)), "structure constants at (0, 1) are not a sparse row"),
+            (((0, 1), (0, 1)), "structure constants at (0, 1) are not a sparse row"),
+            (((0, 1), (2, 1)), "structure constants at (0, 1) are not a sparse row"),
+            (((0, 1), (1, -1)), "negative structure constant at (0, 1, 1)"),
+        ],
+        ids=["zero", "descending", "duplicate", "key-beyond-dim", "negative"],
+    )
+    def test_malformed_row_rejected(self, b_c2, row, message):
+        bad = RingPresentation(
+            b_c2.dim, copy.deepcopy(b_c2.structure_constants), list(b_c2.unit_vector)
+        )
+        bad.structure_constants[0][1] = row
+        with pytest.raises(NotNatural, match=re.escape(message)):
             bad.validate()
 
     def test_broken_unit_rejected(self, b_c2):
@@ -74,12 +95,9 @@ class TestPresentationValidation:
             bad.validate()
 
     def test_broken_associativity_rejected(self, bc_c2):
-        bad = RingPresentation(
-            bc_c2.dim,
-            copy.deepcopy(bc_c2.structure_constants),
-            list(bc_c2.unit_vector),
-        )
-        bad.structure_constants[0][1][0] += 1
+        c = dense_constants(bc_c2)
+        c[0][1][0] += 1
+        bad = RingPresentation(bc_c2.dim, sparse_rows(c), list(bc_c2.unit_vector))
         with pytest.raises(NotNatural):
             bad.validate()
 
@@ -88,15 +106,16 @@ class TestBurnsideRing:
     def test_trivial_group_is_z(self):
         ring = burnside_ring(gb.from_group(cyclic_table(1)))
         assert ring.dim == 1
-        assert ring.structure_constants == [[[1]]]
+        assert dense_constants(ring) == [[[1]]]
         assert ring.unit_vector == [1]
 
     def test_c2_table(self, b_c2):
         assert b_c2.dim == 2
         # basis order: [C2/1], [C2/C2]
-        assert b_c2.structure_constants[0][0] == [2, 0]
-        assert b_c2.structure_constants[0][1] == [1, 0]
-        assert b_c2.structure_constants[1][1] == [0, 1]
+        c = dense_constants(b_c2)
+        assert c[0][0] == [2, 0]
+        assert c[0][1] == [1, 0]
+        assert c[1][1] == [0, 1]
         assert b_c2.unit_vector == [0, 1]
 
     def test_s3_dim(self, s3):
@@ -123,7 +142,7 @@ class TestCrossedBurnsideRing:
     def test_c2_sample_relation(self, bc_c2):
         assert bc_c2.dim == 4
         # [C2, sigma] * [C2, sigma] = [C2, e]
-        assert bc_c2.structure_constants[3][3] == [0, 0, 1, 0]
+        assert dense_constants(bc_c2)[3][3] == [0, 0, 1, 0]
 
     def test_c2_plus_c3_dim(self, c2, c3):
         u, _ = gb.disjoint_union([c2, c3])
@@ -134,12 +153,9 @@ class TestCrossedBurnsideRing:
         for name in ("C2", "C3", "S3", "C2xPair(2)"):
             g = corpus[name]
             ring = crossed_burnside_ring(g, gb.conjugation_action(g))
-            d = ring.dim
+            d, c = ring.dim, dense_constants(ring)
             for i, j, k in itertools.product(range(d), repeat=3):
-                assert (
-                    ring.structure_constants[i][j][k]
-                    == ring.structure_constants[j][i][k]
-                )
+                assert c[i][j][k] == c[j][i][k]
 
     def test_dim_additivity_over_components(self, corpus):
         g = corpus["(C2xPair(2))+C3"]
@@ -308,11 +324,25 @@ class TestDecomposition:
         assert hom.source.dim == 10
         assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
 
-    def test_product_ring_blocks(self, b_c2):
+    def test_product_ring_blocks(self, b_c2, s3):
         prod = product_ring([b_c2, b_c2])
         assert prod.dim == 4
         assert prod.unit_vector == [0, 1, 0, 1]
-        assert prod.structure_constants[0][2] == [0, 0, 0, 0]
+        assert dense_constants(prod)[0][2] == [0, 0, 0, 0]
+        # blocks of unequal dims (2 and 4), so that an offset taken from the
+        # wrong block cannot go unseen
+        b_s3 = burnside_ring(s3)
+        prod = product_ring([b_c2, b_s3])
+        assert prod.dim == 6
+        assert prod.unit_vector == b_c2.unit_vector + b_s3.unit_vector
+        blocks = [(0, b_c2), (2, b_s3)]
+        for (oi, bi), (oj, bj) in itertools.product(blocks, repeat=2):
+            for i, j in itertools.product(range(bi.dim), range(bj.dim)):
+                row = prod.structure_constants[oi + i][oj + j]
+                if bi is bj:
+                    assert row == tuple((oi + k, v) for k, v in bi.structure_constants[i][j])
+                else:
+                    assert row == ()
 
 
 class TestActionGroupoidIso:
@@ -354,14 +384,14 @@ class TestActionGroupoidIso:
 
 def _relabeled(ring: RingPresentation, sigma: list[int]) -> RingPresentation:
     """The same ring with basis element i renamed sigma[i]."""
-    d = ring.dim
+    d, old = ring.dim, dense_constants(ring)
     c = [[[0] * d for _ in range(d)] for _ in range(d)]
     for i, j, k in itertools.product(range(d), repeat=3):
-        c[sigma[i]][sigma[j]][sigma[k]] = ring.structure_constants[i][j][k]
+        c[sigma[i]][sigma[j]][sigma[k]] = old[i][j][k]
     unit = [0] * d
     for i in range(d):
         unit[sigma[i]] = ring.unit_vector[i]
-    return RingPresentation(d, c, unit).validate()
+    return RingPresentation(d, sparse_rows(c), unit).validate()
 
 
 class TestRingBijection:
@@ -374,7 +404,7 @@ class TestRingBijection:
         b = _relabeled(a, sigma)
         perm = _ring_bijection(a, b)
         assert perm is not None and sorted(perm) == list(range(a.dim))
-        ca, cb = a.structure_constants, b.structure_constants
+        ca, cb = dense_constants(a), dense_constants(b)
         for p, q, r in itertools.product(range(a.dim), repeat=3):
             assert ca[p][q][r] == cb[perm[p]][perm[q]][perm[r]]
         assert [b.unit_vector[perm[i]] for i in range(a.dim)] == a.unit_vector
@@ -385,7 +415,7 @@ class TestRingBijection:
         # same, so the fingerprints do not separate the two rings and only
         # the constant-by-constant check can.
         a = crossed_burnside_ring(corpus["S3"], gb.conjugation_action(corpus["S3"]))
-        d, ca = a.dim, a.structure_constants
+        d, ca = a.dim, dense_constants(a)
         moves = [
             (p, q, k, t)
             for p, q, k, t in itertools.product(range(d), repeat=4)
@@ -393,14 +423,14 @@ class TestRingBijection:
         ]
         rejected = 0
         for p, q, k, t in random.Random("moves").sample(moves, 40):
-            b = RingPresentation(d, copy.deepcopy(ca), list(a.unit_vector))
-            b.structure_constants[p][q][k] -= 1
-            b.structure_constants[p][q][t] += 1
+            cb = copy.deepcopy(ca)
+            cb[p][q][k] -= 1
+            cb[p][q][t] += 1
+            b = RingPresentation(d, sparse_rows(cb), list(a.unit_vector))
             perm = _ring_bijection(a, b)
             if perm is None:
                 rejected += 1
                 continue
-            cb = b.structure_constants
             for x, y, z in itertools.product(range(d), repeat=3):
                 assert ca[x][y][z] == cb[perm[x]][perm[y]][perm[z]], (p, q, k, t)
         assert rejected > 0
@@ -409,7 +439,7 @@ class TestRingBijection:
         other = RingPresentation(
             bc_c2.dim, copy.deepcopy(bc_c2.structure_constants), list(bc_c2.unit_vector)
         )
-        other.structure_constants[3][3] = [0, 0, 0, 1]
+        other.structure_constants[3][3] = ((3, 1),)
         assert _ring_bijection(bc_c2, other) is None
 
 
@@ -438,7 +468,7 @@ class TestLargeConstants:
         # basis {1, x} with x^2 = 2^40 x
         n = 2**40
         c = [[[1, 0], [0, 1]], [[0, 1], [0, n]]]
-        ring = RingPresentation(2, c, [1, 0]).validate()
+        ring = RingPresentation(2, sparse_rows(c), [1, 0]).validate()
         x = ring.element([0, 1])
         assert ring_mul(x, ring_mul(x, x)).coords == [0, n * n]
 
@@ -456,7 +486,7 @@ class TestLargeConstants:
         with pytest.raises(
             NotNatural, match=re.escape("(i, j, k, l) = (1, 1, 2, 1)")
         ):
-            RingPresentation(3, c, [1, 0, 0]).validate()
+            RingPresentation(3, sparse_rows(c), [1, 0, 0]).validate()
 
 
 # -- differential tests against a dense oracle --------------------------------------
@@ -492,7 +522,7 @@ def oracle_associativity_failure(c):
 def oracle_hom_failure(src, tgt, matrix):
     """The first (i, j), row-major, with phi(e_i e_j) != phi(e_i) phi(e_j)."""
     ds, dt = src.dim, tgt.dim
-    ct = tgt.structure_constants
+    cs, ct = dense_constants(src), dense_constants(tgt)
 
     def image(v):
         return [sum(matrix[r][m] * v[m] for m in range(ds)) for r in range(dt)]
@@ -505,7 +535,7 @@ def oracle_hom_failure(src, tgt, matrix):
 
     basis = [[1 if m == i else 0 for m in range(ds)] for i in range(ds)]
     for i, j in itertools.product(range(ds), repeat=2):
-        if image(src.structure_constants[i][j]) != product(
+        if image(cs[i][j]) != product(
             image(basis[i]), image(basis[j])
         ):
             return (i, j)
@@ -528,7 +558,7 @@ def _corruptions(name, ring, count=6):
     """A fixed sample of single-constant changes: half add 1 anywhere, half
     zero out a non-zero constant."""
     rng = random.Random(name)
-    d, c = ring.dim, ring.structure_constants
+    d, c = ring.dim, dense_constants(ring)
     nonzero = [
         (i, j, k) for i, j, k in itertools.product(range(d), repeat=3) if c[i][j][k]
     ]
@@ -543,7 +573,7 @@ def _corruptions(name, ring, count=6):
 class TestDenseOracle:
     def test_corpus_rings_pass_both(self, corpus):
         for name, ring in _corpus_rings(corpus):
-            c = ring.structure_constants
+            c = dense_constants(ring)
             assert oracle_unit_failure(c, ring.unit_vector) is None, name
             assert oracle_associativity_failure(c) is None, name
 
@@ -551,19 +581,19 @@ class TestDenseOracle:
         rejected = {"unit": 0, "associativity": 0}
         for name, ring in _corpus_rings(corpus):
             for (i, j, k), value in _corruptions(name, ring):
-                c = copy.deepcopy(ring.structure_constants)
+                c = dense_constants(ring)
                 c[i][j][k] = value
-                bad = RingPresentation(ring.dim, c, list(ring.unit_vector))
+                bad = RingPresentation(ring.dim, sparse_rows(c), list(ring.unit_vector))
                 case = f"{name} c[{i}][{j}][{k}] = {value}"
 
                 unit_failure = oracle_unit_failure(c, bad.unit_vector)
                 assoc_failure = oracle_associativity_failure(c)
                 if assoc_failure is None:
-                    bad._check_associativity(_sparse_rows(c))
+                    bad._check_associativity()
                 else:
                     rejected["associativity"] += 1
                     with pytest.raises(NotNatural) as err:
-                        bad._check_associativity(_sparse_rows(c))
+                        bad._check_associativity()
                     assert str(err.value) == (
                         f"associativity fails at (i, j, k, l) = {assoc_failure}"
                     ), case
@@ -598,6 +628,43 @@ class TestDenseOracle:
             assert verified.get("witness") == expected, (r, m)
             caught += expected is not None
         assert caught > 0
+
+    def test_corrupted_hom_unit_witness(self, corpus):
+        hom = decomposition_hom(corpus["C2+S3"])
+        src, tgt = hom.source, hom.target
+        assert hom.verified["unital"] and "unit_witness" not in hom.verified
+        m = next(m for m, u in enumerate(src.unit_vector) if u)
+        for r in (0, tgt.dim // 2, tgt.dim - 1):
+            matrix = [list(row) for row in hom.matrix]
+            matrix[r][m] += 1
+            # phi(1) changes in coordinate r only, by the unit's coordinate m
+            image = [sum(row[c] * src.unit_vector[c] for c in range(src.dim)) for row in matrix]
+            assert [k for k in range(tgt.dim) if image[k] != tgt.unit_vector[k]] == [r]
+            verified = RingHom(src, tgt, matrix).verify().verified
+            assert not verified["unital"]
+            assert verified["unit_witness"] == r
+
+    def test_corrupted_hom_determinant(self, corpus):
+        hom = decomposition_hom(corpus["C2+S3"])
+        src, tgt = hom.source, hom.target
+        assert hom.verified["bijective"] and "determinant" not in hom.verified
+        det = _int_det(hom.matrix)
+        assert abs(det) == 1
+        for m in (0, src.dim - 1):
+            r = next(r for r in range(tgt.dim) if hom.matrix[r][m])
+            # one column doubled doubles the determinant; one zeroed kills it
+            for scale, expected in ((2, 2 * det), (0, 0)):
+                matrix = [list(row) for row in hom.matrix]
+                matrix[r][m] *= scale
+                verified = RingHom(src, tgt, matrix).verify().verified
+                assert not verified["bijective"]
+                assert verified["determinant"] == expected
+
+    def test_embedding_report_has_no_determinant(self, corpus):
+        hom = embedding_hom(corpus["C2+S3"], gb.conjugation_action(corpus["C2+S3"]))
+        assert hom.source.dim != hom.target.dim
+        assert not hom.verified["bijective"]
+        assert "determinant" not in hom.verified and "unit_witness" not in hom.verified
 
     def test_hom_with_cancelling_entries(self, b_c2):
         # On B(C2) with a = [C2/1], a^2 = 2a, the map a -> 2 - a, 1 -> 1 is

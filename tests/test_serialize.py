@@ -3,6 +3,8 @@ and error reporting with field context."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 import gburnside as gb
@@ -104,6 +106,18 @@ class TestParseGSet:
     def test_invalid_action_rejected(self, c2):
         with pytest.raises(NotNatural):
             parse_gset({"fibers": {"0": 2}, "action": {"1": [0, 0]}}, c2)
+
+    def test_action_length_checked_before_fibers_are_built(self, c2):
+        # a million-point fiber must not be allocated to find out that the
+        # empty action list of morphism 1 cannot act on it
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotNatural, match="action of morphism 1 has wrong domain size"):
+                parse_gset({"fibers": {"0": 1000000}, "action": {"1": []}}, c2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_unknown_object_key(self, c2):
         with pytest.raises(ParseError, match="fiber key"):
