@@ -411,3 +411,24 @@ def test_cli_import_loads_no_numpy():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_python_dash_m_runs_the_cli(inputs):
+    """``python -m gburnside`` is the same command line, exit codes included."""
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "gburnside", *args],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    ok = run("burnside", "--groupoid", inputs["c2.json"], "--format", "json")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["dim"] == 2
+    bad = run("burnside", "--groupoid", str(Path(inputs["c2.json"]).with_name("missing.json")))
+    assert bad.returncode == 2
+    assert "Traceback" not in bad.stderr

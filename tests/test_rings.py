@@ -8,6 +8,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
 from gburnside.errors import NotConnected, NotNatural, RingMismatch
@@ -674,3 +675,186 @@ class TestDenseOracle:
         assert hom.verify().verified == {
             "unital": True, "multiplicative": True, "bijective": True,
         }
+
+
+# -- the packed kernel against the dense oracle, on generated rings -----------------
+#
+# Constants come from small values and from values beyond 2^64, of both signs;
+# the checks take them as they are, without ``validate``.
+
+CONSTANTS = st.one_of(
+    st.integers(-3, 3), st.integers(2**64, 2**70), st.integers(-(2**70), -(2**64))
+)
+
+
+def _unimodular(draw, d):
+    """A random integer matrix P with integer inverse, as a product of
+    elementary row operations, and its inverse."""
+    p = [[int(r == c) for c in range(d)] for r in range(d)]
+    p_inv = [list(row) for row in p]
+    if d < 2:
+        return p, p_inv
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.permutations(range(d)))[:2]
+        t = draw(st.integers(-2, 2))
+        for row in p:  # P <- P (I + t E_ab)
+            row[b] += t * row[a]
+        p_inv[a] = [x - t * y for x, y in zip(p_inv[a], p_inv[b])]  # (I - t E_ab) P^-1
+    return p, p_inv
+
+
+def _change_basis(c, p, p_inv):
+    """The constants of the same ring in the basis e'_j = sum_a P_aj e_a."""
+    d = len(c)
+    return [
+        [
+            [
+                sum(
+                    p_inv[l][k] * p[a][i] * p[b][j] * c[a][b][k]
+                    for a in range(d) for b in range(d) for k in range(d)
+                )
+                for l in range(d)
+            ]
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+
+
+@st.composite
+def tables(draw, max_dim=5):
+    """A dense d x d x d table: either arbitrary constants (mostly zero) or
+    an associative ring, a sum of scaled idempotents e^2 = n e in a random
+    unimodular basis, with at most one constant changed afterwards."""
+    d = draw(st.integers(1, max_dim))
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), CONSTANTS)
+        return [[[draw(entry) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        c[i][i][i] = draw(CONSTANTS)
+    c = _change_basis(c, *_unimodular(draw, d))
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        c[i][j][k] += draw(CONSTANTS)
+    return c
+
+
+def _presentation(c):
+    return RingPresentation(len(c), sparse_rows(c), [0] * len(c))
+
+
+class TestPackedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_associativity_matches_oracle(self, c):
+        expected = oracle_associativity_failure(c)
+        ring = _presentation(c)
+        if expected is None:
+            ring._check_associativity()
+        else:
+            with pytest.raises(NotNatural) as err:
+                ring._check_associativity()
+            assert str(err.value) == f"associativity fails at (i, j, k, l) = {expected}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_multiplicativity_matches_oracle(self, data):
+        c = data.draw(tables(max_dim=4))
+        src = _presentation(c)
+        if data.draw(st.booleans()):
+            # an isomorphism onto the same ring in another basis, maybe broken
+            p, p_inv = _unimodular(data.draw, src.dim)
+            tgt = _presentation(_change_basis(c, p, p_inv))
+            matrix = [list(row) for row in p_inv]
+            if data.draw(st.booleans()):
+                r, m = (data.draw(st.integers(0, src.dim - 1)) for _ in range(2))
+                matrix[r][m] += data.draw(CONSTANTS)
+        else:
+            tgt = _presentation(data.draw(tables(max_dim=4)))
+            entry = st.one_of(st.just(0), CONSTANTS)
+            matrix = [[data.draw(entry) for _ in range(src.dim)] for _ in range(tgt.dim)]
+        expected = oracle_hom_failure(src, tgt, matrix)
+        verified = RingHom(src, tgt, matrix).verify().verified
+        assert verified["multiplicative"] == (expected is None)
+        assert verified.get("witness") == expected
+
+    def test_difference_that_aliases_at_the_constants_width(self):
+        # x = e0 with x^2 = e1 + e4, e1 x = e4 x = 2^h e2 and x e1 = e3, so
+        # (x x) x - x (x x) = 2^(h+1) e2 - e3.  With the width w0 = h + 1
+        # given by the bits of the largest constant, 2^w0 in field 2 and -1
+        # in field 3 pack to zero; the checks must still reject it.
+        h = 70
+        c = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+        c[0][0][1] = c[0][0][4] = 1
+        c[1][0][2] = c[4][0][2] = 2**h
+        c[0][1][3] = 1
+        w0 = max(v for ci in c for cij in ci for v in cij).bit_length()
+        assert (2**w0 << (2 * w0)) - (1 << (3 * w0)) == 0
+        expected = oracle_associativity_failure(c)
+        assert expected == (0, 0, 0, 2)
+        with pytest.raises(NotNatural) as err:
+            _presentation(c)._check_associativity()
+        assert str(err.value) == f"associativity fails at (i, j, k, l) = {expected}"
+
+    def test_hom_difference_that_aliases_at_the_entries_width(self):
+        # x^2 = y in the source; phi(x) = 2 t0 + 2 t1 and phi(y) = t3 with
+        # t0^2 = t1^2 = 2^h t2 in the target, so that phi(x^2) - phi(x)^2 =
+        # t3 - 2^(h+3) t2.  At the width w = h + 3 that the largest matrix
+        # entry and the largest target constant give, 2^w in field 2 and -1
+        # in field 3 pack to zero; the l1-norms of the images must count.
+        h = 70
+        src = _presentation([[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+        t = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+        t[0][0][2] = t[1][1][2] = 2**h
+        tgt = _presentation(t)
+        matrix = [[2, 0], [2, 0], [0, 0], [0, 1]]
+        w = (h + 1) + 2
+        assert (1 << (3 * w)) - (2 ** (h + 3) << (2 * w)) == 0
+        assert oracle_hom_failure(src, tgt, matrix) == (0, 0)
+        verified = RingHom(src, tgt, matrix).verify().verified
+        assert not verified["multiplicative"] and verified["witness"] == (0, 0)
+
+
+# -- the witness of a failed action-groupoid comparison ------------------------------
+
+class TestIsoWitness:
+    """The Hadamard ring of C2 over two fixed points is B(C2) x B(C2): e0, e1
+    are [C2/1] and e2, e3 the units of the two factors.  The left ring has
+    [C2/1] at e0, e2 and the units at e1, e3."""
+
+    def _report(self, c2, monkeypatch, edit):
+        hadamard = gb.rings.hadamard_ring
+
+        def corrupted(g, x):
+            ring = hadamard(g, x)
+            c = dense_constants(ring)
+            edit(c)
+            return RingPresentation(ring.dim, sparse_rows(c), list(ring.unit_vector))
+
+        monkeypatch.setattr(gb.rings, "hadamard_ring", corrupted)
+        report = action_groupoid_iso_check(c2, fixed_points_gset(c2, 2))
+        assert report["status"]["witness"] == "no structure-preserving basis bijection"
+        return report["status"]
+
+    def test_first_index_without_fingerprint_candidate(self, c2, monkeypatch):
+        # both units now square to twice themselves: no basis element of the
+        # Hadamard ring looks like the unit e1 of the left ring
+        def edit(c):
+            c[2][2][2] = c[3][3][3] = 2
+
+        assert self._report(c2, monkeypatch, edit) == {
+            "witness": "no structure-preserving basis bijection", "basis_index": 1,
+        }
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 0)])
+    def test_deepest_index_reached(self, c2, monkeypatch, p, q):
+        # e_p e_(p+2) = e_q instead of e_p keeps every fingerprint.  The
+        # search places the first three basis elements of the left ring
+        # onto one factor and the other, and cannot place e3, whose product
+        # with e2 needs the product that was changed.  With (p, q) = (1, 0)
+        # it gets there first and then stops at e1 on the other branch.
+        def edit(c):
+            c[p][p + 2][p], c[p][p + 2][q] = 0, 1
+
+        assert self._report(c2, monkeypatch, edit)["basis_index"] == 3
