@@ -25,6 +25,7 @@ cross-validate the classification and must stay independent of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .errors import BoundTooSmall, MarksNotTriangular, UnmatchedPiece
 from .crossed import CrossedGSet, CrossedMap, same_weight
@@ -42,40 +43,48 @@ from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decompositi
 # -- small-group helpers (tables on dense ids) --------------------------------
 
 def subgroup_closure(table: list[list[int]], seed) -> frozenset[int]:
-    """The subgroup generated by a non-empty seed: in a finite group the
-    closure under products already holds the identity and all inverses."""
-    elems = set(seed)
-    frontier = list(elems)
+    """The subgroup generated by a non-empty seed: every product of seed
+    elements, found by multiplying each new element on the right by each
+    seed element, so O(|K| |seed|) table lookups.  In a finite group these
+    products already hold the identity and all inverses."""
+    gens = list(dict.fromkeys(seed))
+    elems = set(gens)
+    frontier = gens
     while frontier:
         fresh = []
-        for a in list(elems):
-            for b in frontier:
-                for c in (table[a][b], table[b][a]):
-                    if c not in elems:
-                        elems.add(c)
-                        fresh.append(c)
+        for a in frontier:
+            row = table[a]
+            for b in gens:
+                c = row[b]
+                if c not in elems:
+                    elems.add(c)
+                    fresh.append(c)
         frontier = fresh
     return frozenset(elems)
 
 
 def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
     """Every subgroup, by closing element-by-element extensions; sorted by
-    (order, sorted elements)."""
+    (order, sorted elements).  One generating tuple is kept per subgroup
+    found, and an extension by a is the closure of that tuple plus a."""
     e = identity_and_inverses(table)[0]
     n = len(table)
-    subs = {frozenset({e})}
-    frontier = [frozenset({e})]
+    trivial = frozenset({e})
+    gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+    frontier = [trivial]
     while frontier:
         fresh = []
         for sub in frontier:
+            base = gens[sub]
             for a in range(n):
                 if a not in sub:
-                    grown = subgroup_closure(table, sub | {a})
-                    if grown not in subs:
-                        subs.add(grown)
+                    seed = base + (a,)
+                    grown = subgroup_closure(table, seed)
+                    if grown not in gens:
+                        gens[grown] = seed
                         fresh.append(grown)
         frontier = fresh
-    return sorted(subs, key=lambda h: (len(h), sorted(h)))
+    return sorted(gens, key=lambda h: (len(h), sorted(h)))
 
 
 def conjugate_subgroup(table, inv, a: int, sub: frozenset[int]) -> frozenset[int]:
@@ -300,7 +309,7 @@ class MarkTable:
     non-isomorphic and ordered by ascending |K| within each component, the
     table is upper-triangular with diagonal |Stab_N(K)(u) : K| > 0; the
     constructor checks this.  Coordinates then follow from marks by exact
-    integer back-substitution.
+    integer back-substitution over the non-zero marks.
     """
 
     def __init__(self, entries):
@@ -312,19 +321,17 @@ class MarkTable:
             for rep, sub, u, _, _ in entries
         ]
         self.totals = [carrier.total_size for _, _, _, carrier, _ in entries]
-        # distinct (rep, K) over the rows, and the rows using each
+        # distinct (rep, K) over the rows, and per subgroup the row of each label
         ids: dict[tuple[int, frozenset[int]], int] = {}
         self.subgroups: list[tuple[int, frozenset[int]]] = []
-        self.rows_of: list[list[int]] = []
-        self.row_label: list[int] = []
+        self.row_of: list[dict[int, int]] = []
         for k, (rep, sub, u, _, _) in enumerate(entries):
             key = (rep, frozenset(sub))
             if key not in ids:
                 ids[key] = len(self.subgroups)
                 self.subgroups.append(key)
-                self.rows_of.append([])
-            self.rows_of[ids[key]].append(k)
-            self.row_label.append(u)
+                self.row_of.append({})
+            self.row_of[ids[key]][u] = k
         self.at_rep: dict[int, list[int]] = {}
         for s, (rep, _) in enumerate(self.subgroups):
             self.at_rep.setdefault(rep, []).append(s)
@@ -336,16 +343,17 @@ class MarkTable:
         self.diag = [0] * d
         self.above: list[list[tuple[int, int]]] = [[] for _ in range(d)]
         for j in range(d):
-            column = self._phi(self.fixed[j])
-            for k, m in enumerate(column):
-                if m and k > j:
+            column = self._marks(self.fixed[j])
+            for k in sorted(column):
+                m = column[k]
+                if k > j:
                     raise MarksNotTriangular(
                         f"mark of row {k} {self.names[k]} is {m} on basis entry "
                         f"{j} {self.names[j]} below the diagonal"
                     )
-                if m and k < j:
+                if k < j:
                     self.above[j].append((k, m))
-            self.diag[j] = column[j]
+            self.diag[j] = column.get(j, 0)
             if self.diag[j] <= 0:
                 raise MarksNotTriangular(
                     f"diagonal mark of basis entry {j} {self.names[j]} is not positive"
@@ -362,37 +370,63 @@ class MarkTable:
                     out[s] = counts
         return out
 
-    def _phi(self, fixed: dict[int, dict[int, int]]) -> list[int]:
-        phi = [0] * self.dim
+    def _marks(self, fixed: dict[int, dict[int, int]]) -> dict[int, int]:
+        """The non-zero row marks, by row, of per-subgroup label counts."""
+        phi = {}
         for s, counts in fixed.items():
-            for k in self.rows_of[s]:
-                phi[k] = counts.get(self.row_label[k], 0)
+            row_of = self.row_of[s]
+            for u, m in counts.items():
+                k = row_of.get(u)
+                if k is not None:
+                    phi[k] = m
         return phi
 
-    def solve(self, phi: list[int]) -> list[int]:
-        """The coordinates with these row marks, by back-substitution over
-        the columns, skipping zero coordinates."""
-        phi = list(phi)
-        coords = [0] * self.dim
-        for j in range(self.dim - 1, -1, -1):
+    def _solve(self, phi: dict[int, int]) -> tuple[tuple[int, int], ...]:
+        """The non-zero coordinates ((j, c_j), ...), j ascending, with the
+        non-zero row marks ``phi`` (consumed), by back-substitution over
+        those columns alone, highest first.  Every ``above[j]`` entry has
+        k < j, so a column filled in by a subtraction is still below the
+        ones already done and joins the max-heap in order."""
+        diag, above, names = self.diag, self.above, self.names
+        heap = [-k for k in phi]
+        heapify(heap)
+        coords = []
+        while heap:
+            j = -heappop(heap)
             v = phi[j]
             if v == 0:
                 continue
-            q, r = divmod(v, self.diag[j])
+            q, r = divmod(v, diag[j])
             if r or q < 0:
                 raise UnmatchedPiece(
-                    f"coordinate {v}/{self.diag[j]} of basis entry {j} {self.names[j]} "
+                    f"coordinate {v}/{diag[j]} of basis entry {j} {names[j]} "
                     f"is not a non-negative integer"
                 )
-            coords[j] = q
-            for k, m in self.above[j]:
-                phi[k] -= m * q
-        return coords
+            coords.append((j, q))
+            for k, m in above[j]:
+                if k in phi:
+                    phi[k] -= m * q
+                else:
+                    phi[k] = -m * q
+                    heappush(heap, -k)
+        coords.reverse()
+        return tuple(coords)
+
+    def _dense(self, coords) -> list[int]:
+        out = [0] * self.dim
+        for j, c in coords:
+            out[j] = c
+        return out
+
+    def solve(self, phi: list[int]) -> list[int]:
+        """The coordinates with these row marks, as a dense vector; the
+        back-substitution runs over the non-zero marks only."""
+        return self._dense(self._solve({k: v for k, v in enumerate(phi) if v}))
 
     def express(self, carrier: GSet, label) -> list[int]:
         """Coordinates of a labeled G-set from its marks; every element must
         be accounted for by the solution."""
-        coords = self.solve(self._phi(self._fixed(carrier, label, self.at_rep)))
+        coords = self._dense(self._solve(self._marks(self._fixed(carrier, label, self.at_rep))))
         covered = sum(n * t for n, t in zip(coords, self.totals))
         if covered != carrier.total_size:
             raise UnmatchedPiece(
@@ -401,20 +435,21 @@ class MarkTable:
             )
         return coords
 
-    def product(self, i: int, j: int, combine) -> list[int]:
-        """Coordinates of a product of entries i and j whose marks are
-        ``combine(rep, marks_i, marks_j)`` per subgroup, each a dict from
-        label to mark; no carrier is built."""
+    def product(self, i: int, j: int, combine) -> tuple[tuple[int, int], ...]:
+        """The sparse coordinates ((k, c), ...) of a product of entries i
+        and j whose marks are ``combine(rep, marks_i, marks_j)`` per
+        subgroup, each a dict from label to mark; no carrier and no dense
+        vector is built."""
         rep = self.reps[i]
         if self.reps[j] != rep:
-            return [0] * self.dim
+            return ()
         fixed_j = self.fixed[j]
         prod = {}
         for s, a in self.fixed[i].items():
             b = fixed_j.get(s)
             if b:
                 prod[s] = combine(rep, a, b)
-        return self.solve(self._phi(prod))
+        return self._solve(self._marks(prod))
 
 
 # -- the catalog -----------------------------------------------------------------

@@ -182,13 +182,14 @@ def _get_weight(job: JobSpec, g: FiniteGroupoid):
 # -- table rendering -----------------------------------------------------------------
 
 def _subgroup_generators(g: FiniteGroupoid, rep: int, subgroup: list[int]) -> list[int]:
-    """Greedy minimal generating set of a subgroup of loops, ascending."""
+    """Greedy minimal generating set of a subgroup of loops, ascending: each
+    loop not yet generated joins the list, which is closed again."""
     current = frozenset({g.identity[rep]})
     gens: list[int] = []
     for m in sorted(subgroup):
         if m not in current:
             gens.append(m)
-            current = subgroup_closure(g.compose_table, current | {m})
+            current = subgroup_closure(g.compose_table, gens)
     return gens
 
 

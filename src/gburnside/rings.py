@@ -15,11 +15,13 @@ Structure constants come from the table of marks (production route): the
 marks of a product of basis elements are computed from the marks of the
 factors by a closed formula (a convolution over the weight monoid for the
 tensor product, a pointwise product for the fiber product), and solved by
-exact back-substitution in the triangular table of marks of the basis; no
-product carrier is built.  The ``*_by_decomposition`` functions keep the
-reference route, which expands every product on explicit carriers and
-decomposes it over the transitive basis by transporter search; ``verify
-marks`` and the tests compare the two.
+exact back-substitution in the triangular table of marks of the basis,
+over the non-zero marks only, which gives each product's sparse row
+directly; no product carrier and no dense coordinate vector is built.
+The ``*_by_decomposition`` functions keep the reference route, which
+expands every product on explicit carriers and decomposes it over the
+transitive basis by transporter search; ``verify marks`` and the tests
+compare the two.
 
 The structure constants are stored as sparse rows, the product e_i e_j as
 its non-zero coordinates ((k, c_ijk), ...); no dense d^3 table is built.
@@ -285,10 +287,11 @@ def ring_eq(a: RingElement, b: RingElement) -> bool:
 # -- ring constructors ------------------------------------------------------------
 
 def _ring(catalog: BasisCatalog, product, unit: list[int], info) -> RingPresentation:
-    """The validated presentation on a catalog with e_i e_j = product(i, j)
-    and the given unit coordinates; ``info`` reports one basis entry."""
+    """The validated presentation on a catalog with e_i e_j = product(i, j),
+    a sparse row, and the given unit coordinates; ``info`` reports one
+    basis entry."""
     d = catalog.dim
-    constants = [[_sparse(product(i, j)) for j in range(d)] for i in range(d)]
+    constants = [[product(i, j) for j in range(d)] for i in range(d)]
     return RingPresentation(
         d, constants, unit, basis=catalog, basis_info=[info(e) for e in catalog.entries]
     ).validate()
@@ -305,9 +308,9 @@ def _by_decomposition(catalog: BasisCatalog, multiply):
     """Products built on carriers by ``multiply`` and decomposed over the
     catalog by transporter search."""
     entries = catalog.entries
-    return lambda i, j: express_by_decomposition(
+    return lambda i, j: _sparse(express_by_decomposition(
         multiply(entries[i].crossed, entries[j].crossed), catalog
-    )
+    ))
 
 
 def _crossed_info(e: TransitivePiece) -> dict:
@@ -591,13 +594,19 @@ def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
 
 def decomposition_hom(g: FiniteGroupoid) -> RingHom:
     """The crossed Burnside ring of a groupoid onto the product of the
-    crossed Burnside rings of its isotropy groups, one per component."""
+    crossed Burnside rings of its isotropy groups, one per component.  An
+    isotropy group equal to g itself (every one-object groupoid, whose loop
+    positions are its morphism ids) takes the validated source ring as its
+    block instead of building it again."""
     comps = connected_components(g)
     source = crossed_burnside_ring(g, conjugation_action(g))
     blocks = []
     for rep in comps.representatives:
         iso, _ = isotropy_group(g, rep)
-        blocks.append(crossed_burnside_ring(iso, conjugation_action(iso)))
+        if same_base(iso, g):
+            blocks.append(source)
+        else:
+            blocks.append(crossed_burnside_ring(iso, conjugation_action(iso)))
     target = product_ring(blocks)
     # component representative -> (offset of its block, the block)
     where, offset = {}, 0

@@ -7,6 +7,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
 from gburnside.classify import (
@@ -24,7 +25,7 @@ from gburnside.crossed import crossed_coproduct, tensor, unit_object, validate_c
 from gburnside.errors import BoundTooSmall, UnmatchedPiece, WeightMismatch
 from gburnside.sampling import sample_many, shuffle_fibers
 
-from conftest import GROUP_TABLES_LEQ8, cyclic_table, regular_gset
+from conftest import GROUP_TABLES_LEQ8, cyclic_table, regular_gset, table_product
 
 
 def exhaustive_iso_exists(c1, c2) -> bool:
@@ -323,3 +324,72 @@ class TestSubgroupHelpers:
         table = GROUP_TABLES_LEQ8["D4"]
         assert len(all_subgroups(table)) == 10
         assert len(subgroup_conjugacy_classes(table)) == 8
+
+
+def brute_force_subgroups(table) -> list[frozenset[int]]:
+    """Every subset that holds the identity and is closed under the table,
+    in the order ``all_subgroups`` promises; the independent oracle for the
+    lattice (finite and closed under products makes a subset a subgroup)."""
+    n = len(table)
+    e = next(a for a in range(n) if all(table[a][b] == b for b in range(n)))
+    others = [a for a in range(n) if a != e]
+    subs = []
+    for r in range(len(others) + 1):
+        for rest in itertools.combinations(others, r):
+            sub = frozenset((e, *rest))
+            if all(table[a][b] in sub for a in sub for b in sub):
+                subs.append(sub)
+    return sorted(subs, key=lambda h: (len(h), sorted(h)))
+
+
+def renumbered(table, perm) -> list[list[int]]:
+    """The Cayley table with element a renamed perm[a]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def s4_table():
+    return gb.group_table_from_perm_gens([[1, 0, 2, 3], [1, 2, 3, 0]])
+
+
+def a4_table():
+    return gb.group_table_from_perm_gens([[1, 2, 0, 3], [0, 2, 3, 1]])
+
+
+def d8_table():
+    """The dihedral group of order 16, the symmetries of an octagon."""
+    return gb.group_table_from_perm_gens(
+        [[(i + 1) % 8 for i in range(8)], [(-i) % 8 for i in range(8)]]
+    )
+
+
+def c2_4_table():
+    c2 = cyclic_table(2)
+    return table_product(table_product(table_product(c2, c2), c2), c2)
+
+
+class TestSubgroupLattice:
+    @pytest.mark.parametrize("name", ["C2", "C3", "S3", "D4", "Q8"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_under_renumbering(self, name, data):
+        table = GROUP_TABLES_LEQ8[name]
+        perm = data.draw(st.permutations(range(len(table))))
+        t = renumbered(table, perm)
+        assert all_subgroups(t) == brute_force_subgroups(t)
+
+    @pytest.mark.parametrize(
+        "build, order, subgroups, classes",
+        [(s4_table, 24, 30, 11), (a4_table, 12, 10, 5), (d8_table, 16, 19, 11),
+         (c2_4_table, 16, 67, 67)],
+        ids=["S4", "A4", "D8", "C2^4"],
+    )
+    def test_published_counts(self, build, order, subgroups, classes):
+        table = build()
+        assert len(table) == order
+        assert len(all_subgroups(table)) == subgroups
+        assert len(subgroup_conjugacy_classes(table)) == classes

@@ -4,9 +4,11 @@ the acceptance corpus.
 ``golden_digests.json`` holds the SHA-256 of the JSON report of
 ``burnside``, ``crossed-burnside --weight conjugation``,
 ``crossed-burnside --weight trivial``, ``hadamard`` over the conjugation
-G-set, and ``verify axioms --samples 30 --seed 0`` under both weights, for
-every corpus groupoid.  Regenerate it (only when an output change is
-intended) with::
+G-set, ``verify axioms --samples 30 --seed 0`` under both weights,
+``verify decomposition`` and ``verify embedding`` under both weights, for
+every corpus groupoid, and ``verify reduction`` at the first and the last
+object of every connected corpus groupoid.  Regenerate it (only when an
+output change is intended) with::
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/golden_digests.json
 """
@@ -51,7 +53,7 @@ def _key(name: str, command: str, weight: str | None) -> str:
     return f"{name}|{command}" + (f"|{weight}" if weight else "")
 
 
-def _ring_jobs(gpath: str, xpath: str):
+def _ring_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
     for command, weight in COMMANDS:
         yield command, weight, JobSpec(
             command=command,
@@ -61,7 +63,7 @@ def _ring_jobs(gpath: str, xpath: str):
         )
 
 
-def _axiom_jobs(gpath: str, xpath: str):
+def _axiom_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
     for weight in AXIOM_WEIGHTS:
         yield "verify-axioms", weight, JobSpec(
             command="verify",
@@ -73,6 +75,28 @@ def _axiom_jobs(gpath: str, xpath: str):
         )
 
 
+def _hom_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
+    yield "verify-decomposition", None, JobSpec(
+        command="verify", verify_target="decomposition", groupoid=gpath
+    )
+    for weight in AXIOM_WEIGHTS:
+        yield "verify-embedding", weight, JobSpec(
+            command="verify", verify_target="embedding", groupoid=gpath, weight=weight
+        )
+    if gb.is_connected(g):
+        for z in sorted({0, g.n_objects - 1}):
+            yield "verify-reduction", f"object={z}", JobSpec(
+                command="verify", verify_target="reduction", groupoid=gpath, object_id=z
+            )
+
+
+def _kind(key: str) -> str:
+    command = key.split("|")[1]
+    if command == "verify-axioms":
+        return "axioms"
+    return "hom" if command.startswith("verify-") else "ring"
+
+
 def compute_digests(corpus: dict, workdir: str, jobs=_ring_jobs) -> dict[str, str]:
     out = {}
     for name, g in corpus.items():
@@ -82,7 +106,7 @@ def compute_digests(corpus: dict, workdir: str, jobs=_ring_jobs) -> dict[str, st
             json.dump(groupoid_to_obj(g), fh)
         with open(xpath, "w", encoding="utf-8") as fh:
             json.dump(conjugation_gset_obj(g), fh)
-        for command, weight, job in jobs(gpath, xpath):
+        for command, weight, job in jobs(gpath, xpath, g):
             code, text = run(job)
             assert code == 0
             out[_key(name, command, weight)] = hashlib.sha256(
@@ -91,25 +115,26 @@ def compute_digests(corpus: dict, workdir: str, jobs=_ring_jobs) -> dict[str, st
     return out
 
 
-def _check_against_golden(got: dict[str, str], axioms: bool) -> None:
+def _check_against_golden(got: dict[str, str], kind: str) -> None:
     with open(DIGESTS_PATH, encoding="utf-8") as fh:
-        expected = {
-            k: v for k, v in json.load(fh).items()
-            if ("|verify-axioms|" in k) == axioms
-        }
+        expected = {k: v for k, v in json.load(fh).items() if _kind(k) == kind}
     assert set(got) == set(expected)
     changed = sorted(k for k in expected if got[k] != expected[k])
     assert changed == []
 
 
 def test_ring_reports_byte_identical(corpus, tmp_path):
-    _check_against_golden(compute_digests(corpus, str(tmp_path)), axioms=False)
+    _check_against_golden(compute_digests(corpus, str(tmp_path)), "ring")
 
 
 def test_axiom_reports_byte_identical(corpus, tmp_path):
     _check_against_golden(
-        compute_digests(corpus, str(tmp_path), _axiom_jobs), axioms=True
+        compute_digests(corpus, str(tmp_path), _axiom_jobs), "axioms"
     )
+
+
+def test_hom_reports_byte_identical(corpus, tmp_path):
+    _check_against_golden(compute_digests(corpus, str(tmp_path), _hom_jobs), "hom")
 
 
 if __name__ == "__main__":
@@ -117,5 +142,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = compute_digests(corpus, tmp)
         digests.update(compute_digests(corpus, tmp, _axiom_jobs))
+        digests.update(compute_digests(corpus, tmp, _hom_jobs))
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -13,6 +13,7 @@ from gburnside.classify import (
     enumerate_basis,
     express_by_decomposition,
     express_in_basis,
+    label_marks,
 )
 from gburnside.errors import MarksNotTriangular, UnmatchedPiece
 from gburnside.rings import (
@@ -166,3 +167,134 @@ class TestMarkTable:
         catalog = enumerate_basis(g, conj)
         for c in sample_many(g, conj, 12, seed=9):
             assert express_in_basis(c, catalog) == express_by_decomposition(c, catalog)
+
+
+# -- back-substitution against a plain dense oracle ---------------------------------
+
+def mark_tables():
+    """Every corpus catalog the rings solve in, with its mark combination:
+    crossed under both weights, Hadamard over the conjugation and the
+    regular G-sets."""
+    for name in NAMES:
+        g = CORPUS[name]
+        for wname, weight in (("conjugation", gb.conjugation_action(g)),
+                              ("trivial", gb.trivial_gmonoid(g))):
+            yield (f"{name}|crossed|{wname}", enumerate_basis(g, weight),
+                   rings._convolution(weight))
+        for over, x in (("conjugation", gb.conjugation_action(g).underlying()),
+                        ("regular", regular_gset(g))):
+            yield f"{name}|hadamard|{over}", enumerate_basis(g, x), rings._meet
+
+
+MARK_TABLES = list(mark_tables())
+
+
+class DenseOracle:
+    """The table of marks of a catalog as a dense matrix M[k][j] computed
+    entry by entry, and plain back-substitution over every column."""
+
+    def __init__(self, catalog):
+        entries = catalog.entries
+        self.d = len(entries)
+        self.names = [
+            f"(component {e.component_rep}, subgroup {sorted(e.standard_pair[0])}, "
+            f"label {e.standard_pair[1]})"
+            for e in entries
+        ]
+        # label_counts[j][k]: label -> mark of entry j under the subgroup of row k
+        self.label_counts = [
+            [
+                label_marks(ej.crossed.carrier, ej.crossed.label, ek.component_rep,
+                            ek.standard_pair[0])
+                if ek.component_rep == ej.component_rep else {}
+                for ek in entries
+            ]
+            for ej in entries
+        ]
+        self.row_label = [e.standard_pair[1] for e in entries]
+        self.reps = [e.component_rep for e in entries]
+        self.matrix = [
+            [self.label_counts[j][k].get(self.row_label[k], 0) for j in range(self.d)]
+            for k in range(self.d)
+        ]
+
+    def solve(self, phi):
+        phi = list(phi)
+        coords = [0] * self.d
+        for j in range(self.d - 1, -1, -1):
+            v = phi[j]
+            if v == 0:
+                continue
+            diag = self.matrix[j][j]
+            q, r = divmod(v, diag)
+            if r or q < 0:
+                raise UnmatchedPiece(
+                    f"coordinate {v}/{diag} of basis entry {j} {self.names[j]} "
+                    f"is not a non-negative integer"
+                )
+            coords[j] = q
+            for k in range(j):
+                phi[k] -= self.matrix[k][j] * q
+        return coords
+
+    def product(self, i, j, combine):
+        if self.reps[i] != self.reps[j]:
+            return [0] * self.d
+        rep = self.reps[i]
+        phi = [
+            combine(rep, self.label_counts[i][k], self.label_counts[j][k]).get(
+                self.row_label[k], 0
+            )
+            for k in range(self.d)
+        ]
+        return self.solve(phi)
+
+
+def outcome(solve, phi):
+    try:
+        return "ok", solve(phi)
+    except UnmatchedPiece as exc:
+        return "unmatched", str(exc)
+
+
+@pytest.mark.parametrize("key, catalog, combine", MARK_TABLES, ids=[t[0] for t in MARK_TABLES])
+class TestBackSubstitution:
+    def test_matrix_matches_table(self, key, catalog, combine):
+        marks, oracle = catalog.marks(), DenseOracle(catalog)
+        assert marks.diag == [oracle.matrix[j][j] for j in range(oracle.d)]
+        for j, col in enumerate(marks.above):
+            assert col == [(k, oracle.matrix[k][j]) for k in range(j) if oracle.matrix[k][j]]
+
+    def test_every_product_matches_dense_oracle(self, key, catalog, combine):
+        marks, oracle = catalog.marks(), DenseOracle(catalog)
+        for i in range(oracle.d):
+            for j in range(oracle.d):
+                want = tuple((k, c) for k, c in enumerate(oracle.product(i, j, combine)) if c)
+                assert marks.product(i, j, combine) == want, (i, j)
+
+    def test_corrupted_marks_fail_like_oracle(self, key, catalog, combine):
+        # column j of the table is the marks of entry j; bump, negate or drop
+        # its diagonal mark, and the two solvers must agree on the outcome
+        marks, oracle = catalog.marks(), DenseOracle(catalog)
+        for j in range(oracle.d):
+            column = [oracle.matrix[k][j] for k in range(oracle.d)]
+            for top in (column[j] + 1, -column[j], 0, 2 * column[j] - 1):
+                phi = column[:j] + [top] + column[j + 1:]
+                assert outcome(marks.solve, phi) == outcome(oracle.solve, phi), (j, top)
+
+
+def test_corruptions_reach_both_failures():
+    # the corrupted vectors above include a non-divisible and a negative
+    # coordinate with the message of the first failing column
+    catalog = enumerate_basis(CORPUS["D4"], gb.conjugation_action(CORPUS["D4"]))
+    marks, oracle = catalog.marks(), DenseOracle(catalog)
+    j = max(range(oracle.d), key=lambda k: oracle.matrix[k][k])
+    column = [oracle.matrix[k][j] for k in range(oracle.d)]
+    assert column[j] > 1
+    bumped = column[:j] + [column[j] + 1] + column[j + 1:]
+    kind, text = outcome(marks.solve, bumped)
+    assert kind == "unmatched" and f"{column[j] + 1}/{column[j]} of basis entry {j} " in text
+    negated = column[:j] + [-column[j]] + column[j + 1:]
+    kind, text = outcome(marks.solve, negated)
+    assert kind == "unmatched" and f"coordinate -{column[j]}/" in text
+    assert outcome(marks.solve, bumped) == outcome(oracle.solve, bumped)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
+from gburnside import rings
 from gburnside.errors import NotConnected, NotNatural, RingMismatch
 from gburnside.rings import (
     RingElement,
@@ -319,6 +320,36 @@ class TestDecomposition:
         assert [b["block"] for b in hom.target.basis_info].count(0) == 4
         assert [b["block"] for b in hom.target.basis_info].count(1) == 8
         assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
+
+    @staticmethod
+    def count_crossed_rings(monkeypatch) -> list:
+        """Record the groupoid of every crossed Burnside ring built."""
+        built = []
+        original = rings.crossed_burnside_ring
+
+        def counted(g, weight):
+            built.append(g)
+            return original(g, weight)
+
+        monkeypatch.setattr(rings, "crossed_burnside_ring", counted)
+        return built
+
+    @pytest.mark.parametrize("name", ["C2", "S3", "D4", "Q8"])
+    def test_one_object_builds_one_ring(self, corpus, name, monkeypatch):
+        built = self.count_crossed_rings(monkeypatch)
+        hom = decomposition_hom(corpus[name])
+        assert built == [corpus[name]]
+        d = hom.source.dim
+        assert hom.matrix == [[int(r == c) for c in range(d)] for r in range(d)]
+        assert hom.target.structure_constants == hom.source.structure_constants
+        assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
+
+    def test_two_components_build_three_rings(self, corpus, monkeypatch):
+        built = self.count_crossed_rings(monkeypatch)
+        decomposition_hom(corpus["C2+S3"])
+        assert len(built) == 3
+        assert built[0] is corpus["C2+S3"]
+        assert [g.n_morphisms for g in built[1:]] == [2, 6]
 
     def test_mixed_components(self, corpus):
         hom = decomposition_hom(corpus["(C2xPair(2))+C3"])
