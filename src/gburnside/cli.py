@@ -1,18 +1,22 @@
 """Command-line entry point.
 
-Commands: validate, components, isotropy, action-groupoid, burnside,
-hadamard, crossed-burnside, and verify with the targets axioms, embedding,
-reduction, decomposition, action-groupoid-iso, basis-oracle, marks.
+The command surface is declared once: ``COMMANDS`` gives each command its
+handler, help text and optional flags, and ``VERIFY`` each verify target
+its handler.  The parser, the target choices and the dispatch in ``run``
+all read these two tables, and every default lives in ``JobSpec``.  A
+ring command renders its table only for ``--format table``.
 
 ``verify marks`` builds the crossed Burnside ring for --weight (and the
 Hadamard ring over --gset, when given) by the table-of-marks route and by
 the expand-and-decompose reference route, and reports the first basis pair
-whose coordinates differ.
+whose coordinates differ.  ``verify reduction`` and ``verify
+decomposition`` accept only the conjugation weight.
 
 Exit status: 0 on success or verified; 1 on a verification counterexample
-(the report carries a witness); 2 on input errors.  Identical invocations
-with the same seed produce byte-identical JSON.  Set GB_LOG to quiet,
-info, or debug to control stderr logging.
+(the report carries a witness); 2 on input errors, an unreadable input
+file or an unwritable --out included.  Identical invocations with the same
+seed produce byte-identical JSON.  Set GB_LOG to quiet, info, or debug to
+control stderr logging.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from .classify import (
     transitive_decomposition,
 )
 from .crossed import check_monoidal_axioms
-from .errors import GBError
+from .errors import GBError, WeightNotConjugation
 from .groupoid import FiniteGroupoid, connected_components, isotropy_group
-from .gsets import action_groupoid, conjugation_action, trivial_gmonoid
+from .gsets import action_groupoid, conjugation_action, conjugation_loops, trivial_gmonoid
 from .rings import (
     RingPresentation,
     action_groupoid_iso_check,
@@ -60,31 +64,36 @@ from .serialize import (
 
 logger = logging.getLogger("gburnside")
 
-VERIFY_TARGETS = (
-    "axioms",
-    "embedding",
-    "reduction",
-    "decomposition",
-    "action-groupoid-iso",
-    "basis-oracle",
-    "marks",
-)
-
 
 @dataclass
 class JobSpec:
-    """One CLI invocation, fully determined (seed included)."""
+    """One CLI invocation, fully determined (seed included).
+
+    The only home of the option defaults: the parser leaves every option
+    it was not given unset.  ``weight`` None means the conjugation weight
+    (``validate`` then checks no weight)."""
 
     command: str
     verify_target: str | None = None
     groupoid: str | None = None
     gset: str | None = None
     weight: str | None = None
-    object_id: int | None = None
+    object_id: int = 0
     samples: int = 20
     seed: int = 0
     format: str = "json"
     out: str | None = None
+
+
+# optional flags in usage order: name -> add_argument keywords
+FLAGS = {
+    "gset": {"help": "path to a G-set JSON file"},
+    "weight": {"help": "conjugation | trivial | path to a G-monoid JSON file"},
+    "object": {"type": int, "dest": "object_id",
+               "help": f"object id (default {JobSpec.object_id})"},
+    "samples": {"type": int, "help": f"random samples (default {JobSpec.samples})"},
+    "seed": {"type": int, "help": f"sampling seed (default {JobSpec.seed})"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,66 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite groupoids, crossed G-sets, and exact Burnside-style rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, gset=False, weight=False, obj=False, sampling=False):
+    for name, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        if name == "verify":
+            p.add_argument("target", choices=VERIFY)
         p.add_argument("--groupoid", required=True, help="path to a groupoid JSON file")
-        if gset:
-            p.add_argument("--gset", required=True, help="path to a G-set JSON file")
-        if weight:
-            p.add_argument(
-                "--weight",
-                default="conjugation",
-                help="conjugation | trivial | path to a G-monoid JSON file",
-            )
-        if obj:
-            p.add_argument("--object", type=int, default=0, dest="object_id",
-                           help="object id (default 0)")
-        if sampling:
-            p.add_argument("--samples", type=int, default=20)
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("validate", help="validate a groupoid and optional functor data")
-    p.add_argument("--groupoid", required=True)
-    p.add_argument("--gset", default=None)
-    p.add_argument("--weight", default=None)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--out", default=None)
-
-    add_common(sub.add_parser("components", help="connected components"))
-    add_common(sub.add_parser("isotropy", help="isotropy group at an object"), obj=True)
-    add_common(sub.add_parser("action-groupoid", help="action groupoid of a G-set"), gset=True)
-    add_common(sub.add_parser("burnside", help="Burnside ring presentation"))
-    add_common(sub.add_parser("hadamard", help="Hadamard ring of a slice over a G-set"), gset=True)
-    add_common(sub.add_parser("crossed-burnside", help="crossed Burnside ring presentation"), weight=True)
-
-    v = sub.add_parser("verify", help="verify a theorem or an axiom family")
-    v.add_argument("target", choices=VERIFY_TARGETS)
-    v.add_argument("--groupoid", required=True)
-    v.add_argument("--gset", default=None)
-    v.add_argument("--weight", default="conjugation")
-    v.add_argument("--object", type=int, default=0, dest="object_id")
-    v.add_argument("--samples", type=int, default=20)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--format", choices=("json", "table"), default="json")
-    v.add_argument("--out", default=None)
+        wanted = flags.split()
+        for flag, kwargs in FLAGS.items():
+            if flag in wanted or f"{flag}!" in wanted:
+                p.add_argument(f"--{flag}", required=f"{flag}!" in wanted, **kwargs)
+        p.add_argument("--format", choices=("json", "table"))
+        p.add_argument("--out", help="output path (default stdout)")
     return parser
-
-
-def job_from_args(args: argparse.Namespace) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        verify_target=getattr(args, "target", None),
-        groupoid=getattr(args, "groupoid", None),
-        gset=getattr(args, "gset", None),
-        weight=getattr(args, "weight", None),
-        object_id=getattr(args, "object_id", None),
-        samples=getattr(args, "samples", 20),
-        seed=getattr(args, "seed", 0),
-        format=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-    )
 
 
 # -- input loading -----------------------------------------------------------------
@@ -163,6 +124,10 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read input file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
@@ -234,9 +199,13 @@ def _render_generic_table(report: dict, prefix: str = "") -> list[str]:
 
 
 # -- command handlers -----------------------------------------------------------------
+#
+# A command handler returns (exit code, report, render): render is None or a
+# zero-argument callable that builds the --format table lines, so a JSON run
+# never renders a table.  A verify handler returns (exit code, report).
 
 def _cmd_validate(job: JobSpec):
-    report: dict = {"command": "validate"}
+    report: dict = {}
     try:
         g = _get_groupoid(job)
         report["groupoid"] = {"objects": g.n_objects, "morphisms": g.n_morphisms}
@@ -265,10 +234,8 @@ def _cmd_validate(job: JobSpec):
 
 
 def _cmd_components(job: JobSpec):
-    g = _get_groupoid(job)
-    comps = connected_components(g)
+    comps = connected_components(_get_groupoid(job))
     report = {
-        "command": "components",
         "count": comps.count,
         "classes": comps.classes,
         "representatives": comps.representatives,
@@ -277,10 +244,8 @@ def _cmd_components(job: JobSpec):
 
 
 def _cmd_isotropy(job: JobSpec):
-    g = _get_groupoid(job)
-    iso, inclusion = isotropy_group(g, job.object_id)
+    iso, inclusion = isotropy_group(_get_groupoid(job), job.object_id)
     report = {
-        "command": "isotropy",
         "object": job.object_id,
         "order": iso.n_morphisms,
         "loop_morphisms": inclusion.morphism_map,
@@ -291,10 +256,8 @@ def _cmd_isotropy(job: JobSpec):
 
 def _cmd_action_groupoid(job: JobSpec):
     g = _get_groupoid(job)
-    x = parse_gset(_load_json(job.gset), g)
-    ag = action_groupoid(g, x)
+    ag = action_groupoid(g, parse_gset(_load_json(job.gset), g))
     report = {
-        "command": "action-groupoid",
         "objects": ag.groupoid.n_objects,
         "morphisms": ag.groupoid.n_morphisms,
         "components": connected_components(ag.groupoid).count,
@@ -308,80 +271,77 @@ def _cmd_action_groupoid(job: JobSpec):
     return 0, report, None
 
 
-def _ring_command(job: JobSpec, name: str, ring: RingPresentation, g: FiniteGroupoid):
-    report = {"command": name, **ring_to_obj(ring)}
-    return 0, report, _render_ring_table(g, ring)
+def _ring_command(ring: RingPresentation, g: FiniteGroupoid):
+    return 0, ring_to_obj(ring), lambda: _render_ring_table(g, ring)
 
 
 def _cmd_burnside(job: JobSpec):
     g = _get_groupoid(job)
     logger.info("building Burnside ring")
-    return _ring_command(job, "burnside", burnside_ring(g), g)
+    return _ring_command(burnside_ring(g), g)
 
 
 def _cmd_hadamard(job: JobSpec):
     g = _get_groupoid(job)
     x = parse_gset(_load_json(job.gset), g)
     logger.info("building Hadamard ring")
-    return _ring_command(job, "hadamard", hadamard_ring(g, x), g)
+    return _ring_command(hadamard_ring(g, x), g)
 
 
 def _cmd_crossed_burnside(job: JobSpec):
     g = _get_groupoid(job)
     weight = _get_weight(job, g)
     logger.info("building crossed Burnside ring")
-    return _ring_command(job, "crossed-burnside", crossed_burnside_ring(g, weight), g)
+    return _ring_command(crossed_burnside_ring(g, weight), g)
 
 
 def _verify_axioms(job: JobSpec, g: FiniteGroupoid):
     if job.samples < 1:
         raise ParseError(f"--samples must be at least 1, got {job.samples}")
-    weight = _get_weight(job, g)
-    samples = sample_many(g, weight, job.samples, job.seed)
+    samples = sample_many(g, _get_weight(job, g), job.samples, job.seed)
     checks = check_monoidal_axioms(samples)
     ok = all(c["status"] == "ok" for c in checks)
-    report = {
-        "target": "axioms",
-        "samples": job.samples,
-        "seed": job.seed,
-        "checks": checks,
-    }
-    return (0 if ok else 1), report
+    return (0 if ok else 1), {"samples": job.samples, "seed": job.seed, "checks": checks}
+
+
+def _hom_verdict(hom, *properties: str):
+    """Exit code and report of a hom that must have every one of properties."""
+    ok = all(hom.verified[p] for p in properties)
+    return (0 if ok else 1), hom_to_obj(hom)
+
+
+def _require_conjugation(job: JobSpec, g: FiniteGroupoid) -> None:
+    """The reduction and decomposition homs exist for the conjugation
+    weight only, so any other --weight is refused instead of ignored."""
+    if conjugation_loops(_get_weight(job, g)) is None:
+        raise WeightNotConjugation(
+            f"verify {job.verify_target} is built over the conjugation weight only, "
+            f"got --weight {job.weight}"
+        )
 
 
 def _verify_embedding(job: JobSpec, g: FiniteGroupoid):
-    weight = _get_weight(job, g)
-    hom = embedding_hom(g, weight)
-    v = hom.verified
-    ok = v["unital"] and v["multiplicative"] and v["injective"]
-    return (0 if ok else 1), {"target": "embedding", **hom_to_obj(hom)}
+    hom = embedding_hom(g, _get_weight(job, g))
+    return _hom_verdict(hom, "unital", "multiplicative", "injective")
 
 
 def _verify_reduction(job: JobSpec, g: FiniteGroupoid):
+    _require_conjugation(job, g)
     hom = connected_reduction_hom(g, job.object_id)
-    v = hom.verified
-    ok = v["unital"] and v["multiplicative"] and v["bijective"]
-    return (0 if ok else 1), {
-        "target": "reduction",
-        "object": job.object_id,
-        **hom_to_obj(hom),
-    }
+    code, report = _hom_verdict(hom, "unital", "multiplicative", "bijective")
+    return code, {"object": job.object_id, **report}
 
 
 def _verify_decomposition(job: JobSpec, g: FiniteGroupoid):
-    hom = decomposition_hom(g)
-    v = hom.verified
-    ok = v["unital"] and v["multiplicative"] and v["bijective"]
-    return (0 if ok else 1), {"target": "decomposition", **hom_to_obj(hom)}
+    _require_conjugation(job, g)
+    return _hom_verdict(decomposition_hom(g), "unital", "multiplicative", "bijective")
 
 
 def _verify_action_groupoid_iso(job: JobSpec, g: FiniteGroupoid):
     if not job.gset:
         raise ParseError("verify action-groupoid-iso needs --gset")
-    x = parse_gset(_load_json(job.gset), g)
-    report = action_groupoid_iso_check(g, x)
-    ok = report.get("status") == "ok"
-    return (0 if ok else 1), {"target": "action-groupoid-iso", **report}
+    report = action_groupoid_iso_check(g, parse_gset(_load_json(job.gset), g))
+    return (0 if report.get("status") == "ok" else 1), report
 
 
 def _verify_basis_oracle(job: JobSpec, g: FiniteGroupoid):
@@ -399,7 +359,6 @@ def _verify_basis_oracle(job: JobSpec, g: FiniteGroupoid):
         and len(set(matched)) == len(matched)
     )
     report = {
-        "target": "basis-oracle",
         "enumerated": catalog.dim,
         "brute_force": len(brute),
         "matching": matched,
@@ -445,75 +404,85 @@ def _verify_marks(job: JobSpec, g: FiniteGroupoid):
             "status": "ok" if witness is None else {"witness": witness},
         })
     ok = all(r["status"] == "ok" for r in rings)
-    return (0 if ok else 1), {"target": "marks", "rings": rings}
+    return (0 if ok else 1), {"rings": rings}
 
 
 def _cmd_verify(job: JobSpec):
-    g = _get_groupoid(job)
-    handler = {
-        "axioms": _verify_axioms,
-        "embedding": _verify_embedding,
-        "reduction": _verify_reduction,
-        "decomposition": _verify_decomposition,
-        "action-groupoid-iso": _verify_action_groupoid_iso,
-        "basis-oracle": _verify_basis_oracle,
-        "marks": _verify_marks,
-    }[job.verify_target]
-    code, report = handler(job, g)
-    report = {"command": "verify", **report}
-    return code, report, None
+    code, report = VERIFY[job.verify_target](job, _get_groupoid(job))
+    return code, {"target": job.verify_target, **report}, None
 
 
-HANDLERS = {
-    "validate": _cmd_validate,
-    "components": _cmd_components,
-    "isotropy": _cmd_isotropy,
-    "action-groupoid": _cmd_action_groupoid,
-    "burnside": _cmd_burnside,
-    "hadamard": _cmd_hadamard,
-    "crossed-burnside": _cmd_crossed_burnside,
-    "verify": _cmd_verify,
+# -- the command surface ---------------------------------------------------------------
+
+# verify target -> handler
+VERIFY = {
+    "axioms": _verify_axioms,
+    "embedding": _verify_embedding,
+    "reduction": _verify_reduction,
+    "decomposition": _verify_decomposition,
+    "action-groupoid-iso": _verify_action_groupoid_iso,
+    "basis-oracle": _verify_basis_oracle,
+    "marks": _verify_marks,
+}
+
+# command -> (handler, help, optional FLAGS it takes; "!" marks a required one)
+COMMANDS = {
+    "validate": (_cmd_validate, "validate a groupoid and optional functor data",
+                 "gset weight"),
+    "components": (_cmd_components, "connected components", ""),
+    "isotropy": (_cmd_isotropy, "isotropy group at an object", "object"),
+    "action-groupoid": (_cmd_action_groupoid, "action groupoid of a G-set", "gset!"),
+    "burnside": (_cmd_burnside, "Burnside ring presentation", ""),
+    "hadamard": (_cmd_hadamard, "Hadamard ring of a slice over a G-set", "gset!"),
+    "crossed-burnside": (_cmd_crossed_burnside, "crossed Burnside ring presentation",
+                         "weight"),
+    "verify": (_cmd_verify, "verify a theorem or an axiom family",
+               "gset weight object samples seed"),
 }
 
 
 def run(job: JobSpec) -> tuple[int, str]:
     """Execute a job; returns (exit code, rendered report)."""
-    code, report, table_lines = HANDLERS[job.command](job)
+    code, report, render = COMMANDS[job.command][0](job)
+    report = {"command": job.command, **report}
     if job.format == "table":
-        lines = table_lines if table_lines is not None else _render_generic_table(report)
+        lines = render() if render is not None else _render_generic_table(report)
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     return code, text
 
 
+def _write(text: str, path: str | None) -> None:
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write output file {path}: {exc.strerror}") from None
+
+
 def _configure_logging() -> None:
-    level = {
-        "quiet": logging.ERROR,
-        "info": logging.INFO,
-        "debug": logging.DEBUG,
-    }.get(os.environ.get("GB_LOG", ""), logging.WARNING)
+    levels = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    level = levels.get(os.environ.get("GB_LOG", ""), logging.WARNING)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    job = job_from_args(args)
+    args = vars(build_parser().parse_args(argv))
+    job = JobSpec(verify_target=args.pop("target", None), **args)
     try:
         code, text = run(job)
+        _write(text, job.out)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except GBError as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if job.out:
-        with open(job.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -57,6 +57,7 @@ class FiniteGroupoid:
         # filled by isotropy_group and gsets.conjugation_action
         self._isotropy: dict[int, tuple[FiniteGroupoid, GroupoidFunctor]] = {}
         self._conjugation = None
+        self._valid = False  # set by validate_groupoid
 
     # -- basic accessors ---------------------------------------------------
 
@@ -129,8 +130,16 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
 
     Raises a named error pointing at the first offending entry:
     EmptyObjectSet, DomCodMismatch, MissingIdentity, MissingInverse, or
-    NonAssociative.
+    NonAssociative.  A pass is recorded on the instance, which is
+    immutable, so a second call on it returns at once.
     """
+    if not g._valid:
+        _check_axioms(g)
+        g._valid = True
+    return g
+
+
+def _check_axioms(g: FiniteGroupoid) -> None:
     n, m = g.n_objects, g.n_morphisms
     if n < 1:
         raise EmptyObjectSet("the empty groupoid is excluded")
@@ -191,7 +200,6 @@ def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
             for f in g.by_cod(g.dom[gg]):
                 if g.compose_table[hg][f] != g.compose_table[h][g.compose_table[gg][f]]:
                     raise NonAssociative(f"triple ({h}, {gg}, {f})")
-    return g
 
 
 # -- groups ----------------------------------------------------------------
@@ -508,11 +516,16 @@ def isotropy_group(
 
     Loop k of the isotropy group is the k-th loop of g at x in ascending
     morphism-id order; the inclusion functor records the correspondence.
-    Built once per groupoid and object; every call returns the same pair.
+    A one-object g is its own isotropy group (loop positions are then the
+    morphism ids), with the identity inclusion.  Built once per groupoid
+    and object; every call returns the same pair.
     """
     if not 0 <= x < g.n_objects:
         raise UnknownObject(f"object {x} not in 0..{g.n_objects - 1}")
-    if x not in g._isotropy:
+    if x not in g._isotropy and g.n_objects == 1:
+        # the identity functor of a valid groupoid needs no check
+        g._isotropy[x] = (validate_groupoid(g), GroupoidFunctor(g, g, [0], list(g.morphisms)))
+    elif x not in g._isotropy:
         loops, pos, table = loop_table(g, x)
         n = len(loops)
         iso = validate_groupoid(

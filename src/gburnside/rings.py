@@ -561,7 +561,7 @@ def connected_reduction_hom(g: FiniteGroupoid, z: int) -> RingHom:
         raise NotConnected("connected reduction needs a connected groupoid")
     source = crossed_burnside_ring(g, conjugation_action(g))
     iso, _ = isotropy_group(g, z)
-    target = crossed_burnside_ring(iso, conjugation_action(iso))
+    target = source if iso is g else crossed_burnside_ring(iso, conjugation_action(iso))
     cols = []
     for entry in source.basis.entries:
         restricted = transport_restrict(entry.crossed, z)
@@ -594,16 +594,15 @@ def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
 
 def decomposition_hom(g: FiniteGroupoid) -> RingHom:
     """The crossed Burnside ring of a groupoid onto the product of the
-    crossed Burnside rings of its isotropy groups, one per component.  An
-    isotropy group equal to g itself (every one-object groupoid, whose loop
-    positions are its morphism ids) takes the validated source ring as its
-    block instead of building it again."""
+    crossed Burnside rings of its isotropy groups, one per component.  A
+    one-object groupoid is its own isotropy group and takes the validated
+    source ring as its block instead of building it again."""
     comps = connected_components(g)
     source = crossed_burnside_ring(g, conjugation_action(g))
     blocks = []
     for rep in comps.representatives:
         iso, _ = isotropy_group(g, rep)
-        if same_base(iso, g):
+        if iso is g:
             blocks.append(source)
         else:
             blocks.append(crossed_burnside_ring(iso, conjugation_action(iso)))

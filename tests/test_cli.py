@@ -56,6 +56,11 @@ def inputs(tmp_path):
             "inverse": [0, 1],
         },
     )
+    write("semilattice.json", {
+        "monoids": {"0": {"table": [[0, 1], [1, 1]], "unit": 0}},
+        "action": {"0": [0, 1], "1": [0, 1]},
+    })
+    write("conjugation_weight.json", {"conjugation": True})
     write("crossed.json", {
         "fibers": {"0": 2},
         "action": {"1": [1, 0]},
@@ -112,6 +117,24 @@ class TestCommands:
         assert code == 2
         assert captured.out == ""
         assert "'pair' must be an integer" in captured.err
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf8", "unwritable-out"])
+    def test_unreadable_input_or_unwritable_out_exits_2(self, inputs, tmp_path, capsys, case):
+        argv = ["components", "--groupoid", inputs["c2.json"]]
+        if case == "directory":
+            argv[2] = str(tmp_path)
+        elif case == "not-utf8":
+            latin1 = tmp_path / "latin1.json"
+            latin1.write_bytes(b'{"pair": 2, "note": "\xe9"}')
+            argv[2] = str(latin1)
+        else:
+            argv += ["--out", str(tmp_path / "missing" / "report.json")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "edit",
@@ -272,6 +295,28 @@ class TestVerify:
         report = json.loads(out)
         assert report["source_dim"] == 12
 
+    @pytest.mark.parametrize("target", ["reduction", "decomposition"])
+    @pytest.mark.parametrize("weight", ["trivial", "semilattice.json"])
+    def test_non_conjugation_weight_refused(self, inputs, capsys, target, weight):
+        code = main([
+            "verify", target, "--groupoid", inputs["c2.json"],
+            "--weight", inputs.get(weight, weight),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: WeightNotConjugation:")
+
+    @pytest.mark.parametrize("target", ["reduction", "decomposition"])
+    @pytest.mark.parametrize("weight", [None, "conjugation", "conjugation_weight.json"])
+    def test_conjugation_weight_accepted(self, inputs, capsys, target, weight):
+        argv = ["verify", target, "--groupoid", inputs["c2.json"]]
+        if weight is not None:
+            argv += ["--weight", inputs.get(weight, weight)]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["verified"]["bijective"] is True
+
     def test_action_groupoid_iso(self, inputs, capsys):
         code, out = run_cli(
             capsys,
@@ -396,6 +441,22 @@ class TestDeterminism:
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["checks"] == r2["checks"]
         assert r1["seed"] != r2["seed"]
+
+
+def test_json_ring_commands_render_no_table(inputs, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ring table was rendered for a JSON run")
+
+    monkeypatch.setattr(cli, "_render_ring_table", refuse)
+    s3 = inputs["s3.json"]
+    for argv in (
+        ["burnside", "--groupoid", s3],
+        ["hadamard", "--groupoid", s3, "--gset", inputs["s3_conjugation.json"]],
+        ["crossed-burnside", "--groupoid", s3, "--weight", "trivial"],
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["command"] == argv[0]
 
 
 def test_cli_import_loads_no_numpy():

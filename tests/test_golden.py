@@ -7,8 +7,11 @@ the acceptance corpus.
 G-set, ``verify axioms --samples 30 --seed 0`` under both weights,
 ``verify decomposition`` and ``verify embedding`` under both weights, for
 every corpus groupoid, and ``verify reduction`` at the first and the last
-object of every connected corpus groupoid.  Regenerate it (only when an
-output change is intended) with::
+object of every connected corpus groupoid.  It also holds the SHA-256 of
+the ``--format table`` output of the four ring commands, of ``verify
+axioms --samples 30 --seed 0`` under both weights and of ``verify
+decomposition`` (the generic renderer), for every corpus groupoid.
+Regenerate it (only when an output change is intended) with::
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/golden_digests.json
 """
@@ -20,6 +23,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import pytest
 
@@ -90,8 +94,19 @@ def _hom_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
             )
 
 
+def _table_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
+    for jobs in (_ring_jobs, _axiom_jobs):
+        for command, weight, job in jobs(gpath, xpath, g):
+            yield f"{command}-table", weight, replace(job, format="table")
+    yield "verify-decomposition-table", None, JobSpec(
+        command="verify", verify_target="decomposition", groupoid=gpath, format="table"
+    )
+
+
 def _kind(key: str) -> str:
     command = key.split("|")[1]
+    if command.endswith("-table"):
+        return "table"
     if command == "verify-axioms":
         return "axioms"
     return "hom" if command.startswith("verify-") else "ring"
@@ -137,11 +152,16 @@ def test_hom_reports_byte_identical(corpus, tmp_path):
     _check_against_golden(compute_digests(corpus, str(tmp_path), _hom_jobs), "hom")
 
 
+def test_table_output_byte_identical(corpus, tmp_path):
+    _check_against_golden(compute_digests(corpus, str(tmp_path), _table_jobs), "table")
+
+
 if __name__ == "__main__":
     corpus = build_corpus()
     with tempfile.TemporaryDirectory() as tmp:
         digests = compute_digests(corpus, tmp)
         digests.update(compute_digests(corpus, tmp, _axiom_jobs))
         digests.update(compute_digests(corpus, tmp, _hom_jobs))
+        digests.update(compute_digests(corpus, tmp, _table_jobs))
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -268,6 +268,31 @@ class TestIsotropy:
         assert gb.isotropy_group(g, 0) is gb.isotropy_group(g, 0)
         assert gb.isotropy_group(g, 1)[0] is not gb.isotropy_group(g, 0)[0]
 
+    def test_one_object_groupoid_is_its_own_isotropy_group(self):
+        g = gb.from_group(s3_table())
+        iso, inclusion = gb.isotropy_group(g, 0)
+        assert iso is g
+        assert inclusion.object_map == [0]
+        assert inclusion.morphism_map == list(g.morphisms)
+
+    def test_axioms_checked_once_per_instance(self, monkeypatch):
+        from gburnside import groupoid
+
+        checked = []
+        original = groupoid._check_axioms
+
+        def counted(g):
+            checked.append(g)
+            original(g)
+
+        monkeypatch.setattr(groupoid, "_check_axioms", counted)
+        s4 = gb.from_group(gb.group_table_from_perm_gens([[1, 0, 2, 3], [1, 2, 3, 0]]))
+        ring = gb.crossed_burnside_ring(s4, gb.conjugation_action(s4))
+        assert ring.dim == 29
+        assert checked == [s4]
+        assert gb.validate_groupoid(s4) is s4
+        assert checked == [s4]
+
 
 class TestStructureIso:
     @pytest.mark.parametrize("name,x", [("Pair(3)", 0), ("C2xPair(2)", 0), ("S3", 0)])

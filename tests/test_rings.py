@@ -306,6 +306,14 @@ class TestReduction:
         with pytest.raises(NotConnected):
             connected_reduction_hom(corpus["C2+S3"], 0)
 
+    @pytest.mark.parametrize("name", ["C2", "S3", "D4", "Q8"])
+    def test_one_object_builds_one_ring(self, corpus, name, monkeypatch):
+        built = TestDecomposition.count_crossed_rings(monkeypatch)
+        hom = connected_reduction_hom(corpus[name], 0)
+        assert built == [corpus[name]]
+        assert hom.target is hom.source
+        assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
+
 
 class TestDecomposition:
     def test_connected_case(self, s3):
