@@ -2,9 +2,10 @@
 
 The command surface is declared once: ``COMMANDS`` gives each command its
 handler, help text and optional flags, and ``VERIFY`` each verify target
-its handler.  The parser, the target choices and the dispatch in ``run``
-all read these two tables, and every default lives in ``JobSpec``.  A
-ring command renders its table only for ``--format table``.
+its handler and flags; any other flag exits 2.  The parser, the target
+checks and the dispatch in ``run`` all read these two tables, and every
+default lives in ``JobSpec``.  A ring command renders its table only for
+``--format table``.
 
 ``verify marks`` builds the crossed Burnside ring for --weight (and the
 Hadamard ring over --gset, when given) by the table-of-marks route and by
@@ -114,6 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"))
         p.add_argument("--out", help="output path (default stdout)")
     return parser
+
+
+def _check_target_flags(parser: argparse.ArgumentParser, target: str, args: dict) -> None:
+    """Exit 2 on a flag the verify target does not take or a "!" flag it lacks."""
+    wanted = VERIFY[target][1].split()
+    for flag, kwargs in FLAGS.items():
+        given = kwargs.get("dest", flag) in args
+        if given and flag not in wanted and f"{flag}!" not in wanted:
+            parser.error(f"verify {target} does not take --{flag}")
+        if not given and f"{flag}!" in wanted:
+            parser.error(f"verify {target} requires --{flag}")
 
 
 # -- input loading -----------------------------------------------------------------
@@ -338,8 +350,6 @@ def _verify_decomposition(job: JobSpec, g: FiniteGroupoid):
 
 
 def _verify_action_groupoid_iso(job: JobSpec, g: FiniteGroupoid):
-    if not job.gset:
-        raise ParseError("verify action-groupoid-iso needs --gset")
     report = action_groupoid_iso_check(g, parse_gset(_load_json(job.gset), g))
     return (0 if report.get("status") == "ok" else 1), report
 
@@ -408,21 +418,21 @@ def _verify_marks(job: JobSpec, g: FiniteGroupoid):
 
 
 def _cmd_verify(job: JobSpec):
-    code, report = VERIFY[job.verify_target](job, _get_groupoid(job))
+    code, report = VERIFY[job.verify_target][0](job, _get_groupoid(job))
     return code, {"target": job.verify_target, **report}, None
 
 
 # -- the command surface ---------------------------------------------------------------
 
-# verify target -> handler
+# verify target -> (handler, FLAGS it takes; "!" marks a required one)
 VERIFY = {
-    "axioms": _verify_axioms,
-    "embedding": _verify_embedding,
-    "reduction": _verify_reduction,
-    "decomposition": _verify_decomposition,
-    "action-groupoid-iso": _verify_action_groupoid_iso,
-    "basis-oracle": _verify_basis_oracle,
-    "marks": _verify_marks,
+    "axioms": (_verify_axioms, "weight samples seed"),
+    "embedding": (_verify_embedding, "weight"),
+    "reduction": (_verify_reduction, "weight object"),
+    "decomposition": (_verify_decomposition, "weight"),
+    "action-groupoid-iso": (_verify_action_groupoid_iso, "gset!"),
+    "basis-oracle": (_verify_basis_oracle, "weight"),
+    "marks": (_verify_marks, "weight gset"),
 }
 
 # command -> (handler, help, optional FLAGS it takes; "!" marks a required one)
@@ -472,7 +482,13 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    args = vars(build_parser().parse_args(argv))
+    parser = build_parser()
+    try:
+        args = vars(parser.parse_args(argv))
+        if "target" in args:
+            _check_target_flags(parser, args["target"], args)
+    except SystemExit as exc:  # argparse has printed usage or help
+        return exc.code
     job = JobSpec(verify_target=args.pop("target", None), **args)
     try:
         code, text = run(job)

@@ -38,12 +38,16 @@ class FiniteGroupoid:
     ``dom[g] == cod[f]`` and -1 otherwise.
 
     Instances are immutable: the constructor freezes every table into
-    tuples, so no instance, copy or deep copy changes after construction,
-    and the caches of ``by_dom``/``by_cod``, ``isotropy_group`` and
-    ``gsets.conjugation_action`` are sound.  A mutant is a new instance
-    built from edited tables.  Other structures share lists instead of
+    tuples and binds each table field once (rebinding or deleting one
+    raises AttributeError), so no instance, copy or deep copy changes, and
+    the caches of ``by_dom``/``by_cod``, ``isotropy_group`` and
+    ``gsets.conjugation_action`` and the pass recorded by
+    ``validate_groupoid`` are sound.  A mutant is a new instance built from
+    edited tables.  Other structures share lists instead of
     copying them (see ``gsets``).
     """
+
+    _TABLES = frozenset({"n_objects", "dom", "cod", "compose_table", "identity", "inverse"})
 
     def __init__(self, n_objects, dom, cod, compose_table, identity, inverse):
         self.n_objects = int(n_objects)
@@ -58,6 +62,17 @@ class FiniteGroupoid:
         self._isotropy: dict[int, tuple[FiniteGroupoid, GroupoidFunctor]] = {}
         self._conjugation = None
         self._valid = False  # set by validate_groupoid
+
+    def __setattr__(self, name: str, value) -> None:
+        # hasattr: reading self.__dict__ would slow every later attribute read
+        if name in self._TABLES and hasattr(self, name):
+            raise AttributeError(f"FiniteGroupoid.{name} cannot be rebound; build a new instance")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if name in self._TABLES:
+            raise AttributeError(f"FiniteGroupoid.{name} cannot be deleted")
+        super().__delattr__(name)
 
     # -- basic accessors ---------------------------------------------------
 

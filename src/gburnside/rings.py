@@ -2,7 +2,8 @@
 ring of a groupoid, the Hadamard ring of a slice over a G-set, and the
 crossed Burnside ring of a G-monoid, together with the theorem witnesses:
 the trivial-label embedding, connected reduction, component decomposition,
-and the action-groupoid comparison.
+and the action-groupoid comparison, each built column by column from its
+theorem and then verified (the comparison pushes forward along G x X -> G).
 
 All three rings are free on one kind of basis: the transitive G-sets
 labeled in a target, classified by ``enumerate_basis`` as pairs (H, t in
@@ -58,6 +59,7 @@ from .crossed import (
 )
 from .groupoid import FiniteGroupoid, connected_components, is_connected, isotropy_group
 from .gsets import (
+    ActionGroupoid,
     GMonoid,
     GSet,
     action_groupoid,
@@ -624,97 +626,61 @@ def decomposition_hom(g: FiniteGroupoid) -> RingHom:
 # -- action-groupoid comparison ---------------------------------------------------
 
 def _ring_bijection(
-    a: RingPresentation, b: RingPresentation, failure: dict | None = None
-) -> list[int] | None:
-    """A basis permutation matching unit vectors and all structure
-    constants, by fingerprint-pruned backtracking.  The fingerprint holds the
-    unit coordinate, so every candidate preserves the unit.  When no
-    permutation exists and ``failure`` is given, ``failure["basis_index"]``
-    names the first basis index of ``a`` with no fingerprint candidate in
-    ``b`` or, if every index has one, the deepest index the backtracking
-    reached."""
-    d = a.dim
-    if b.dim != d:
-        return None
-
-    def invariant(ring: RingPresentation, i: int) -> tuple:
-        rows = ring.structure_constants
-        return (
-            ring.unit_vector[i],
-            dict(rows[i][i]).get(i, 0),
-            tuple(sorted(sum(v for _, v in rij) for rij in rows[i])),
-            tuple(sorted(sum(v for _, v in rj[i]) for rj in rows)),
-        )
-
-    inv_a = [invariant(a, i) for i in range(d)]
-    inv_b = [invariant(b, i) for i in range(d)]
-    cand = [
-        [j for j in range(d) if inv_b[j] == inv_a[i]] for i in range(d)
-    ]
-    deepest = 0
-    perm = [-1] * d
-    used = [False] * d
-    # one dict per row, so that c_ijk is ca[i][j].get(k, 0)
-    ca = [[dict(rij) for rij in ri] for ri in a.structure_constants]
-    cb = [[dict(rij) for rij in ri] for ri in b.structure_constants]
-
-    def consistent(i: int) -> bool:
-        # triples among 0..i-1 were checked when their last index was placed
-        pi = perm[i]
-        for p in range(i + 1):
-            pp = perm[p]
-            for q in range(i + 1):
-                pq = perm[q]
-                if (
-                    ca[i][p].get(q, 0) != cb[pi][pp].get(pq, 0)
-                    or ca[p][i].get(q, 0) != cb[pp][pi].get(pq, 0)
-                    or ca[p][q].get(i, 0) != cb[pp][pq].get(pi, 0)
-                ):
-                    return False
-        return True
-
-    def extend(i: int) -> bool:
-        nonlocal deepest
-        if i == d:
-            return True
-        deepest = max(deepest, i)
-        for j in cand[i]:
-            if used[j]:
-                continue
-            perm[i] = j
-            used[j] = True
-            if consistent(i) and extend(i + 1):
-                return True
-            used[j] = False
-            perm[i] = -1
-        return False
-
-    missing = next((i for i, ci in enumerate(cand) if not ci), None)
-    if missing is None and extend(0):
-        return perm
-    if failure is not None:
-        failure["basis_index"] = deepest if missing is None else missing
-    return None
+    ag: ActionGroupoid, x: GSet, left: RingPresentation, right: RingPresentation
+) -> RingHom:
+    """The corollary's map from B(G x X) to the Hadamard ring over X,
+    verified.  Each basis carrier Y of ``left`` is pushed forward along the
+    projection: its fiber at o is the disjoint union of the Y(o, a) over a
+    in X(o), each element labeled by its a, and m acts on the part over a
+    by Y(m, a); the column of Y is that labeled G-set expressed in ``right``."""
+    h, proj, g = ag.groupoid, ag.projection, ag.projection.target
+    cols = []
+    for entry in left.basis.entries:
+        y = entry.crossed.carrier
+        fibers: list[list] = [[] for _ in g.objects]
+        start = []  # object of h -> offset of its part in the fiber below it
+        for obj, (o, a) in enumerate(ag.object_tags):
+            start.append(len(fibers[o]))
+            fibers[o].extend((a, e) for e in y.fibers[obj])
+        action = [[0] * len(fibers[g.dom[m]]) for m in g.morphisms]
+        for t, m in enumerate(proj.morphism_map):
+            row, src, dst = action[m], start[h.dom[t]], start[h.cod[t]]
+            for k, v in enumerate(y.action[t]):
+                row[src + k] = dst + v
+        pushed = CrossedGSet(GSet(g, fibers, action), x, [[a for a, _ in f] for f in fibers])
+        cols.append(express_in_basis(pushed, right.basis))
+    return RingHom(left, right, [list(row) for row in zip(*cols)]).verify()
 
 
 def action_groupoid_iso_check(g: FiniteGroupoid, x: GSet) -> dict:
-    """Compare the Burnside ring of the action groupoid with the Hadamard
-    ring of the slice over x; report the witness bijection or the failure."""
+    """Compare B(G x X) with the Hadamard ring over x through
+    ``_ring_bijection``: ``ok`` with the ``bijection`` when it maps basis to
+    basis and is a ring isomorphism, else the first witness."""
     ag = action_groupoid(g, x)
     left = burnside_ring(ag.groupoid)
     right = hadamard_ring(g, x)
-    report = {
-        "dim_action_groupoid_burnside": left.dim,
-        "dim_hadamard": right.dim,
-    }
+    report = {"dim_action_groupoid_burnside": left.dim, "dim_hadamard": right.dim}
     if left.dim != right.dim:
         report["status"] = {"witness": "dimension mismatch"}
         return report
-    failure: dict = {}
-    perm = _ring_bijection(left, right, failure)
-    if perm is None:
-        report["status"] = {"witness": "no structure-preserving basis bijection", **failure}
-        return report
-    report["status"] = "ok"
-    report["bijection"] = perm
+    hom = _ring_bijection(ag, x, left, right)
+    one = {}  # column -> row of its only entry, None unless that entry is a 1
+    for r, row in enumerate(hom.matrix):
+        for j, v in enumerate(row):
+            if v:
+                one[j] = r if v == 1 and j not in one else None
+    other = next((j for j in range(left.dim) if one.get(j) is None), None)
+    if other is not None:
+        report["status"] = {
+            "witness": "pushforward of a basis element is not a basis element",
+            "basis_index": other,
+        }
+    elif not all(hom.verified[p] for p in ("unital", "multiplicative", "bijective")):
+        report["status"] = {
+            "witness": "pushforward is not a ring isomorphism",
+            "verified": hom.verified,
+        }
+    else:
+        report["status"] = "ok"
+        report["bijection"] = [one[j] for j in range(left.dim)]
     return report

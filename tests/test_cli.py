@@ -328,10 +328,54 @@ class TestVerify:
         assert json.loads(out)["status"] == "ok"
 
     def test_action_groupoid_iso_needs_gset(self, inputs, capsys):
-        code, _ = run_cli(
-            capsys, "verify", "action-groupoid-iso", "--groupoid", inputs["c2.json"]
-        )
+        code = main(["verify", "action-groupoid-iso", "--groupoid", inputs["c2.json"]])
         assert code == 2
+        assert "verify action-groupoid-iso requires --gset" in capsys.readouterr().err
+
+    def test_action_groupoid_iso_witness(self, inputs, capsys, monkeypatch):
+        # B(C2) over one point, its unit [C2/C2] = e1 replaced by e0 + e1
+        hadamard = gb.rings.hadamard_ring
+
+        def corrupted(g, x):
+            ring = hadamard(g, x)
+            return gb.RingPresentation(
+                ring.dim, ring.structure_constants, [1, 1], basis=ring.basis
+            )
+
+        monkeypatch.setattr(gb.rings, "hadamard_ring", corrupted)
+        code, out = run_cli(
+            capsys, "verify", "action-groupoid-iso",
+            "--groupoid", inputs["c2.json"], "--gset", inputs["fixed.json"],
+        )
+        assert code == 1
+        assert json.loads(out)["status"] == {
+            "witness": "pushforward is not a ring isomorphism",
+            "verified": {
+                "unital": False, "multiplicative": True, "bijective": True, "unit_witness": 0,
+            },
+        }
+
+    @pytest.mark.parametrize("target, flag, value", [
+        ("embedding", "--object", "99"),
+        ("embedding", "--gset", "missing.json"),
+        ("decomposition", "--samples", "3"),
+        ("basis-oracle", "--seed", "1"),
+        ("action-groupoid-iso", "--weight", "trivial"),
+    ])
+    def test_flag_the_target_does_not_take_is_refused(self, inputs, capsys, target, flag, value):
+        argv = ["verify", target, "--groupoid", inputs["c2.json"], flag, value]
+        if target == "action-groupoid-iso":
+            argv += ["--gset", inputs["fixed.json"]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"verify {target} does not take {flag}" in captured.err
+
+    def test_flags_may_precede_the_target(self, inputs, capsys):
+        code, out = run_cli(capsys, "verify", "--groupoid", inputs["c2.json"], "embedding")
+        assert code == 0
+        assert json.loads(out)["target"] == "embedding"
 
     def test_basis_oracle(self, inputs, capsys):
         code, out = run_cli(

@@ -91,6 +91,23 @@ class TestImmutable:
                 getattr(dup, field)[0] = 1
         assert dup == s3
 
+    @pytest.mark.parametrize(
+        "field", ["n_objects", "dom", "cod", "compose_table", "identity", "inverse"]
+    )
+    def test_table_fields_reject_rebinding(self, s3, field):
+        # a pass recorded by validate_groupoid must not outlive the tables
+        g = gb.validate_groupoid(FiniteGroupoid(1, **editable_tables(s3)))
+        before = getattr(g, field)
+        with pytest.raises(AttributeError, match=field):
+            setattr(g, field, before)
+        assert getattr(g, field) is before
+        with pytest.raises(AttributeError, match=field):
+            delattr(g, field)  # else a later setattr would bind a new table
+        assert getattr(g, field) is before
+        dup = copy.deepcopy(g)
+        with pytest.raises(AttributeError):
+            setattr(dup, field, before)
+
     def test_cached_buckets_are_frozen(self):
         g = gb.pair_groupoid(3)
         with pytest.raises(TypeError):

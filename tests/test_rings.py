@@ -30,8 +30,8 @@ from gburnside.rings import (
     ring_mul,
     _int_det,
     _combine,
-    _ring_bijection,
 )
+from gburnside.classify import subgroup_closure
 from gburnside.gsets import GSet
 
 from conftest import (
@@ -277,8 +277,9 @@ class TestHadamard:
                 return gb.conjugation_action(h).underlying()
             return regular_gset(h)
 
-        ring = hadamard_ring(g, target(g))
-        assert _ring_bijection(ring, hadamard_ring(standard, target(standard))) is not None
+        ring, ref = hadamard_ring(g, target(g)), hadamard_ring(standard, target(standard))
+        assert ring.dim == ref.dim
+        assert sorted(ring.unit_vector) == sorted(ref.unit_vector)
         assert action_groupoid_iso_check(g, target(g))["status"] == "ok"
 
 
@@ -412,6 +413,7 @@ class TestActionGroupoidIso:
         [
             ([[1, 2, 3, 0], [0, 3, 2, 1]], 29),  # D4
             ([[1, 2, 0, 3], [0, 2, 3, 1]], 14),  # A4
+            ([[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]], 128),  # C2^3
         ],
     )
     def test_conjugation_gset(self, gens, dim):
@@ -422,65 +424,137 @@ class TestActionGroupoidIso:
         assert sorted(report["bijection"]) == list(range(dim))
 
 
-def _relabeled(ring: RingPresentation, sigma: list[int]) -> RingPresentation:
-    """The same ring with basis element i renamed sigma[i]."""
-    d, old = ring.dim, dense_constants(ring)
-    c = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i, j, k in itertools.product(range(d), repeat=3):
-        c[sigma[i]][sigma[j]][sigma[k]] = old[i][j][k]
-    unit = [0] * d
-    for i in range(d):
-        unit[sigma[i]] = ring.unit_vector[i]
-    return RingPresentation(d, sparse_rows(c), unit).validate()
+@st.composite
+def groups_with_gsets(draw):
+    """A disjoint union of one or two groups, each generated by one or two
+    random permutations of at most 4 points, and a G-set that is at each
+    object one or two coset spaces G/H, with H trivial (the regular G-set),
+    the whole group (a point) or generated by a random element."""
+    groups = []
+    for _ in range(draw(st.integers(1, 2))):
+        gens = draw(st.lists(st.permutations(range(draw(st.integers(1, 4)))),
+                             min_size=1, max_size=2))
+        groups.append(gb.from_group(gb.group_table_from_perm_gens(gens)))
+    g = gb.disjoint_union(groups)[0] if len(groups) > 1 else groups[0]
+    table = g.compose_table
+    fibers, action = [], [None] * g.n_morphisms
+    for o in g.objects:
+        loops = g.loops(o)
+        cosets = []  # (piece, left coset a H)
+        for piece in range(draw(st.integers(1, 2))):
+            sub = draw(st.sampled_from(["regular", "point", "cyclic"]))
+            if sub == "regular":
+                h = {g.identity[o]}
+            elif sub == "point":
+                h = set(loops)
+            else:
+                h = subgroup_closure(table, [draw(st.sampled_from(loops))])
+            for a in loops:
+                coset = frozenset(table[a][k] for k in h)
+                if (piece, coset) not in cosets:
+                    cosets.append((piece, coset))
+        pos = {c: i for i, c in enumerate(cosets)}
+        fibers.append(list(range(len(cosets))))
+        for m in loops:
+            action[m] = [pos[p, frozenset(table[m][k] for k in c)] for p, c in cosets]
+    return g, GSet(g, fibers, action).validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_with_gsets())
+def test_pushforward_is_a_verified_permutation(case):
+    g, x = case
+    ag = gb.action_groupoid(g, x)
+    left, right = burnside_ring(ag.groupoid), hadamard_ring(g, x)
+    hom = rings._ring_bijection(ag, x, left, right)
+    assert hom.verified == {"unital": True, "multiplicative": True, "bijective": True}
+    cols = list(zip(*hom.matrix))
+    assert all(sum(map(abs, col)) == 1 == max(col) for col in cols)
+    perm = [col.index(1) for col in cols]
+    assert sorted(perm) == list(range(left.dim))
+    report = action_groupoid_iso_check(g, x)
+    assert report["status"] == "ok" and report["bijection"] == perm
+
+
+def _corrupt_hadamard(monkeypatch, edit):
+    """Make ``action_groupoid_iso_check`` meet a Hadamard ring whose dense
+    structure constants and unit ``edit(c, unit)`` has changed.  The basis
+    is kept, so every basis element is still pushed into it."""
+    hadamard = rings.hadamard_ring
+
+    def corrupted(g, x):
+        ring = hadamard(g, x)
+        c, unit = dense_constants(ring), list(ring.unit_vector)
+        edit(c, unit)
+        return RingPresentation(ring.dim, sparse_rows(c), unit, basis=ring.basis)
+
+    monkeypatch.setattr(rings, "hadamard_ring", corrupted)
+
+
+def _not_an_iso(**verified) -> dict:
+    return {"witness": "pushforward is not a ring isomorphism", "verified": verified}
 
 
 class TestRingBijection:
+    """The pushforward along the projection (``_ring_bijection``) on the
+    corpus, and against Hadamard rings corrupted with their basis kept."""
+
     @pytest.mark.parametrize("name", ["S3", "C2+S3", "(C2xPair(2))+C3"])
     def test_finds_a_structure_preserving_relabeling(self, corpus, name):
         g = corpus[name]
-        a = crossed_burnside_ring(g, gb.conjugation_action(g))
-        sigma = list(range(a.dim))
-        random.Random(name).shuffle(sigma)
-        b = _relabeled(a, sigma)
-        perm = _ring_bijection(a, b)
-        assert perm is not None and sorted(perm) == list(range(a.dim))
+        x = gb.conjugation_action(g).underlying()
+        report = action_groupoid_iso_check(g, x)
+        assert report["status"] == "ok"
+        perm = report["bijection"]
+        a = burnside_ring(gb.action_groupoid(g, x).groupoid)
+        b = hadamard_ring(g, x)
+        assert sorted(perm) == list(range(a.dim)) and b.dim == a.dim
         ca, cb = dense_constants(a), dense_constants(b)
         for p, q, r in itertools.product(range(a.dim), repeat=3):
             assert ca[p][q][r] == cb[perm[p]][perm[q]][perm[r]]
         assert [b.unit_vector[perm[i]] for i in range(a.dim)] == a.unit_vector
 
-    def test_every_returned_bijection_preserves_every_constant(self, corpus):
+    def test_every_returned_bijection_preserves_every_constant(self, s3, monkeypatch):
         # Move one unit of a product e_p e_q (p != q) to another output
         # coordinate: row sums, diagonal constants and the unit stay the
-        # same, so the fingerprints do not separate the two rings and only
-        # the constant-by-constant check can.
-        a = crossed_burnside_ring(corpus["S3"], gb.conjugation_action(corpus["S3"]))
-        d, ca = a.dim, dense_constants(a)
+        # same.  The map is built, not searched, so no corrupted ring gets a
+        # bijection: multiplicativity fails at exactly the preimage of (p, q).
+        x = gb.conjugation_action(s3).underlying()
+        perm = action_groupoid_iso_check(s3, x)["bijection"]
+        inv = {k: i for i, k in enumerate(perm)}
+        d, ca = len(perm), dense_constants(hadamard_ring(s3, x))
         moves = [
             (p, q, k, t)
             for p, q, k, t in itertools.product(range(d), repeat=4)
             if p != q and ca[p][q][k] and t != k
         ]
-        rejected = 0
         for p, q, k, t in random.Random("moves").sample(moves, 40):
-            cb = copy.deepcopy(ca)
-            cb[p][q][k] -= 1
-            cb[p][q][t] += 1
-            b = RingPresentation(d, sparse_rows(cb), list(a.unit_vector))
-            perm = _ring_bijection(a, b)
-            if perm is None:
-                rejected += 1
-                continue
-            for x, y, z in itertools.product(range(d), repeat=3):
-                assert ca[x][y][z] == cb[perm[x]][perm[y]][perm[z]], (p, q, k, t)
-        assert rejected > 0
+            def edit(c, unit):
+                c[p][q][k] -= 1
+                c[p][q][t] += 1
 
-    def test_rejects_a_changed_constant(self, bc_c2):
-        other = RingPresentation(
-            bc_c2.dim, copy.deepcopy(bc_c2.structure_constants), list(bc_c2.unit_vector)
+            _corrupt_hadamard(monkeypatch, edit)
+            report = action_groupoid_iso_check(s3, x)
+            monkeypatch.undo()
+            assert "bijection" not in report
+            assert report["status"] == _not_an_iso(
+                unital=True, multiplicative=False, bijective=True, witness=(inv[p], inv[q])
+            ), (p, q, k, t)
+
+    def test_rejects_a_changed_constant(self, c2, monkeypatch):
+        # [C2/1]^2 = 2 [C2/1] in each factor of B(C2) x B(C2); make one 3
+        x = fixed_points_gset(c2, 2)
+        perm = action_groupoid_iso_check(c2, x)["bijection"]
+
+        def edit(c, unit):
+            c[0][0][0] = 3
+
+        _corrupt_hadamard(monkeypatch, edit)
+        report = action_groupoid_iso_check(c2, x)
+        i = perm.index(0)
+        assert report["status"] == _not_an_iso(
+            unital=True, multiplicative=False, bijective=True, witness=(i, i)
         )
-        other.structure_constants[3][3] = ((3, 1),)
-        assert _ring_bijection(bc_c2, other) is None
 
 
 class TestIntDet:
@@ -860,40 +934,63 @@ class TestPackedKernel:
 class TestIsoWitness:
     """The Hadamard ring of C2 over two fixed points is B(C2) x B(C2): e0, e1
     are [C2/1] and e2, e3 the units of the two factors.  The left ring has
-    [C2/1] at e0, e2 and the units at e1, e3."""
+    [C2/1] at e0, e2 and the units at e1, e3, and the pushforward sends
+    e0, e1, e2, e3 to e0, e2, e1, e3."""
 
-    def _report(self, c2, monkeypatch, edit):
-        hadamard = gb.rings.hadamard_ring
+    PERM = [0, 2, 1, 3]
 
-        def corrupted(g, x):
-            ring = hadamard(g, x)
-            c = dense_constants(ring)
-            edit(c)
-            return RingPresentation(ring.dim, sparse_rows(c), list(ring.unit_vector))
-
-        monkeypatch.setattr(gb.rings, "hadamard_ring", corrupted)
-        report = action_groupoid_iso_check(c2, fixed_points_gset(c2, 2))
-        assert report["status"]["witness"] == "no structure-preserving basis bijection"
+    def _status(self, c2, monkeypatch, edit):
+        x = fixed_points_gset(c2, 2)
+        assert action_groupoid_iso_check(c2, x)["bijection"] == self.PERM
+        _corrupt_hadamard(monkeypatch, edit)
+        report = action_groupoid_iso_check(c2, x)
+        assert "bijection" not in report
         return report["status"]
 
-    def test_first_index_without_fingerprint_candidate(self, c2, monkeypatch):
-        # both units now square to twice themselves: no basis element of the
-        # Hadamard ring looks like the unit e1 of the left ring
-        def edit(c):
+    def test_squared_units_are_witnessed(self, c2, monkeypatch):
+        # both units now square to twice themselves; e1 e1 is the first
+        # product of the left ring whose image changed
+        def edit(c, unit):
             c[2][2][2] = c[3][3][3] = 2
 
-        assert self._report(c2, monkeypatch, edit) == {
-            "witness": "no structure-preserving basis bijection", "basis_index": 1,
-        }
+        assert self._status(c2, monkeypatch, edit) == _not_an_iso(
+            unital=True, multiplicative=False, bijective=True, witness=(1, 1)
+        )
 
     @pytest.mark.parametrize("p, q", [(0, 1), (1, 0)])
-    def test_deepest_index_reached(self, c2, monkeypatch, p, q):
-        # e_p e_(p+2) = e_q instead of e_p keeps every fingerprint.  The
-        # search places the first three basis elements of the left ring
-        # onto one factor and the other, and cannot place e3, whose product
-        # with e2 needs the product that was changed.  With (p, q) = (1, 0)
-        # it gets there first and then stops at e1 on the other branch.
-        def edit(c):
+    def test_changed_product_is_witnessed(self, c2, monkeypatch, p, q):
+        # e_p e_(p+2) = e_q instead of e_p keeps every row sum and the unit
+        def edit(c, unit):
             c[p][p + 2][p], c[p][p + 2][q] = 0, 1
 
-        assert self._report(c2, monkeypatch, edit)["basis_index"] == 3
+        inv = self.PERM  # an involution
+        assert self._status(c2, monkeypatch, edit) == _not_an_iso(
+            unital=True, multiplicative=False, bijective=True, witness=(inv[p], inv[p + 2])
+        )
+
+    def test_changed_unit_is_witnessed(self, c2, monkeypatch):
+        # the unit loses e3: the image of the left unit differs there first
+        def edit(c, unit):
+            unit[3] = 0
+
+        assert self._status(c2, monkeypatch, edit) == _not_an_iso(
+            unital=False, multiplicative=True, bijective=True, unit_witness=3
+        )
+
+    def test_image_not_a_basis_element(self, c2, monkeypatch):
+        # a column that is twice a basis element is named by its index,
+        # before the hom's verdict is consulted
+        pushforward = rings._ring_bijection
+
+        def doubled_second(*args):
+            hom = pushforward(*args)
+            for row in hom.matrix:
+                row[1] *= 2
+            return hom
+
+        monkeypatch.setattr(rings, "_ring_bijection", doubled_second)
+        report = action_groupoid_iso_check(c2, fixed_points_gset(c2, 2))
+        assert report["status"] == {
+            "witness": "pushforward of a basis element is not a basis element",
+            "basis_index": 1,
+        }
