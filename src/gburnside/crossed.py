@@ -11,13 +11,15 @@ labels that products and coproducts create, then checked pointwise; the
 axiom checker compares composite maps as data, so a corrupted map is
 reported with a concrete witness.
 
-Within one window of the axiom checker, unchecked tensor products are
-built once and shared by every coherence map of that window: the pentagon
-alone needs (W (x) X) (x) (Y (x) Z) on both sides.  That memo is keyed by
-operand identity and dropped when the window ends, not kept for the whole
-check, because the iterated products of every window together would
-multiply the checker's peak memory.  The unit object, one element per
-object, is built once per check and shared by all windows.
+The axiom checker runs every axiom family on one window of its samples
+before the next.  Within a window, unchecked tensor products are built
+once and shared by every coherence map of every family: the pentagon
+needs (W (x) X) (x) (Y (x) Z) on both sides, and the hexagon's
+(X (x) Y) (x) Z is the pentagon's too.  That memo is keyed by operand
+identity and dropped when the window ends, not kept for the whole check,
+because the iterated products of every window together would multiply
+the checker's peak memory.  The unit object, one element per object, is
+built once per check and shared by all windows.
 
 ``CrossedGSet`` and ``CrossedMap`` take ownership of the lists they are
 handed, as the G-set constructors do (see ``gsets``).
@@ -575,36 +577,31 @@ def check_monoidal_axioms(samples: list[CrossedGSet], associator_hook=None) -> l
             "pentagon", "triangle", "distributivity")]
     for s in samples[1:]:
         same_weight(samples[0], s)
-    braided = conjugation_loops(samples[0].weight) is not None
-    n = len(samples)
-
-    def window(i: int, k: int) -> list[CrossedGSet]:
-        return [samples[(i + j) % n] for j in range(k)]
-
     checks: list[tuple[str, int, object]] = [
         ("pentagon", 4, lambda w: _pentagon(*w, make_associator)),
         ("triangle", 2, lambda w: _triangle(*w, make_associator)),
         ("distributivity", 3, lambda w: _distributivity(*w)),
     ]
-    if braided:
+    if conjugation_loops(samples[0].weight) is not None:
         checks += [
             ("symmetry", 2, lambda w: _symmetry(*w)),
             ("hexagon", 3, lambda w: _hexagon(*w, make_associator)),
             ("unitor-braiding", 1, lambda w: _unitor_braiding(*w)),
         ]
+    n = len(samples)
     units: dict = {}
-    report = []
-    for name, arity, run in checks:
-        status: object = "ok"
-        for i in range(n):
-            token = _checker_memo.set(({}, units))
-            try:
-                witness = run(window(i, arity))
-            finally:
-                _checker_memo.reset(token)
-            if witness is not None:
-                witness["window"] = [(i + j) % n for j in range(arity)]
-                status = {"witness": witness}
-                break
-        report.append({"axiom": name, "status": status})
-    return report
+    status: list[object] = ["ok"] * len(checks)
+    for i in range(n):
+        token = _checker_memo.set(({}, units))
+        try:
+            for k, (name, arity, run) in enumerate(checks):
+                if status[k] != "ok":
+                    continue  # each axiom reports its first failing window
+                window = [(i + j) % n for j in range(arity)]
+                witness = run([samples[j] for j in window])
+                if witness is not None:
+                    witness["window"] = window
+                    status[k] = {"witness": witness}
+        finally:
+            _checker_memo.reset(token)
+    return [{"axiom": name, "status": st} for (name, _, _), st in zip(checks, status)]

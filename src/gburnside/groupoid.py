@@ -60,7 +60,7 @@ class FiniteGroupoid:
         self._by_cod: list[tuple[int, ...]] | None = None
         # filled by isotropy_group and gsets.conjugation_action
         self._isotropy: dict[int, tuple[FiniteGroupoid, GroupoidFunctor]] = {}
-        self._conjugation = None
+        self._conjugation = None  # (conjugation G-monoid, loops per object)
         self._valid = False  # set by validate_groupoid
 
     def __setattr__(self, name: str, value) -> None:

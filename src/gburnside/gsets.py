@@ -13,11 +13,14 @@ The constructors of ``GSet``, ``GMonoid`` and ``GMap`` take ownership of
 the lists they are handed and store them without copying; no operation
 mutates such a list afterwards, so structures may share them.  A caller
 that wants to edit one (to build a mutant, say) passes its own copy.
+This makes it safe for a product to build its action from its factors'
+actions only when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AllFibersEmpty,
@@ -238,9 +241,9 @@ def conjugation_action(g: FiniteGroupoid) -> GMonoid:
     """The G-monoid x -> isotropy(x), morphisms acting by a -> g a g^-1.
 
     Element k of the monoid at x is the k-th loop at x in ascending
-    morphism-id order.  Built and validated once per groupoid instance and
-    shared: every call on the same groupoid returns the same object, so
-    callers must not mutate it.
+    morphism-id order.  Built and validated once per groupoid instance, with
+    those loop lists, and shared: every call on the same groupoid returns
+    the same object, so callers must not mutate it.
     """
     if g._conjugation is None:
         loops, pos, tables = zip(*(loop_table(g, x) for x in g.objects))
@@ -255,16 +258,17 @@ def conjugation_action(g: FiniteGroupoid) -> GMonoid:
                     for a in loops[x]
                 ]
             )
-        g._conjugation = GMonoid(g, monoids, action).validate()
-    return g._conjugation
+        g._conjugation = (GMonoid(g, monoids, action).validate(), list(loops))
+    return g._conjugation[0]
 
 
 def conjugation_loops(s: GMonoid) -> list[list[int]] | None:
     """If s is structurally the conjugation G-monoid, return per object the
-    loop morphism id of each monoid element; otherwise None."""
+    loop morphism id of each monoid element; otherwise None.  The lists are
+    the groupoid's shared ones (see ``conjugation_action``)."""
     conj = conjugation_action(s.base)
     if s is conj or (s.monoids == conj.monoids and s.action == conj.action):
-        return [s.base.loops(x) for x in s.base.objects]
+        return s.base._conjugation[1]
     return None
 
 
@@ -451,21 +455,39 @@ def gset_product(x: GSet, y: GSet, check: bool = True) -> GSet:
     """Fiberwise cartesian product with the diagonal action.
 
     The element (a, b) has dense id i*|Y| + j, and its label is the pair of
-    the factor labels.
+    the factor labels.  The action is built when first read.
     """
     if not same_base(x.base, y.base):
         raise BaseMismatch("product of G-sets over different groupoids")
-    g = x.base
     fibers = [
-        [(a, b) for a in x.fibers[o] for b in y.fibers[o]] for o in g.objects
+        [(a, b) for a in x.fibers[o] for b in y.fibers[o]] for o in x.base.objects
     ]
-    action = []
-    for m in g.morphisms:
-        ax, ay = x.action[m], y.action[m]
-        w = len(y.fibers[g.cod[m]])
-        action.append([i * w + j for i in ax for j in ay])
-    out = GSet(g, fibers, action)
+    out = _ProductGSet(x, y, fibers)
     return out.validate() if check else out
+
+
+class _ProductGSet(GSet):
+    """A product whose action is built when first read: the coherence maps
+    of the axiom checker read only the fibers of most products they build."""
+
+    def __init__(self, x: GSet, y: GSet, fibers):
+        # not GSet.__init__: binding action would hide the property below
+        self.base = x.base
+        self.fibers = fibers
+        self._index = None
+        self._factors = (x, y)
+
+    @cached_property
+    def action(self) -> list[list[int]]:
+        x, y = self._factors
+        self._factors = None  # the factors may be freed now
+        g = self.base
+        out = []
+        for m in g.morphisms:
+            ax, ay = x.action[m], y.action[m]
+            w = len(y.fibers[g.cod[m]])
+            out.append([i * w + j for i in ax for j in ay])
+        return out
 
 
 def gset_coproduct(x: GSet, y: GSet, check: bool = True) -> GSet:

@@ -19,7 +19,9 @@ from .gsets import GMonoid, GSet
 
 def _orbit_options(g: FiniteGroupoid, weight: GMonoid):
     """Every (component rep, subgroup as loop ids, invariant labels, piece
-    fiber size, component objects) available to the sampler."""
+    fiber size, component objects, induced pieces by label) available to
+    the sampler.  A cached piece is only read: every sample gets fresh
+    lists from shuffle_fibers."""
     options = []
     comps = connected_components(g)
     for rep, cls in zip(comps.representatives, comps.classes):
@@ -34,7 +36,7 @@ def _orbit_options(g: FiniteGroupoid, weight: GMonoid):
             ]
             if invariant:
                 options.append(
-                    (rep, sub_loops, invariant, len(loops) // len(sub), cls)
+                    (rep, sub_loops, invariant, len(loops) // len(sub), cls, {})
                 )
     return options
 
@@ -88,11 +90,13 @@ def sample_crossed(
     budget = [max_fiber] * g.n_objects
     out = None
     for _ in range(rng.randint(0, max_orbits)):
-        rep, sub_loops, invariant, size, cls = rng.choice(options)
+        rep, sub_loops, invariant, size, cls, pieces = rng.choice(options)
         if any(budget[x] < size for x in cls):
             continue
         v = rng.choice(invariant)
-        piece = induced_crossed(g, weight, rep, sub_loops, v)
+        if v not in pieces:
+            pieces[v] = induced_crossed(g, weight, rep, sub_loops, v)
+        piece = pieces[v]
         for x in cls:
             budget[x] -= size
         out = piece if out is None else crossed_coproduct(out, piece, check=False)

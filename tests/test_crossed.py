@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 import gburnside as gb
+import gburnside.crossed as crossed_module
 from gburnside.classify import all_subgroups, are_isomorphic, enumerate_basis, induced_crossed
 from gburnside.crossed import (
     associator,
@@ -40,6 +41,56 @@ from gburnside.groupoid import transports
 from gburnside.sampling import sample_many
 
 from conftest import regular_gset, fixed_points_gset
+
+
+def axiom_major_report(samples, associator_hook=None):
+    """check_monoidal_axioms in axiom-major order: every window of one
+    axiom family before the next family, with a fresh product memo for
+    each (family, window) pair.  The reference for the window-major
+    checker, which must give the same report."""
+    make = associator_hook or (lambda a, b, c: associator(a, b, c, check=False))
+    families = [
+        ("pentagon", 4, lambda w: crossed_module._pentagon(*w, make)),
+        ("triangle", 2, lambda w: crossed_module._triangle(*w, make)),
+        ("distributivity", 3, lambda w: crossed_module._distributivity(*w)),
+    ]
+    if gb.gsets.conjugation_loops(samples[0].weight) is not None:
+        families += [
+            ("symmetry", 2, lambda w: crossed_module._symmetry(*w)),
+            ("hexagon", 3, lambda w: crossed_module._hexagon(*w, make)),
+            ("unitor-braiding", 1, lambda w: crossed_module._unitor_braiding(*w)),
+        ]
+    n = len(samples)
+    report = []
+    for name, arity, run in families:
+        status = "ok"
+        for i in range(n):
+            token = crossed_module._checker_memo.set(({}, {}))
+            try:
+                witness = run([samples[(i + j) % n] for j in range(arity)])
+            finally:
+                crossed_module._checker_memo.reset(token)
+            if witness is not None:
+                witness["window"] = [(i + j) % n for j in range(arity)]
+                status = {"witness": witness}
+                break
+        report.append({"axiom": name, "status": status})
+    return report
+
+
+def corrupt_when_first(samples, k):
+    """An associator hook that swaps two images of the associator exactly
+    when its first operand is samples[k]."""
+
+    def hook(a, b, c):
+        m = associator(a, b, c, check=False)
+        if a is samples[k]:
+            comp = next((c for c in m.components if len(c) >= 2), None)
+            if comp is not None:
+                comp[0], comp[1] = comp[1], comp[0]
+        return m
+
+    return hook
 
 
 @pytest.fixture
@@ -254,28 +305,86 @@ class TestAxiomChecker:
         pentagon = next(r for r in report if r["axiom"] == "pentagon")
         assert k in pentagon["status"]["witness"]["window"]
 
-    def test_products_shared_only_within_a_window(self, s3):
+    @pytest.mark.parametrize("name, weight, k", [
+        ("S3", "conjugation", 0),
+        ("S3", "conjugation", 3),
+        ("S3", "conjugation", 7),
+        ("C2+S3", "conjugation", 1),
+        ("C2+S3", "conjugation", 4),
+        ("C2+S3", "conjugation", 6),
+        ("C2+S3", "trivial", 2),
+        ("C2+S3", "trivial", 5),
+    ])
+    def test_window_major_report_matches_axiom_major(self, corpus, name, weight, k):
+        g = corpus[name]
+        s = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+        samples = sample_many(g, s, 8, seed=3)
+        hook = corrupt_when_first(samples, k)
+        report = check_monoidal_axioms(samples, associator_hook=hook)
+        assert report == axiom_major_report(samples, associator_hook=hook)
+        assert check_monoidal_axioms(samples) == axiom_major_report(samples)
+
+    def test_families_fail_in_their_own_windows(self, s3):
+        samples = sample_many(s3, gb.conjugation_action(s3), 8, seed=3)
+        report = check_monoidal_axioms(samples, associator_hook=corrupt_when_first(samples, 3))
+        windows = {r["axiom"]: r["status"]["witness"]["window"] for r in report
+                   if r["status"] != "ok"}
+        # the pentagon and the hexagon first take samples[3] as the first
+        # operand of an associator when it is second in their window, the
+        # triangle only when it is first
+        assert windows == {
+            "pentagon": [2, 3, 4, 5], "triangle": [3, 4], "hexagon": [2, 3, 4],
+        }
+
+    def test_products_shared_only_within_a_window(self, s3, monkeypatch):
         samples = sample_many(s3, gb.conjugation_action(s3), 4, seed=5)
-        a, b = samples[0], samples[1]
-        built: dict[tuple[int, int], list] = {}
+        a, b, c = samples[0], samples[1], samples[2]
+        builds: list[tuple[gb.GSet, gb.GSet]] = []
+        product = crossed_module.gset_product
+
+        def counted_product(x, y, check=True):
+            builds.append((x, y))
+            return product(x, y, check)
+
+        monkeypatch.setattr(crossed_module, "gset_product", counted_product)
+        sources = []  # (window memo, associator source) of each (a, b, c) call
 
         def hook(x, y, z):
             t = tensor(x, y, check=False)
             assert t is tensor(x, y, check=False)
-            built.setdefault((id(x), id(y)), []).append(t)
+            if x is a and y is b and z is c:
+                sources.append((crossed_module._checker_memo.get()[0], tensor(t, z, check=False)))
             return associator(x, y, z, check=False)
 
+        def pair_builds() -> int:
+            return sum(x is a.carrier and y is b.carrier for x, y in builds)
+
         check_monoidal_axioms(samples, associator_hook=hook)
-        # the pair (a, b) starts an associator in several windows, and each
-        # window builds its own product
-        assert len({id(t) for t in built[(id(a), id(b))]}) > 1
+        shared = pair_builds()
+        # window 0 calls the associator at (a, b, c) in the pentagon (its
+        # a_wxy) and in the hexagon, window 3 only in the pentagon: the two
+        # families share one (a (x) b) (x) c, and window 3 builds its own
+        windows: dict[int, set[int]] = {}
+        for memo, src in sources:
+            windows.setdefault(id(memo), set()).add(id(src))
+        assert len(sources) == 3
+        assert sorted(map(len, windows.values())) == [1, 1]
+        assert len({id(src) for _, src in sources}) == 2
+        # a (x) b is built once in each of several windows, and once per
+        # family and window in axiom-major order
+        builds.clear()
+        axiom_major_report(samples, associator_hook=hook)
+        assert 1 < shared < pair_builds()
+        assert crossed_module._checker_memo.get() is None
         assert tensor(a, b, check=False) is not tensor(a, b, check=False)
+        assert unit_object(s3, a.weight) is not unit_object(s3, a.weight)
 
         def failing_hook(x, y, z):
             raise RuntimeError("hook failed")
 
         with pytest.raises(RuntimeError):
             check_monoidal_axioms(samples, associator_hook=failing_hook)
+        assert crossed_module._checker_memo.get() is None
         assert tensor(a, b, check=False) is not tensor(a, b, check=False)
         assert unit_object(s3, a.weight) is not unit_object(s3, a.weight)
 

@@ -10,7 +10,10 @@ every corpus groupoid, and ``verify reduction`` at the first and the last
 object of every connected corpus groupoid.  It also holds the SHA-256 of
 the ``--format table`` output of the four ring commands, of ``verify
 axioms --samples 30 --seed 0`` under both weights and of ``verify
-decomposition`` (the generic renderer), for every corpus groupoid.
+decomposition`` (the generic renderer), for every corpus groupoid, and
+the SHA-256 of the samples ``sample_many(g, weight, 30, seed=0)`` draws
+(fibers, action and labels of each) under both weights, for every corpus
+groupoid.
 Regenerate it (only when an output change is intended) with::
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/golden_digests.json
@@ -29,6 +32,7 @@ import pytest
 
 import gburnside as gb
 from gburnside.cli import run, JobSpec
+from gburnside.sampling import sample_many
 from gburnside.serialize import groupoid_to_obj
 
 from conftest import build_corpus
@@ -105,6 +109,8 @@ def _table_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
 
 def _kind(key: str) -> str:
     command = key.split("|")[1]
+    if command == "sample-many":
+        return "sampler"
     if command.endswith("-table"):
         return "table"
     if command == "verify-axioms":
@@ -126,6 +132,21 @@ def compute_digests(corpus: dict, workdir: str, jobs=_ring_jobs) -> dict[str, st
             assert code == 0
             out[_key(name, command, weight)] = hashlib.sha256(
                 text.encode("utf-8")
+            ).hexdigest()
+    return out
+
+
+def sampler_digests(corpus: dict) -> dict[str, str]:
+    out = {}
+    for name, g in corpus.items():
+        for weight in AXIOM_WEIGHTS:
+            s = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+            drawn = [
+                (c.carrier.fibers, c.carrier.action, c.label)
+                for c in sample_many(g, s, 30, seed=0)
+            ]
+            out[_key(name, "sample-many", weight)] = hashlib.sha256(
+                repr(drawn).encode("utf-8")
             ).hexdigest()
     return out
 
@@ -156,6 +177,10 @@ def test_table_output_byte_identical(corpus, tmp_path):
     _check_against_golden(compute_digests(corpus, str(tmp_path), _table_jobs), "table")
 
 
+def test_sampler_output_identical(corpus):
+    _check_against_golden(sampler_digests(corpus), "sampler")
+
+
 if __name__ == "__main__":
     corpus = build_corpus()
     with tempfile.TemporaryDirectory() as tmp:
@@ -163,5 +188,6 @@ if __name__ == "__main__":
         digests.update(compute_digests(corpus, tmp, _axiom_jobs))
         digests.update(compute_digests(corpus, tmp, _hom_jobs))
         digests.update(compute_digests(corpus, tmp, _table_jobs))
+    digests.update(sampler_digests(corpus))
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

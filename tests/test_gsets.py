@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import gburnside as gb
 from gburnside.errors import AllFibersEmpty, BaseMismatch, NotNatural, NotSubgroup
 from gburnside.gsets import GMap, GMonoid, GSet, Monoid, conjugation_loops
+from gburnside.sampling import sample_many
 
 from conftest import fixed_points_gset, regular_gset
 
@@ -87,6 +88,7 @@ class TestGMonoid:
             conj = gb.conjugation_action(g)
             loops = [g.loops(x) for x in g.objects]
             assert conjugation_loops(conj) == loops
+            assert conjugation_loops(conj) is conjugation_loops(conj)
             copy = GMonoid(
                 g,
                 [Monoid([list(r) for r in m.table], m.unit) for m in conj.monoids],
@@ -235,6 +237,25 @@ class TestProductsCoproducts:
         assert [prod.action[m] for m in s3.morphisms] == [
             s3_natural.action[m] for m in s3.morphisms
         ]
+
+    def test_product_action_built_on_read(self, corpus):
+        for name in ("C2", "S3", "C2+S3", "(C2xPair(2))+C3"):
+            g = corpus[name]
+            x = gb.conjugation_action(g).underlying()
+            for c in sample_many(g, gb.conjugation_action(g), 4, seed=1):
+                y = c.carrier
+                explicit = [
+                    [i * y.size(g.cod[m]) + j for i in x.action[m] for j in y.action[m]]
+                    for m in g.morphisms
+                ]
+                eager = GSet(g, [[(a, b) for a in x.fibers[o] for b in y.fibers[o]]
+                                 for o in g.objects], explicit)
+                assert gb.gset_product(x, y, check=False) == eager
+                assert eager == gb.gset_product(x, y, check=False)
+                lazy = gb.gset_product(x, y, check=False)
+                assert lazy.action == explicit
+                assert lazy.action is lazy.action
+                assert lazy.validate() is lazy
 
     def test_coproduct_with_empty(self, c2):
         x = regular_gset(c2)

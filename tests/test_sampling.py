@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import gburnside as gb
+from gburnside import sampling
 from gburnside.sampling import sample_many
 
 
@@ -43,3 +44,30 @@ def test_sampler_reaches_nontrivial_labels(s3):
     assert any(
         any(v != conj.unit(0) for v in c.label[0]) for c in samples
     )
+
+
+
+def test_each_piece_induced_once_and_never_shared(corpus, monkeypatch):
+    g = corpus["C2+S3"]
+    conj = gb.conjugation_action(g)
+    induce = sampling.induced_crossed
+    pieces = {}
+
+    def counted(g, weight, rep, subgroup, label_value):
+        key = (rep, subgroup, label_value)
+        assert key not in pieces
+        pieces[key] = induce(g, weight, rep, subgroup, label_value)
+        return pieces[key]
+
+    monkeypatch.setattr(sampling, "induced_crossed", counted)
+    samples = sample_many(g, conj, 30, seed=0)
+    assert len(pieces) > 1
+    # samples own their lists: none is a list of a cached piece
+    piece_lists = {
+        id(lst) for p in pieces.values()
+        for lst in (*p.carrier.fibers, *p.carrier.action, *p.label)
+    }
+    for c in samples:
+        c.validate()
+        lists = (*c.carrier.fibers, *c.carrier.action, *c.label)
+        assert not piece_lists & {id(lst) for lst in lists}
