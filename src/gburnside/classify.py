@@ -28,14 +28,12 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .errors import BoundTooSmall, MarksNotTriangular, UnmatchedPiece
-from .crossed import CrossedGSet, CrossedMap, same_weight
+from .crossed import CrossedGSet, CrossedMap, induce, same_weight
 from .groupoid import (
     FiniteGroupoid,
-    component_transports,
     connected_components,
     identity_and_inverses,
     isotropy_group,
-    retract,
 )
 from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition
 
@@ -242,15 +240,11 @@ def induced_crossed(
     label_value: int,
 ) -> CrossedGSet:
     """The transitive crossed set induced from (subgroup, invariant label)
-    at a component representative, spread over the component via the fixed
-    transports.
-
-    The fiber at every component object is the set of left cosets of the
-    subgroup in the isotropy group at rep; a morphism m : y -> w acts by
-    left multiplication with t_w^-1 m t_y, and labels are transported by
-    the action of the target.
+    at a component representative: the left cosets of the subgroup in the
+    isotropy group at rep, acted on by left multiplication and labeled by
+    the action of the target on the label, spread over the component by
+    ``induce``.
     """
-    t = component_transports(g, rep)
     loops = g.loops(rep)
     coset_of: dict[int, int] = {}
     coset_reps: list[int] = []
@@ -260,27 +254,9 @@ def induced_crossed(
             coset_reps.append(m)
             for h in subgroup:
                 coset_of[g.compose_table[m][h]] = k
-    n_cosets = len(coset_reps)
-    fibers = [
-        list(range(n_cosets)) if x in t else [] for x in g.objects
-    ]
-    action = []
-    for m in g.morphisms:
-        if g.dom[m] not in t:
-            action.append([])
-            continue
-        u = retract(g, t, m)
-        action.append(
-            [coset_of[g.compose_table[u][coset_reps[k]]] for k in range(n_cosets)]
-        )
-    base_labels = [
-        weight.action[coset_reps[k]][label_value] for k in range(n_cosets)
-    ]
-    label = [
-        [weight.action[t[x]][v] for v in base_labels] if x in t else []
-        for x in g.objects
-    ]
-    return CrossedGSet(GSet(g, fibers, action), weight, label).validate()
+    loop_action = [[coset_of[g.compose_table[u][c]] for c in coset_reps] for u in loops]
+    label = [weight.action[c][label_value] for c in coset_reps]
+    return induce(weight, rep, list(range(len(coset_reps))), loop_action, label)
 
 
 # -- the table of marks ------------------------------------------------------------

@@ -11,7 +11,8 @@ default lives in ``JobSpec``.  A ring command renders its table only for
 Hadamard ring over --gset, when given) by the table-of-marks route and by
 the expand-and-decompose reference route, and reports the first basis pair
 whose coordinates differ.  ``verify reduction`` and ``verify
-decomposition`` accept only the conjugation weight.
+decomposition`` restrict --weight to the isotropy groups and build their
+blocks over it, for any weight.
 
 Exit status: 0 on success or verified; 1 on a verification counterexample
 (the report carries a witness); 2 on input errors, an unreadable input
@@ -36,9 +37,9 @@ from .classify import (
     transitive_decomposition,
 )
 from .crossed import check_monoidal_axioms
-from .errors import GBError, WeightNotConjugation
+from .errors import GBError
 from .groupoid import FiniteGroupoid, connected_components, isotropy_group
-from .gsets import action_groupoid, conjugation_action, conjugation_loops, trivial_gmonoid
+from .gsets import action_groupoid, conjugation_action, trivial_gmonoid
 from .rings import (
     RingPresentation,
     action_groupoid_iso_check,
@@ -322,31 +323,20 @@ def _hom_verdict(hom, *properties: str):
     return (0 if ok else 1), hom_to_obj(hom)
 
 
-def _require_conjugation(job: JobSpec, g: FiniteGroupoid) -> None:
-    """The reduction and decomposition homs exist for the conjugation
-    weight only, so any other --weight is refused instead of ignored."""
-    if conjugation_loops(_get_weight(job, g)) is None:
-        raise WeightNotConjugation(
-            f"verify {job.verify_target} is built over the conjugation weight only, "
-            f"got --weight {job.weight}"
-        )
-
-
 def _verify_embedding(job: JobSpec, g: FiniteGroupoid):
     hom = embedding_hom(g, _get_weight(job, g))
     return _hom_verdict(hom, "unital", "multiplicative", "injective")
 
 
 def _verify_reduction(job: JobSpec, g: FiniteGroupoid):
-    _require_conjugation(job, g)
-    hom = connected_reduction_hom(g, job.object_id)
+    hom = connected_reduction_hom(g, _get_weight(job, g), job.object_id)
     code, report = _hom_verdict(hom, "unital", "multiplicative", "bijective")
     return code, {"object": job.object_id, **report}
 
 
 def _verify_decomposition(job: JobSpec, g: FiniteGroupoid):
-    _require_conjugation(job, g)
-    return _hom_verdict(decomposition_hom(g), "unital", "multiplicative", "bijective")
+    hom = decomposition_hom(g, _get_weight(job, g))
+    return _hom_verdict(hom, "unital", "multiplicative", "bijective")
 
 
 def _verify_action_groupoid_iso(job: JobSpec, g: FiniteGroupoid):

@@ -4,7 +4,9 @@ but labels may live in any G-set: only the tensor product (labels multiply
 in the weight monoid), the monoidal unit and the braiding need the monoid.
 Also here: the coherence isomorphisms, the braiding over the conjugation
 weight, distributivity, the trivial-label embedding, and transport along
-the equivalence between a connected groupoid and an isotropy group.
+the equivalence between a groupoid's component and an isotropy group, for
+any weight: ``restrict`` pulls a carrier or weight back along the
+inclusion, and ``induce`` spreads a fiber back along the retraction.
 
 Coherence maps are built by honest label lookup in the structured element
 labels that products and coproducts create, then checked pointwise; the
@@ -36,12 +38,17 @@ from .errors import (
     WeightMismatch,
     WeightNotConjugation,
 )
-from .groupoid import FiniteGroupoid, isotropy_group, retract, transports
+from .groupoid import (
+    FiniteGroupoid,
+    component_transports,
+    isotropy_group,
+    retraction,
+    transports,
+)
 from .gsets import (
     GMap,
     GMonoid,
     GSet,
-    conjugation_action,
     conjugation_loops,
     empty_gset,
     gset_coproduct,
@@ -413,39 +420,53 @@ class TransportData:
     round_trip_iso: CrossedMap  # induced -> original
 
 
+def restrict(x: GSet | GMonoid, z: int) -> GSet | GMonoid:
+    """Pull a G-set or a G-monoid back along the inclusion of the isotropy
+    group at z: its part at z with the loop actions.  The conjugation
+    weight restricts to ``conjugation_action`` of the isotropy group, equal
+    element by element (the k-th loop at z is element k in both
+    numberings)."""
+    iso, inclusion = isotropy_group(x.base, z)
+    action = [x.action[m] for m in inclusion.morphism_map]
+    if isinstance(x, GMonoid):
+        return GMonoid(iso, [x.monoids[z]], action)
+    return GSet(iso, [x.fibers[z]], action)
+
+
 def transport_restrict(c: CrossedGSet, z: int) -> CrossedGSet:
-    """Precompose with the inclusion of the isotropy group at z: keep the
-    fiber at z and the loop actions.
-
-    Monoid element ids agree on the nose: element k of the conjugation
-    weight at z is the k-th loop at z in both numberings.
-    """
-    _require_conjugation(c.weight)
-    g = c.carrier.base
-    iso, inclusion = isotropy_group(g, z)
-    carrier = GSet(
-        iso, [c.carrier.fibers[z]], [c.carrier.action[m] for m in inclusion.morphism_map]
-    )
-    return CrossedGSet(carrier, conjugation_action(iso), [c.label[z]]).validate()
+    """Precompose with the inclusion of the isotropy group at z: the
+    carrier and the weight restricted to z, with the labels at z."""
+    return CrossedGSet(restrict(c.carrier, z), restrict(c.weight, z), [c.label[z]]).validate()
 
 
-def transport_induce(cz: CrossedGSet, g: FiniteGroupoid, z: int) -> CrossedGSet:
-    """Spread a crossed set over the isotropy group at z across a connected
-    groupoid along the retraction R(m : y -> w) = t_w^-1 m t_y, correcting
-    labels by conjugation with the transports: the label at y is the loop
-    t_y v t_y^-1, read off the conjugation action of g."""
-    _require_conjugation(cz.weight)
-    iso, inclusion = isotropy_group(g, z)
-    if not same_base(cz.carrier.base, iso):
+def induce(
+    weight: GMonoid | GSet, z: int, fiber: list, loop_action: list[list[int]], label: list[int]
+) -> CrossedGSet:
+    """Spread a fiber at z, acted on by the isotropy group at z (loop
+    position k acts by ``loop_action[k]``) and labeled in weight(z), over
+    the component of z along the retraction R(m : y -> w) = t_w^-1 m t_y:
+    every component object gets the fiber, m acts by R(m), and the labels
+    at y are moved by weight(t_y).  Objects off the component get empty
+    fibers.  Only ``weight.action`` is read, so labels may live in any
+    G-set."""
+    g = weight.base
+    t = component_transports(g, z)
+    action = [[] if k is None else loop_action[k] for k in retraction(g, t)]
+    fibers = [fiber if y in t else [] for y in g.objects]
+    labels = [[weight.action[t[y]][v] for v in label] if y in t else [] for y in g.objects]
+    return CrossedGSet(GSet(g, fibers, action), weight, labels).validate()
+
+
+def transport_induce(cz: CrossedGSet, weight: GMonoid | GSet, z: int) -> CrossedGSet:
+    """Spread a crossed set over the isotropy group at z, labeled in the
+    restriction of ``weight``, across the component of z in the base of
+    ``weight`` (see ``induce``)."""
+    wz = restrict(weight, z)
+    if not same_base(cz.carrier.base, wz.base):
         raise BaseMismatch("input does not live over the isotropy group at z")
-    t = transports(g, z)
-    loop_pos = {m: k for k, m in enumerate(inclusion.morphism_map)}
-    fiber = cz.carrier.fibers[0]
-    action = [cz.carrier.action[loop_pos[retract(g, t, m)]] for m in g.morphisms]
-    carrier = GSet(g, [fiber] * g.n_objects, action)
-    conj = conjugation_action(g)
-    label = [[conj.action[t[y]][v] for v in cz.label[0]] for y in g.objects]
-    return CrossedGSet(carrier, conj, label).validate()
+    if cz.weight != wz:
+        raise WeightMismatch("input is not labeled in the weight restricted to z")
+    return induce(weight, z, cz.carrier.fibers[0], cz.carrier.action, cz.label[0])
 
 
 def transport_connected(c: CrossedGSet, z: int) -> TransportData:
@@ -456,9 +477,9 @@ def transport_connected(c: CrossedGSet, z: int) -> TransportData:
     at z is the identity), so only this round trip needs a witness.
     """
     g = c.carrier.base
-    restricted = transport_restrict(c, z)
-    induced = transport_induce(restricted, g, z)
     t = transports(g, z)
+    restricted = transport_restrict(c, z)
+    induced = transport_induce(restricted, c.weight, z)
     iso = CrossedMap(induced, c, [c.carrier.action[t[y]] for y in g.objects]).validate()
     if not iso.is_isomorphism():
         raise NotNatural("transport round trip is not bijective")  # unreachable

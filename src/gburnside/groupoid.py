@@ -583,10 +583,19 @@ def transports(g: FiniteGroupoid, x: int) -> dict[int, int]:
     return t
 
 
-def retract(g: FiniteGroupoid, t: dict[int, int], m: int) -> int:
-    """The loop t_w^-1 m t_y at the base of the transports t, for
-    m : y -> w with both ends in the component of the base."""
-    return g.compose_table[g.inverse[t[g.cod[m]]]][g.compose_table[m][t[g.dom[m]]]]
+def retraction(g: FiniteGroupoid, t: dict[int, int]) -> list[int | None]:
+    """The retraction R onto the isotropy group at the base z of the
+    transports t (every t_y starts at z), as loop positions: for
+    m : y -> w in the component of z, the position in isotropy(z) of the
+    loop t_w^-1 m t_y; None for a morphism off the component."""
+    z = g.dom[next(iter(t.values()))]
+    _, inclusion = isotropy_group(g, z)
+    pos = {m: k for k, m in enumerate(inclusion.morphism_map)}
+    ct, inv, dom, cod = g.compose_table, g.inverse, g.dom, g.cod
+    return [
+        pos[ct[inv[t[cod[m]]]][ct[m][t[dom[m]]]]] if dom[m] in t else None
+        for m in g.morphisms
+    ]
 
 
 def connected_structure_iso(g: FiniteGroupoid, x: int) -> GroupoidFunctor:
@@ -594,17 +603,12 @@ def connected_structure_iso(g: FiniteGroupoid, x: int) -> GroupoidFunctor:
 
     A morphism m : y -> z goes to (t_z^-1 m t_y, (y, z)).
     """
-    iso, inclusion = isotropy_group(g, x)
-    t = transports(g, x)
-    pos = {m: k for k, m in enumerate(inclusion.morphism_map)}
+    iso, _ = isotropy_group(g, x)
+    r = retraction(g, transports(g, x))
     n = g.n_objects
     target = direct_product(iso, pair_groupoid(n))
-    n_pair_mor = n * n
     object_map = list(g.objects)  # (0, y) has product id y
-    morphism_map = []
-    for m in g.morphisms:
-        y, z = g.dom[m], g.cod[m]
-        morphism_map.append(pos[retract(g, t, m)] * n_pair_mor + (y * n + z))
+    morphism_map = [r[m] * n * n + g.dom[m] * n + g.cod[m] for m in g.morphisms]
     functor = GroupoidFunctor(g, target, object_map, morphism_map).validate()
     if not functor.is_isomorphism():
         raise NonAssociative("structure functor is not bijective")  # unreachable
@@ -655,12 +659,10 @@ def inclusion_equivalence(g: FiniteGroupoid, z: int) -> EquivalenceData:
     """
     iso, inclusion = isotropy_group(g, z)
     t = transports(g, z)
-    pos = {m: k for k, m in enumerate(inclusion.morphism_map)}
-    morphism_map = [pos[retract(g, t, m)] for m in g.morphisms]
-    retraction = GroupoidFunctor(g, iso, [0] * g.n_objects, morphism_map).validate()
+    r = GroupoidFunctor(g, iso, [0] * g.n_objects, retraction(g, t)).validate()
     eta = [t[y] for y in g.objects]
     epsilon = [iso.identity[0]]
-    return EquivalenceData(inclusion, retraction, eta, epsilon).validate()
+    return EquivalenceData(inclusion, r, eta, epsilon).validate()
 
 
 # -- subgroupoids -----------------------------------------------------------

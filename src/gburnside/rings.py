@@ -4,6 +4,9 @@ crossed Burnside ring of a G-monoid, together with the theorem witnesses:
 the trivial-label embedding, connected reduction, component decomposition,
 and the action-groupoid comparison, each built column by column from its
 theorem and then verified (the comparison pushes forward along G x X -> G).
+Reduction and decomposition take any weight: each basis carrier is
+restricted to an isotropy group, into the crossed Burnside ring of the
+weight restricted there.
 
 All three rings are free on one kind of basis: the transitive G-sets
 labeled in a target, classified by ``enumerate_basis`` as pairs (H, t in
@@ -52,6 +55,7 @@ from .classify import (
 )
 from .crossed import (
     CrossedGSet,
+    restrict,
     tensor,
     transport_restrict,
     trivial_label_embed,
@@ -63,7 +67,6 @@ from .gsets import (
     GMonoid,
     GSet,
     action_groupoid,
-    conjugation_action,
     same_base,
     trivial_gmonoid,
 )
@@ -556,14 +559,15 @@ def embedding_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
     return hom
 
 
-def connected_reduction_hom(g: FiniteGroupoid, z: int) -> RingHom:
-    """Transport the crossed Burnside basis of a connected groupoid onto
-    the crossed Burnside ring of the isotropy group at z."""
+def connected_reduction_hom(g: FiniteGroupoid, weight: GMonoid, z: int) -> RingHom:
+    """Restrict the crossed Burnside basis of a connected groupoid to the
+    isotropy group at z, into the crossed Burnside ring of the restricted
+    weight."""
     if not is_connected(g):
         raise NotConnected("connected reduction needs a connected groupoid")
-    source = crossed_burnside_ring(g, conjugation_action(g))
+    source = crossed_burnside_ring(g, weight)
     iso, _ = isotropy_group(g, z)
-    target = source if iso is g else crossed_burnside_ring(iso, conjugation_action(iso))
+    target = source if iso is g else crossed_burnside_ring(iso, restrict(weight, z))
     cols = []
     for entry in source.basis.entries:
         restricted = transport_restrict(entry.crossed, z)
@@ -594,20 +598,18 @@ def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
     ).validate()
 
 
-def decomposition_hom(g: FiniteGroupoid) -> RingHom:
+def decomposition_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
     """The crossed Burnside ring of a groupoid onto the product of the
-    crossed Burnside rings of its isotropy groups, one per component.  A
+    crossed Burnside rings of its isotropy groups, one per component, each
+    over the weight restricted to the component representative.  A
     one-object groupoid is its own isotropy group and takes the validated
     source ring as its block instead of building it again."""
     comps = connected_components(g)
-    source = crossed_burnside_ring(g, conjugation_action(g))
+    source = crossed_burnside_ring(g, weight)
     blocks = []
     for rep in comps.representatives:
         iso, _ = isotropy_group(g, rep)
-        if iso is g:
-            blocks.append(source)
-        else:
-            blocks.append(crossed_burnside_ring(iso, conjugation_action(iso)))
+        blocks.append(source if iso is g else crossed_burnside_ring(iso, restrict(weight, rep)))
     target = product_ring(blocks)
     # component representative -> (offset of its block, the block)
     where, offset = {}, 0

@@ -283,7 +283,7 @@ def test_criterion_07_connected_reduction():
             CORPUS["Pair(4)"],
         ]
         for g in cases:
-            hom = connected_reduction_hom(g, 0)
+            hom = connected_reduction_hom(g, gb.conjugation_action(g), 0)
             v = hom.verified
             assert v["unital"] and v["multiplicative"] and v["bijective"]
             _assert_constants_match(hom)
@@ -296,7 +296,7 @@ def test_criterion_08_decomposition():
         expectations = [("C2+S3", 12, [4, 8]), ("(C2xPair(2))+C3", 10, [4, 6])]
         for name, total, blocks in expectations:
             g = CORPUS[name]
-            hom = decomposition_hom(g)
+            hom = decomposition_hom(g, gb.conjugation_action(g))
             assert hom.source.dim == total, name
             block_counts = [0] * len(blocks)
             for info in hom.target.basis_info:

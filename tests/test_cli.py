@@ -297,15 +297,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("target", ["reduction", "decomposition"])
     @pytest.mark.parametrize("weight", ["trivial", "semilattice.json"])
-    def test_non_conjugation_weight_refused(self, inputs, capsys, target, weight):
-        code = main([
-            "verify", target, "--groupoid", inputs["c2.json"],
+    def test_non_conjugation_weight_verified(self, inputs, capsys, target, weight):
+        code, out = run_cli(
+            capsys, "verify", target, "--groupoid", inputs["c2.json"],
             "--weight", inputs.get(weight, weight),
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("input error: WeightNotConjugation:")
+        )
+        assert code == 0
+        assert json.loads(out)["verified"]["bijective"] is True
 
     @pytest.mark.parametrize("target", ["reduction", "decomposition"])
     @pytest.mark.parametrize("weight", [None, "conjugation", "conjugation_weight.json"])

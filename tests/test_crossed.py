@@ -22,6 +22,7 @@ from gburnside.crossed import (
     identity_crossed_map,
     invert_crossed_map,
     left_unitor,
+    restrict,
     right_unitor,
     tensor,
     transport_connected,
@@ -478,6 +479,13 @@ class TestTransport:
         )
         assert lhs.label == rhs.label
         assert lhs.carrier.action == rhs.carrier.action
+        # the restricted conjugation weight is the isotropy group's own,
+        # element by element, at every object of every corpus groupoid
+        for h in corpus.values():
+            conj_h = gb.conjugation_action(h)
+            for z in h.objects:
+                iso_z, _ = gb.isotropy_group(h, z)
+                assert restrict(conj_h, z) == gb.conjugation_action(iso_z)
 
     def test_tensor_compatibility_induction(self, corpus):
         g = corpus["C2xPair(2)"]
@@ -485,9 +493,18 @@ class TestTransport:
         conj_z = gb.conjugation_action(iso)
         entries = enumerate_basis(iso, conj_z).entries
         a, b = entries[1].crossed, entries[3].crossed
-        lhs = transport_induce(tensor(a, b), g, 0)
-        rhs = tensor(transport_induce(a, g, 0), transport_induce(b, g, 0))
+        conj = gb.conjugation_action(g)
+        lhs = transport_induce(tensor(a, b), conj, 0)
+        rhs = tensor(transport_induce(a, conj, 0), transport_induce(b, conj, 0))
         assert are_isomorphic(lhs, rhs) is not None
+
+    def test_induce_refuses_another_weight(self, corpus):
+        g = corpus["C2xPair(2)"]
+        iso, _ = gb.isotropy_group(g, 0)
+        cz = unit_object(iso, gb.conjugation_action(iso))
+        transport_induce(cz, gb.conjugation_action(g), 0)
+        with pytest.raises(WeightMismatch):
+            transport_induce(cz, gb.trivial_gmonoid(g), 0)
 
     def test_round_trip_with_non_central_transports(self):
         # S4 acting on the cosets of a point stabilizer: a connected action

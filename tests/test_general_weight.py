@@ -1,33 +1,45 @@
 """Crossed sets and rings over a weight that is a genuine monoid, not a
 group: the two-element semilattice with trivial action.  Exercises label
 multiplication without inverses through validation, classification, the
-brute-force oracle, ring construction, and the embedding."""
+brute-force oracle, ring construction, the embedding, transport along the
+isotropy equivalence, and the reduction and decomposition homs, which a
+property test also checks on random small groupoids under the trivial,
+conjugation and semilattice weights."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
 from gburnside.classify import brute_force_basis, enumerate_basis
 from gburnside.crossed import check_monoidal_axioms, transport_connected, unit_object
-from gburnside.errors import WeightNotConjugation
 from gburnside.gsets import GMonoid, Monoid
-from gburnside.rings import crossed_burnside_ring, embedding_hom
+from gburnside.rings import (
+    connected_reduction_hom,
+    crossed_burnside_ring,
+    decomposition_hom,
+    embedding_hom,
+)
 from gburnside.sampling import sample_many
 
 from conftest import dense_constants
 
 
+def semilattice(g: gb.FiniteGroupoid) -> GMonoid:
+    # join semilattice on {1, a}: a * a = a; the only bijective
+    # unit-preserving endomorphism is the identity, so every morphism acts
+    # trivially
+    return GMonoid(
+        g,
+        [Monoid([[0, 1], [1, 1]], 0) for _ in g.objects],
+        [[0, 1] for _ in g.morphisms],
+    ).validate()
+
+
 @pytest.fixture
 def semilattice_weight(c2) -> GMonoid:
-    # join semilattice on {1, a}: a * a = a; the only bijective
-    # unit-preserving endomorphism is the identity, so both morphisms of
-    # C2 act trivially
-    return GMonoid(
-        c2,
-        [Monoid([[0, 1], [1, 1]], 0)],
-        [[0, 1], [0, 1]],
-    ).validate()
+    return semilattice(c2)
 
 
 def test_weight_validates(semilattice_weight):
@@ -78,6 +90,61 @@ def test_axioms_hold_without_braiding(c2, semilattice_weight):
     assert all(r["status"] == "ok" for r in report)
 
 
-def test_transport_refuses_non_conjugation_weight(c2, semilattice_weight):
-    with pytest.raises(WeightNotConjugation):
-        transport_connected(unit_object(c2, semilattice_weight), 0)
+def test_transport_round_trips_over_semilattice_weight(corpus):
+    g = corpus["C2xPair(2)"]
+    weight = semilattice(g)
+    for z in g.objects:
+        for entry in enumerate_basis(g, weight).entries:
+            data = transport_connected(entry.crossed, z)
+            assert data.restricted.weight == semilattice(gb.isotropy_group(g, z)[0])
+            assert data.round_trip_iso.is_isomorphism()
+        data = transport_connected(unit_object(g, weight), z)
+        assert data.induced == unit_object(g, weight)
+
+
+WEIGHTS = {
+    "trivial": gb.trivial_gmonoid,
+    "conjugation": gb.conjugation_action,
+    "semilattice": semilattice,
+}
+
+# generators of C1, C2, C3 and S3 on three points
+GROUP_GENS = [[[0, 1, 2]], [[1, 0, 2]], [[1, 2, 0]], [[1, 0, 2], [1, 2, 0]]]
+
+
+@st.composite
+def small_groupoids(draw):
+    """A small permutation group times Pair(n), or a disjoint union of two
+    such groupoids."""
+    def piece():
+        group = gb.from_group(gb.group_table_from_perm_gens(draw(st.sampled_from(GROUP_GENS))))
+        n = draw(st.integers(1, 2))
+        return group if n == 1 else gb.direct_product(group, gb.pair_groupoid(n))
+
+    if draw(st.booleans()):
+        return piece()
+    return gb.disjoint_union([piece(), piece()])[0]
+
+
+def test_homs_over_semilattice_weight(corpus):
+    for name in ("C2xPair(2)", "C2+S3", "(C2xPair(2))+C3"):
+        g = corpus[name]
+        homs = [decomposition_hom(g, semilattice(g))]
+        if gb.is_connected(g):
+            homs.append(connected_reduction_hom(g, semilattice(g), g.n_objects - 1))
+        for hom in homs:
+            assert hom.source.dim == hom.target.dim >= 4, name
+            assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=small_groupoids(), weight=st.sampled_from(sorted(WEIGHTS)), data=st.data())
+def test_reduction_and_decomposition_verify(g, weight, data):
+    w = WEIGHTS[weight](g)
+    homs = [decomposition_hom(g, w)]
+    if gb.is_connected(g):
+        z = data.draw(st.sampled_from(list(g.objects)))
+        homs.append(connected_reduction_hom(g, w, z))
+    for hom in homs:
+        assert hom.source.dim == hom.target.dim
+        assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))

@@ -7,7 +7,8 @@ the acceptance corpus.
 G-set, ``verify axioms --samples 30 --seed 0`` under both weights,
 ``verify decomposition`` and ``verify embedding`` under both weights, for
 every corpus groupoid, and ``verify reduction`` at the first and the last
-object of every connected corpus groupoid.  It also holds the SHA-256 of
+object of every connected corpus groupoid (under the trivial weight at the
+first object only).  It also holds the SHA-256 of
 the ``--format table`` output of the four ring commands, of ``verify
 axioms --samples 30 --seed 0`` under both weights and of ``verify
 decomposition`` (the generic renderer), for every corpus groupoid, and
@@ -87,6 +88,9 @@ def _hom_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
     yield "verify-decomposition", None, JobSpec(
         command="verify", verify_target="decomposition", groupoid=gpath
     )
+    yield "verify-decomposition", "trivial", JobSpec(
+        command="verify", verify_target="decomposition", groupoid=gpath, weight="trivial"
+    )
     for weight in AXIOM_WEIGHTS:
         yield "verify-embedding", weight, JobSpec(
             command="verify", verify_target="embedding", groupoid=gpath, weight=weight
@@ -96,6 +100,10 @@ def _hom_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
             yield "verify-reduction", f"object={z}", JobSpec(
                 command="verify", verify_target="reduction", groupoid=gpath, object_id=z
             )
+        yield "verify-reduction", "trivial|object=0", JobSpec(
+            command="verify", verify_target="reduction", groupoid=gpath,
+            weight="trivial", object_id=0,
+        )
 
 
 def _table_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):

@@ -88,13 +88,15 @@ class TestRoutesAgreeOnCorpus:
     def test_connected_reduction_hom(self, name, last, monkeypatch):
         g = CORPUS[name]
         z = g.n_objects - 1 if last else 0
-        fast, ref = self.both_routes(monkeypatch, lambda: connected_reduction_hom(g, z))
+        conj = gb.conjugation_action(g)
+        fast, ref = self.both_routes(monkeypatch, lambda: connected_reduction_hom(g, conj, z))
         assert fast == ref
 
     @pytest.mark.parametrize("name", NAMES)
     def test_decomposition_hom(self, name, monkeypatch):
         g = CORPUS[name]
-        fast, ref = self.both_routes(monkeypatch, lambda: decomposition_hom(g))
+        conj = gb.conjugation_action(g)
+        fast, ref = self.both_routes(monkeypatch, lambda: decomposition_hom(g, conj))
         assert fast == ref
 
 

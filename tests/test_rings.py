@@ -53,6 +53,14 @@ def bc_c2(c2):
     return crossed_burnside_ring(c2, gb.conjugation_action(c2))
 
 
+def conjugation_reduction(g, z):
+    return connected_reduction_hom(g, gb.conjugation_action(g), z)
+
+
+def conjugation_decomposition(g):
+    return decomposition_hom(g, gb.conjugation_action(g))
+
+
 @pytest.fixture
 def s3_natural(s3, s3_perms) -> GSet:
     return GSet(
@@ -285,7 +293,7 @@ class TestHadamard:
 
 class TestReduction:
     def test_one_object_is_identity(self, s3):
-        hom = connected_reduction_hom(s3, 0)
+        hom = conjugation_reduction(s3, 0)
         assert hom.matrix == [
             [1 if i == j else 0 for j in range(hom.source.dim)]
             for i in range(hom.target.dim)
@@ -294,23 +302,23 @@ class TestReduction:
 
     @pytest.mark.parametrize("name,z", [("C2xPair(2)", 0), ("C2xPair(2)", 1)])
     def test_c2_pair2(self, corpus, name, z):
-        hom = connected_reduction_hom(corpus[name], z)
+        hom = conjugation_reduction(corpus[name], z)
         assert hom.source.dim == hom.target.dim == 4
         assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
 
     def test_pair4_reduces_to_z(self, corpus):
-        hom = connected_reduction_hom(corpus["Pair(4)"], 2)
+        hom = conjugation_reduction(corpus["Pair(4)"], 2)
         assert hom.source.dim == hom.target.dim == 1
         assert hom.matrix == [[1]]
 
     def test_not_connected(self, corpus):
         with pytest.raises(NotConnected):
-            connected_reduction_hom(corpus["C2+S3"], 0)
+            conjugation_reduction(corpus["C2+S3"], 0)
 
     @pytest.mark.parametrize("name", ["C2", "S3", "D4", "Q8"])
     def test_one_object_builds_one_ring(self, corpus, name, monkeypatch):
         built = TestDecomposition.count_crossed_rings(monkeypatch)
-        hom = connected_reduction_hom(corpus[name], 0)
+        hom = conjugation_reduction(corpus[name], 0)
         assert built == [corpus[name]]
         assert hom.target is hom.source
         assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
@@ -318,12 +326,12 @@ class TestReduction:
 
 class TestDecomposition:
     def test_connected_case(self, s3):
-        hom = decomposition_hom(s3)
+        hom = conjugation_decomposition(s3)
         assert hom.source.dim == hom.target.dim == 8
         assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
 
     def test_c2_plus_s3(self, corpus):
-        hom = decomposition_hom(corpus["C2+S3"])
+        hom = conjugation_decomposition(corpus["C2+S3"])
         assert hom.source.dim == 12
         assert hom.target.dim == 12
         assert [b["block"] for b in hom.target.basis_info].count(0) == 4
@@ -346,7 +354,7 @@ class TestDecomposition:
     @pytest.mark.parametrize("name", ["C2", "S3", "D4", "Q8"])
     def test_one_object_builds_one_ring(self, corpus, name, monkeypatch):
         built = self.count_crossed_rings(monkeypatch)
-        hom = decomposition_hom(corpus[name])
+        hom = conjugation_decomposition(corpus[name])
         assert built == [corpus[name]]
         d = hom.source.dim
         assert hom.matrix == [[int(r == c) for c in range(d)] for r in range(d)]
@@ -355,13 +363,13 @@ class TestDecomposition:
 
     def test_two_components_build_three_rings(self, corpus, monkeypatch):
         built = self.count_crossed_rings(monkeypatch)
-        decomposition_hom(corpus["C2+S3"])
+        conjugation_decomposition(corpus["C2+S3"])
         assert len(built) == 3
         assert built[0] is corpus["C2+S3"]
         assert [g.n_morphisms for g in built[1:]] == [2, 6]
 
     def test_mixed_components(self, corpus):
-        hom = decomposition_hom(corpus["(C2xPair(2))+C3"])
+        hom = conjugation_decomposition(corpus["(C2xPair(2))+C3"])
         assert hom.source.dim == 10
         assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
 
@@ -665,7 +673,7 @@ def _corpus_rings(corpus, max_dim=14):
             ring = crossed_burnside_ring(g, m)
             if ring.dim <= max_dim:
                 yield f"{name}/{weight}", ring
-    yield "C2+S3/product", decomposition_hom(corpus["C2+S3"]).target
+    yield "C2+S3/product", conjugation_decomposition(corpus["C2+S3"]).target
 
 
 def _corruptions(name, ring, count=6):
@@ -726,7 +734,7 @@ class TestDenseOracle:
         assert rejected["unit"] > 0 and rejected["associativity"] > 0
 
     def test_corrupted_hom_same_witness(self, corpus):
-        hom = decomposition_hom(corpus["C2+S3"])
+        hom = conjugation_decomposition(corpus["C2+S3"])
         src, tgt = hom.source, hom.target
         assert oracle_hom_failure(src, tgt, hom.matrix) is None
         assert hom.verified["multiplicative"] and "witness" not in hom.verified
@@ -744,7 +752,7 @@ class TestDenseOracle:
         assert caught > 0
 
     def test_corrupted_hom_unit_witness(self, corpus):
-        hom = decomposition_hom(corpus["C2+S3"])
+        hom = conjugation_decomposition(corpus["C2+S3"])
         src, tgt = hom.source, hom.target
         assert hom.verified["unital"] and "unit_witness" not in hom.verified
         m = next(m for m, u in enumerate(src.unit_vector) if u)
@@ -759,7 +767,7 @@ class TestDenseOracle:
             assert verified["unit_witness"] == r
 
     def test_corrupted_hom_determinant(self, corpus):
-        hom = decomposition_hom(corpus["C2+S3"])
+        hom = conjugation_decomposition(corpus["C2+S3"])
         src, tgt = hom.source, hom.target
         assert hom.verified["bijective"] and "determinant" not in hom.verified
         det = _int_det(hom.matrix)
