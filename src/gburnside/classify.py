@@ -256,7 +256,7 @@ def induced_crossed(
                 coset_of[g.compose_table[m][h]] = k
     loop_action = [[coset_of[g.compose_table[u][c]] for c in coset_reps] for u in loops]
     label = [weight.action[c][label_value] for c in coset_reps]
-    return induce(weight, rep, list(range(len(coset_reps))), loop_action, label)
+    return induce(weight, rep, len(coset_reps), loop_action, label)
 
 
 # -- the table of marks ------------------------------------------------------------
@@ -655,4 +655,5 @@ def _partition_crossed(g, weight, rep, blocks, labels) -> CrossedGSet:
             ]
         )
     label = [[labels[b] for b in per_object[y]] for y in g.objects]
-    return CrossedGSet(GSet(g, per_object, action), weight, label).validate()
+    sizes = [len(blocks_at) for blocks_at in per_object]
+    return CrossedGSet(GSet(g, sizes, action), weight, label).validate()

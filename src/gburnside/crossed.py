@@ -8,10 +8,11 @@ the equivalence between a groupoid's component and an isotropy group, for
 any weight: ``restrict`` pulls a carrier or weight back along the
 inclusion, and ``induce`` spreads a fiber back along the retraction.
 
-Coherence maps are built by honest label lookup in the structured element
-labels that products and coproducts create, then checked pointwise; the
-axiom checker compares composite maps as data, so a corrupted map is
-reported with a concrete witness.
+Coherence maps are index formulas on the dense ids that products and
+coproducts assign (see ``gsets``), checked pointwise when asked; the
+associator and both unitors keep every id.  The axiom checker compares
+composite maps as data, so a corrupted map is reported with a concrete
+witness.
 
 The axiom checker runs every axiom family on one window of its samples
 before the next.  Within a window, unchecked tensor products are built
@@ -107,7 +108,7 @@ class CrossedGSet:
         )
 
     def __repr__(self) -> str:
-        return f"CrossedGSet(fibers={[len(f) for f in self.carrier.fibers]})"
+        return f"CrossedGSet(sizes={self.carrier.sizes})"
 
 
 def validate_crossed(x: GSet, s: GMonoid, theta) -> CrossedGSet:
@@ -130,9 +131,6 @@ class CrossedMap:
         self.source = source
         self.target = target
         self.components: list[list[int]] = components
-
-    def apply(self, x: int, i: int) -> int:
-        return self.components[x][i]
 
     def validate(self) -> "CrossedMap":
         same_weight(self.source, self.target)
@@ -161,10 +159,19 @@ class CrossedMap:
         return f"CrossedMap(components={[len(c) for c in self.components]})"
 
 
+def _crossed_map(
+    source: CrossedGSet, target: CrossedGSet, components, check: bool
+) -> CrossedMap:
+    out = CrossedMap(source, target, components)
+    return out.validate() if check else out
+
+
+def _identity_components(c: CrossedGSet) -> list[list[int]]:
+    return [list(range(n)) for n in c.carrier.sizes]
+
+
 def identity_crossed_map(c: CrossedGSet) -> CrossedMap:
-    return CrossedMap(
-        c, c, [list(range(c.carrier.size(x))) for x in c.carrier.base.objects]
-    )
+    return CrossedMap(c, c, _identity_components(c))
 
 
 def compose_crossed_maps(second: CrossedMap, first: CrossedMap) -> CrossedMap:
@@ -252,38 +259,26 @@ def crossed_coproduct(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> C
     return out.validate() if check else out
 
 
-def _lookup_map(
-    source: CrossedGSet, target: CrossedGSet, relabel, check: bool
-) -> CrossedMap:
-    """Map built by transforming source labels and looking them up in the
-    target fibers."""
-    comps = []
-    for x in source.carrier.base.objects:
-        idx = target.carrier.index(x)
-        comps.append([idx[relabel(lab)] for lab in source.carrier.fibers[x]])
-    out = CrossedMap(source, target, comps)
-    return out.validate() if check else out
-
-
 def associator(
     cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet, check: bool = True
 ) -> CrossedMap:
-    """((x, y), z) -> (x, (y, z)) from (X (x) Y) (x) Z to X (x) (Y (x) Z)."""
+    """((x, y), z) -> (x, (y, z)) from (X (x) Y) (x) Z to X (x) (Y (x) Z):
+    the identity on ids, as (i|Y| + j)|Z| + k = i|Y||Z| + j|Z| + k."""
     src = tensor(tensor(cx, cy, check=False), cz, check=False)
     tgt = tensor(cx, tensor(cy, cz, check=False), check=False)
-    return _lookup_map(src, tgt, lambda lab: (lab[0][0], (lab[0][1], lab[1])), check)
+    return _crossed_map(src, tgt, _identity_components(src), check)
 
 
 def left_unitor(c: CrossedGSet, check: bool = True) -> CrossedMap:
-    """(1, x) -> x from I (x) X to X."""
+    """(1, x) -> x from I (x) X to X: the identity on ids, as |I| = 1."""
     src = tensor(unit_object(c.carrier.base, c.weight), c, check=False)
-    return _lookup_map(src, c, lambda lab: lab[1], check)
+    return _crossed_map(src, c, _identity_components(c), check)
 
 
 def right_unitor(c: CrossedGSet, check: bool = True) -> CrossedMap:
-    """(x, 1) -> x from X (x) I to X."""
+    """(x, 1) -> x from X (x) I to X: the identity on ids, as |I| = 1."""
     src = tensor(c, unit_object(c.carrier.base, c.weight), check=False)
-    return _lookup_map(src, c, lambda lab: lab[0], check)
+    return _crossed_map(src, c, _identity_components(c), check)
 
 
 @dataclass
@@ -320,8 +315,7 @@ def tensor_map(
         comps.append(
             [fc[i] * wt + gc[j] for i in range(nf) for j in range(ng)]
         )
-    out = CrossedMap(src, tgt, comps)
-    return out.validate() if check else out
+    return _crossed_map(src, tgt, comps, check)
 
 
 # -- braiding over the conjugation weight --------------------------------------
@@ -357,8 +351,7 @@ def braiding(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedMap
             for j in range(n2):
                 comp.append(act[j] * n1 + i)
         comps.append(comp)
-    out = CrossedMap(src, tgt, comps)
-    return out.validate() if check else out
+    return _crossed_map(src, tgt, comps, check)
 
 
 def braiding_inverse(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedMap:
@@ -379,8 +372,7 @@ def braiding_inverse(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> Cr
                 act = c2.carrier.action[g.inverse[loop]]
                 comp[j * n1 + i] = i * n2 + act[j]
         comps.append(comp)
-    out = CrossedMap(src, tgt, comps)
-    return out.validate() if check else out
+    return _crossed_map(src, tgt, comps, check)
 
 
 # -- distributivity -------------------------------------------------------------
@@ -388,14 +380,21 @@ def braiding_inverse(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> Cr
 def distributivity_iso(
     cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet, check: bool = True
 ) -> CrossedMap:
-    """The explicit isomorphism X (x) (Y u Z) -> (X (x) Y) u (X (x) Z)."""
+    """The explicit isomorphism X (x) (Y u Z) -> (X (x) Y) u (X (x) Z):
+    (i, j) goes to i|Y| + j for j < |Y|, else to |X||Y| + i|Z| + (j - |Y|)."""
     src = tensor(cx, crossed_coproduct(cy, cz, check=False), check=False)
     tgt = crossed_coproduct(
         tensor(cx, cy, check=False), tensor(cx, cz, check=False), check=False
     )
-    return _lookup_map(
-        src, tgt, lambda lab: (lab[1][0], (lab[0], lab[1][1])), check
-    )
+    comps = [
+        [
+            i * ny + j if j < ny else nx * ny + i * nz + j - ny
+            for i in range(nx)
+            for j in range(ny + nz)
+        ]
+        for nx, ny, nz in zip(cx.carrier.sizes, cy.carrier.sizes, cz.carrier.sizes)
+    ]
+    return _crossed_map(src, tgt, comps, check)
 
 
 # -- trivial labels and transport -------------------------------------------------
@@ -430,7 +429,7 @@ def restrict(x: GSet | GMonoid, z: int) -> GSet | GMonoid:
     action = [x.action[m] for m in inclusion.morphism_map]
     if isinstance(x, GMonoid):
         return GMonoid(iso, [x.monoids[z]], action)
-    return GSet(iso, [x.fibers[z]], action)
+    return GSet(iso, [x.sizes[z]], action)
 
 
 def transport_restrict(c: CrossedGSet, z: int) -> CrossedGSet:
@@ -440,21 +439,21 @@ def transport_restrict(c: CrossedGSet, z: int) -> CrossedGSet:
 
 
 def induce(
-    weight: GMonoid | GSet, z: int, fiber: list, loop_action: list[list[int]], label: list[int]
+    weight: GMonoid | GSet, z: int, size: int, loop_action: list[list[int]], label: list[int]
 ) -> CrossedGSet:
-    """Spread a fiber at z, acted on by the isotropy group at z (loop
-    position k acts by ``loop_action[k]``) and labeled in weight(z), over
-    the component of z along the retraction R(m : y -> w) = t_w^-1 m t_y:
-    every component object gets the fiber, m acts by R(m), and the labels
-    at y are moved by weight(t_y).  Objects off the component get empty
-    fibers.  Only ``weight.action`` is read, so labels may live in any
-    G-set."""
+    """Spread a fiber of ``size`` elements at z, acted on by the isotropy
+    group at z (loop position k acts by ``loop_action[k]``) and labeled in
+    weight(z), over the component of z along the retraction
+    R(m : y -> w) = t_w^-1 m t_y: every component object gets the fiber,
+    m acts by R(m), and the labels at y are moved by weight(t_y).  Objects
+    off the component get empty fibers.  Only ``weight.action`` is read, so
+    labels may live in any G-set."""
     g = weight.base
     t = component_transports(g, z)
     action = [[] if k is None else loop_action[k] for k in retraction(g, t)]
-    fibers = [fiber if y in t else [] for y in g.objects]
+    sizes = [size if y in t else 0 for y in g.objects]
     labels = [[weight.action[t[y]][v] for v in label] if y in t else [] for y in g.objects]
-    return CrossedGSet(GSet(g, fibers, action), weight, labels).validate()
+    return CrossedGSet(GSet(g, sizes, action), weight, labels).validate()
 
 
 def transport_induce(cz: CrossedGSet, weight: GMonoid | GSet, z: int) -> CrossedGSet:
@@ -466,7 +465,7 @@ def transport_induce(cz: CrossedGSet, weight: GMonoid | GSet, z: int) -> Crossed
         raise BaseMismatch("input does not live over the isotropy group at z")
     if cz.weight != wz:
         raise WeightMismatch("input is not labeled in the weight restricted to z")
-    return induce(weight, z, cz.carrier.fibers[0], cz.carrier.action, cz.label[0])
+    return induce(weight, z, cz.carrier.size(0), cz.carrier.action, cz.label[0])
 
 
 def transport_connected(c: CrossedGSet, z: int) -> TransportData:

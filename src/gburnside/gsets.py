@@ -2,12 +2,11 @@
 conjugation action, action groupoids, orbits, and the product/coproduct
 structure underlying the Burnside ring.
 
-A G-set stores one finite fiber per object (a list of hashable element
-labels; the label's position is its dense id) and one bijection per
-morphism, as an index map from the dom fiber into the cod fiber.  Products
-and coproducts build structured labels (tuples, tagged pairs) so that
-coherence maps can be constructed by honest label lookup instead of index
-arithmetic.
+A G-set stores the size of its fiber at each object, whose elements are
+the dense ids 0..n-1, and one bijection per morphism, as an index map from
+the dom fiber into the cod fiber.  The product's element (i, j) has id
+i*|Y| + j, and the coproduct's elements of Y follow those of X, so every
+coherence map is an index formula.
 
 The constructors of ``GSet``, ``GMonoid`` and ``GMap`` take ownership of
 the lists they are handed and store them without copying; no operation
@@ -46,37 +45,22 @@ def same_base(a: FiniteGroupoid, b: FiniteGroupoid) -> bool:
 class GSet:
     """A functor from the base groupoid to finite sets."""
 
-    def __init__(self, base: FiniteGroupoid, fibers, action):
+    def __init__(self, base: FiniteGroupoid, sizes, action):
         self.base = base
-        self.fibers: list[list] = fibers
+        self.sizes: list[int] = sizes
         self.action: list[list[int]] = action
-        self._index: list[dict] | None = None
 
     def size(self, x: int) -> int:
-        return len(self.fibers[x])
+        return self.sizes[x]
 
     @property
     def total_size(self) -> int:
-        return sum(len(f) for f in self.fibers)
-
-    def index(self, x: int) -> dict:
-        """Label -> dense id lookup for the fiber at x."""
-        if self._index is None:
-            self._index = [
-                {lab: i for i, lab in enumerate(f)} for f in self.fibers
-            ]
-        return self._index[x]
-
-    def apply(self, m: int, i: int) -> int:
-        return self.action[m][i]
+        return sum(self.sizes)
 
     def validate(self) -> "GSet":
         g = self.base
-        if len(self.fibers) != g.n_objects:
-            raise NotNatural("fiber list does not cover every object")
-        for x, f in enumerate(self.fibers):
-            if len(set(f)) != len(f):
-                raise NotNatural(f"duplicate element labels in fiber at {x}")
+        if len(self.sizes) != g.n_objects:
+            raise NotNatural("size list does not cover every object")
         if len(self.action) != g.n_morphisms:
             raise NotNatural("action list does not cover every morphism")
         for m in g.morphisms:
@@ -106,25 +90,21 @@ class GSet:
             return NotImplemented
         return (
             same_base(self.base, other.base)
-            and self.fibers == other.fibers
+            and self.sizes == other.sizes
             and self.action == other.action
         )
 
     def __repr__(self) -> str:
-        return f"GSet(fibers={[len(f) for f in self.fibers]})"
+        return f"GSet(sizes={self.sizes})"
 
 
 def terminal_gset(g: FiniteGroupoid) -> GSet:
     """Singleton fiber at every object; the monoidal unit carrier."""
-    return GSet(
-        g,
-        [[0] for _ in g.objects],
-        [[0] for _ in g.morphisms],
-    ).validate()
+    return GSet(g, [1] * g.n_objects, [[0] for _ in g.morphisms]).validate()
 
 
 def empty_gset(g: FiniteGroupoid) -> GSet:
-    return GSet(g, [[] for _ in g.objects], [[] for _ in g.morphisms]).validate()
+    return GSet(g, [0] * g.n_objects, [[] for _ in g.morphisms]).validate()
 
 
 @dataclass
@@ -174,9 +154,6 @@ class GMonoid:
     def size(self, x: int) -> int:
         return self.monoids[x].size
 
-    def apply(self, m: int, s: int) -> int:
-        return self.action[m][s]
-
     def mul(self, x: int, a: int, b: int) -> int:
         return self.monoids[x].mul(a, b)
 
@@ -184,11 +161,7 @@ class GMonoid:
         return self.monoids[x].unit
 
     def underlying(self) -> GSet:
-        return GSet(
-            self.base,
-            [list(range(mon.size)) for mon in self.monoids],
-            self.action,
-        )
+        return GSet(self.base, [mon.size for mon in self.monoids], self.action)
 
     def validate(self) -> "GMonoid":
         g = self.base
@@ -224,7 +197,7 @@ class GMonoid:
 
 
 def underlying_gset(s: GMonoid) -> GSet:
-    """Forget the monoid structure, keeping fibers and action."""
+    """Forget the monoid structure, keeping fiber sizes and action."""
     return s.underlying().validate()
 
 
@@ -279,9 +252,6 @@ class GMap:
         self.source = source
         self.target = target
         self.components: list[list[int]] = components
-
-    def apply(self, x: int, i: int) -> int:
-        return self.components[x][i]
 
     def validate(self) -> "GMap":
         if not same_base(self.source.base, self.target.base):
@@ -423,8 +393,8 @@ def is_transitive(g: FiniteGroupoid, x: GSet) -> bool:
 def orbit_decomposition(g: FiniteGroupoid, x: GSet) -> list[tuple[GSet, GMap]]:
     """Split x into transitive pieces with embeddings back into x.
 
-    Pieces keep the original element labels, so the disjoint union of the
-    pieces is literally a relabeling of x.
+    A piece numbers its elements at each object in the order of their
+    ids in x; the embedding's component lists those ids.
     """
     if not same_base(g, x.base):
         raise BaseMismatch("G-set does not live over this groupoid")
@@ -438,12 +408,11 @@ def orbit_decomposition(g: FiniteGroupoid, x: GSet) -> list[tuple[GSet, GMap]]:
         back = [
             {orig: k for k, orig in enumerate(lst)} for lst in members
         ]
-        fibers = [[x.fibers[o][i] for i in members[o]] for o in g.objects]
         action = [
             [back[g.cod[m]][x.action[m][i]] for i in members[g.dom[m]]]
             for m in g.morphisms
         ]
-        piece = GSet(g, fibers, action)
+        piece = GSet(g, [len(lst) for lst in members], action)
         embed = GMap(piece, x, members)
         out.append((piece, embed))
     return out
@@ -454,27 +423,23 @@ def orbit_decomposition(g: FiniteGroupoid, x: GSet) -> list[tuple[GSet, GMap]]:
 def gset_product(x: GSet, y: GSet, check: bool = True) -> GSet:
     """Fiberwise cartesian product with the diagonal action.
 
-    The element (a, b) has dense id i*|Y| + j, and its label is the pair of
-    the factor labels.  The action is built when first read.
+    The element (i, j) has dense id i*|Y| + j.  The action is built when
+    first read.
     """
     if not same_base(x.base, y.base):
         raise BaseMismatch("product of G-sets over different groupoids")
-    fibers = [
-        [(a, b) for a in x.fibers[o] for b in y.fibers[o]] for o in x.base.objects
-    ]
-    out = _ProductGSet(x, y, fibers)
+    out = _ProductGSet(x, y)
     return out.validate() if check else out
 
 
 class _ProductGSet(GSet):
     """A product whose action is built when first read: the coherence maps
-    of the axiom checker read only the fibers of most products they build."""
+    of the axiom checker read only the sizes of most products they build."""
 
-    def __init__(self, x: GSet, y: GSet, fibers):
+    def __init__(self, x: GSet, y: GSet):
         # not GSet.__init__: binding action would hide the property below
         self.base = x.base
-        self.fibers = fibers
-        self._index = None
+        self.sizes = [a * b for a, b in zip(x.sizes, y.sizes)]
         self._factors = (x, y)
 
     @cached_property
@@ -485,25 +450,23 @@ class _ProductGSet(GSet):
         out = []
         for m in g.morphisms:
             ax, ay = x.action[m], y.action[m]
-            w = len(y.fibers[g.cod[m]])
+            w = y.sizes[g.cod[m]]
             out.append([i * w + j for i in ax for j in ay])
         return out
 
 
 def gset_coproduct(x: GSet, y: GSet, check: bool = True) -> GSet:
-    """Fiberwise disjoint union; elements keep tagged labels (0, a) / (1, b)."""
+    """Fiberwise disjoint union: at each object the element j of y has id
+    |X| + j, after the elements of x."""
     if not same_base(x.base, y.base):
         raise BaseMismatch("coproduct of G-sets over different groupoids")
     g = x.base
-    fibers = [
-        [(0, a) for a in x.fibers[o]] + [(1, b) for b in y.fibers[o]]
-        for o in g.objects
-    ]
     action = []
     for m in g.morphisms:
         off = x.size(g.cod[m])
         action.append(x.action[m] + [off + j for j in y.action[m]])
-    out = GSet(g, fibers, action)
+    sizes = [a + b for a, b in zip(x.sizes, y.sizes)]
+    out = GSet(g, sizes, action)
     return out.validate() if check else out
 
 

@@ -401,16 +401,12 @@ def _fiber_product(a: CrossedGSet, b: CrossedGSet) -> CrossedGSet:
         for o in g.objects
     ]
     pos = [{pair: k for k, pair in enumerate(pairs)} for pairs in keep]
-    fibers = [
-        [(a.carrier.fibers[o][i], b.carrier.fibers[o][j]) for i, j in keep[o]]
-        for o in g.objects
-    ]
     action = []
     for m in g.morphisms:
         aa, ba = a.carrier.action[m], b.carrier.action[m]
         action.append([pos[g.cod[m]][(aa[i], ba[j])] for i, j in keep[g.dom[m]]])
     label = [[a.label[o][i] for i, _ in keep[o]] for o in g.objects]
-    return CrossedGSet(GSet(g, fibers, action), a.weight, label).validate()
+    return CrossedGSet(GSet(g, [len(k) for k in keep], action), a.weight, label).validate()
 
 
 def _identity_slice(g: FiniteGroupoid, x: GSet) -> CrossedGSet:
@@ -639,17 +635,18 @@ def _ring_bijection(
     cols = []
     for entry in left.basis.entries:
         y = entry.crossed.carrier
-        fibers: list[list] = [[] for _ in g.objects]
+        labels: list[list[int]] = [[] for _ in g.objects]
         start = []  # object of h -> offset of its part in the fiber below it
         for obj, (o, a) in enumerate(ag.object_tags):
-            start.append(len(fibers[o]))
-            fibers[o].extend((a, e) for e in y.fibers[obj])
-        action = [[0] * len(fibers[g.dom[m]]) for m in g.morphisms]
+            start.append(len(labels[o]))
+            labels[o].extend([a] * y.size(obj))
+        sizes = [len(lab) for lab in labels]
+        action = [[0] * sizes[g.dom[m]] for m in g.morphisms]
         for t, m in enumerate(proj.morphism_map):
             row, src, dst = action[m], start[h.dom[t]], start[h.cod[t]]
             for k, v in enumerate(y.action[t]):
                 row[src + k] = dst + v
-        pushed = CrossedGSet(GSet(g, fibers, action), x, [[a for a, _ in f] for f in fibers])
+        pushed = CrossedGSet(GSet(g, sizes, action), x, labels)
         cols.append(express_in_basis(pushed, right.basis))
     return RingHom(left, right, [list(row) for row in zip(*cols)]).verify()
 

@@ -50,16 +50,11 @@ def shuffle_fibers(c: CrossedGSet, rng: random.Random) -> CrossedGSet:
         p = list(range(c.carrier.size(x)))
         rng.shuffle(p)
         perms.append(p)  # p[i] = new position of old element i
-    fibers = []
     labels = []
     for x in g.objects:
-        n = c.carrier.size(x)
-        fib = [None] * n
-        lab = [0] * n
-        for i in range(n):
-            fib[perms[x][i]] = c.carrier.fibers[x][i]
-            lab[perms[x][i]] = c.label[x][i]
-        fibers.append(fib)
+        lab = [0] * c.carrier.size(x)
+        for i, v in enumerate(c.label[x]):
+            lab[perms[x][i]] = v
         labels.append(lab)
     action = []
     for m in g.morphisms:
@@ -69,7 +64,7 @@ def shuffle_fibers(c: CrossedGSet, rng: random.Random) -> CrossedGSet:
         for i in range(len(old)):
             img[perms[x][i]] = perms[y][old[i]]
         action.append(img)
-    return CrossedGSet(GSet(g, fibers, action), c.weight, labels)
+    return CrossedGSet(GSet(g, list(c.carrier.sizes), action), c.weight, labels)
 
 
 def sample_crossed(

@@ -155,7 +155,7 @@ def parse_gset(obj, g: FiniteGroupoid) -> GSet:
     _expect("fibers" in obj, "G-set input is missing field 'fibers'")
     sizes = _parse_fiber_sizes(obj, g)
     action = _parse_action(obj, g, sizes)
-    return GSet(g, [list(range(n)) for n in sizes], action).validate()
+    return GSet(g, sizes, action).validate()
 
 
 def parse_gmonoid(obj, g: FiniteGroupoid) -> GMonoid:

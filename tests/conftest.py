@@ -12,6 +12,17 @@ def cyclic_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
+# An order-5 loop: identity 0 and two-sided inverses, but not associative,
+# first at (1, 1, 2): (1 1) 2 = 2 and 1 (1 2) = 4.
+NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def table_product(t1: list[list[int]], t2: list[list[int]]) -> list[list[int]]:
     n2 = len(t2)
     n1 = len(t1)
@@ -157,7 +168,7 @@ def regular_gset(g: gb.FiniteGroupoid) -> GSet:
         [pos[g.cod[m]][g.compose_table[m][f]] for f in fibers[g.dom[m]]]
         for m in g.morphisms
     ]
-    return GSet(g, [list(range(len(fib))) for fib in fibers], action).validate()
+    return GSet(g, [len(fib) for fib in fibers], action).validate()
 
 
 def editable_tables(g: gb.FiniteGroupoid) -> dict:
@@ -194,7 +205,5 @@ def sparse_rows(c: list[list[list[int]]]) -> list[list[tuple]]:
 def fixed_points_gset(g: gb.FiniteGroupoid, k: int) -> GSet:
     """k fixed points at every object."""
     return GSet(
-        g,
-        [list(range(k)) for _ in g.objects],
-        [list(range(k)) for _ in g.morphisms],
+        g, [k] * g.n_objects, [list(range(k)) for _ in g.morphisms]
     ).validate()

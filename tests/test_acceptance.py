@@ -134,7 +134,7 @@ def test_criterion_01_validation_suites():
             if bar.size(rep) > 1:
                 loud = GSet(
                     g,
-                    [list(f) for f in bar.fibers],
+                    list(bar.sizes),
                     [list(a) for a in bar.action],
                 )
                 loud.action[g.identity[rep]] = list(
@@ -330,7 +330,7 @@ def test_criterion_09_action_groupoid_corollary():
                         fresh.append(r)
             frontier = fresh
         natural = GSet(
-            s3, [[0, 1, 2]], [[p[i] for i in range(3)] for p in elems]
+            s3, [3], [[p[i] for i in range(3)] for p in elems]
         ).validate()
         cases = [
             (c2, regular_gset(c2)),

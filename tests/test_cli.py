@@ -14,7 +14,7 @@ import gburnside as gb
 from gburnside import cli
 from gburnside.cli import main
 
-from conftest import cyclic_table, dense_constants, sparse_rows
+from conftest import NON_ASSOCIATIVE_LOOP, cyclic_table, dense_constants, sparse_rows
 
 
 @pytest.fixture
@@ -108,6 +108,16 @@ class TestCommands:
         p.write_text("{not json")
         code, _ = run_cli(capsys, "components", "--groupoid", str(p))
         assert code == 2
+
+    def test_non_associative_group_table_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "loop5.json"
+        p.write_text(json.dumps({"group": {"table": NON_ASSOCIATIVE_LOOP}}))
+        code = main(["components", "--groupoid", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: NonAssociative:")
+        assert "Traceback" not in captured.err
 
     def test_boolean_pair_exits_2(self, tmp_path, capsys):
         p = tmp_path / "pair_true.json"

@@ -405,6 +405,70 @@ class TestDistributivity:
         assert are_isomorphic(lhs, rhs) is not None
 
 
+def _ids(c):
+    return [list(range(n)) for n in c.carrier.sizes]
+
+
+def _pairs(xs, ys):
+    return [[(a, b) for a in xo for b in yo] for xo, yo in zip(xs, ys)]
+
+
+def _tagged(xs, ys):
+    return [[(0, a) for a in xo] + [(1, b) for b in yo] for xo, yo in zip(xs, ys)]
+
+
+def _looked_up(source_labels, target_labels, relabel):
+    out = []
+    for src, tgt in zip(source_labels, target_labels):
+        index = {lab: i for i, lab in enumerate(tgt)}
+        assert len(index) == len(tgt)
+        out.append([index[relabel(lab)] for lab in src])
+    return out
+
+
+def label_lookup_oracle(cx, cy, cz):
+    """The coherence maps for (x, y, z) found by label lookup: every element
+    gets an explicit label (a pair in a product, a tagged pair (0, a) or
+    (1, b) in a coproduct), each source label is rewritten as the map
+    says and looked up among the target's labels."""
+    x, y, z = _ids(cx), _ids(cy), _ids(cz)
+    unit = [[0] for _ in x]
+    return {
+        "associator": _looked_up(
+            _pairs(_pairs(x, y), z), _pairs(x, _pairs(y, z)),
+            lambda lab: (lab[0][0], (lab[0][1], lab[1])),
+        ),
+        "left_unitor": _looked_up(_pairs(unit, x), x, lambda lab: lab[1]),
+        "right_unitor": _looked_up(_pairs(x, unit), x, lambda lab: lab[0]),
+        "distributivity": _looked_up(
+            _pairs(x, _tagged(y, z)), _tagged(_pairs(x, y), _pairs(x, z)),
+            lambda lab: (lab[1][0], (lab[0], lab[1][1])),
+        ),
+    }
+
+
+class TestCoherenceAgainstLabelLookup:
+    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    @pytest.mark.parametrize("name", ["C2", "S3", "C2+S3", "(C2xPair(2))+C3"])
+    def test_components_equal_the_oracle(self, corpus, name, weight, check):
+        g = corpus[name]
+        s = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+        samples = sample_many(g, s, 8, seed=2)
+        assert any(c.total_size > 1 for c in samples)
+        for i in range(len(samples)):
+            cx, cy, cz = (samples[(i + j) % len(samples)] for j in range(3))
+            expected = label_lookup_oracle(cx, cy, cz)
+            got = {
+                "associator": associator(cx, cy, cz, check=check),
+                "left_unitor": left_unitor(cx, check=check),
+                "right_unitor": right_unitor(cx, check=check),
+                "distributivity": distributivity_iso(cx, cy, cz, check=check),
+            }
+            for key, m in got.items():
+                assert m.components == expected[key], (key, i)
+
+
 class TestTrivialLabelEmbed:
     def test_terminal_gives_unit_object(self, c2, c2_conj):
         f = trivial_label_embed(gb.terminal_gset(c2), c2_conj)

@@ -13,8 +13,8 @@ the ``--format table`` output of the four ring commands, of ``verify
 axioms --samples 30 --seed 0`` under both weights and of ``verify
 decomposition`` (the generic renderer), for every corpus groupoid, and
 the SHA-256 of the samples ``sample_many(g, weight, 30, seed=0)`` draws
-(fibers, action and labels of each) under both weights, for every corpus
-groupoid.
+(fiber sizes, action and labels of each) under both weights, for every
+corpus groupoid.
 Regenerate it (only when an output change is intended) with::
 
     PYTHONPATH=src:tests python tests/test_golden.py > tests/golden_digests.json
@@ -150,7 +150,7 @@ def sampler_digests(corpus: dict) -> dict[str, str]:
         for weight in AXIOM_WEIGHTS:
             s = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
             drawn = [
-                (c.carrier.fibers, c.carrier.action, c.label)
+                (c.carrier.sizes, c.carrier.action, c.label)
                 for c in sample_many(g, s, 30, seed=0)
             ]
             out[_key(name, "sample-many", weight)] = hashlib.sha256(

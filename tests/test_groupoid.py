@@ -13,6 +13,7 @@ from gburnside.errors import (
     EmptyObjectSet,
     MissingIdentity,
     MissingInverse,
+    NonAssociative,
     NotAGroup,
     NotConnected,
     NotSubgroupoid,
@@ -27,7 +28,7 @@ from gburnside.groupoid import (
     identity_functor,
 )
 
-from conftest import cyclic_table, editable_tables, s3_table
+from conftest import NON_ASSOCIATIVE_LOOP, cyclic_table, editable_tables, s3_table
 
 
 class TestValidateGroupoid:
@@ -166,6 +167,10 @@ class TestFromGroup:
     def test_semilattice_rejected(self):
         with pytest.raises(NotAGroup):
             gb.from_group([[0, 1], [1, 1]])
+
+    def test_non_associative_loop_rejected(self):
+        with pytest.raises(NonAssociative, match=r"\(1, 1, 2\)"):
+            gb.from_group(NON_ASSOCIATIVE_LOOP)
 
     def test_perm_gens_closure(self):
         table = gb.group_table_from_perm_gens([[1, 2, 3, 0]])

@@ -17,7 +17,7 @@ from conftest import fixed_points_gset, regular_gset
 @pytest.fixture
 def s3_natural(s3, s3_perms) -> GSet:
     return GSet(
-        s3, [[0, 1, 2]], [[p[i] for i in range(3)] for p in s3_perms]
+        s3, [3], [[p[i] for i in range(3)] for p in s3_perms]
     ).validate()
 
 
@@ -27,21 +27,21 @@ class TestGSetValidation:
 
     def test_corrupt_action_entry(self, c2):
         x = regular_gset(c2)
-        bad = GSet(c2, x.fibers, [list(a) for a in x.action])
+        bad = GSet(c2, list(x.sizes), [list(a) for a in x.action])
         bad.action[1][0] = 0  # sigma no longer a bijection
         with pytest.raises(NotNatural):
             bad.validate()
 
     def test_corrupt_identity_action(self, c2):
         x = fixed_points_gset(c2, 2)
-        bad = GSet(c2, x.fibers, [list(a) for a in x.action])
+        bad = GSet(c2, list(x.sizes), [list(a) for a in x.action])
         bad.action[0] = [1, 0]
         with pytest.raises(NotNatural):
             bad.validate()
 
     def test_functoriality_catch(self, s3):
         x = regular_gset(s3)
-        bad = GSet(s3, x.fibers, [list(a) for a in x.action])
+        bad = GSet(s3, list(x.sizes), [list(a) for a in x.action])
         a = bad.action[2]
         a[0], a[1] = a[1], a[0]
         with pytest.raises(NotNatural):
@@ -51,7 +51,7 @@ class TestGSetValidation:
         g = corpus["C2+S3"]
         GSet(
             g,
-            [[0], []],
+            [1, 0],
             [[0], [0]] + [[] for _ in range(6)],
         ).validate()
 
@@ -192,7 +192,7 @@ class TestTransitivity:
         u, _ = gb.disjoint_union([c2, c3])
         x = GSet(
             u,
-            [[0], []],
+            [1, 0],
             [[0], [0]] + [[] for _ in range(3)],
         ).validate()
         assert gb.is_transitive(u, x)
@@ -210,7 +210,7 @@ class TestOrbits:
 
     def test_pair2_linked_fibers(self):
         g = gb.pair_groupoid(2)
-        x = GSet(g, [[0], [0]], [[0], [0], [0], [0]]).validate()
+        x = GSet(g, [1, 1], [[0], [0], [0], [0]]).validate()
         assert len(gb.orbit_decomposition(g, x)) == 1
 
     def test_s3_natural_plus_point(self, s3, s3_natural):
@@ -248,8 +248,8 @@ class TestProductsCoproducts:
                     [i * y.size(g.cod[m]) + j for i in x.action[m] for j in y.action[m]]
                     for m in g.morphisms
                 ]
-                eager = GSet(g, [[(a, b) for a in x.fibers[o] for b in y.fibers[o]]
-                                 for o in g.objects], explicit)
+                sizes = [x.size(o) * y.size(o) for o in g.objects]
+                eager = GSet(g, sizes, explicit)
                 assert gb.gset_product(x, y, check=False) == eager
                 assert eager == gb.gset_product(x, y, check=False)
                 lazy = gb.gset_product(x, y, check=False)
@@ -307,7 +307,7 @@ class TestMarks:
         perm = [2, 0, 1]
         relabeled = GSet(
             s3,
-            [[0, 1, 2]],
+            [3],
             [
                 [perm[s3_natural.action[m][i]] for i in _inverse(perm)]
                 for m in s3.morphisms

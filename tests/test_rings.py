@@ -64,7 +64,7 @@ def conjugation_decomposition(g):
 @pytest.fixture
 def s3_natural(s3, s3_perms) -> GSet:
     return GSet(
-        s3, [[0, 1, 2]], [[p[i] for i in range(3)] for p in s3_perms]
+        s3, [3], [[p[i] for i in range(3)] for p in s3_perms]
     ).validate()
 
 
@@ -445,7 +445,7 @@ def groups_with_gsets(draw):
         groups.append(gb.from_group(gb.group_table_from_perm_gens(gens)))
     g = gb.disjoint_union(groups)[0] if len(groups) > 1 else groups[0]
     table = g.compose_table
-    fibers, action = [], [None] * g.n_morphisms
+    sizes, action = [], [None] * g.n_morphisms
     for o in g.objects:
         loops = g.loops(o)
         cosets = []  # (piece, left coset a H)
@@ -462,10 +462,10 @@ def groups_with_gsets(draw):
                 if (piece, coset) not in cosets:
                     cosets.append((piece, coset))
         pos = {c: i for i, c in enumerate(cosets)}
-        fibers.append(list(range(len(cosets))))
+        sizes.append(len(cosets))
         for m in loops:
             action[m] = [pos[p, frozenset(table[m][k] for k in c)] for p, c in cosets]
-    return g, GSet(g, fibers, action).validate()
+    return g, GSet(g, sizes, action).validate()
 
 
 @settings(max_examples=60, deadline=None)

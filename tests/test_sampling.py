@@ -65,9 +65,9 @@ def test_each_piece_induced_once_and_never_shared(corpus, monkeypatch):
     # samples own their lists: none is a list of a cached piece
     piece_lists = {
         id(lst) for p in pieces.values()
-        for lst in (*p.carrier.fibers, *p.carrier.action, *p.label)
+        for lst in (p.carrier.sizes, *p.carrier.action, *p.label)
     }
     for c in samples:
         c.validate()
-        lists = (*c.carrier.fibers, *c.carrier.action, *c.label)
+        lists = (c.carrier.sizes, *c.carrier.action, *c.label)
         assert not piece_lists & {id(lst) for lst in lists}
