@@ -14,15 +14,10 @@ associator and both unitors keep every id.  The axiom checker compares
 composite maps as data, so a corrupted map is reported with a concrete
 witness.
 
-The axiom checker runs every axiom family on one window of its samples
-before the next.  Within a window, unchecked tensor products are built
-once and shared by every coherence map of every family: the pentagon
-needs (W (x) X) (x) (Y (x) Z) on both sides, and the hexagon's
-(X (x) Y) (x) Z is the pentagon's too.  That memo is keyed by operand
-identity and dropped when the window ends, not kept for the whole check,
-because the iterated products of every window together would multiply
-the checker's peak memory.  The unit object, one element per object, is
-built once per check and shared by all windows.
+A tensor product builds its labels, like its carrier's action, only when
+they are first read: most products the axiom checker builds are the
+source or target of a coherence map whose components need only fiber
+sizes.  The unit object is built once per weight instance and kept on it.
 
 ``CrossedGSet`` and ``CrossedMap`` take ownership of the lists they are
 handed, as the G-set constructors do (see ``gsets``).
@@ -30,8 +25,8 @@ handed, as the G-set constructors do (see ``gsets``).
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BaseMismatch,
@@ -198,52 +193,44 @@ def invert_crossed_map(m: CrossedMap) -> CrossedMap:
 
 # -- monoidal structure -------------------------------------------------------
 
-# Set by check_monoidal_axioms: (tensor products of the current window,
-# unit objects of the whole check).  Keys hold operand ids; each value keeps
-# its operands alive, so no id is reused while the memo lives.
-_checker_memo: ContextVar[tuple[dict, dict] | None] = ContextVar(
-    "_checker_memo", default=None
-)
-
-
 def tensor(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedGSet:
     """Tensor product: cartesian carrier, labels multiplied in the weight."""
-    memo = _checker_memo.get()
-    products = None if check or memo is None else memo[0]
-    key = (id(c1), id(c2))
-    if products is not None and key in products:
-        return products[key][0]
     same_weight(c1, c2)
-    carrier = gset_product(c1.carrier, c2.carrier, check=False)
-    g = carrier.base
-    label = []
-    for x in g.objects:
-        mon = c1.weight.monoids[x]
-        l1, l2 = c1.label[x], c2.label[x]
-        label.append([mon.table[a][b] for a in l1 for b in l2])
-    out = CrossedGSet(carrier, c1.weight, label)
-    if check:
-        return out.validate()
-    if products is not None:
-        products[key] = (out, c1, c2)
-    return out
+    out = _CrossedProduct(c1, c2)
+    return out.validate() if check else out
+
+
+class _CrossedProduct(CrossedGSet):
+    """A tensor product whose labels are built when first read (see
+    ``gsets._ProductGSet``)."""
+
+    def __init__(self, c1: CrossedGSet, c2: CrossedGSet):
+        # not CrossedGSet.__init__: binding label would hide the property below
+        self.carrier = gset_product(c1.carrier, c2.carrier, check=False)
+        self.weight = c1.weight
+        # reading monoids here fails now, not at first read, on a G-set weight
+        self._factors = (c1, c2, c1.weight.monoids)
+
+    @cached_property
+    def label(self) -> list[list[int]]:
+        c1, c2, monoids = self._factors
+        self._factors = None  # the factors may be freed now
+        return [
+            [mon.table[a][b] for a in l1 for b in l2]
+            for mon, l1, l2 in zip(monoids, c1.label, c2.label)
+        ]
 
 
 def unit_object(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
-    """Singleton carrier labeled by the weight units."""
-    memo = _checker_memo.get()
-    units = None if memo is None else memo[1]
-    key = (id(g), id(s))
-    if units is not None and key in units:
-        return units[key][0]
+    """Singleton carrier labeled by the weight units.  Built and validated
+    once per weight instance and shared, so callers must not mutate it."""
     if not same_base(g, s.base):
         raise BaseMismatch("weight does not live over this groupoid")
-    out = CrossedGSet(
-        terminal_gset(g), s, [[s.unit(x)] for x in g.objects]
-    ).validate()
-    if units is not None:
-        units[key] = (out, g, s)
-    return out
+    if s._unit_object is None:
+        s._unit_object = CrossedGSet(
+            terminal_gset(s.base), s, [[mon.unit] for mon in s.monoids]
+        ).validate()
+    return s._unit_object
 
 
 def empty_crossed(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
@@ -609,19 +596,14 @@ def check_monoidal_axioms(samples: list[CrossedGSet], associator_hook=None) -> l
             ("unitor-braiding", 1, lambda w: _unitor_braiding(*w)),
         ]
     n = len(samples)
-    units: dict = {}
     status: list[object] = ["ok"] * len(checks)
     for i in range(n):
-        token = _checker_memo.set(({}, units))
-        try:
-            for k, (name, arity, run) in enumerate(checks):
-                if status[k] != "ok":
-                    continue  # each axiom reports its first failing window
-                window = [(i + j) % n for j in range(arity)]
-                witness = run([samples[j] for j in window])
-                if witness is not None:
-                    witness["window"] = window
-                    status[k] = {"witness": witness}
-        finally:
-            _checker_memo.reset(token)
+        for k, (name, arity, run) in enumerate(checks):
+            if status[k] != "ok":
+                continue  # each axiom reports its first failing window
+            window = [(i + j) % n for j in range(arity)]
+            witness = run([samples[j] for j in window])
+            if witness is not None:
+                witness["window"] = window
+                status[k] = {"witness": witness}
     return [{"axiom": name, "status": st} for (name, _, _), st in zip(checks, status)]

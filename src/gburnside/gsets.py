@@ -150,6 +150,7 @@ class GMonoid:
         self.base = base
         self.monoids: list[Monoid] = monoids
         self.action: list[list[int]] = action
+        self._unit_object = None  # set by crossed.unit_object
 
     def size(self, x: int) -> int:
         return self.monoids[x].size

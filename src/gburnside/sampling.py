@@ -71,17 +71,12 @@ def sample_crossed(
     g: FiniteGroupoid,
     weight: GMonoid,
     rng: random.Random,
-    max_fiber: int = 5,
-    max_orbits: int = 3,
-    options=None,
+    max_fiber: int,
+    max_orbits: int,
+    options,
 ) -> CrossedGSet:
-    """One random crossed G-set with every fiber at most max_fiber.
-
-    Pass the result of _orbit_options as ``options`` when sampling many
-    times over the same base and weight.
-    """
-    if options is None:
-        options = _orbit_options(g, weight)
+    """One random crossed G-set with every fiber at most max_fiber, drawn
+    from ``options``, the result of _orbit_options for g and weight."""
     budget = [max_fiber] * g.n_objects
     out = None
     for _ in range(rng.randint(0, max_orbits)):

@@ -12,6 +12,8 @@ Input schemas:
 * G-monoid: a G-set body plus ``{"monoids": {"0": {"table": [[...]],
   "unit": u}, ...}}``, or the shorthand ``{"conjugation": true}``.
 * crossed set: a G-set body plus ``{"labels": {"0": [...], ...}}``.
+
+Object and morphism id keys are canonical decimals: ``"00"`` is refused.
 """
 
 from __future__ import annotations
@@ -55,6 +57,19 @@ def _ints(value, what: str) -> list[int]:
 def _int_rows(value, what: str) -> list[list[int]]:
     _expect(isinstance(value, list), f"{what} must be a list of integer lists")
     return [_ints(row, f"{what} row {k}") for k, row in enumerate(value)]
+
+
+def _id_key(key: str, n: int, what: str, kind: str) -> int:
+    """An object or morphism id below n from a JSON object key, spelled as
+    a canonical decimal, so that no two keys of one field name the same id
+    (``"00"`` and ``" 0"`` would otherwise overwrite ``"0"``)."""
+    try:
+        k = int(key)
+    except ValueError:
+        k = None
+    _expect(k is not None and str(k) == key, f"{what} key {key!r} is not {kind} id")
+    _expect(0 <= k < n, f"{what} key {key!r} is not {kind} of the groupoid")
+    return k
 
 
 def parse_groupoid(obj) -> FiniteGroupoid:
@@ -115,11 +130,7 @@ def _parse_fiber_sizes(obj, g: FiniteGroupoid) -> list[int]:
     _expect(isinstance(fibers, dict), "field 'fibers' must be an object")
     sizes = [0] * g.n_objects
     for key, val in fibers.items():
-        try:
-            x = int(key)
-        except ValueError:
-            raise ParseError(f"fiber key {key!r} is not an object id") from None
-        _expect(0 <= x < g.n_objects, f"fiber key {key!r} is not an object of the groupoid")
+        x = _id_key(key, g.n_objects, "fiber", "an object")
         _expect(_is_int(val) and val >= 0, f"fiber size at {key!r} must be a non-negative integer")
         sizes[x] = val
     return sizes
@@ -130,11 +141,7 @@ def _parse_action(obj, g: FiniteGroupoid, sizes: list[int]) -> list[list[int]]:
     _expect(isinstance(action_spec, dict), "field 'action' must be an object")
     action: list[list[int] | None] = [None] * g.n_morphisms
     for key, img in action_spec.items():
-        try:
-            m = int(key)
-        except ValueError:
-            raise ParseError(f"action key {key!r} is not a morphism id") from None
-        _expect(0 <= m < g.n_morphisms, f"action key {key!r} is not a morphism of the groupoid")
+        m = _id_key(key, g.n_morphisms, "action", "a morphism")
         action[m] = _ints(img, f"action of morphism {m}")
         # before any fiber of the declared sizes is built
         if len(img) != sizes[g.dom[m]]:
@@ -169,11 +176,7 @@ def parse_gmonoid(obj, g: FiniteGroupoid) -> GMonoid:
     _expect(isinstance(monoid_spec, dict), "field 'monoids' must be an object")
     monoids: list[Monoid | None] = [None] * g.n_objects
     for key, val in monoid_spec.items():
-        try:
-            x = int(key)
-        except ValueError:
-            raise ParseError(f"monoid key {key!r} is not an object id") from None
-        _expect(0 <= x < g.n_objects, f"monoid key {key!r} is not an object of the groupoid")
+        x = _id_key(key, g.n_objects, "monoid", "an object")
         _expect(
             isinstance(val, dict) and "table" in val and _is_int(val.get("unit")),
             f"monoid at {key!r} needs 'table' and an integer 'unit'",
@@ -200,11 +203,7 @@ def parse_crossed(obj, g: FiniteGroupoid, weight: GMonoid) -> CrossedGSet:
     labels = [[0] * carrier.size(x) for x in g.objects]
     seen = set()
     for key, val in labels_spec.items():
-        try:
-            x = int(key)
-        except ValueError:
-            raise ParseError(f"label key {key!r} is not an object id") from None
-        _expect(0 <= x < g.n_objects, f"label key {key!r} is not an object of the groupoid")
+        x = _id_key(key, g.n_objects, "label", "an object")
         _expect(
             len(_ints(val, f"labels at {key!r}")) == carrier.size(x),
             f"labels at {key!r} must list one weight element per carrier element",

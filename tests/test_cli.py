@@ -119,6 +119,17 @@ class TestCommands:
         assert captured.err.startswith("input error: NonAssociative:")
         assert "Traceback" not in captured.err
 
+    def test_two_spellings_of_one_fiber_key_exit_2(self, tmp_path, capsys):
+        c1 = tmp_path / "c1.json"
+        c1.write_text(json.dumps({"group": {"table": [[0]]}}))
+        gset = tmp_path / "dup.json"
+        gset.write_text('{"fibers": {"0": 2, "00": 1}}')
+        code = main(["validate", "--groupoid", str(c1), "--gset", str(gset)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "fiber key '00'" in captured.err
+
     def test_boolean_pair_exits_2(self, tmp_path, capsys):
         p = tmp_path / "pair_true.json"
         p.write_text(json.dumps({"pair": True}))

@@ -33,6 +33,7 @@ from gburnside.crossed import (
     validate_crossed,
 )
 from gburnside.errors import (
+    BaseMismatch,
     NotConnected,
     NotNatural,
     WeightMismatch,
@@ -46,9 +47,8 @@ from conftest import regular_gset, fixed_points_gset
 
 def axiom_major_report(samples, associator_hook=None):
     """check_monoidal_axioms in axiom-major order: every window of one
-    axiom family before the next family, with a fresh product memo for
-    each (family, window) pair.  The reference for the window-major
-    checker, which must give the same report."""
+    axiom family before the next family.  The reference for the
+    window-major checker, which must give the same report."""
     make = associator_hook or (lambda a, b, c: associator(a, b, c, check=False))
     families = [
         ("pentagon", 4, lambda w: crossed_module._pentagon(*w, make)),
@@ -66,11 +66,7 @@ def axiom_major_report(samples, associator_hook=None):
     for name, arity, run in families:
         status = "ok"
         for i in range(n):
-            token = crossed_module._checker_memo.set(({}, {}))
-            try:
-                witness = run([samples[(i + j) % n] for j in range(arity)])
-            finally:
-                crossed_module._checker_memo.reset(token)
+            witness = run([samples[(i + j) % n] for j in range(arity)])
             if witness is not None:
                 witness["window"] = [(i + j) % n for j in range(arity)]
                 status = {"witness": witness}
@@ -153,6 +149,46 @@ class TestTensorUnit:
             if sum(1 for i, v in enumerate(p) if v != i) == 2 and k != t12
         )
         assert conj.mul(0, t12, t13) == s3.compose_table[t12][t13]
+
+    def test_labels_built_once_when_first_read(self, s3):
+        conj = gb.conjugation_action(s3)
+        samples = sample_many(s3, conj, 6, seed=5)
+        for a, b in zip(samples, samples[1:]):
+            t = tensor(tensor(a, b, check=False), a, check=False)
+            assert "label" not in vars(t)
+            ab = [conj.mul(0, p, q) for p in a.label[0] for q in b.label[0]]
+            assert t.label == [[conj.mul(0, p, q) for p in ab for q in a.label[0]]]
+            assert t.label is vars(t)["label"]
+            assert t._factors is None
+            # an unchecked associator reads sizes only
+            m = associator(a, b, a, check=False)
+            assert "label" not in vars(m.source) and "label" not in vars(m.target)
+
+    def test_checked_tensor_validates(self, c2, c2_conj):
+        bad = gb.CrossedGSet(regular_gset(c2), c2_conj, [[0, 1]])  # not natural
+        unit = unit_object(c2, c2_conj)
+        tensor(bad, unit, check=False)
+        with pytest.raises(NotNatural):
+            tensor(bad, unit)
+        ok = tensor(unit, unit)
+        assert "label" in vars(ok)
+
+    def test_gset_weight_fails_at_the_tensor_call(self, c2, c2_conj):
+        weight = gb.underlying_gset(c2_conj)
+        c = validate_crossed(gb.terminal_gset(c2), weight, [[1]])
+        with pytest.raises(AttributeError, match="monoids"):
+            tensor(c, c, check=False)
+
+    def test_unit_object_kept_on_its_weight(self, s3, c2):
+        conj = gb.conjugation_action(s3)
+        u = unit_object(s3, conj)
+        assert unit_object(s3, conj) is u
+        twin = gb.GMonoid(s3, list(conj.monoids), list(conj.action))
+        assert twin == conj
+        v = unit_object(s3, twin)
+        assert v is not u and v.weight is twin and v == u
+        with pytest.raises(BaseMismatch):
+            unit_object(c2, conj)
 
     def test_unit_object_shapes(self, corpus):
         g = corpus["Pair(3)"]
@@ -336,59 +372,6 @@ class TestAxiomChecker:
         assert windows == {
             "pentagon": [2, 3, 4, 5], "triangle": [3, 4], "hexagon": [2, 3, 4],
         }
-
-    def test_products_shared_only_within_a_window(self, s3, monkeypatch):
-        samples = sample_many(s3, gb.conjugation_action(s3), 4, seed=5)
-        a, b, c = samples[0], samples[1], samples[2]
-        builds: list[tuple[gb.GSet, gb.GSet]] = []
-        product = crossed_module.gset_product
-
-        def counted_product(x, y, check=True):
-            builds.append((x, y))
-            return product(x, y, check)
-
-        monkeypatch.setattr(crossed_module, "gset_product", counted_product)
-        sources = []  # (window memo, associator source) of each (a, b, c) call
-
-        def hook(x, y, z):
-            t = tensor(x, y, check=False)
-            assert t is tensor(x, y, check=False)
-            if x is a and y is b and z is c:
-                sources.append((crossed_module._checker_memo.get()[0], tensor(t, z, check=False)))
-            return associator(x, y, z, check=False)
-
-        def pair_builds() -> int:
-            return sum(x is a.carrier and y is b.carrier for x, y in builds)
-
-        check_monoidal_axioms(samples, associator_hook=hook)
-        shared = pair_builds()
-        # window 0 calls the associator at (a, b, c) in the pentagon (its
-        # a_wxy) and in the hexagon, window 3 only in the pentagon: the two
-        # families share one (a (x) b) (x) c, and window 3 builds its own
-        windows: dict[int, set[int]] = {}
-        for memo, src in sources:
-            windows.setdefault(id(memo), set()).add(id(src))
-        assert len(sources) == 3
-        assert sorted(map(len, windows.values())) == [1, 1]
-        assert len({id(src) for _, src in sources}) == 2
-        # a (x) b is built once in each of several windows, and once per
-        # family and window in axiom-major order
-        builds.clear()
-        axiom_major_report(samples, associator_hook=hook)
-        assert 1 < shared < pair_builds()
-        assert crossed_module._checker_memo.get() is None
-        assert tensor(a, b, check=False) is not tensor(a, b, check=False)
-        assert unit_object(s3, a.weight) is not unit_object(s3, a.weight)
-
-        def failing_hook(x, y, z):
-            raise RuntimeError("hook failed")
-
-        with pytest.raises(RuntimeError):
-            check_monoidal_axioms(samples, associator_hook=failing_hook)
-        assert crossed_module._checker_memo.get() is None
-        assert tensor(a, b, check=False) is not tensor(a, b, check=False)
-        assert unit_object(s3, a.weight) is not unit_object(s3, a.weight)
-
 
 class TestDistributivity:
     def test_iso_is_crossed_map(self, c2_basis):

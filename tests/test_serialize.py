@@ -228,3 +228,32 @@ class TestFieldTypes:
                 c2,
                 gb.conjugation_action(c2),
             )
+
+
+class TestKeySpelling:
+    """An id key must be its canonical decimal spelling: ``int`` reads
+    "00", " 0" and "+0" as 0, and a second spelling of one id would
+    silently overwrite the first."""
+
+    @pytest.mark.parametrize("spelling", ["00", " 0", "0 ", "+0", "-0"])
+    def test_fiber_key(self, spelling):
+        c1 = gb.from_group([[0]])
+        with pytest.raises(ParseError, match="fiber key"):
+            parse_gset({"fibers": {"0": 2, spelling: 1}}, c1)
+
+    def test_action_key(self, c2):
+        with pytest.raises(ParseError, match="action key"):
+            parse_gset({"fibers": {"0": 2}, "action": {"1": [1, 0], "01": [0, 1]}}, c2)
+
+    def test_monoid_key(self, c2):
+        monoid = {"table": cyclic_table(2), "unit": 0}
+        with pytest.raises(ParseError, match="monoid key"):
+            parse_gmonoid({"monoids": {"0": monoid, "00": monoid}, "action": {"1": [0, 1]}}, c2)
+
+    def test_label_key(self, c2):
+        with pytest.raises(ParseError, match="label key"):
+            parse_crossed(
+                {"fibers": {"0": 2}, "action": {"1": [1, 0]}, "labels": {"0": [1, 1], "00": [0, 0]}},
+                c2,
+                gb.conjugation_action(c2),
+            )
