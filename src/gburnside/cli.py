@@ -30,15 +30,10 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .classify import (
-    brute_force_basis,
-    enumerate_basis,
-    subgroup_closure,
-    transitive_decomposition,
-)
+from .classify import brute_force_basis, enumerate_basis, transitive_decomposition
 from .crossed import check_monoidal_axioms
 from .errors import GBError
-from .groupoid import FiniteGroupoid, connected_components, isotropy_group
+from .groupoid import FiniteGroupoid, connected_components, generating_set, isotropy_group
 from .gsets import action_groupoid, conjugation_action, trivial_gmonoid
 from .rings import (
     RingPresentation,
@@ -98,7 +93,11 @@ FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every command with its help; only the command named in argv (every
+    command, when argv names none) with its flags, as parsing argv needs."""
+    args = sys.argv[1:] if argv is None else argv
+    named = next((a for a in args if not a.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="gburnside",
         description="Finite groupoids, crossed G-sets, and exact Burnside-style rings.",
@@ -106,6 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        if named in COMMANDS and name != named:
+            continue
         if name == "verify":
             p.add_argument("target", choices=VERIFY)
         p.add_argument("--groupoid", required=True, help="path to a groupoid JSON file")
@@ -131,10 +132,20 @@ def _check_target_flags(parser: argparse.ArgumentParser, target: str, args: dict
 
 # -- input loading -----------------------------------------------------------------
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct; json.load would keep the last
+    value of a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ParseError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ParseError(f"input file not found: {path}") from None
     except OSError as exc:
@@ -143,6 +154,8 @@ def _load_json(path: str):
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ParseError as exc:  # from _unique_keys
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _get_groupoid(job: JobSpec) -> FiniteGroupoid:
@@ -159,21 +172,10 @@ def _get_weight(job: JobSpec, g: FiniteGroupoid):
 
 # -- table rendering -----------------------------------------------------------------
 
-def _subgroup_generators(g: FiniteGroupoid, rep: int, subgroup: list[int]) -> list[int]:
-    """Greedy minimal generating set of a subgroup of loops, ascending: each
-    loop not yet generated joins the list, which is closed again."""
-    current = frozenset({g.identity[rep]})
-    gens: list[int] = []
-    for m in sorted(subgroup):
-        if m not in current:
-            gens.append(m)
-            current = subgroup_closure(g.compose_table, gens)
-    return gens
-
-
 def _basis_entry_text(g: FiniteGroupoid, info: dict) -> str:
     if "subgroup" in info:
-        gens = _subgroup_generators(g, info["component"], info["subgroup"])
+        rep = info["component"]
+        gens = list(generating_set(g.compose_table, [g.identity[rep]], sorted(info["subgroup"])))
         return f"({info['component']}, {gens}, {info['label']})"
     return f"({info['component']}, size={info['carrier_size']}, image={info['base_image']})"
 
@@ -472,7 +474,7 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = vars(parser.parse_args(argv))
         if "target" in args:

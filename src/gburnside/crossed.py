@@ -106,12 +106,6 @@ class CrossedGSet:
         return f"CrossedGSet(sizes={self.carrier.sizes})"
 
 
-def validate_crossed(x: GSet, s: GMonoid, theta) -> CrossedGSet:
-    """Assemble and exhaustively validate a crossed G-set from raw label
-    component maps."""
-    return CrossedGSet(x, s, theta).validate()
-
-
 def same_weight(a: CrossedGSet, b: CrossedGSet) -> None:
     if not same_base(a.carrier.base, b.carrier.base):
         raise BaseMismatch("crossed sets live over different groupoids")
@@ -178,17 +172,6 @@ def compose_crossed_maps(second: CrossedMap, first: CrossedMap) -> CrossedMap:
             for x in first.source.carrier.base.objects
         ],
     )
-
-
-def invert_crossed_map(m: CrossedMap) -> CrossedMap:
-    inv = []
-    for x in m.source.carrier.base.objects:
-        comp = m.components[x]
-        back = [0] * len(comp)
-        for i, j in enumerate(comp):
-            back[j] = i
-        inv.append(back)
-    return CrossedMap(m.target, m.source, inv)
 
 
 # -- monoidal structure -------------------------------------------------------
@@ -266,25 +249,6 @@ def right_unitor(c: CrossedGSet, check: bool = True) -> CrossedMap:
     """(x, 1) -> x from X (x) I to X: the identity on ids, as |I| = 1."""
     src = tensor(c, unit_object(c.carrier.base, c.weight), check=False)
     return _crossed_map(src, c, _identity_components(c), check)
-
-
-@dataclass
-class CoherenceIsos:
-    associator: CrossedMap
-    left_unitor: CrossedMap
-    right_unitor: CrossedMap
-
-
-def coherence_isos(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet) -> CoherenceIsos:
-    """The associator for (x, y, z) and both unitors for x; each map is a
-    validated crossed isomorphism."""
-    a = associator(cx, cy, cz)
-    l = left_unitor(cx)
-    r = right_unitor(cx)
-    for m in (a, l, r):
-        if not m.is_isomorphism():
-            raise NotNatural("coherence map is not bijective")  # unreachable
-    return CoherenceIsos(a, l, r)
 
 
 def tensor_map(

@@ -5,9 +5,9 @@ of a connected groupoid, and the inclusion equivalence onto an isotropy
 group.
 
 Objects and morphisms are dense integers.  Composition is stored as a flat
-table indexed by (g, f) with -1 marking non-composable pairs; all axioms
-are checked exhaustively at validation time, which is cheap at the scales
-this package targets and makes corrupted tables fail loudly.
+table indexed by (g, f) with -1 marking non-composable pairs; validation
+proves every axiom, associativity on a proved generating set (see
+``validate_groupoid``), so corrupted tables fail loudly.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (
     DomCodMismatch,
     EmptyObjectSet,
+    GBError,
     MissingIdentity,
     MissingInverse,
     NonAssociative,
@@ -30,7 +31,64 @@ from .errors import (
 SENTINEL = -1
 
 
-class FiniteGroupoid:
+class BindOnce:
+    """Each field named in ``_FIELDS`` is bound once: rebinding or deleting
+    it raises AttributeError, so what is cached on the instance stays sound."""
+
+    _FIELDS: frozenset[str] = frozenset()
+
+    def __setattr__(self, name: str, value) -> None:
+        # hasattr: reading self.__dict__ would slow every later attribute read
+        if name in self._FIELDS and hasattr(self, name):
+            raise AttributeError(
+                f"{type(self).__name__}.{name} cannot be rebound; build a new instance"
+            )
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if name in self._FIELDS:
+            raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
+        super().__delattr__(name)
+
+
+def generating_set(table, starts, elements=None) -> tuple[int, ...]:
+    """Greedy generators S of a table (``table[s][r]`` is s*r, -1 where
+    undefined), proved by closure: each of ``elements`` (default every id),
+    in order, not yet reached from ``starts`` by left multiplication with S
+    joins S.  So each y reached is a start or s*y' with s in S and y'
+    reached before.  Starts must be right units, so that s*e = s."""
+    reached = set(starts)
+    done, gens = list(reached), []  # done: closed under every generator so far
+    for s in range(len(table)) if elements is None else elements:
+        if s in reached:
+            continue
+        gens.append(s)
+        lefts, rights = (s,), done
+        while rights:
+            new = []
+            for t in lefts:
+                row = table[t]
+                for r in rights:
+                    p = row[r]
+                    if p >= 0 and p not in reached:
+                        reached.add(p)
+                        new.append(p)
+            done += new
+            lefts, rights = gens, new
+    return tuple(gens)
+
+
+def on_generators(check, generators, everything) -> None:
+    """Run ``check`` over a proved generating set; only if that fails, run
+    it over everything, so the error names the full check's first witness."""
+    try:
+        return check(generators)
+    except GBError:
+        pass
+    check(everything)
+
+
+class FiniteGroupoid(BindOnce):
     """A finite groupoid on dense integer ids.
 
     Objects are ``0..n_objects-1``.  Morphism ``m`` runs ``dom[m] -> cod[m]``.
@@ -47,7 +105,7 @@ class FiniteGroupoid:
     copying them (see ``gsets``).
     """
 
-    _TABLES = frozenset({"n_objects", "dom", "cod", "compose_table", "identity", "inverse"})
+    _FIELDS = frozenset({"n_objects", "dom", "cod", "compose_table", "identity", "inverse"})
 
     def __init__(self, n_objects, dom, cod, compose_table, identity, inverse):
         self.n_objects = int(n_objects)
@@ -61,18 +119,8 @@ class FiniteGroupoid:
         # filled by isotropy_group and gsets.conjugation_action
         self._isotropy: dict[int, tuple[FiniteGroupoid, GroupoidFunctor]] = {}
         self._conjugation = None  # (conjugation G-monoid, loops per object)
-        self._valid = False  # set by validate_groupoid
-
-    def __setattr__(self, name: str, value) -> None:
-        # hasattr: reading self.__dict__ would slow every later attribute read
-        if name in self._TABLES and hasattr(self, name):
-            raise AttributeError(f"FiniteGroupoid.{name} cannot be rebound; build a new instance")
-        super().__setattr__(name, value)
-
-    def __delattr__(self, name: str) -> None:
-        if name in self._TABLES:
-            raise AttributeError(f"FiniteGroupoid.{name} cannot be deleted")
-        super().__delattr__(name)
+        self._valid = False  # set by validate_groupoid, with:
+        self._generators = self.morphisms  # proved generators once valid
 
     # -- basic accessors ---------------------------------------------------
 
@@ -141,12 +189,19 @@ class FiniteGroupoid:
 
 
 def validate_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
-    """Check every groupoid axiom exhaustively and return ``g``.
+    """Prove every groupoid axiom and return ``g``.
 
     Raises a named error pointing at the first offending entry:
     EmptyObjectSet, DomCodMismatch, MissingIdentity, MissingInverse, or
     NonAssociative.  A pass is recorded on the instance, which is
     immutable, so a second call on it returns at once.
+
+    Associativity is Light's test (Clifford-Preston, *The Algebraic
+    Theory of Semigroups* I, 1.2): once dom/cod and the unit laws hold,
+    (x*s)*z == x*(s*z) for all composable x, z and every s in a
+    ``generating_set`` S proves it for every middle factor y, by induction
+    on the closure: for y = s*y', (x*y)*z = ((x*s)*y')*z = (x*s)*(y'*z) =
+    x*(s*(y'*z)) = x*((s*y')*z).  S is kept as ``g._generators``.
     """
     if not g._valid:
         _check_axioms(g)
@@ -208,12 +263,21 @@ def _check_axioms(g: FiniteGroupoid) -> None:
             raise MissingInverse(f"inverse({f}) * {f} is not identity({g.dom[f]})")
         if g.compose_table[f][fi] != g.identity[g.cod[f]]:
             raise MissingInverse(f"{f} * inverse({f}) is not identity({g.cod[f]})")
-    # associativity over composable triples only
-    for h in range(m):
-        for gg in g.by_cod(g.dom[h]):
-            hg = g.compose_table[h][gg]
+    gens = generating_set(g.compose_table, g.identity)
+    on_generators(lambda mids: _check_associativity(g, mids), gens, g.morphisms)
+    g._generators = gens
+
+
+def _check_associativity(g: FiniteGroupoid, mids) -> None:
+    """(h*gg)*f == h*(gg*f) on every composable triple with gg in mids."""
+    ct, mids_by_cod = g.compose_table, [[] for _ in g.objects]
+    for gg in mids:
+        mids_by_cod[g.cod[gg]].append(gg)
+    for h in g.morphisms:
+        for gg in mids_by_cod[g.dom[h]]:
+            hg = ct[h][gg]
             for f in g.by_cod(g.dom[gg]):
-                if g.compose_table[hg][f] != g.compose_table[h][g.compose_table[gg][f]]:
+                if ct[hg][f] != ct[h][ct[gg][f]]:
                     raise NonAssociative(f"triple ({h}, {gg}, {f})")
 
 
@@ -355,24 +419,6 @@ class GroupoidFunctor:
 
     def __call__(self, morphism: int) -> int:
         return self.morphism_map[morphism]
-
-
-def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:
-    return GroupoidFunctor(
-        g, g, list(g.objects), list(g.morphisms)
-    ).validate()
-
-
-def compose_functors(f2: GroupoidFunctor, f1: GroupoidFunctor) -> GroupoidFunctor:
-    """f2 after f1."""
-    if f1.target is not f2.source and f1.target != f2.source:
-        raise DomCodMismatch("functors are not composable")
-    return GroupoidFunctor(
-        f1.source,
-        f2.target,
-        [f2.object_map[x] for x in f1.object_map],
-        [f2.morphism_map[m] for m in f1.morphism_map],
-    ).validate()
 
 
 def disjoint_union(

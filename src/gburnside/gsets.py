@@ -6,7 +6,10 @@ A G-set stores the size of its fiber at each object, whose elements are
 the dense ids 0..n-1, and one bijection per morphism, as an index map from
 the dom fiber into the cod fiber.  The product's element (i, j) has id
 i*|Y| + j, and the coproduct's elements of Y follow those of X, so every
-coherence map is an index formula.
+coherence map is an index formula.  Functoriality, the G-monoid hom
+property and monoid associativity are checked on a proved generating set,
+which is equivalent to checking them everywhere (each ``validate`` states
+its lemma).
 
 The constructors of ``GSet``, ``GMonoid`` and ``GMap`` take ownership of
 the lists they are handed and store them without copying; no operation
@@ -30,10 +33,13 @@ from .errors import (
 )
 from .groupoid import (
     SENTINEL,
+    BindOnce,
     FiniteGroupoid,
     GroupoidFunctor,
     _UnionFind,
+    generating_set,
     loop_table,
+    on_generators,
     validate_groupoid,
 )
 
@@ -58,6 +64,10 @@ class GSet:
         return sum(self.sizes)
 
     def validate(self) -> "GSet":
+        """Functoriality is checked with the left factor in the proved
+        generators S of a valid base (else in every morphism): if
+        a(s*f) = a(s)a(f) for s in S, then for y = s*y', a(y*f) =
+        a(s*(y'*f)) = a(s)a(y')a(f) = a(y)a(f), the base being associative."""
         g = self.base
         if len(self.sizes) != g.n_objects:
             raise NotNatural("size list does not cover every object")
@@ -73,7 +83,12 @@ class GSet:
         for x in g.objects:
             if self.action[g.identity[x]] != list(range(self.size(x))):
                 raise NotNatural(f"identity at {x} does not act as identity")
-        for g2 in g.morphisms:
+        on_generators(self._check_functoriality, g._generators, g.morphisms)
+        return self
+
+    def _check_functoriality(self, lefts) -> None:
+        g = self.base
+        for g2 in lefts:
             a2 = self.action[g2]
             for g1 in g.by_cod(g.dom[g2]):
                 a1 = self.action[g1]
@@ -83,7 +98,6 @@ class GSet:
                         raise NotNatural(
                             f"functoriality fails at pair ({g2}, {g1}), element {i}"
                         )
-        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GSet):
@@ -107,7 +121,7 @@ def empty_gset(g: FiniteGroupoid) -> GSet:
     return GSet(g, [0] * g.n_objects, [[] for _ in g.morphisms]).validate()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Monoid:
     """A finite monoid on dense ids with an explicit multiplication table."""
 
@@ -122,6 +136,7 @@ class Monoid:
         return self.table[a][b]
 
     def validate(self) -> "Monoid":
+        """Associativity is Light's test, as in ``validate_groupoid``."""
         n = self.size
         for row in self.table:
             if len(row) != n or any(not (0 <= v < n) for v in row):
@@ -131,20 +146,27 @@ class Monoid:
         for a in range(n):
             if self.table[self.unit][a] != a or self.table[a][self.unit] != a:
                 raise NotNatural(f"monoid unit fails at element {a}")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise NotNatural(f"monoid non-associative at ({a}, {b}, {c})")
+        on_generators(self._check_associativity, generating_set(self.table, [self.unit]), range(n))
         return self
 
+    def _check_associativity(self, mids) -> None:
+        t, n = self.table, self.size
+        for a in range(n):
+            for b in mids:
+                for c in range(n):
+                    if t[t[a][b]][c] != t[a][t[b][c]]:
+                        raise NotNatural(f"monoid non-associative at ({a}, {b}, {c})")
 
-class GMonoid:
+
+class GMonoid(BindOnce):
     """A functor from the base groupoid to finite monoids.
 
     Action maps are required to be bijective monoid homomorphisms: the base
-    is a groupoid, so every morphism must act by an isomorphism.
+    is a groupoid, so every morphism must act by an isomorphism.  Its
+    fields are bound once (the unit object is cached on the instance).
     """
+
+    _FIELDS = frozenset({"base", "monoids", "action"})
 
     def __init__(self, base: FiniteGroupoid, monoids, action):
         self.base = base
@@ -165,13 +187,20 @@ class GMonoid:
         return GSet(self.base, [mon.size for mon in self.monoids], self.action)
 
     def validate(self) -> "GMonoid":
+        """The hom property is checked on the base's generators only: once
+        the G-set is functorial, a(s*y') = a(s)a(y') is a hom if both are."""
         g = self.base
         if len(self.monoids) != g.n_objects:
             raise NotNatural("monoid list does not cover every object")
         for mon in self.monoids:
             mon.validate()
         self.underlying().validate()
-        for m in g.morphisms:
+        on_generators(self._check_homs, g._generators, g.morphisms)
+        return self
+
+    def _check_homs(self, morphisms) -> None:
+        g = self.base
+        for m in morphisms:
             src, dst = self.monoids[g.dom[m]], self.monoids[g.cod[m]]
             img = self.action[m]
             if img[src.unit] != dst.unit:
@@ -182,7 +211,6 @@ class GMonoid:
                         raise NotNatural(
                             f"action of morphism {m} is not a homomorphism at ({a}, {b})"
                         )
-        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GMonoid):
@@ -195,11 +223,6 @@ class GMonoid:
 
     def __repr__(self) -> str:
         return f"GMonoid(sizes={[mon.size for mon in self.monoids]})"
-
-
-def underlying_gset(s: GMonoid) -> GSet:
-    """Forget the monoid structure, keeping fiber sizes and action."""
-    return s.underlying().validate()
 
 
 def trivial_gmonoid(g: FiniteGroupoid) -> GMonoid:

@@ -40,6 +40,7 @@ from conftest import (
     fixed_points_gset,
     regular_gset,
 )
+from oracles import underlying_gset
 
 CORPUS = build_corpus()
 
@@ -96,7 +97,7 @@ def test_criterion_01_validation_suites():
             conj.validate()
             triv = gb.trivial_gmonoid(g)
             triv.validate()
-            bar = gb.underlying_gset(conj)
+            bar = underlying_gset(conj)
             terminal = gb.terminal_gset(g)
             collapse = GMap(
                 bar, terminal, [[0] * bar.size(x) for x in g.objects]

@@ -21,11 +21,12 @@ from gburnside.classify import (
     subgroup_conjugacy_classes,
     transitive_decomposition,
 )
-from gburnside.crossed import crossed_coproduct, tensor, unit_object, validate_crossed
+from gburnside.crossed import crossed_coproduct, tensor, unit_object
 from gburnside.errors import BoundTooSmall, UnmatchedPiece, WeightMismatch
 from gburnside.sampling import sample_many, shuffle_fibers
 
 from conftest import GROUP_TABLES_LEQ8, cyclic_table, regular_gset, table_product
+from oracles import validate_crossed
 
 
 def exhaustive_iso_exists(c1, c2) -> bool:

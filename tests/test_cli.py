@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -118,6 +119,25 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("input error: NonAssociative:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("kind, text", [
+        ("groupoid", '{"group": {"table": [[0]]}, "group": {"table": [[0, 1], [1, 0]]}}'),
+        ("gset", '{"fibers": {"0": 2, "0": 1}}'),
+    ])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, kind, text):
+        # json.load alone would keep the last value and go on
+        paths = {"groupoid": tmp_path / "c1.json", "gset": tmp_path / "fibers.json"}
+        paths["groupoid"].write_text(json.dumps({"group": {"table": [[0]]}}))
+        paths["gset"].write_text('{"fibers": {"0": 1}}')
+        paths[kind].write_text(text)
+        code = main(
+            ["validate", "--groupoid", str(paths["groupoid"]), "--gset", str(paths["gset"])]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        key = "group" if kind == "groupoid" else "0"
+        assert captured.err == f"input error: {paths[kind]}: repeated key {key!r}\n"
 
     def test_two_spellings_of_one_fiber_key_exit_2(self, tmp_path, capsys):
         c1 = tmp_path / "c1.json"
@@ -556,3 +576,46 @@ def test_python_dash_m_runs_the_cli(inputs):
     bad = run("burnside", "--groupoid", str(Path(inputs["c2.json"]).with_name("missing.json")))
     assert bad.returncode == 2
     assert "Traceback" not in bad.stderr
+
+
+def _parser_with_every_flag():
+    """The parser as built before only the named command got its flags:
+    every command with every flag it takes."""
+    parser = argparse.ArgumentParser(
+        prog="gburnside",
+        description="Finite groupoids, crossed G-sets, and exact Burnside-style rings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        if name == "verify":
+            p.add_argument("target", choices=cli.VERIFY)
+        p.add_argument("--groupoid", required=True, help="path to a groupoid JSON file")
+        wanted = flags.split()
+        for flag, kwargs in cli.FLAGS.items():
+            if flag in wanted or f"{flag}!" in wanted:
+                p.add_argument(f"--{flag}", required=f"{flag}!" in wanted, **kwargs)
+        p.add_argument("--format", choices=("json", "table"))
+        p.add_argument("--out", help="output path (default stdout)")
+    return parser
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], [], ["nope"]])
+def test_parser_of_the_named_command_prints_the_same(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _parser_with_every_flag().parse_args(argv)
+    expected = (exc.value.code, *capsys.readouterr())
+    assert (main(argv), *capsys.readouterr()) == expected
+    assert expected[1] or expected[2]
+
+
+def test_parser_builds_flags_only_for_the_named_command():
+    def flags(parser, name):
+        subparsers = parser._subparsers._group_actions[0]
+        return [a.dest for a in subparsers.choices[name]._actions]
+
+    named = cli.build_parser(["isotropy", "--groupoid", "g.json"])
+    assert flags(named, "isotropy") == ["help", "groupoid", "object_id", "format", "out"]
+    assert flags(named, "verify") == ["help"]
+    every = cli.build_parser([])
+    assert flags(every, "verify") == flags(_parser_with_every_flag(), "verify")

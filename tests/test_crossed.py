@@ -14,13 +14,11 @@ from gburnside.crossed import (
     braiding,
     braiding_inverse,
     check_monoidal_axioms,
-    coherence_isos,
     compose_crossed_maps,
     crossed_coproduct,
     distributivity_iso,
     empty_crossed,
     identity_crossed_map,
-    invert_crossed_map,
     left_unitor,
     restrict,
     right_unitor,
@@ -30,7 +28,6 @@ from gburnside.crossed import (
     transport_restrict,
     trivial_label_embed,
     unit_object,
-    validate_crossed,
 )
 from gburnside.errors import (
     BaseMismatch,
@@ -43,6 +40,7 @@ from gburnside.groupoid import transports
 from gburnside.sampling import sample_many
 
 from conftest import regular_gset, fixed_points_gset
+from oracles import coherence_isos, invert_crossed_map, underlying_gset, validate_crossed
 
 
 def axiom_major_report(samples, associator_hook=None):
@@ -174,7 +172,7 @@ class TestTensorUnit:
         assert "label" in vars(ok)
 
     def test_gset_weight_fails_at_the_tensor_call(self, c2, c2_conj):
-        weight = gb.underlying_gset(c2_conj)
+        weight = underlying_gset(c2_conj)
         c = validate_crossed(gb.terminal_gset(c2), weight, [[1]])
         with pytest.raises(AttributeError, match="monoids"):
             tensor(c, c, check=False)

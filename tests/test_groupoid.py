@@ -24,11 +24,10 @@ from gburnside.groupoid import (
     SENTINEL,
     FiniteGroupoid,
     SubgroupoidSpec,
-    compose_functors,
-    identity_functor,
 )
 
 from conftest import NON_ASSOCIATIVE_LOOP, cyclic_table, editable_tables, s3_table
+from oracles import compose_functors, identity_functor
 
 
 class TestValidateGroupoid:

@@ -3,15 +3,20 @@ orbits, products, and marks."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
+from gburnside.crossed import unit_object
 from gburnside.errors import AllFibersEmpty, BaseMismatch, NotNatural, NotSubgroup
 from gburnside.gsets import GMap, GMonoid, GSet, Monoid, conjugation_loops
 from gburnside.sampling import sample_many
 
 from conftest import fixed_points_gset, regular_gset
+from oracles import underlying_gset
 
 
 @pytest.fixture
@@ -104,12 +109,12 @@ class TestGMonoid:
             assert gb.conjugation_action(g).action == conj.action
 
     def test_underlying_gset(self, s3):
-        bar = gb.underlying_gset(gb.conjugation_action(s3))
+        bar = underlying_gset(gb.conjugation_action(s3))
         assert bar.size(0) == 6
 
     def test_trivial_gmonoid_terminal_underlying(self, corpus):
         g = corpus["C2+S3"]
-        bar = gb.underlying_gset(gb.trivial_gmonoid(g))
+        bar = underlying_gset(gb.trivial_gmonoid(g))
         assert [bar.size(x) for x in g.objects] == [1, 1]
 
     def test_monoid_not_associative(self):
@@ -128,6 +133,35 @@ class TestGMonoid:
         bad.action[1] = [1, 0]  # swaps unit and sigma: not unit-preserving
         with pytest.raises(NotNatural):
             bad.validate()
+
+    @pytest.mark.parametrize("field", ["base", "monoids", "action"])
+    def test_fields_reject_rebinding(self, c2, field):
+        # the unit object cached on the weight must not outlive its monoids
+        s = GMonoid(c2, [Monoid([[0, 1], [1, 0]], 0)], [[0, 1], [0, 1]]).validate()
+        assert unit_object(c2, s).label == [[0]]
+        before = getattr(s, field)
+        with pytest.raises(AttributeError, match=field):
+            setattr(s, field, [Monoid([[0, 1], [1, 1]], 1)])
+        with pytest.raises(AttributeError, match=field):
+            delattr(s, field)
+        assert getattr(s, field) is before
+        assert unit_object(c2, s).label == [[s.unit(0)]]
+        with pytest.raises(AttributeError):
+            setattr(copy.deepcopy(s), field, before)
+
+    def test_unit_object_cache_stays_writable(self, c2):
+        s = gb.trivial_gmonoid(c2)
+        s._unit_object = None
+        assert unit_object(c2, s).label == [[0]]
+
+    @pytest.mark.parametrize("field", ["table", "unit"])
+    def test_monoid_is_frozen(self, field):
+        mon = Monoid([[0, 1], [1, 0]], 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mon, field, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(mon, field)
+        assert mon == Monoid([[0, 1], [1, 0]], 0)
 
 
 def _is_transposition(p: tuple[int, ...]) -> bool:
