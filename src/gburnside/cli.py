@@ -17,8 +17,10 @@ blocks over it, for any weight.
 Exit status: 0 on success or verified; 1 on a verification counterexample
 (the report carries a witness); 2 on input errors, an unreadable input
 file or an unwritable --out included.  Identical invocations with the same
-seed produce byte-identical JSON.  Set GB_LOG to quiet, info, or debug to
-control stderr logging.
+seed produce byte-identical JSON.  A report is rendered exactly as
+``json.dumps(report, indent=2, sort_keys=True)`` would render it, with each
+distinct row of a ring's table rendered once (``render_json``).  Set
+GB_LOG to quiet, info, or debug to control stderr logging.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .serialize import (
     parse_gmonoid,
     parse_groupoid,
     parse_gset,
+    render_json,
     ring_to_obj,
 )
 
@@ -94,19 +97,22 @@ FLAGS = {
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every command with its help; only the command named in argv (every
-    command, when argv names none) with its flags, as parsing argv needs."""
+    """Every command with its help and flags, or only the command that
+    argv starts with, as parsing argv needs no other; the usage then still
+    lists every command."""
     args = sys.argv[1:] if argv is None else argv
-    named = next((a for a in args if not a.startswith("-")), None)
+    named = [args[0]] if args and args[0] in COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="gburnside",
         description="Finite groupoids, crossed G-sets, and exact Burnside-style rings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in COMMANDS.items():
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if named is None else "{" + ",".join(COMMANDS) + "}",
+    )
+    for name in named or COMMANDS:
+        _, help_text, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        if named in COMMANDS and name != named:
-            continue
         if name == "verify":
             p.add_argument("target", choices=VERIFY)
         p.add_argument("--groupoid", required=True, help="path to a groupoid JSON file")
@@ -451,7 +457,7 @@ def run(job: JobSpec) -> tuple[int, str]:
         lines = render() if render is not None else _render_generic_table(report)
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = render_json(report) + "\n"
     return code, text
 
 

@@ -28,7 +28,8 @@ transitive basis by transporter search; ``verify marks`` and the tests
 compare the two.
 
 The structure constants are stored as sparse rows, the product e_i e_j as
-its non-zero coordinates ((k, c_ijk), ...); no dense d^3 table is built.
+its non-zero coordinates ((k, c_ijk), ...), equal rows as one tuple
+object; no dense d^3 table is built.
 Every presentation is validated and every homomorphism verified
 exhaustively on these rows: the unit law on all d basis elements,
 associativity on all d^3 basis triples, multiplicativity on all d^2 basis
@@ -243,51 +244,6 @@ class RingPresentation:
                 return f"associativity fails at (i, j, k, l) = ({i}, {j}, {k}, {l})"
         raise AssertionError(f"packed products differ at ({i}, {j}) but sparse ones agree")
 
-    def element(self, coords) -> "RingElement":
-        return RingElement(self, list(coords))
-
-    def unit(self) -> "RingElement":
-        return RingElement(self, list(self.unit_vector))
-
-
-@dataclass
-class RingElement:
-    ring: RingPresentation
-    coords: list[int]
-
-    def __post_init__(self):
-        if len(self.coords) != self.ring.dim:
-            raise RingMismatch("coordinate vector has wrong length")
-
-
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    if a.ring is not b.ring:
-        raise RingMismatch("elements of different rings")
-    return RingElement(a.ring, [x + y for x, y in zip(a.coords, b.coords)])
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    if a.ring is not b.ring:
-        raise RingMismatch("elements of different rings")
-    rows = a.ring.structure_constants
-    out = [0] * a.ring.dim
-    for i, ai in enumerate(a.coords):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b.coords):
-            if bj == 0:
-                continue
-            prod = ai * bj
-            for k, v in rows[i][j]:
-                out[k] += prod * v
-    return RingElement(a.ring, out)
-
-
-def ring_eq(a: RingElement, b: RingElement) -> bool:
-    if a.ring is not b.ring:
-        raise RingMismatch("elements of different rings")
-    return a.coords == b.coords
-
 
 # -- ring constructors ------------------------------------------------------------
 
@@ -296,7 +252,9 @@ def _ring(catalog: BasisCatalog, product, unit: list[int], info) -> RingPresenta
     a sparse row, and the given unit coordinates; ``info`` reports one
     basis entry."""
     d = catalog.dim
-    constants = [[product(i, j) for j in range(d)] for i in range(d)]
+    distinct: dict[Sparse, Sparse] = {}  # each product row, held once
+    constants = [[distinct.setdefault(p, p) for p in map(product, repeat(i), range(d))]
+                 for i in range(d)]
     return RingPresentation(
         d, constants, unit, basis=catalog, basis_info=[info(e) for e in catalog.entries]
     ).validate()

@@ -18,6 +18,9 @@ Object and morphism id keys are canonical decimals: ``"00"`` is refused.
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii
+
 from .crossed import CrossedGSet
 from .errors import NotNatural
 from .groupoid import (
@@ -236,19 +239,59 @@ def groupoid_to_obj(g: FiniteGroupoid) -> dict:
 
 
 def ring_to_obj(ring) -> dict:
-    table = [[[[k, v] for k, v in rij] for rij in ri] for ri in ring.structure_constants]
+    """A ring's report; its table is the sparse rows, whose tuples render as lists."""
     return {
         "dim": ring.dim,
         "basis": ring.basis_info,
         "unit": list(ring.unit_vector),
-        "table": table,
+        "table": ring.structure_constants,
     }
 
 
 def hom_to_obj(hom) -> dict:
     return {
-        "matrix": [list(r) for r in hom.matrix],
+        "matrix": hom.matrix,
         "verified": dict(hom.verified),
         "source_dim": hom.source.dim,
         "target_dim": hom.target.dim,
     }
+
+
+def render_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with each
+    tuple object met again at the same depth rendered once (a ring's equal
+    rows are one object, see ``rings._ring``).  The memo is keyed by identity,
+    not value: (1,), (True,) and (1.0,) are equal with three texts.  Values
+    other than str, exact int, list, tuple and str-keyed dict go to ``json``,
+    re-indented to their depth: every newline it writes is layout."""
+    memo: dict[tuple[int, int], str] = {}
+
+    def text(v, pad: str) -> str:  # pad: a newline and the indent of v's line
+        t = type(v)
+        if t is str:
+            return encode_basestring_ascii(v)
+        if t is int:
+            return str(v)
+        if t is tuple:
+            key = (id(v), len(pad))
+            if key not in memo:
+                memo[key] = array(v, pad)
+            return memo[key]
+        if t is list:
+            return array(v, pad)
+        if t is dict and all(type(k) is str for k in v):
+            if not v:
+                return "{}"
+            inner = pad + "  "
+            items = [encode_basestring_ascii(k) + ": " + text(v[k], inner) for k in sorted(v)]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return json.dumps(v, indent=2, sort_keys=True).replace("\n", pad)
+
+    def array(v, pad: str) -> str:
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        items = map(str, v) if set(map(type, v)) == {int} else [text(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+    return text(obj, "\n")

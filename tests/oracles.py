@@ -6,9 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from gburnside.crossed import CrossedGSet, CrossedMap, associator, left_unitor, right_unitor
-from gburnside.errors import DomCodMismatch, NotNatural
+from gburnside.errors import DomCodMismatch, NotNatural, RingMismatch
 from gburnside.groupoid import FiniteGroupoid, GroupoidFunctor
 from gburnside.gsets import GMonoid, GSet
+from gburnside.rings import RingPresentation
 
 
 def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:
@@ -65,3 +66,46 @@ def coherence_isos(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet) -> Coheren
         if not m.is_isomorphism():
             raise NotNatural("coherence map is not bijective")
     return CoherenceIsos(a, l, r)
+
+
+@dataclass
+class RingElement:
+    ring: RingPresentation
+    coords: list[int]
+
+    def __post_init__(self):
+        if len(self.coords) != self.ring.dim:
+            raise RingMismatch("coordinate vector has wrong length")
+
+
+def ring_unit(ring: RingPresentation) -> RingElement:
+    return RingElement(ring, list(ring.unit_vector))
+
+
+def ring_add(a: RingElement, b: RingElement) -> RingElement:
+    if a.ring is not b.ring:
+        raise RingMismatch("elements of different rings")
+    return RingElement(a.ring, [x + y for x, y in zip(a.coords, b.coords)])
+
+
+def ring_mul(a: RingElement, b: RingElement) -> RingElement:
+    if a.ring is not b.ring:
+        raise RingMismatch("elements of different rings")
+    rows = a.ring.structure_constants
+    out = [0] * a.ring.dim
+    for i, ai in enumerate(a.coords):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b.coords):
+            if bj == 0:
+                continue
+            prod = ai * bj
+            for k, v in rows[i][j]:
+                out[k] += prod * v
+    return RingElement(a.ring, out)
+
+
+def ring_eq(a: RingElement, b: RingElement) -> bool:
+    if a.ring is not b.ring:
+        raise RingMismatch("elements of different rings")
+    return a.coords == b.coords

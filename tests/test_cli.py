@@ -609,13 +609,30 @@ def test_parser_of_the_named_command_prints_the_same(capsys, argv):
     assert expected[1] or expected[2]
 
 
-def test_parser_builds_flags_only_for_the_named_command():
-    def flags(parser, name):
-        subparsers = parser._subparsers._group_actions[0]
-        return [a.dest for a in subparsers.choices[name]._actions]
+PARSE_CASES = [
+    ["--help"], ["-h", "crossed-burnside"], ["crossed-burnside", "-h"], ["verify", "--help"],
+    [], ["nope"], ["verify"], ["verify", "nope", "--groupoid", "g.json"],
+    ["crossed-burnside", "--groupoid", "g.json", "--format", "xml"],
+    ["crossed-burnside", "--groupoid", "g.json", "stray"],
+    ["burnside", "--groupoid", "g.json", "--weight", "trivial"],
+    ["action-groupoid", "--groupoid", "g.json"], ["isotropy", "--object", "x"],
+    ["--groupoid", "g.json", "burnside"],
+    ["verify", "reduction", "--groupoid", "g.json", "--object", "1", "--format", "table"],
+    ["crossed-burnside", "--weight", "trivial", "--groupoid", "g.json", "--out", "o.json"],
+]
 
-    named = cli.build_parser(["isotropy", "--groupoid", "g.json"])
-    assert flags(named, "isotropy") == ["help", "groupoid", "object_id", "format", "out"]
-    assert flags(named, "verify") == ["help"]
-    every = cli.build_parser([])
-    assert flags(every, "verify") == flags(_parser_with_every_flag(), "verify")
+
+@pytest.mark.parametrize("argv", PARSE_CASES)
+def test_parser_of_the_named_command_parses_the_same(capsys, argv):
+    """The parser built for argv, however few commands it registers,
+    parses argv to the same arguments, or exits with the same code and
+    text, as the parser of every command with every flag."""
+
+    def outcome(parser):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return (result, *capsys.readouterr())
+
+    assert outcome(cli.build_parser(argv)) == outcome(_parser_with_every_flag())

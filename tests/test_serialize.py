@@ -3,9 +3,11 @@ and error reporting with field context."""
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gburnside as gb
 from gburnside.errors import MissingInverse, NotAGroup, NotNatural
@@ -16,6 +18,7 @@ from gburnside.serialize import (
     parse_gmonoid,
     parse_groupoid,
     parse_gset,
+    render_json,
 )
 
 from conftest import cyclic_table, s3_table
@@ -257,3 +260,39 @@ class TestKeySpelling:
                 c2,
                 gb.conjugation_action(c2),
             )
+
+
+# -- report rendering ------------------------------------------------------------
+
+# One tuple object that the examples place at several depths, and equal
+# tuples whose texts differ: a memo keyed by value would mix them up.
+SHARED = ((3, 1), (5, 2))
+ALIKE = [(1,), (True,), (1.0,), (0.0,), (-0.0,)]
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+        st.sampled_from([SHARED, (), *ALIKE]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+        st.dictionaries(st.integers(), inner),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example([SHARED, [SHARED, {"row": SHARED}], SHARED[0]])
+@example([*ALIKE, [ALIKE, tuple(ALIKE)], {"a": ALIKE[0], "b": ALIKE[1], "c": ALIKE[2]}])
+@example({"nan": float("nan"), "inf": [float("inf"), -float("inf")], "x": (float("nan"),)})
+@example({"\u00e9\x00\n\"\\": ["\u00fc\x1f\u2028\ud800\U0001f600", "\t"], "\x7f": "\u00e9"})
+@example([[], (), {}, [[], ()], {"a": {}, "b": []}, ((),)])
+@example({2: "b", 10: (1,), -1: {3: True, 0: SHARED}})
+@example(SHARED)
+@example("plain")
+def test_render_json_is_json_dumps(obj):
+    assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
