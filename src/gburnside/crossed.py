@@ -10,14 +10,17 @@ inclusion, and ``induce`` spreads a fiber back along the retraction.
 
 Coherence maps are index formulas on the dense ids that products and
 coproducts assign (see ``gsets``), checked pointwise when asked; the
-associator and both unitors keep every id.  The axiom checker compares
-composite maps as data, so a corrupted map is reported with a concrete
-witness.
+associator and both unitors keep every id.  So the axiom checker checks
+the pentagon and the triangle on the weight, exhaustively: they hold
+exactly when every weight monoid is associative and has a two-sided unit.
+The families that act on carriers (distributivity and the braiding
+axioms) it checks on windows of samples, comparing composite maps as
+data, so a failure is reported with a concrete witness.
 
 A tensor product builds its labels, like its carrier's action, only when
 they are first read: most products the axiom checker builds are the
-source or target of a coherence map whose components need only fiber
-sizes.  The unit object is built once per weight instance and kept on it.
+source or target of a map whose components need only fiber sizes.  The
+unit object is built once per weight instance and kept on it.
 
 ``CrossedGSet`` and ``CrossedMap`` take ownership of the lists they are
 handed, as the G-set constructors do (see ``gsets``).
@@ -69,28 +72,9 @@ class CrossedGSet:
         return self.carrier.total_size
 
     def validate(self) -> "CrossedGSet":
-        if not same_base(self.carrier.base, self.weight.base):
-            raise BaseMismatch("carrier and weight live over different groupoids")
+        """The carrier is a G-set and the labels a G-map into the weight."""
         self.carrier.validate()
-        g = self.carrier.base
-        if len(self.label) != g.n_objects:
-            raise NotNatural("label list does not cover every object")
-        for x in g.objects:
-            lab = self.label[x]
-            if len(lab) != self.carrier.size(x):
-                raise NotNatural(f"labels at {x} have wrong length")
-            n = self.weight.size(x)
-            if any(not (0 <= v < n) for v in lab):
-                raise NotNatural(f"labels at {x} map outside the weight monoid")
-        for m in g.morphisms:
-            x, y = g.dom[m], g.cod[m]
-            act = self.carrier.action[m]
-            wact = self.weight.action[m]
-            for i in range(self.carrier.size(x)):
-                if self.label[y][act[i]] != wact[self.label[x][i]]:
-                    raise NotNatural(
-                        f"label naturality fails at morphism {m}, element {i}"
-                    )
+        GMap(self.carrier, self.weight, self.label).validate()
         return self
 
     def __eq__(self, other) -> bool:
@@ -452,27 +436,19 @@ def _maps_equal(a: CrossedMap, b: CrossedMap):
     return None
 
 
-def _pentagon(cw, cx, cy, cz, make_associator):
-    a_wx_y_z = make_associator(tensor(cw, cx, check=False), cy, cz)
-    a_w_x_yz = make_associator(cw, cx, tensor(cy, cz, check=False))
-    top = compose_crossed_maps(a_w_x_yz, a_wx_y_z)
-    a_wxy = make_associator(cw, cx, cy)
-    first = tensor_map(a_wxy, identity_crossed_map(cz), check=False)
-    mid = make_associator(cw, tensor(cx, cy, check=False), cz)
-    last = tensor_map(identity_crossed_map(cw), make_associator(cx, cy, cz), check=False)
-    bottom = compose_crossed_maps(last, compose_crossed_maps(mid, first))
-    return _maps_equal(top, bottom)
-
-
-def _triangle(cx, cy, make_associator):
-    via = compose_crossed_maps(
-        tensor_map(identity_crossed_map(cx), left_unitor(cy, check=False), check=False),
-        make_associator(cx, unit_object(cx.carrier.base, cx.weight), cy),
-    )
-    direct = tensor_map(
-        right_unitor(cx, check=False), identity_crossed_map(cy), check=False
-    )
-    return _maps_equal(via, direct)
+def _weight_laws(weight: GMonoid) -> tuple[dict | None, dict | None]:
+    """Witnesses of the pentagon and the triangle: the first object whose
+    monoid fails associativity, and the first that fails the two-sided
+    unit law, each with the failing elements, or None."""
+    pentagon = triangle = None
+    for x, mon in enumerate(weight.monoids):
+        abc = mon.associativity_failure()
+        if pentagon is None and abc is not None:
+            pentagon = {"object": x, "elements": list(abc)}
+        a = mon.unit_failure()
+        if triangle is None and a is not None:
+            triangle = {"object": x, "elements": [a]}
+    return pentagon, triangle
 
 
 def _symmetry(cx, cy):
@@ -482,42 +458,24 @@ def _symmetry(cx, cy):
     # sigma-labeled free orbit and the double braiding translates by sigma.
     fwd = braiding(cx, cy, check=False)
     inv = braiding_inverse(cx, cy, check=False)
-    witness = _maps_equal(
-        compose_crossed_maps(inv, fwd),
-        identity_crossed_map(tensor(cx, cy, check=False)),
-    )
+    witness = _maps_equal(compose_crossed_maps(inv, fwd), identity_crossed_map(fwd.source))
     if witness is not None:
         return witness
-    return _maps_equal(
-        compose_crossed_maps(fwd, inv),
-        identity_crossed_map(tensor(cy, cx, check=False)),
-    )
+    return _maps_equal(compose_crossed_maps(fwd, inv), identity_crossed_map(inv.source))
 
 
-def _hexagon(cx, cy, cz, make_associator):
-    lhs = compose_crossed_maps(
-        make_associator(cy, cz, cx),
-        compose_crossed_maps(
-            braiding(cx, tensor(cy, cz, check=False), check=False),
-            make_associator(cx, cy, cz),
-        ),
-    )
+def _hexagon(cx, cy, cz):
+    lhs = braiding(cx, tensor(cy, cz, check=False), check=False)
     rhs = compose_crossed_maps(
         tensor_map(identity_crossed_map(cy), braiding(cx, cz, check=False), check=False),
-        compose_crossed_maps(
-            make_associator(cy, cx, cz),
-            tensor_map(braiding(cx, cy, check=False), identity_crossed_map(cz), check=False),
-        ),
+        tensor_map(braiding(cx, cy, check=False), identity_crossed_map(cz), check=False),
     )
     return _maps_equal(lhs, rhs)
 
 
 def _unitor_braiding(cx):
     unit = unit_object(cx.carrier.base, cx.weight)
-    via = compose_crossed_maps(
-        right_unitor(cx, check=False), braiding(unit, cx, check=False)
-    )
-    return _maps_equal(via, left_unitor(cx, check=False))
+    return _maps_equal(braiding(unit, cx, check=False), identity_crossed_map(cx))
 
 
 def _distributivity(cx, cy, cz):
@@ -530,34 +488,40 @@ def _distributivity(cx, cy, cz):
     return None
 
 
-def check_monoidal_axioms(samples: list[CrossedGSet], associator_hook=None) -> list[dict]:
-    """Check pentagon, triangle, and distributivity on every cyclic window
-    of the sample list; over the conjugation weight also check the
-    symmetry involution, the hexagon, and the braiding/unitor triangle.
+def check_monoidal_axioms(samples: list[CrossedGSet]) -> list[dict]:
+    """Check the monoidal axioms on crossed sets over one weight.
+
+    The associator and both unitors are the identity on ids, so the
+    pentagon and the triangle commute as soon as these maps are crossed
+    maps.  The associator is one exactly when (ab)c = a(bc) for the labels
+    that occur, the unitors exactly when 1a = a = a1, and every element of
+    a weight monoid labels some crossed set (a free orbit).  So the
+    pentagon is associativity, and the triangle the two-sided unit law, of
+    every weight monoid, checked exhaustively once per call.
+
+    Distributivity, and over the conjugation weight the symmetry
+    involution, the hexagon and the braiding/unitor triangle, are checked
+    on every cyclic window of the samples.  The associator and unitors drop
+    out of the last two: the hexagon compares b(X, Y (x) Z) with
+    (1 (x) b(X, Z))(b(X, Y) (x) 1), and the unitor triangle compares
+    b(I, X) with the identity.
 
     Returns one report entry per axiom: {"axiom": name, "status": "ok"} or
-    {"axiom": name, "status": {"witness": ...}}.  The associator_hook
-    parameter substitutes the associator builder and exists so tests can
-    inject a corrupted map.
+    {"axiom": name, "status": {"witness": ...}}.  A weight witness names
+    the object and the failing elements, a window witness its window and
+    the first element where the two sides differ (or the error).
     """
-    make_associator = associator_hook or (
-        lambda a, b, c: associator(a, b, c, check=False)
-    )
     if not samples:
         return [{"axiom": name, "status": "ok"} for name in (
             "pentagon", "triangle", "distributivity")]
     for s in samples[1:]:
         same_weight(samples[0], s)
-    checks: list[tuple[str, int, object]] = [
-        ("pentagon", 4, lambda w: _pentagon(*w, make_associator)),
-        ("triangle", 2, lambda w: _triangle(*w, make_associator)),
-        ("distributivity", 3, lambda w: _distributivity(*w)),
-    ]
+    checks: list[tuple[str, int, object]] = [("distributivity", 3, _distributivity)]
     if conjugation_loops(samples[0].weight) is not None:
         checks += [
-            ("symmetry", 2, lambda w: _symmetry(*w)),
-            ("hexagon", 3, lambda w: _hexagon(*w, make_associator)),
-            ("unitor-braiding", 1, lambda w: _unitor_braiding(*w)),
+            ("symmetry", 2, _symmetry),
+            ("hexagon", 3, _hexagon),
+            ("unitor-braiding", 1, _unitor_braiding),
         ]
     n = len(samples)
     status: list[object] = ["ok"] * len(checks)
@@ -566,8 +530,12 @@ def check_monoidal_axioms(samples: list[CrossedGSet], associator_hook=None) -> l
             if status[k] != "ok":
                 continue  # each axiom reports its first failing window
             window = [(i + j) % n for j in range(arity)]
-            witness = run([samples[j] for j in window])
+            witness = run(*(samples[j] for j in window))
             if witness is not None:
                 witness["window"] = window
                 status[k] = {"witness": witness}
-    return [{"axiom": name, "status": st} for (name, _, _), st in zip(checks, status)]
+    laws = [
+        {"axiom": name, "status": "ok" if w is None else {"witness": w}}
+        for name, w in zip(("pentagon", "triangle"), _weight_laws(samples[0].weight))
+    ]
+    return laws + [{"axiom": name, "status": st} for (name, _, _), st in zip(checks, status)]

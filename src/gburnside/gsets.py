@@ -136,26 +136,46 @@ class Monoid:
         return self.table[a][b]
 
     def validate(self) -> "Monoid":
-        """Associativity is Light's test, as in ``validate_groupoid``."""
         n = self.size
         for row in self.table:
             if len(row) != n or any(not (0 <= v < n) for v in row):
                 raise NotNatural("monoid table is not n x n over 0..n-1")
         if not 0 <= self.unit < n:
             raise NotNatural("monoid unit out of range")
-        for a in range(n):
-            if self.table[self.unit][a] != a or self.table[a][self.unit] != a:
-                raise NotNatural(f"monoid unit fails at element {a}")
-        on_generators(self._check_associativity, generating_set(self.table, [self.unit]), range(n))
+        a = self.unit_failure()
+        if a is not None:
+            raise NotNatural(f"monoid unit fails at element {a}")
+        abc = self.associativity_failure()
+        if abc is not None:
+            raise NotNatural(f"monoid non-associative at {abc}")
         return self
 
-    def _check_associativity(self, mids) -> None:
+    def unit_failure(self) -> int | None:
+        """The first element a with ea != a or ae != a for the unit e, or
+        None: the two-sided unit law."""
+        t, e = self.table, self.unit
+        return next((a for a in range(self.size) if t[e][a] != a or t[a][e] != a), None)
+
+    def associativity_failure(self) -> tuple[int, int, int] | None:
+        """The first triple (a, b, c) in lexicographic order with (ab)c !=
+        a(bc), or None.  With a two-sided unit e, b runs first over the
+        generators S proved by closure from e (Light's test, as in
+        ``validate_groupoid``): every b is then e, which passes, or s*y
+        with y reached before.  The lemma needs e two-sided, so without
+        one, and to name the first witness, b runs over every element."""
+        gens = generating_set(self.table, [self.unit])
+        if self.unit_failure() is None and self._non_associative(gens) is None:
+            return None
+        return self._non_associative(range(self.size))
+
+    def _non_associative(self, mids) -> tuple[int, int, int] | None:
         t, n = self.table, self.size
         for a in range(n):
             for b in mids:
                 for c in range(n):
                     if t[t[a][b]][c] != t[a][t[b][c]]:
-                        raise NotNatural(f"monoid non-associative at ({a}, {b}, {c})")
+                        return a, b, c
+        return None
 
 
 class GMonoid(BindOnce):

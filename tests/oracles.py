@@ -5,7 +5,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from gburnside.crossed import CrossedGSet, CrossedMap, associator, left_unitor, right_unitor
+from gburnside.crossed import (
+    CrossedGSet,
+    CrossedMap,
+    associator,
+    compose_crossed_maps,
+    identity_crossed_map,
+    left_unitor,
+    right_unitor,
+    tensor,
+    tensor_map,
+    unit_object,
+)
 from gburnside.errors import DomCodMismatch, NotNatural, RingMismatch
 from gburnside.groupoid import FiniteGroupoid, GroupoidFunctor
 from gburnside.gsets import GMonoid, GSet
@@ -66,6 +77,56 @@ def coherence_isos(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet) -> Coheren
         if not m.is_isomorphism():
             raise NotNatural("coherence map is not bijective")
     return CoherenceIsos(a, l, r)
+
+
+def pentagon_composites(cw: CrossedGSet, cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet):
+    """The two sides of the pentagon for (w, x, y, z), composed from
+    associators that are each checked to be crossed maps (NotNatural if
+    one is not)."""
+    top = compose_crossed_maps(
+        associator(cw, cx, tensor(cy, cz, check=False)),
+        associator(tensor(cw, cx, check=False), cy, cz),
+    )
+    first = tensor_map(associator(cw, cx, cy), identity_crossed_map(cz), check=False)
+    mid = associator(cw, tensor(cx, cy, check=False), cz)
+    last = tensor_map(identity_crossed_map(cw), associator(cx, cy, cz), check=False)
+    return top, compose_crossed_maps(last, compose_crossed_maps(mid, first))
+
+
+def triangle_composites(cx: CrossedGSet, cy: CrossedGSet):
+    """The two sides of the triangle for (x, y), composed from an
+    associator and unitors that are each checked to be crossed maps."""
+    unit = unit_object(cx.carrier.base, cx.weight)
+    via = compose_crossed_maps(
+        tensor_map(identity_crossed_map(cx), left_unitor(cy), check=False),
+        associator(cx, unit, cy),
+    )
+    return via, tensor_map(right_unitor(cx), identity_crossed_map(cy), check=False)
+
+
+def _sides_agree(sides, window) -> bool:
+    try:
+        lhs, rhs = sides(*window)
+    except NotNatural:
+        return False
+    return lhs.components == rhs.components
+
+
+def sampled_pentagon_and_triangle(samples: list[CrossedGSet]) -> dict[str, bool]:
+    """Whether the pentagon and the triangle hold on every cyclic window of
+    the samples, by the composites above: the sampled reference for the
+    axiom checker's exhaustive check on the weight."""
+    n = len(samples)
+    return {
+        name: all(
+            _sides_agree(sides, [samples[(i + j) % n] for j in range(arity)])
+            for i in range(n)
+        )
+        for name, arity, sides in (
+            ("pentagon", 4, pentagon_composites),
+            ("triangle", 2, triangle_composites),
+        )
+    }
 
 
 @dataclass

@@ -40,27 +40,33 @@ from gburnside.groupoid import transports
 from gburnside.sampling import sample_many
 
 from conftest import regular_gset, fixed_points_gset
-from oracles import coherence_isos, invert_crossed_map, underlying_gset, validate_crossed
+from oracles import (
+    coherence_isos,
+    invert_crossed_map,
+    sampled_pentagon_and_triangle,
+    underlying_gset,
+    validate_crossed,
+)
 
 
-def axiom_major_report(samples, associator_hook=None):
-    """check_monoidal_axioms in axiom-major order: every window of one
-    axiom family before the next family.  The reference for the
-    window-major checker, which must give the same report."""
-    make = associator_hook or (lambda a, b, c: associator(a, b, c, check=False))
-    families = [
-        ("pentagon", 4, lambda w: crossed_module._pentagon(*w, make)),
-        ("triangle", 2, lambda w: crossed_module._triangle(*w, make)),
-        ("distributivity", 3, lambda w: crossed_module._distributivity(*w)),
+def axiom_major_report(samples):
+    """check_monoidal_axioms in axiom-major order: the weight laws, then
+    every window of one axiom family before the next family.  The
+    reference for the window-major checker, which must give the same
+    report."""
+    pentagon, triangle = crossed_module._weight_laws(samples[0].weight)
+    report = [
+        {"axiom": name, "status": "ok" if w is None else {"witness": w}}
+        for name, w in (("pentagon", pentagon), ("triangle", triangle))
     ]
+    families = [("distributivity", 3, lambda w: crossed_module._distributivity(*w))]
     if gb.gsets.conjugation_loops(samples[0].weight) is not None:
         families += [
             ("symmetry", 2, lambda w: crossed_module._symmetry(*w)),
-            ("hexagon", 3, lambda w: crossed_module._hexagon(*w, make)),
+            ("hexagon", 3, lambda w: crossed_module._hexagon(*w)),
             ("unitor-braiding", 1, lambda w: crossed_module._unitor_braiding(*w)),
         ]
     n = len(samples)
-    report = []
     for name, arity, run in families:
         status = "ok"
         for i in range(n):
@@ -73,19 +79,44 @@ def axiom_major_report(samples, associator_hook=None):
     return report
 
 
-def corrupt_when_first(samples, k):
-    """An associator hook that swaps two images of the associator exactly
-    when its first operand is samples[k]."""
+def corrupt_when_first(monkeypatch, samples, k):
+    """Corrupt the braiding and the distributivity map exactly when their
+    first operand is samples[k]: the braiding swaps two images, and the
+    distributivity map sends two elements to one image."""
+    good_braiding = crossed_module.braiding
+    good_distributivity = crossed_module.distributivity_iso
 
-    def hook(a, b, c):
-        m = associator(a, b, c, check=False)
-        if a is samples[k]:
-            comp = next((c for c in m.components if len(c) >= 2), None)
-            if comp is not None:
-                comp[0], comp[1] = comp[1], comp[0]
+    def first_long(m):
+        return next((c for c in m.components if len(c) >= 2), None)
+
+    def bad_braiding(a, b, check=True):
+        m = good_braiding(a, b, check=check)
+        comp = first_long(m) if a is samples[k] else None
+        if comp is not None:
+            comp[0], comp[1] = comp[1], comp[0]
         return m
 
-    return hook
+    def bad_distributivity(a, b, c, check=True):
+        m = good_distributivity(a, b, c, check=False)
+        comp = first_long(m) if a is samples[k] else None
+        if comp is not None:
+            comp[1] = comp[0]
+        return m.validate() if check else m
+
+    monkeypatch.setattr(crossed_module, "braiding", bad_braiding)
+    monkeypatch.setattr(crossed_module, "distributivity_iso", bad_distributivity)
+
+
+def c1_labeled(table):
+    """Over the trivial group, one singleton crossed set per label in
+    0..n-1 of a weight with one monoid, which is not validated."""
+    g = gb.from_group([[0]])
+    weight = gb.GMonoid(g, [gb.Monoid(table, 0)], [list(range(len(table)))])
+    labeled = [
+        gb.CrossedGSet(gb.terminal_gset(g), weight, [[a]]).validate()
+        for a in range(len(table))
+    ]
+    return labeled
 
 
 @pytest.fixture
@@ -304,41 +335,53 @@ class TestAxiomChecker:
         report = check_monoidal_axioms(samples)
         assert all(r["status"] == "ok" for r in report)
 
-    def test_corrupted_associator_reported(self, c2_basis):
-        def bad_associator(a, b, c):
-            m = associator(a, b, c, check=False)
-            for x, comp in enumerate(m.components):
-                if len(comp) >= 2:
-                    comp[0], comp[1] = comp[1], comp[0]
-                    break
-            return m
+    def test_non_associative_weight_fails_pentagon(self):
+        # unital, but (1*1)*2 = 2 and 1*(1*2) = 1
+        labeled = c1_labeled([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
+        samples = [labeled[1], labeled[1], labeled[2]]
+        status = {r["axiom"]: r["status"] for r in check_monoidal_axioms(samples)}
+        assert status == {
+            "pentagon": {"witness": {"object": 0, "elements": [1, 1, 2]}},
+            "triangle": "ok",
+            "distributivity": "ok",
+        }
+        assert sampled_pentagon_and_triangle(samples) == {"pentagon": False, "triangle": True}
 
-        samples = [e.crossed for e in c2_basis.entries]
-        report = check_monoidal_axioms(samples, associator_hook=bad_associator)
-        pentagon = next(r for r in report if r["axiom"] == "pentagon")
-        assert pentagon["status"] != "ok"
-        assert "witness" in pentagon["status"]
+    def test_one_sided_unit_fails_triangle(self):
+        # x*y = y: associative, and 0 is a left unit only (1*0 = 0)
+        labeled = c1_labeled([[0, 1], [0, 1]])
+        status = {r["axiom"]: r["status"] for r in check_monoidal_axioms(labeled)}
+        assert status == {
+            "pentagon": "ok",
+            "triangle": {"witness": {"object": 0, "elements": [1]}},
+            "distributivity": "ok",
+        }
+        assert sampled_pentagon_and_triangle(labeled) == {"pentagon": True, "triangle": False}
+
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    def test_weight_laws_agree_with_sampled_composites(self, corpus, weight):
+        assert len(corpus) == 13
+        for name, g in corpus.items():
+            s = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+            samples = sample_many(g, s, 6, seed=11)
+            report = {r["axiom"]: r["status"] == "ok" for r in check_monoidal_axioms(samples)}
+            assert sampled_pentagon_and_triangle(samples) == {
+                "pentagon": report["pentagon"], "triangle": report["triangle"],
+            }, name
 
     def test_empty_sample_list(self):
         report = check_monoidal_axioms([])
         assert all(r["status"] == "ok" for r in report)
 
     @pytest.mark.parametrize("k", [0, 3, 7])
-    def test_corruption_reported_in_its_own_window(self, s3, k):
-        # Only associators whose first operand is samples[k] are corrupted;
-        # in the pentagon that operand sits first or second in the window.
+    def test_corruption_reported_in_its_own_window(self, s3, monkeypatch, k):
+        # Only braidings whose first operand is samples[k] are corrupted;
+        # the symmetry check braids the first operand of its window.
         samples = sample_many(s3, gb.conjugation_action(s3), 8, seed=3)
-
-        def hook(a, b, c):
-            m = associator(a, b, c, check=False)
-            if a is samples[k]:
-                comp = m.components[0]
-                comp[0], comp[1] = comp[1], comp[0]
-            return m
-
-        report = check_monoidal_axioms(samples, associator_hook=hook)
-        pentagon = next(r for r in report if r["axiom"] == "pentagon")
-        assert k in pentagon["status"]["witness"]["window"]
+        corrupt_when_first(monkeypatch, samples, k)
+        report = check_monoidal_axioms(samples)
+        symmetry = next(r for r in report if r["axiom"] == "symmetry")
+        assert symmetry["status"]["witness"]["window"] == [k, (k + 1) % 8]
 
     @pytest.mark.parametrize("name, weight, k", [
         ("S3", "conjugation", 0),
@@ -350,25 +393,26 @@ class TestAxiomChecker:
         ("C2+S3", "trivial", 2),
         ("C2+S3", "trivial", 5),
     ])
-    def test_window_major_report_matches_axiom_major(self, corpus, name, weight, k):
+    def test_window_major_report_matches_axiom_major(self, corpus, monkeypatch, name, weight, k):
         g = corpus[name]
         s = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
         samples = sample_many(g, s, 8, seed=3)
-        hook = corrupt_when_first(samples, k)
-        report = check_monoidal_axioms(samples, associator_hook=hook)
-        assert report == axiom_major_report(samples, associator_hook=hook)
         assert check_monoidal_axioms(samples) == axiom_major_report(samples)
+        corrupt_when_first(monkeypatch, samples, k)
+        report = check_monoidal_axioms(samples)
+        assert any(r["status"] != "ok" for r in report)
+        assert report == axiom_major_report(samples)
 
-    def test_families_fail_in_their_own_windows(self, s3):
+    def test_families_fail_in_their_own_windows(self, s3, monkeypatch):
         samples = sample_many(s3, gb.conjugation_action(s3), 8, seed=3)
-        report = check_monoidal_axioms(samples, associator_hook=corrupt_when_first(samples, 3))
+        corrupt_when_first(monkeypatch, samples, 3)
+        report = check_monoidal_axioms(samples)
         windows = {r["axiom"]: r["status"]["witness"]["window"] for r in report
                    if r["status"] != "ok"}
-        # the pentagon and the hexagon first take samples[3] as the first
-        # operand of an associator when it is second in their window, the
-        # triangle only when it is first
+        # every corrupted map takes the window's first operand first; the
+        # unitor-braiding triangle braids the unit object, never samples[3]
         assert windows == {
-            "pentagon": [2, 3, 4, 5], "triangle": [3, 4], "hexagon": [2, 3, 4],
+            "distributivity": [3, 4, 5], "symmetry": [3, 4], "hexagon": [3, 4, 5],
         }
 
 class TestDistributivity:

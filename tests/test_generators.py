@@ -97,6 +97,15 @@ class TestGeneratingSet:
         assert generating_set(table, [1]) == (0, 2)
         Monoid(table, 1).validate()
 
+    def test_one_sided_unit_runs_the_full_loop(self):
+        # 0 is a right unit only (0*1 = 0), so b = 0 is not trivial in
+        # (ab)c = a(bc): the generators pass, and (2*0)*1 = 1, 2*(0*1) = 2
+        table = [[0, 0, 0], [1, 1, 1], [2, 1, 1]]
+        mon = Monoid(table, 0)
+        assert mon.unit_failure() == 1
+        assert mon._non_associative(generating_set(table, [0])) is None
+        assert mon.associativity_failure() == (2, 0, 1)
+
 
 # -- the generator route against the full loops ----------------------------------
 
@@ -162,9 +171,12 @@ def test_generator_route_equals_full_loop(name, kind, data):
         table[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = (
             data.draw(st.integers(0, n - 1))
         )
+        # the mutant may break the unit law; associativity is still decided
         fast = verdict(lambda: Monoid(copy.deepcopy(table), unit).validate())
+        fast = fast, Monoid(table, unit).associativity_failure()
         with full_loops():
             slow = verdict(lambda: Monoid(copy.deepcopy(table), unit).validate())
+            slow = slow, Monoid(table, unit).associativity_failure()
     elif kind == "gset":
         x = regular_gset(g)
         action = _swap_one_action(x.action, data)
