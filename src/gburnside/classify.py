@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .errors import BoundTooSmall, MarksNotTriangular, UnmatchedPiece
+from .errors import MarksNotTriangular, UnmatchedPiece
 from .crossed import CrossedGSet, CrossedMap, induce, same_weight
 from .groupoid import (
     FiniteGroupoid,
@@ -563,12 +563,9 @@ def _set_partitions(items: list[int]):
     yield from rec(0, 0)
 
 
-def brute_force_basis(
-    g: FiniteGroupoid, weight: GMonoid | GSet, size_bound: int
-) -> list[CrossedGSet]:
-    """Independent oracle: enumerate every transitive crossed set with
-    carrier size up to the bound and deduplicate with the generic
-    isomorphism search.
+def brute_force_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> list[CrossedGSet]:
+    """Independent oracle: enumerate every transitive crossed set and
+    deduplicate with the generic isomorphism search.
 
     Transitive carriers are exactly the quotients of the morphisms out of a
     component representative by a partition invariant under
@@ -577,11 +574,6 @@ def brute_force_basis(
     computation is involved.
     """
     reps = connected_components(g).representatives
-    required = max(len(g.by_dom(rep)) for rep in reps)
-    if size_bound < required:
-        raise BoundTooSmall(
-            f"size bound {size_bound} below the largest transitive carrier {required}"
-        )
     found: list[CrossedGSet] = []
     for rep in reps:
         for blocks in _set_partitions(g.by_dom(rep)):

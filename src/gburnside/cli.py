@@ -355,8 +355,7 @@ def _verify_action_groupoid_iso(job: JobSpec, g: FiniteGroupoid):
 def _verify_basis_oracle(job: JobSpec, g: FiniteGroupoid):
     weight = _get_weight(job, g)
     catalog = enumerate_basis(g, weight)
-    bound = max(len(g.by_dom(rep)) for rep in connected_components(g).representatives)
-    brute = brute_force_basis(g, weight, bound)
+    brute = brute_force_basis(g, weight)
     matched: list[int | None] = []
     for crossed in brute:
         pieces = transitive_decomposition(crossed)

@@ -8,11 +8,12 @@ the equivalence between a groupoid's component and an isotropy group, for
 any weight: ``restrict`` pulls a carrier or weight back along the
 inclusion, and ``induce`` spreads a fiber back along the retraction.
 
-Coherence maps are index formulas on the dense ids that products and
-coproducts assign (see ``gsets``), checked pointwise when asked; the
-associator and both unitors keep every id.  So the axiom checker checks
-the pentagon and the triangle on the weight, exhaustively: they hold
-exactly when every weight monoid is associative and has a two-sided unit.
+Products, coproducts and coherence maps are built, not proved: they are
+index formulas on the dense ids that products and coproducts assign (see
+``gsets``), and ``validate()`` proves one on request.  The associator and
+both unitors keep every id.  So the axiom checker checks the pentagon and
+the triangle on the weight, exhaustively: they hold exactly when every
+weight monoid is associative and has a two-sided unit.
 The families that act on carriers (distributivity and the braiding
 axioms) it checks on windows of samples, comparing composite maps as
 data, so a failure is reported with a concrete witness.
@@ -132,13 +133,6 @@ class CrossedMap:
         return f"CrossedMap(components={[len(c) for c in self.components]})"
 
 
-def _crossed_map(
-    source: CrossedGSet, target: CrossedGSet, components, check: bool
-) -> CrossedMap:
-    out = CrossedMap(source, target, components)
-    return out.validate() if check else out
-
-
 def _identity_components(c: CrossedGSet) -> list[list[int]]:
     return [list(range(n)) for n in c.carrier.sizes]
 
@@ -160,11 +154,10 @@ def compose_crossed_maps(second: CrossedMap, first: CrossedMap) -> CrossedMap:
 
 # -- monoidal structure -------------------------------------------------------
 
-def tensor(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedGSet:
+def tensor(c1: CrossedGSet, c2: CrossedGSet) -> CrossedGSet:
     """Tensor product: cartesian carrier, labels multiplied in the weight."""
     same_weight(c1, c2)
-    out = _CrossedProduct(c1, c2)
-    return out.validate() if check else out
+    return _CrossedProduct(c1, c2)
 
 
 class _CrossedProduct(CrossedGSet):
@@ -173,7 +166,7 @@ class _CrossedProduct(CrossedGSet):
 
     def __init__(self, c1: CrossedGSet, c2: CrossedGSet):
         # not CrossedGSet.__init__: binding label would hide the property below
-        self.carrier = gset_product(c1.carrier, c2.carrier, check=False)
+        self.carrier = gset_product(c1.carrier, c2.carrier)
         self.weight = c1.weight
         # reading monoids here fails now, not at first read, on a G-set weight
         self._factors = (c1, c2, c1.weight.monoids)
@@ -204,43 +197,38 @@ def empty_crossed(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
     return CrossedGSet(empty_gset(g), s, [[] for _ in g.objects]).validate()
 
 
-def crossed_coproduct(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedGSet:
+def crossed_coproduct(c1: CrossedGSet, c2: CrossedGSet) -> CrossedGSet:
     """Disjoint-union carrier with inherited labels."""
     same_weight(c1, c2)
-    carrier = gset_coproduct(c1.carrier, c2.carrier, check=False)
+    carrier = gset_coproduct(c1.carrier, c2.carrier)
     label = [c1.label[x] + c2.label[x] for x in carrier.base.objects]
-    out = CrossedGSet(carrier, c1.weight, label)
-    return out.validate() if check else out
+    return CrossedGSet(carrier, c1.weight, label)
 
 
-def associator(
-    cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet, check: bool = True
-) -> CrossedMap:
+def associator(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet) -> CrossedMap:
     """((x, y), z) -> (x, (y, z)) from (X (x) Y) (x) Z to X (x) (Y (x) Z):
     the identity on ids, as (i|Y| + j)|Z| + k = i|Y||Z| + j|Z| + k."""
-    src = tensor(tensor(cx, cy, check=False), cz, check=False)
-    tgt = tensor(cx, tensor(cy, cz, check=False), check=False)
-    return _crossed_map(src, tgt, _identity_components(src), check)
+    src = tensor(tensor(cx, cy), cz)
+    tgt = tensor(cx, tensor(cy, cz))
+    return CrossedMap(src, tgt, _identity_components(src))
 
 
-def left_unitor(c: CrossedGSet, check: bool = True) -> CrossedMap:
+def left_unitor(c: CrossedGSet) -> CrossedMap:
     """(1, x) -> x from I (x) X to X: the identity on ids, as |I| = 1."""
-    src = tensor(unit_object(c.carrier.base, c.weight), c, check=False)
-    return _crossed_map(src, c, _identity_components(c), check)
+    src = tensor(unit_object(c.carrier.base, c.weight), c)
+    return CrossedMap(src, c, _identity_components(c))
 
 
-def right_unitor(c: CrossedGSet, check: bool = True) -> CrossedMap:
+def right_unitor(c: CrossedGSet) -> CrossedMap:
     """(x, 1) -> x from X (x) I to X: the identity on ids, as |I| = 1."""
-    src = tensor(c, unit_object(c.carrier.base, c.weight), check=False)
-    return _crossed_map(src, c, _identity_components(c), check)
+    src = tensor(c, unit_object(c.carrier.base, c.weight))
+    return CrossedMap(src, c, _identity_components(c))
 
 
-def tensor_map(
-    f: CrossedMap, g: CrossedMap, check: bool = True
-) -> CrossedMap:
+def tensor_map(f: CrossedMap, g: CrossedMap) -> CrossedMap:
     """f (x) g on tensor products, componentwise on pairs."""
-    src = tensor(f.source, g.source, check=False)
-    tgt = tensor(f.target, g.target, check=False)
+    src = tensor(f.source, g.source)
+    tgt = tensor(f.target, g.target)
     comps = []
     for x in src.carrier.base.objects:
         nf = f.source.carrier.size(x)
@@ -250,7 +238,7 @@ def tensor_map(
         comps.append(
             [fc[i] * wt + gc[j] for i in range(nf) for j in range(ng)]
         )
-    return _crossed_map(src, tgt, comps, check)
+    return CrossedMap(src, tgt, comps)
 
 
 # -- braiding over the conjugation weight --------------------------------------
@@ -264,7 +252,7 @@ def _require_conjugation(weight: GMonoid) -> list[list[int]]:
     return loops
 
 
-def braiding(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedMap:
+def braiding(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap:
     """(x, y) -> (Y(theta(x))(y), x) from X (x) Y to Y (x) X.
 
     The label of x is interpreted as a loop of the base groupoid and acts
@@ -273,8 +261,8 @@ def braiding(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedMap
     """
     same_weight(c1, c2)
     loops = _require_conjugation(c1.weight)
-    src = tensor(c1, c2, check=False)
-    tgt = tensor(c2, c1, check=False)
+    src = tensor(c1, c2)
+    tgt = tensor(c2, c1)
     comps = []
     for x in c1.carrier.base.objects:
         n1 = c1.carrier.size(x)
@@ -286,16 +274,16 @@ def braiding(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedMap
             for j in range(n2):
                 comp.append(act[j] * n1 + i)
         comps.append(comp)
-    return _crossed_map(src, tgt, comps, check)
+    return CrossedMap(src, tgt, comps)
 
 
-def braiding_inverse(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> CrossedMap:
+def braiding_inverse(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap:
     """(u, x) -> (x, Y(theta(x))^-1(u)) from Y (x) X back to X (x) Y."""
     same_weight(c1, c2)
     loops = _require_conjugation(c1.weight)
     g = c1.carrier.base
-    src = tensor(c2, c1, check=False)
-    tgt = tensor(c1, c2, check=False)
+    src = tensor(c2, c1)
+    tgt = tensor(c1, c2)
     comps = []
     for x in g.objects:
         n1 = c1.carrier.size(x)
@@ -307,20 +295,16 @@ def braiding_inverse(c1: CrossedGSet, c2: CrossedGSet, check: bool = True) -> Cr
                 act = c2.carrier.action[g.inverse[loop]]
                 comp[j * n1 + i] = i * n2 + act[j]
         comps.append(comp)
-    return _crossed_map(src, tgt, comps, check)
+    return CrossedMap(src, tgt, comps)
 
 
 # -- distributivity -------------------------------------------------------------
 
-def distributivity_iso(
-    cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet, check: bool = True
-) -> CrossedMap:
+def distributivity_iso(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet) -> CrossedMap:
     """The explicit isomorphism X (x) (Y u Z) -> (X (x) Y) u (X (x) Z):
     (i, j) goes to i|Y| + j for j < |Y|, else to |X||Y| + i|Z| + (j - |Y|)."""
-    src = tensor(cx, crossed_coproduct(cy, cz, check=False), check=False)
-    tgt = crossed_coproduct(
-        tensor(cx, cy, check=False), tensor(cx, cz, check=False), check=False
-    )
+    src = tensor(cx, crossed_coproduct(cy, cz))
+    tgt = crossed_coproduct(tensor(cx, cy), tensor(cx, cz))
     comps = [
         [
             i * ny + j if j < ny else nx * ny + i * nz + j - ny
@@ -329,7 +313,7 @@ def distributivity_iso(
         ]
         for nx, ny, nz in zip(cx.carrier.sizes, cy.carrier.sizes, cz.carrier.sizes)
     ]
-    return _crossed_map(src, tgt, comps, check)
+    return CrossedMap(src, tgt, comps)
 
 
 # -- trivial labels and transport -------------------------------------------------
@@ -456,8 +440,8 @@ def _symmetry(cx, cy):
     # one-sided formula with itself is not the identity in general (the
     # structure is braided): over C2, swap a unit-labeled with a
     # sigma-labeled free orbit and the double braiding translates by sigma.
-    fwd = braiding(cx, cy, check=False)
-    inv = braiding_inverse(cx, cy, check=False)
+    fwd = braiding(cx, cy)
+    inv = braiding_inverse(cx, cy)
     witness = _maps_equal(compose_crossed_maps(inv, fwd), identity_crossed_map(fwd.source))
     if witness is not None:
         return witness
@@ -465,22 +449,22 @@ def _symmetry(cx, cy):
 
 
 def _hexagon(cx, cy, cz):
-    lhs = braiding(cx, tensor(cy, cz, check=False), check=False)
+    lhs = braiding(cx, tensor(cy, cz))
     rhs = compose_crossed_maps(
-        tensor_map(identity_crossed_map(cy), braiding(cx, cz, check=False), check=False),
-        tensor_map(braiding(cx, cy, check=False), identity_crossed_map(cz), check=False),
+        tensor_map(identity_crossed_map(cy), braiding(cx, cz)),
+        tensor_map(braiding(cx, cy), identity_crossed_map(cz)),
     )
     return _maps_equal(lhs, rhs)
 
 
 def _unitor_braiding(cx):
     unit = unit_object(cx.carrier.base, cx.weight)
-    return _maps_equal(braiding(unit, cx, check=False), identity_crossed_map(cx))
+    return _maps_equal(braiding(unit, cx), identity_crossed_map(cx))
 
 
 def _distributivity(cx, cy, cz):
     try:
-        d = distributivity_iso(cx, cy, cz, check=True)
+        d = distributivity_iso(cx, cy, cz).validate()
     except NotNatural as exc:
         return {"error": str(exc)}
     if not d.is_isomorphism():

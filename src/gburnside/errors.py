@@ -89,10 +89,6 @@ class MarksNotTriangular(GBError):
     diagonal (entries out of order by subgroup size, or isomorphic)."""
 
 
-class BoundTooSmall(GBError):
-    """Brute-force size bound below the largest transitive carrier."""
-
-
 # -- rings -----------------------------------------------------------------
 
 class RingMismatch(GBError):

@@ -6,10 +6,11 @@ A G-set stores the size of its fiber at each object, whose elements are
 the dense ids 0..n-1, and one bijection per morphism, as an index map from
 the dom fiber into the cod fiber.  The product's element (i, j) has id
 i*|Y| + j, and the coproduct's elements of Y follow those of X, so every
-coherence map is an index formula.  Functoriality, the G-monoid hom
-property and monoid associativity are checked on a proved generating set,
-which is equivalent to checking them everywhere (each ``validate`` states
-its lemma).
+coherence map is an index formula.  Products and coproducts are built
+without a proof; ``validate`` proves one on request.  Functoriality, the
+G-monoid hom property and monoid associativity are checked on a proved
+generating set, which is equivalent to checking them everywhere (each
+``validate`` states its lemma).
 
 The constructors of ``GSet``, ``GMonoid`` and ``GMap`` take ownership of
 the lists they are handed and store them without copying; no operation
@@ -464,7 +465,7 @@ def orbit_decomposition(g: FiniteGroupoid, x: GSet) -> list[tuple[GSet, GMap]]:
 
 # -- products and coproducts --------------------------------------------------
 
-def gset_product(x: GSet, y: GSet, check: bool = True) -> GSet:
+def gset_product(x: GSet, y: GSet) -> GSet:
     """Fiberwise cartesian product with the diagonal action.
 
     The element (i, j) has dense id i*|Y| + j.  The action is built when
@@ -472,8 +473,7 @@ def gset_product(x: GSet, y: GSet, check: bool = True) -> GSet:
     """
     if not same_base(x.base, y.base):
         raise BaseMismatch("product of G-sets over different groupoids")
-    out = _ProductGSet(x, y)
-    return out.validate() if check else out
+    return _ProductGSet(x, y)
 
 
 class _ProductGSet(GSet):
@@ -499,7 +499,7 @@ class _ProductGSet(GSet):
         return out
 
 
-def gset_coproduct(x: GSet, y: GSet, check: bool = True) -> GSet:
+def gset_coproduct(x: GSet, y: GSet) -> GSet:
     """Fiberwise disjoint union: at each object the element j of y has id
     |X| + j, after the elements of x."""
     if not same_base(x.base, y.base):
@@ -510,8 +510,7 @@ def gset_coproduct(x: GSet, y: GSet, check: bool = True) -> GSet:
         off = x.size(g.cod[m])
         action.append(x.action[m] + [off + j for j in y.action[m]])
     sizes = [a + b for a, b in zip(x.sizes, y.sizes)]
-    out = GSet(g, sizes, action)
-    return out.validate() if check else out
+    return GSet(g, sizes, action)
 
 
 # -- marks ---------------------------------------------------------------------

@@ -319,7 +319,7 @@ def crossed_burnside_ring_by_decomposition(
     search."""
     catalog = enumerate_basis(g, weight)
     unit = express_by_decomposition(unit_object(g, weight), catalog)
-    products = _by_decomposition(catalog, lambda a, b: tensor(a, b, check=False))
+    products = _by_decomposition(catalog, tensor)
     return _ring(catalog, products, unit, _crossed_info)
 
 

@@ -89,7 +89,7 @@ def sample_crossed(
         piece = pieces[v]
         for x in cls:
             budget[x] -= size
-        out = piece if out is None else crossed_coproduct(out, piece, check=False)
+        out = piece if out is None else crossed_coproduct(out, piece)
     if out is None:
         out = empty_crossed(g, weight)
     return shuffle_fibers(out, rng).validate()

@@ -10,7 +10,8 @@ Input schemas:
 * G-set: ``{"fibers": {"0": 2, ...}, "action": {"3": [1, 0], ...}}`` with
   per-morphism image lists; identity morphisms may be omitted.
 * G-monoid: a G-set body plus ``{"monoids": {"0": {"table": [[...]],
-  "unit": u}, ...}}``, or the shorthand ``{"conjugation": true}``.
+  "unit": u}, ...}}``, or the shorthands ``{"conjugation": true}`` and
+  ``{"trivial": true}``.
 * crossed set: a G-set body plus ``{"labels": {"0": [...], ...}}``.
 
 Object and morphism id keys are canonical decimals: ``"00"`` is refused.

@@ -70,9 +70,9 @@ class CoherenceIsos:
 def coherence_isos(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet) -> CoherenceIsos:
     """The associator for (x, y, z) and both unitors for x; each map is a
     validated crossed isomorphism."""
-    a = associator(cx, cy, cz)
-    l = left_unitor(cx)
-    r = right_unitor(cx)
+    a = associator(cx, cy, cz).validate()
+    l = left_unitor(cx).validate()
+    r = right_unitor(cx).validate()
     for m in (a, l, r):
         if not m.is_isomorphism():
             raise NotNatural("coherence map is not bijective")
@@ -84,12 +84,12 @@ def pentagon_composites(cw: CrossedGSet, cx: CrossedGSet, cy: CrossedGSet, cz: C
     associators that are each checked to be crossed maps (NotNatural if
     one is not)."""
     top = compose_crossed_maps(
-        associator(cw, cx, tensor(cy, cz, check=False)),
-        associator(tensor(cw, cx, check=False), cy, cz),
+        associator(cw, cx, tensor(cy, cz)).validate(),
+        associator(tensor(cw, cx), cy, cz).validate(),
     )
-    first = tensor_map(associator(cw, cx, cy), identity_crossed_map(cz), check=False)
-    mid = associator(cw, tensor(cx, cy, check=False), cz)
-    last = tensor_map(identity_crossed_map(cw), associator(cx, cy, cz), check=False)
+    first = tensor_map(associator(cw, cx, cy).validate(), identity_crossed_map(cz))
+    mid = associator(cw, tensor(cx, cy), cz).validate()
+    last = tensor_map(identity_crossed_map(cw), associator(cx, cy, cz).validate())
     return top, compose_crossed_maps(last, compose_crossed_maps(mid, first))
 
 
@@ -98,10 +98,10 @@ def triangle_composites(cx: CrossedGSet, cy: CrossedGSet):
     associator and unitors that are each checked to be crossed maps."""
     unit = unit_object(cx.carrier.base, cx.weight)
     via = compose_crossed_maps(
-        tensor_map(identity_crossed_map(cx), left_unitor(cy), check=False),
-        associator(cx, unit, cy),
+        tensor_map(identity_crossed_map(cx), left_unitor(cy).validate()),
+        associator(cx, unit, cy).validate(),
     )
-    return via, tensor_map(right_unitor(cx), identity_crossed_map(cy), check=False)
+    return via, tensor_map(right_unitor(cx).validate(), identity_crossed_map(cy))
 
 
 def _sides_agree(sides, window) -> bool:

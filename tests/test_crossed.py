@@ -89,19 +89,19 @@ def corrupt_when_first(monkeypatch, samples, k):
     def first_long(m):
         return next((c for c in m.components if len(c) >= 2), None)
 
-    def bad_braiding(a, b, check=True):
-        m = good_braiding(a, b, check=check)
+    def bad_braiding(a, b):
+        m = good_braiding(a, b)
         comp = first_long(m) if a is samples[k] else None
         if comp is not None:
             comp[0], comp[1] = comp[1], comp[0]
         return m
 
-    def bad_distributivity(a, b, c, check=True):
-        m = good_distributivity(a, b, c, check=False)
+    def bad_distributivity(a, b, c):
+        m = good_distributivity(a, b, c)
         comp = first_long(m) if a is samples[k] else None
         if comp is not None:
             comp[1] = comp[0]
-        return m.validate() if check else m
+        return m
 
     monkeypatch.setattr(crossed_module, "braiding", bad_braiding)
     monkeypatch.setattr(crossed_module, "distributivity_iso", bad_distributivity)
@@ -157,12 +157,12 @@ class TestValidateCrossed:
 class TestTensorUnit:
     def test_point_labels_multiply(self, c2, c2_conj):
         pt_sigma = validate_crossed(gb.terminal_gset(c2), c2_conj, [[1]])
-        prod = tensor(pt_sigma, pt_sigma)
+        prod = tensor(pt_sigma, pt_sigma).validate()
         assert prod.label == [[0]]  # sigma * sigma = e
 
     def test_tensor_with_unit_keeps_labels(self, c2, c2_conj, c2_basis):
         c = c2_basis.entries[1].crossed  # free orbit labeled sigma
-        prod = tensor(c, unit_object(c2, c2_conj))
+        prod = tensor(c, unit_object(c2, c2_conj)).validate()
         assert prod.label == c.label
 
     def test_s3_point_labels_compose_in_table(self, s3, s3_perms):
@@ -183,30 +183,38 @@ class TestTensorUnit:
         conj = gb.conjugation_action(s3)
         samples = sample_many(s3, conj, 6, seed=5)
         for a, b in zip(samples, samples[1:]):
-            t = tensor(tensor(a, b, check=False), a, check=False)
+            t = tensor(tensor(a, b), a)
             assert "label" not in vars(t)
             ab = [conj.mul(0, p, q) for p in a.label[0] for q in b.label[0]]
             assert t.label == [[conj.mul(0, p, q) for p in ab for q in a.label[0]]]
             assert t.label is vars(t)["label"]
             assert t._factors is None
-            # an unchecked associator reads sizes only
-            m = associator(a, b, a, check=False)
+            # an associator, as built, reads sizes only
+            m = associator(a, b, a)
             assert "label" not in vars(m.source) and "label" not in vars(m.target)
 
-    def test_checked_tensor_validates(self, c2, c2_conj):
-        bad = gb.CrossedGSet(regular_gset(c2), c2_conj, [[0, 1]])  # not natural
-        unit = unit_object(c2, c2_conj)
-        tensor(bad, unit, check=False)
+    @pytest.mark.parametrize("build", [
+        tensor, crossed_coproduct, gb.gset_product, gb.gset_coproduct,
+    ], ids=lambda f: f.__name__)
+    def test_products_are_proved_only_by_validate(self, c2, c2_conj, build):
+        if build in (tensor, crossed_coproduct):
+            bad = gb.CrossedGSet(regular_gset(c2), c2_conj, [[0, 1]])  # not natural
+            good = unit_object(c2, c2_conj)
+        else:
+            bad = gb.GSet(c2, [2], [[1, 0], [1, 0]])  # the identity swaps
+            good = regular_gset(c2)
+        built = build(bad, good)
+        if build is tensor:
+            assert "label" not in vars(built)
         with pytest.raises(NotNatural):
-            tensor(bad, unit)
-        ok = tensor(unit, unit)
-        assert "label" in vars(ok)
+            built.validate()
+        assert build(good, good).validate() == build(good, good)
 
     def test_gset_weight_fails_at_the_tensor_call(self, c2, c2_conj):
         weight = underlying_gset(c2_conj)
         c = validate_crossed(gb.terminal_gset(c2), weight, [[1]])
         with pytest.raises(AttributeError, match="monoids"):
-            tensor(c, c, check=False)
+            tensor(c, c)
 
     def test_unit_object_kept_on_its_weight(self, s3, c2):
         conj = gb.conjugation_action(s3)
@@ -228,12 +236,12 @@ class TestTensorUnit:
     def test_coproduct_labels(self, c2, c2_conj):
         a = validate_crossed(gb.terminal_gset(c2), c2_conj, [[1]])
         b = unit_object(c2, c2_conj)
-        both = crossed_coproduct(a, b)
+        both = crossed_coproduct(a, b).validate()
         assert both.label == [[1, 0]]
 
     def test_coproduct_with_empty_is_isomorphic(self, c2, c2_conj, c2_basis):
         c = c2_basis.entries[0].crossed
-        z = crossed_coproduct(c, empty_crossed(c2, c2_conj))
+        z = crossed_coproduct(c, empty_crossed(c2, c2_conj)).validate()
         assert are_isomorphic(c, z) is not None
 
 
@@ -246,15 +254,15 @@ class TestCoherence:
 
     def test_unitor_formulas_pointwise(self, c2, c2_conj, c2_basis):
         c = c2_basis.entries[1].crossed
-        l = left_unitor(c)
+        l = left_unitor(c).validate()
         # (1, x) at flattened index x maps to x
         assert l.components == [[0, 1]]
-        r = right_unitor(c)
+        r = right_unitor(c).validate()
         assert r.components == [[0, 1]]
 
     def test_associator_on_singletons(self, c2, c2_conj):
         pt = unit_object(c2, c2_conj)
-        a = associator(pt, pt, pt)
+        a = associator(pt, pt, pt).validate()
         assert a.components == [[0]]
 
     def test_associator_label_check_uses_weight_associativity(self, c2_basis):
@@ -267,14 +275,14 @@ class TestBraiding:
     def test_unit_labels_give_plain_swap(self, c2, c2_conj, c2_basis):
         x = c2_basis.entries[0].crossed  # free orbit, labels e
         y = c2_basis.entries[2].crossed  # fixed point, label e
-        eta = braiding(x, y)
+        eta = braiding(x, y).validate()
         # X x Y with |Y|=1: (i, 0) -> (0, i): flattened i -> i
         assert eta.components == [[0, 1]]
 
     def test_sigma_label_acts_on_second_factor(self, c2, c2_conj, c2_basis):
         c_sigma = c2_basis.entries[1].crossed  # free orbit, labels sigma
         c_e = c2_basis.entries[0].crossed      # free orbit, labels e
-        eta = braiding(c_sigma, c_e)
+        eta = braiding(c_sigma, c_e).validate()
         # hand expansion: (x_i, y_j) -> (sigma.y_j, x_i)
         assert eta.components == [[2, 0, 3, 1]]
 
@@ -283,16 +291,16 @@ class TestBraiding:
         basis = enumerate_basis(s3, conj)
         for a in basis.entries[:4]:
             for b in basis.entries[:4]:
-                eta = braiding(a.crossed, b.crossed)
-                tau = braiding_inverse(a.crossed, b.crossed)
+                eta = braiding(a.crossed, b.crossed).validate()
+                tau = braiding_inverse(a.crossed, b.crossed).validate()
                 # the explicit inverse formula really is the inverse map
                 assert invert_crossed_map(eta).components == tau.components
-                src = tensor(a.crossed, b.crossed, check=False)
+                src = tensor(a.crossed, b.crossed)
                 assert (
                     compose_crossed_maps(tau, eta).components
                     == identity_crossed_map(src).components
                 )
-                tgt = tensor(b.crossed, a.crossed, check=False)
+                tgt = tensor(b.crossed, a.crossed)
                 assert (
                     compose_crossed_maps(eta, tau).components
                     == identity_crossed_map(tgt).components
@@ -307,7 +315,7 @@ class TestBraiding:
     def test_trivial_group_trivial_weight_is_conjugation(self):
         g = gb.from_group([[0]])
         a = unit_object(g, gb.trivial_gmonoid(g))
-        braiding(a, a)  # conjugation of the trivial group is trivial
+        braiding(a, a).validate()  # conjugation of the trivial group is trivial
 
 
 class TestAxiomChecker:
@@ -418,15 +426,15 @@ class TestAxiomChecker:
 class TestDistributivity:
     def test_iso_is_crossed_map(self, c2_basis):
         e = c2_basis.entries
-        d = distributivity_iso(e[0].crossed, e[1].crossed, e[3].crossed)
+        d = distributivity_iso(e[0].crossed, e[1].crossed, e[3].crossed).validate()
         assert d.is_isomorphism()
 
     def test_commutes_with_orbit_decomposition(self, c2, c2_conj, c2_basis):
         x = c2_basis.entries[1].crossed
         y = c2_basis.entries[0].crossed
         z = c2_basis.entries[2].crossed
-        lhs = tensor(x, crossed_coproduct(y, z))
-        rhs = crossed_coproduct(tensor(x, y), tensor(x, z))
+        lhs = tensor(x, crossed_coproduct(y, z)).validate()
+        rhs = crossed_coproduct(tensor(x, y), tensor(x, z)).validate()
         assert are_isomorphic(lhs, rhs) is not None
 
 
@@ -473,10 +481,10 @@ def label_lookup_oracle(cx, cy, cz):
 
 
 class TestCoherenceAgainstLabelLookup:
-    @pytest.mark.parametrize("check", [True, False])
+    @pytest.mark.parametrize("validated", [True, False])
     @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
     @pytest.mark.parametrize("name", ["C2", "S3", "C2+S3", "(C2xPair(2))+C3"])
-    def test_components_equal_the_oracle(self, corpus, name, weight, check):
+    def test_components_equal_the_oracle(self, corpus, name, weight, validated):
         g = corpus[name]
         s = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
         samples = sample_many(g, s, 8, seed=2)
@@ -485,12 +493,14 @@ class TestCoherenceAgainstLabelLookup:
             cx, cy, cz = (samples[(i + j) % len(samples)] for j in range(3))
             expected = label_lookup_oracle(cx, cy, cz)
             got = {
-                "associator": associator(cx, cy, cz, check=check),
-                "left_unitor": left_unitor(cx, check=check),
-                "right_unitor": right_unitor(cx, check=check),
-                "distributivity": distributivity_iso(cx, cy, cz, check=check),
+                "associator": associator(cx, cy, cz),
+                "left_unitor": left_unitor(cx),
+                "right_unitor": right_unitor(cx),
+                "distributivity": distributivity_iso(cx, cy, cz),
             }
             for key, m in got.items():
+                if validated:
+                    m.validate()
                 assert m.components == expected[key], (key, i)
 
 
@@ -508,7 +518,7 @@ class TestTrivialLabelEmbed:
         x = regular_gset(s3)
         y = fixed_points_gset(s3, 2)
         lhs = trivial_label_embed(gb.gset_product(x, y), conj)
-        rhs = tensor(trivial_label_embed(x, conj), trivial_label_embed(y, conj))
+        rhs = tensor(trivial_label_embed(x, conj), trivial_label_embed(y, conj)).validate()
         assert lhs.label == rhs.label
         assert lhs.carrier.action == rhs.carrier.action
 
@@ -549,8 +559,8 @@ class TestTransport:
         conj = gb.conjugation_action(g)
         entries = enumerate_basis(g, conj).entries
         c1, c2_ = entries[0].crossed, entries[3].crossed
-        lhs = transport_restrict(tensor(c1, c2_), 0)
-        rhs = tensor(transport_restrict(c1, 0), transport_restrict(c2_, 0))
+        lhs = transport_restrict(tensor(c1, c2_).validate(), 0)
+        rhs = tensor(transport_restrict(c1, 0), transport_restrict(c2_, 0)).validate()
         assert lhs.label == rhs.label
         assert lhs.carrier.action == rhs.carrier.action
 
@@ -562,10 +572,10 @@ class TestTransport:
         assert restricted_unit == unit_object(iso, gb.conjugation_action(iso))
         entries = enumerate_basis(g, conj).entries
         a, b = entries[0].crossed, entries[2].crossed
-        lhs = transport_restrict(crossed_coproduct(a, b), 1)
+        lhs = transport_restrict(crossed_coproduct(a, b).validate(), 1)
         rhs = crossed_coproduct(
             transport_restrict(a, 1), transport_restrict(b, 1)
-        )
+        ).validate()
         assert lhs.label == rhs.label
         assert lhs.carrier.action == rhs.carrier.action
         # the restricted conjugation weight is the isotropy group's own,
@@ -583,8 +593,8 @@ class TestTransport:
         entries = enumerate_basis(iso, conj_z).entries
         a, b = entries[1].crossed, entries[3].crossed
         conj = gb.conjugation_action(g)
-        lhs = transport_induce(tensor(a, b), conj, 0)
-        rhs = tensor(transport_induce(a, conj, 0), transport_induce(b, conj, 0))
+        lhs = transport_induce(tensor(a, b).validate(), conj, 0)
+        rhs = tensor(transport_induce(a, conj, 0), transport_induce(b, conj, 0)).validate()
         assert are_isomorphic(lhs, rhs) is not None
 
     def test_induce_refuses_another_weight(self, corpus):

@@ -62,7 +62,7 @@ def test_basis_and_oracle_agree(c2, semilattice_weight):
         (sorted(e.standard_pair[0]), e.standard_pair[1]) for e in catalog.entries
     ]
     assert pairs == [([0], 0), ([0], 1), ([0, 1], 0), ([0, 1], 1)]
-    brute = brute_force_basis(c2, semilattice_weight, 2)
+    brute = brute_force_basis(c2, semilattice_weight)
     assert len(brute) == 4
 
 

@@ -238,7 +238,7 @@ class TestTransitivity:
 
 class TestOrbits:
     def test_regular_plus_fixed(self, c2):
-        x = gb.gset_coproduct(regular_gset(c2), fixed_points_gset(c2, 1))
+        x = gb.gset_coproduct(regular_gset(c2), fixed_points_gset(c2, 1)).validate()
         pieces = gb.orbit_decomposition(c2, x)
         assert sorted(p.total_size for p, _ in pieces) == [1, 2]
 
@@ -248,11 +248,11 @@ class TestOrbits:
         assert len(gb.orbit_decomposition(g, x)) == 1
 
     def test_s3_natural_plus_point(self, s3, s3_natural):
-        x = gb.gset_coproduct(s3_natural, fixed_points_gset(s3, 1))
+        x = gb.gset_coproduct(s3_natural, fixed_points_gset(s3, 1)).validate()
         assert len(gb.orbit_decomposition(s3, x)) == 2
 
     def test_embeddings_natural_and_partition(self, s3, s3_natural):
-        x = gb.gset_coproduct(s3_natural, fixed_points_gset(s3, 2))
+        x = gb.gset_coproduct(s3_natural, fixed_points_gset(s3, 2)).validate()
         pieces = gb.orbit_decomposition(s3, x)
         for piece, embed in pieces:
             embed.validate()
@@ -261,12 +261,12 @@ class TestOrbits:
 
 class TestProductsCoproducts:
     def test_regular_squared_two_free_orbits(self, c2):
-        prod = gb.gset_product(regular_gset(c2), regular_gset(c2))
+        prod = gb.gset_product(regular_gset(c2), regular_gset(c2)).validate()
         pieces = gb.orbit_decomposition(c2, prod)
         assert [p.total_size for p, _ in pieces] == [2, 2]
 
     def test_product_with_terminal(self, s3, s3_natural):
-        prod = gb.gset_product(s3_natural, gb.terminal_gset(s3))
+        prod = gb.gset_product(s3_natural, gb.terminal_gset(s3)).validate()
         assert prod.size(0) == 3
         assert [prod.action[m] for m in s3.morphisms] == [
             s3_natural.action[m] for m in s3.morphisms
@@ -284,16 +284,16 @@ class TestProductsCoproducts:
                 ]
                 sizes = [x.size(o) * y.size(o) for o in g.objects]
                 eager = GSet(g, sizes, explicit)
-                assert gb.gset_product(x, y, check=False) == eager
-                assert eager == gb.gset_product(x, y, check=False)
-                lazy = gb.gset_product(x, y, check=False)
+                assert gb.gset_product(x, y) == eager
+                assert eager == gb.gset_product(x, y)
+                lazy = gb.gset_product(x, y)
                 assert lazy.action == explicit
                 assert lazy.action is lazy.action
                 assert lazy.validate() is lazy
 
     def test_coproduct_with_empty(self, c2):
         x = regular_gset(c2)
-        z = gb.gset_coproduct(x, gb.empty_gset(c2))
+        z = gb.gset_coproduct(x, gb.empty_gset(c2)).validate()
         assert z.action == x.action
 
     @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
@@ -302,8 +302,8 @@ class TestProductsCoproducts:
         g = gb.pair_groupoid(2)
         x = fixed_points_gset(g, a)
         y = fixed_points_gset(g, b)
-        assert gb.gset_product(x, y).size(0) == a * b
-        assert gb.gset_coproduct(x, y).size(1) == a + b
+        assert gb.gset_product(x, y).validate().size(0) == a * b
+        assert gb.gset_coproduct(x, y).validate().size(1) == a + b
 
 
 class TestMarks:
