@@ -394,11 +394,6 @@ class MarkTable:
             out[j] = c
         return out
 
-    def solve(self, phi: list[int]) -> list[int]:
-        """The coordinates with these row marks, as a dense vector; the
-        back-substitution runs over the non-zero marks only."""
-        return self._dense(self._solve({k: v for k, v in enumerate(phi) if v}))
-
     def express(self, carrier: GSet, label) -> list[int]:
         """Coordinates of a labeled G-set from its marks; every element must
         be accounted for by the solution."""

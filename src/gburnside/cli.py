@@ -326,9 +326,14 @@ def _verify_axioms(job: JobSpec, g: FiniteGroupoid):
 
 
 def _hom_verdict(hom, *properties: str):
-    """Exit code and report of a hom that must have every one of properties."""
+    """Exit code and report of a hom that must have every one of properties.
+    A required bijection between rings of different dims has no determinant;
+    both dims are its witness."""
     ok = all(hom.verified[p] for p in properties)
-    return (0 if ok else 1), hom_to_obj(hom)
+    report = hom_to_obj(hom)
+    if "bijective" in properties and hom.source.dim != hom.target.dim:
+        report["verified"]["dims"] = {"source": hom.source.dim, "target": hom.target.dim}
+    return (0 if ok else 1), report
 
 
 def _verify_embedding(job: JobSpec, g: FiniteGroupoid):

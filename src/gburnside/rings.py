@@ -38,6 +38,15 @@ associativity and multiplicativity checks pack each vector into one integer
 (see ``_packed``), with a field width taken from a bound the constants
 prove, so each linear combination is a few big-integer operations and
 packed values are equal exactly when the vectors are.
+
+A commutative ring is built on half its table, e_i e_j for i <= j, each
+row standing also for (j, i), on a premise checked on the input: the
+Hadamard product is pointwise on marks; (x, y) -> (y, x) is an iso
+X (x) Y -> Y (x) X when every weight monoid commutes; the braiding
+(x, y) -> (theta(x) y, x) is one over the conjugation G-monoid (as
+``conjugation_loops`` recognises it).  Other weights build every e_i e_j,
+and the reference route never mirrors.  The associativity check tests
+symmetry itself and then shares one packed table between both sides.
 """
 
 from __future__ import annotations
@@ -68,6 +77,7 @@ from .gsets import (
     GMonoid,
     GSet,
     action_groupoid,
+    conjugation_loops,
     same_base,
     trivial_gmonoid,
 )
@@ -210,8 +220,9 @@ class RingPresentation:
         at once: lefts[p][k] = p e_k and rights[p][i] = e_i p.  These tables
         hold 2 D d ints of about d w bits, D the number of distinct products
         (tracemalloc peaks of 836 KB for D8, d = 44, and 779 KB for
-        B(C2^4), d = 67).  Then for each j the d x d matrices (e_i e_j) e_k
-        and e_i (e_j e_k) are compared whole.  The witness is the
+        B(C2^4), d = 67); a symmetric table gives e_i p = p e_i, so rights
+        is lefts.  Then for each j the d x d matrices (e_i e_j) e_k and
+        e_i (e_j e_k) are compared whole.  The witness is the
         lexicographically first failing (i, j, k, l), with (k, l) recomputed
         on the sparse rows."""
         d = self.dim
@@ -220,9 +231,12 @@ class RingPresentation:
         w = _width(_norm(products) * _top(products))
         packed = [_packed(p, w) for p in products]
         by_row = [tuple(packed[p] for p in pm) for pm in pid]  # [m][k] = e_m e_k
-        by_col = list(zip(*by_row))  # [m][i] = e_i e_m
         lefts = [_lincomb(p, by_row, d) for p in products]
-        rights = [_lincomb(p, by_col, d) for p in products]
+        if list(map(tuple, pid)) == list(zip(*pid)):  # e_i e_m = e_m e_i: e_i p = p e_i
+            rights = lefts
+        else:
+            by_col = list(zip(*by_row))  # [m][i] = e_i e_m
+            rights = [_lincomb(p, by_col, d) for p in products]
         failures = []
         for j, (pj, col) in enumerate(zip(pid, zip(*pid))):
             left = list(map(lefts.__getitem__, col))  # [i][k]
@@ -247,14 +261,23 @@ class RingPresentation:
 
 # -- ring constructors ------------------------------------------------------------
 
-def _ring(catalog: BasisCatalog, product, unit: list[int], info) -> RingPresentation:
+def _ring(
+    catalog: BasisCatalog, product, unit: list[int], info, commutative: bool = False
+) -> RingPresentation:
     """The validated presentation on a catalog with e_i e_j = product(i, j),
     a sparse row, and the given unit coordinates; ``info`` reports one
-    basis entry."""
+    basis entry.  A caller that has proved e_i e_j = e_j e_i passes
+    ``commutative``, and only i <= j is built: row (i, j) is also (j, i)."""
     d = catalog.dim
     distinct: dict[Sparse, Sparse] = {}  # each product row, held once
-    constants = [[distinct.setdefault(p, p) for p in map(product, repeat(i), range(d))]
-                 for i in range(d)]
+    constants: list[list[Sparse]] = [[] for _ in range(d)]
+    for i, ri in enumerate(constants):
+        for j in range(len(ri), d):  # a commutative table has j < i from row j
+            p = product(i, j)
+            p = distinct.setdefault(p, p)
+            ri.append(p)
+            if commutative and j > i:
+                constants[j].append(p)
     return RingPresentation(
         d, constants, unit, basis=catalog, basis_info=[info(e) for e in catalog.entries]
     ).validate()
@@ -302,13 +325,21 @@ def _convolution(weight: GMonoid):
     return convolve
 
 
+def _commutes(weight: GMonoid) -> bool:
+    """Whether every weight monoid is commutative, on all pairs."""
+    return all(list(zip(*m.table)) == list(map(tuple, m.table)) for m in weight.monoids)
+
+
 def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentation:
     """Basis from the (H, s) classification; the marks of a tensor of basis
     elements are convolved from the marks of the factors and solved in the
-    table of marks."""
+    table of marks; half of them when a premise proves the ring
+    commutative (see the module docstring)."""
     catalog = enumerate_basis(g, weight)
     unit = express_in_basis(unit_object(g, weight), catalog)
-    return _ring(catalog, _by_marks(catalog, _convolution(weight)), unit, _crossed_info)
+    commutative = _commutes(weight) or conjugation_loops(weight) is not None
+    products = _by_marks(catalog, _convolution(weight))
+    return _ring(catalog, products, unit, _crossed_info, commutative)
 
 
 def crossed_burnside_ring_by_decomposition(
@@ -388,7 +419,7 @@ def hadamard_ring(g: FiniteGroupoid, x: GSet) -> RingPresentation:
     ident = _identity_slice(g, x)
     catalog = enumerate_basis(g, x)
     unit = _slice_express(ident, catalog)
-    return _ring(catalog, _by_marks(catalog, _meet), unit, _slice_info)
+    return _ring(catalog, _by_marks(catalog, _meet), unit, _slice_info, commutative=True)
 
 
 def hadamard_ring_by_decomposition(g: FiniteGroupoid, x: GSet) -> RingPresentation:

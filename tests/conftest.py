@@ -136,6 +136,22 @@ def s3() -> gb.FiniteGroupoid:
     return gb.from_group(s3_table())
 
 
+@pytest.fixture
+def lincomb_calls(monkeypatch) -> list:
+    """Records the arguments of every ``rings._lincomb`` call: the
+    associativity check makes one per distinct product for each packed
+    table it builds."""
+    calls = []
+    lincomb = gb.rings._lincomb
+
+    def counted(*args):
+        calls.append(args)
+        return lincomb(*args)
+
+    monkeypatch.setattr(gb.rings, "_lincomb", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def s3_perms() -> list[tuple[int, ...]]:
     """Element k of the S3 fixture as a permutation of 3 points, in the

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from gburnside.classify import MarkTable
 from gburnside.crossed import (
     CrossedGSet,
     CrossedMap,
@@ -21,6 +22,12 @@ from gburnside.errors import DomCodMismatch, NotNatural, RingMismatch
 from gburnside.groupoid import FiniteGroupoid, GroupoidFunctor
 from gburnside.gsets import GMonoid, GSet
 from gburnside.rings import RingPresentation
+
+
+def mark_solve(marks: MarkTable, phi: list[int]) -> list[int]:
+    """The coordinates with the row marks ``phi``, as a dense vector; the
+    back-substitution runs over the non-zero marks only."""
+    return marks._dense(marks._solve({k: v for k, v in enumerate(phi) if v}))
 
 
 def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:

@@ -336,6 +336,30 @@ class TestVerify:
         report = json.loads(out)
         assert report["source_dim"] == 12
 
+    def test_decomposition_onto_fewer_blocks_names_both_dims(self, inputs, capsys, monkeypatch):
+        # the target loses the S3 block: the hom still projects unitally and
+        # multiplicatively onto B(C2), but 12 source dims meet 4 target dims
+        product_ring = gb.rings.product_ring
+        monkeypatch.setattr(gb.rings, "product_ring", lambda blocks: product_ring(blocks[:-1]))
+        code, out = run_cli(
+            capsys, "verify", "decomposition", "--groupoid", inputs["c2_plus_s3.json"]
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert (report["source_dim"], report["target_dim"]) == (12, 4)
+        assert report["verified"] == {
+            "unital": True, "multiplicative": True, "bijective": False,
+            "dims": {"source": 12, "target": 4},
+        }
+
+    def test_embedding_report_names_no_dims(self, inputs, capsys):
+        # the embedding's dims differ by design, and it needs no bijection
+        code, out = run_cli(capsys, "verify", "embedding", "--groupoid", inputs["c2.json"])
+        assert code == 0
+        assert json.loads(out)["verified"] == {
+            "unital": True, "multiplicative": True, "bijective": False, "injective": True,
+        }
+
     @pytest.mark.parametrize("target", ["reduction", "decomposition"])
     @pytest.mark.parametrize("weight", ["trivial", "semilattice.json"])
     def test_non_conjugation_weight_verified(self, inputs, capsys, target, weight):

@@ -4,7 +4,9 @@ multiplication without inverses through validation, classification, the
 brute-force oracle, ring construction, the embedding, transport along the
 isotropy equivalence, and the reduction and decomposition homs, which a
 property test also checks on random small groupoids under the trivial,
-conjugation and semilattice weights."""
+conjugation, semilattice and left-zero weights.  The left-zero band is not
+commutative, and neither is its crossed Burnside ring: it is built on the
+whole product table, where a commutative weight builds half."""
 
 from __future__ import annotations
 
@@ -12,12 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
-from gburnside.classify import brute_force_basis, enumerate_basis
+from gburnside.classify import MarkTable, brute_force_basis, enumerate_basis
 from gburnside.crossed import check_monoidal_axioms, transport_connected, unit_object
 from gburnside.gsets import GMonoid, Monoid
 from gburnside.rings import (
+    RingPresentation,
     connected_reduction_hom,
     crossed_burnside_ring,
+    crossed_burnside_ring_by_decomposition,
     decomposition_hom,
     embedding_hom,
 )
@@ -34,6 +38,16 @@ def semilattice(g: gb.FiniteGroupoid) -> GMonoid:
         g,
         [Monoid([[0, 1], [1, 1]], 0) for _ in g.objects],
         [[0, 1] for _ in g.morphisms],
+    ).validate()
+
+
+def left_zero(g: gb.FiniteGroupoid) -> GMonoid:
+    # the left-zero band {a, b} with a unit 1 adjoined: x * y = x for x != 1,
+    # so a * b = a but b * a = b; every morphism acts trivially
+    return GMonoid(
+        g,
+        [Monoid([[0, 1, 2], [1, 1, 1], [2, 2, 2]], 0) for _ in g.objects],
+        [[0, 1, 2] for _ in g.morphisms],
     ).validate()
 
 
@@ -102,10 +116,60 @@ def test_transport_round_trips_over_semilattice_weight(corpus):
         assert data.induced == unit_object(g, weight)
 
 
+@pytest.fixture
+def product_calls(monkeypatch) -> list:
+    """Records (i, j) for every ``MarkTable.product`` call."""
+    calls = []
+    product = MarkTable.product
+
+    def counted(self, i, j, combine):
+        calls.append((i, j))
+        return product(self, i, j, combine)
+
+    monkeypatch.setattr(MarkTable, "product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["trivial", "C2", "Pair(2)"])
+def test_left_zero_ring_is_built_on_the_whole_table(corpus, name, product_calls):
+    g = corpus[name]
+    ring = crossed_burnside_ring(g, left_zero(g))
+    d, rows = ring.dim, ring.structure_constants
+    assert len(product_calls) == d * d
+    assert any(rows[i][j] != rows[j][i] for i in range(d) for j in range(i))
+    if name == "C2":
+        assert d == 6 and rows[1][2] != rows[2][1]
+    ref = crossed_burnside_ring_by_decomposition(g, left_zero(g))
+    assert (rows, ring.unit_vector, ring.basis_info) == (
+        ref.structure_constants, ref.unit_vector, ref.basis_info
+    )
+
+
+def test_left_zero_ring_validates_on_both_packed_tables(c2, lincomb_calls):
+    # associative but not commutative: the check builds e_i p and p e_k
+    # separately
+    ring = crossed_burnside_ring(c2, left_zero(c2))
+    rows = [list(row) for row in ring.structure_constants]
+    lincomb_calls.clear()
+    RingPresentation(ring.dim, rows, list(ring.unit_vector)).validate()
+    assert len(lincomb_calls) == 2 * len({r for row in rows for r in row})
+
+
+@pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+def test_commutative_weight_builds_half_the_table(corpus, weight, product_calls):
+    make = gb.conjugation_action if weight == "conjugation" else gb.trivial_gmonoid
+    for name, g in corpus.items():
+        product_calls.clear()
+        ring = crossed_burnside_ring(g, make(g))
+        d = ring.dim
+        assert sorted(product_calls) == [(i, j) for i in range(d) for j in range(i, d)], name
+
+
 WEIGHTS = {
     "trivial": gb.trivial_gmonoid,
     "conjugation": gb.conjugation_action,
     "semilattice": semilattice,
+    "left-zero": left_zero,
 }
 
 # generators of C1, C2, C3 and S3 on three points

@@ -872,8 +872,12 @@ def _presentation(c):
 
 class TestPackedKernel:
     @settings(max_examples=300, deadline=None)
-    @given(tables())
-    def test_associativity_matches_oracle(self, c):
+    @given(tables(), st.booleans())
+    def test_associativity_matches_oracle(self, c, symmetric):
+        # a symmetric table (c_ij = c_ji) shares one packed table between
+        # both sides of every triple; the verdict and witness must not move
+        if symmetric:
+            c = [[c[min(i, j)][max(i, j)] for j in range(len(c))] for i in range(len(c))]
         expected = oracle_associativity_failure(c)
         ring = _presentation(c)
         if expected is None:
@@ -904,6 +908,27 @@ class TestPackedKernel:
         verified = RingHom(src, tgt, matrix).verify().verified
         assert verified["multiplicative"] == (expected is None)
         assert verified.get("witness") == expected
+
+    def test_symmetric_table_with_unit_not_associative(self, lincomb_calls):
+        # basis {1, x, y, z}, commutative with unit 1: x^2 = y, xy = z,
+        # y^2 = x, every other product of x, y, z zero; so (x x) x = y x = z
+        # while x (x x) = x y = z agree, but (x x) y = y y = x while
+        # x (x y) = x z = 0
+        c = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+        for j in range(4):
+            c[0][j][j] = c[j][0][j] = 1
+        c[1][1][2] = c[2][2][1] = 1
+        c[1][2][3] = c[2][1][3] = 1
+        assert all(c[i][j] == c[j][i] for i in range(4) for j in range(4))
+        assert oracle_unit_failure(c, [1, 0, 0, 0]) is None
+        expected = oracle_associativity_failure(c)
+        assert expected == (1, 1, 2, 1)
+        ring = RingPresentation(4, sparse_rows(c), [1, 0, 0, 0])
+        with pytest.raises(NotNatural) as err:
+            ring.validate()
+        assert str(err.value) == f"associativity fails at (i, j, k, l) = {expected}"
+        # one packed table for both sides
+        assert len(lincomb_calls) == len({r for row in ring.structure_constants for r in row})
 
     def test_difference_that_aliases_at_the_constants_width(self):
         # x = e0 with x^2 = e1 + e4, e1 x = e4 x = 2^h e2 and x e1 = e3, so
