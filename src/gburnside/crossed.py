@@ -6,7 +6,10 @@ Also here: the coherence isomorphisms, the braiding over the conjugation
 weight, distributivity, the trivial-label embedding, and transport along
 the equivalence between a groupoid's component and an isotropy group, for
 any weight: ``restrict`` pulls a carrier or weight back along the
-inclusion, and ``induce`` spreads a fiber back along the retraction.
+inclusion (the reduction and decomposition homs in ``rings``), and
+``induce`` spreads a fiber back along the retraction (the basis carriers
+in ``classify``).  The round trip that proves the two inverse up to
+isomorphism is a test oracle, kept outside the package.
 
 Products, coproducts and coherence maps are built, not proved: they are
 index formulas on the dense ids that products and coproducts assign (see
@@ -29,7 +32,6 @@ handed, as the G-set constructors do (see ``gsets``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -43,7 +45,6 @@ from .groupoid import (
     component_transports,
     isotropy_group,
     retraction,
-    transports,
 )
 from .gsets import (
     GMap,
@@ -329,15 +330,6 @@ def trivial_label_embed(x: GSet, s: GMonoid) -> CrossedGSet:
     ).validate()
 
 
-@dataclass
-class TransportData:
-    """Round trip of a crossed set along the connected equivalence."""
-
-    restricted: CrossedGSet   # over the isotropy group at z
-    induced: CrossedGSet      # spread back over the original groupoid
-    round_trip_iso: CrossedMap  # induced -> original
-
-
 def restrict(x: GSet | GMonoid, z: int) -> GSet | GMonoid:
     """Pull a G-set or a G-monoid back along the inclusion of the isotropy
     group at z: its part at z with the loop actions.  The conjugation
@@ -373,35 +365,6 @@ def induce(
     sizes = [size if y in t else 0 for y in g.objects]
     labels = [[weight.action[t[y]][v] for v in label] if y in t else [] for y in g.objects]
     return CrossedGSet(GSet(g, sizes, action), weight, labels).validate()
-
-
-def transport_induce(cz: CrossedGSet, weight: GMonoid | GSet, z: int) -> CrossedGSet:
-    """Spread a crossed set over the isotropy group at z, labeled in the
-    restriction of ``weight``, across the component of z in the base of
-    ``weight`` (see ``induce``)."""
-    wz = restrict(weight, z)
-    if not same_base(cz.carrier.base, wz.base):
-        raise BaseMismatch("input does not live over the isotropy group at z")
-    if cz.weight != wz:
-        raise WeightMismatch("input is not labeled in the weight restricted to z")
-    return induce(weight, z, cz.carrier.size(0), cz.carrier.action, cz.label[0])
-
-
-def transport_connected(c: CrossedGSet, z: int) -> TransportData:
-    """Restrict to the isotropy group at z, induce back, and produce the
-    isomorphism onto the original crossed set.
-
-    Restriction after induction is the identity on the nose (the transport
-    at z is the identity), so only this round trip needs a witness.
-    """
-    g = c.carrier.base
-    t = transports(g, z)
-    restricted = transport_restrict(c, z)
-    induced = transport_induce(restricted, c.weight, z)
-    iso = CrossedMap(induced, c, [c.carrier.action[t[y]] for y in g.objects]).validate()
-    if not iso.is_isomorphism():
-        raise NotNatural("transport round trip is not bijective")  # unreachable
-    return TransportData(restricted, induced, iso)
 
 
 # -- axiom checking ----------------------------------------------------------------

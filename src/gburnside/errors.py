@@ -44,14 +44,6 @@ class NotConnected(GBError):
     """Operation requires a connected groupoid."""
 
 
-class NotSubgroupoid(GBError):
-    """Morphism subset is not closed under composition/inverse/identities."""
-
-
-class NotWide(GBError):
-    """Subgroupoid does not contain every identity."""
-
-
 class NotSubgroup(GBError):
     """A morphism subset is not a subgroup of the isotropy group."""
 

@@ -1,8 +1,9 @@
 """Finite groupoids as validated composition tables, plus the basic
 constructions: one-object groups, pair groupoids, disjoint unions, direct
-products, connected components, isotropy groups, the structure isomorphism
-of a connected groupoid, and the inclusion equivalence onto an isotropy
-group.
+products, connected components, isotropy groups with their inclusions,
+and the transport morphisms and the retraction along which
+``crossed.restrict`` and ``crossed.induce`` move crossed sets between a
+component and an isotropy group.
 
 Objects and morphisms are dense integers.  Composition is stored as a flat
 table indexed by (g, f) with -1 marking non-composable pairs; validation
@@ -22,9 +23,6 @@ from .errors import (
     MissingInverse,
     NonAssociative,
     NotAGroup,
-    NotConnected,
-    NotSubgroupoid,
-    NotWide,
     UnknownObject,
 )
 
@@ -135,13 +133,6 @@ class FiniteGroupoid(BindOnce):
     @property
     def morphisms(self) -> range:
         return range(self.n_morphisms)
-
-    def compose(self, g: int, f: int) -> int:
-        """Composite g*f; raises if the pair is not composable."""
-        gf = self.compose_table[g][f]
-        if gf == SENTINEL:
-            raise DomCodMismatch(f"morphisms ({g}, {f}) are not composable")
-        return gf
 
     def _bucket(self, ends: tuple[int, ...]) -> list[tuple[int, ...]]:
         out: list[list[int]] = [[] for _ in range(self.n_objects)]
@@ -409,14 +400,6 @@ class GroupoidFunctor:
                     )
         return self
 
-    def is_isomorphism(self) -> bool:
-        return (
-            len(set(self.object_map)) == self.target.n_objects
-            and len(self.object_map) == self.target.n_objects
-            and len(set(self.morphism_map)) == self.target.n_morphisms
-            and len(self.morphism_map) == self.target.n_morphisms
-        )
-
     def __call__(self, morphism: int) -> int:
         return self.morphism_map[morphism]
 
@@ -500,7 +483,7 @@ def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
     )
 
 
-# -- components, isotropy, transports ---------------------------------------
+# -- components, isotropy, transport morphisms ------------------------------
 
 @dataclass
 class ComponentData:
@@ -606,7 +589,7 @@ def component_transports(g: FiniteGroupoid, x: int) -> dict[int, int]:
 
     t_x is the identity at x; every other t_y is the least morphism id in
     hom(x, y).  This fixed choice makes all constructions depending on
-    transports deterministic.
+    them deterministic.
     """
     if not 0 <= x < g.n_objects:
         raise UnknownObject(f"object {x} not in 0..{g.n_objects - 1}")
@@ -618,17 +601,9 @@ def component_transports(g: FiniteGroupoid, x: int) -> dict[int, int]:
     return t
 
 
-def transports(g: FiniteGroupoid, x: int) -> dict[int, int]:
-    """Transports t_y : x -> y for every object; requires g connected."""
-    t = component_transports(g, x)
-    if len(t) != g.n_objects:
-        raise NotConnected(f"object {next(iter(set(g.objects) - set(t)))} unreachable from {x}")
-    return t
-
-
 def retraction(g: FiniteGroupoid, t: dict[int, int]) -> list[int | None]:
     """The retraction R onto the isotropy group at the base z of the
-    transports t (every t_y starts at z), as loop positions: for
+    transport morphisms t (every t_y starts at z), as loop positions: for
     m : y -> w in the component of z, the position in isotropy(z) of the
     loop t_w^-1 m t_y; None for a morphism off the component."""
     z = g.dom[next(iter(t.values()))]
@@ -639,128 +614,3 @@ def retraction(g: FiniteGroupoid, t: dict[int, int]) -> list[int | None]:
         pos[ct[inv[t[cod[m]]]][ct[m][t[dom[m]]]]] if dom[m] in t else None
         for m in g.morphisms
     ]
-
-
-def connected_structure_iso(g: FiniteGroupoid, x: int) -> GroupoidFunctor:
-    """Isomorphism from a connected g onto isotropy(x) x Pair(objects).
-
-    A morphism m : y -> z goes to (t_z^-1 m t_y, (y, z)).
-    """
-    iso, _ = isotropy_group(g, x)
-    r = retraction(g, transports(g, x))
-    n = g.n_objects
-    target = direct_product(iso, pair_groupoid(n))
-    object_map = list(g.objects)  # (0, y) has product id y
-    morphism_map = [r[m] * n * n + g.dom[m] * n + g.cod[m] for m in g.morphisms]
-    functor = GroupoidFunctor(g, target, object_map, morphism_map).validate()
-    if not functor.is_isomorphism():
-        raise NonAssociative("structure functor is not bijective")  # unreachable
-    return functor
-
-
-@dataclass
-class EquivalenceData:
-    """Inclusion/retraction pair exhibiting g ~ isotropy(z), with unit and
-    counit natural isomorphisms given per object."""
-
-    inclusion: GroupoidFunctor   # U : G_z -> G
-    retraction: GroupoidFunctor  # R : G -> G_z
-    eta: list[int]      # per object y of G, morphism t_y : (U R)(y) -> y
-    epsilon: list[int]  # per object of G_z, loop id in G_z
-
-    def validate(self) -> "EquivalenceData":
-        g = self.inclusion.target
-        gz = self.inclusion.source
-        for y in g.objects:
-            e = self.eta[y]
-            if g.dom[e] != self.inclusion.object_map[self.retraction.object_map[y]]:
-                raise NotConnected(f"eta component at {y} has wrong dom")
-            if g.cod[e] != y:
-                raise NotConnected(f"eta component at {y} has wrong cod")
-        # naturality of eta: m * eta_dom == eta_cod * U(R(m)) for all m
-        for m in g.morphisms:
-            lhs = g.compose_table[m][self.eta[g.dom[m]]]
-            ur = self.inclusion.morphism_map[self.retraction.morphism_map[m]]
-            rhs = g.compose_table[self.eta[g.cod[m]]][ur]
-            if lhs != rhs:
-                raise NonAssociative(f"eta naturality fails at morphism {m}")
-        # naturality of epsilon: h * eps == eps * R(U(h)) in G_z
-        eps = self.epsilon[0]
-        for h in gz.morphisms:
-            ru = self.retraction.morphism_map[self.inclusion.morphism_map[h]]
-            if gz.compose_table[h][eps] != gz.compose_table[eps][ru]:
-                raise NonAssociative(f"epsilon naturality fails at loop {h}")
-        return self
-
-
-def inclusion_equivalence(g: FiniteGroupoid, z: int) -> EquivalenceData:
-    """The equivalence between a connected g and its isotropy group at z.
-
-    The retraction sends m : y -> w to t_w^-1 m t_y, with t_z the identity,
-    so retraction . inclusion is the identity on the isotropy group and the
-    counit is trivial.
-    """
-    iso, inclusion = isotropy_group(g, z)
-    t = transports(g, z)
-    r = GroupoidFunctor(g, iso, [0] * g.n_objects, retraction(g, t)).validate()
-    eta = [t[y] for y in g.objects]
-    epsilon = [iso.identity[0]]
-    return EquivalenceData(inclusion, r, eta, epsilon).validate()
-
-
-# -- subgroupoids -----------------------------------------------------------
-
-@dataclass
-class SubgroupoidSpec:
-    """A subgroupoid given by its parent and a morphism subset."""
-
-    parent: FiniteGroupoid
-    morphism_subset: frozenset[int]
-
-    def validate(self) -> "SubgroupoidSpec":
-        g = self.parent
-        sub = self.morphism_subset
-        for m in sub:
-            if not 0 <= m < g.n_morphisms:
-                raise NotSubgroupoid(f"morphism {m} out of range")
-            if g.inverse[m] not in sub:
-                raise NotSubgroupoid(f"inverse of {m} missing")
-            if g.identity[g.dom[m]] not in sub:
-                raise NotSubgroupoid(f"identity at dom of {m} missing")
-            if g.identity[g.cod[m]] not in sub:
-                raise NotSubgroupoid(f"identity at cod of {m} missing")
-        for a in sub:
-            for b in sub:
-                if g.dom[a] == g.cod[b] and g.compose_table[a][b] not in sub:
-                    raise NotSubgroupoid(f"composite of ({a}, {b}) missing")
-        return self
-
-    def is_wide(self) -> bool:
-        return all(self.parent.identity[x] in self.morphism_subset
-                   for x in self.parent.objects)
-
-    def loops_at(self, x: int) -> frozenset[int]:
-        g = self.parent
-        return frozenset(
-            m for m in self.morphism_subset if g.dom[m] == x and g.cod[m] == x
-        )
-
-
-def is_normal_subgroupoid(g: FiniteGroupoid, sub: SubgroupoidSpec) -> bool:
-    """Whether conjugation by every morphism of g maps loop sets onto each
-    other: g N_{dom g} g^-1 == N_{cod g}."""
-    if sub.parent is not g and sub.parent != g:
-        raise NotSubgroupoid("subgroupoid spec does not belong to this groupoid")
-    sub.validate()
-    if not sub.is_wide():
-        raise NotWide("normality is defined for wide subgroupoids")
-    loop_cache = {x: sub.loops_at(x) for x in g.objects}
-    for m in g.morphisms:
-        x, y = g.dom[m], g.cod[m]
-        conjugated = frozenset(
-            g.compose_table[g.compose_table[m][n]][g.inverse[m]]
-            for n in loop_cache[x]
-        )
-        if conjugated != loop_cache[y]:
-            return False
-    return True

@@ -12,15 +12,35 @@ from gburnside.crossed import (
     associator,
     compose_crossed_maps,
     identity_crossed_map,
+    induce,
     left_unitor,
+    restrict,
     right_unitor,
     tensor,
     tensor_map,
+    transport_restrict,
     unit_object,
 )
-from gburnside.errors import DomCodMismatch, NotNatural, RingMismatch
-from gburnside.groupoid import FiniteGroupoid, GroupoidFunctor
-from gburnside.gsets import GMonoid, GSet
+from gburnside.errors import (
+    BaseMismatch,
+    DomCodMismatch,
+    GBError,
+    NonAssociative,
+    NotConnected,
+    NotNatural,
+    RingMismatch,
+    WeightMismatch,
+)
+from gburnside.groupoid import (
+    FiniteGroupoid,
+    GroupoidFunctor,
+    component_transports,
+    direct_product,
+    isotropy_group,
+    pair_groupoid,
+    retraction,
+)
+from gburnside.gsets import GMonoid, GSet, same_base
 from gburnside.rings import RingPresentation
 
 
@@ -44,6 +64,193 @@ def compose_functors(f2: GroupoidFunctor, f1: GroupoidFunctor) -> GroupoidFuncto
         [f2.object_map[x] for x in f1.object_map],
         [f2.morphism_map[m] for m in f1.morphism_map],
     ).validate()
+
+
+def functor_is_isomorphism(f: GroupoidFunctor) -> bool:
+    """Whether f is bijective on objects and on morphisms."""
+    return (
+        len(set(f.object_map)) == f.target.n_objects
+        and len(f.object_map) == f.target.n_objects
+        and len(set(f.morphism_map)) == f.target.n_morphisms
+        and len(f.morphism_map) == f.target.n_morphisms
+    )
+
+
+def transports(g: FiniteGroupoid, x: int) -> dict[int, int]:
+    """Transports t_y : x -> y for every object; requires g connected."""
+    t = component_transports(g, x)
+    if len(t) != g.n_objects:
+        raise NotConnected(f"object {next(iter(set(g.objects) - set(t)))} unreachable from {x}")
+    return t
+
+
+def connected_structure_iso(g: FiniteGroupoid, x: int) -> GroupoidFunctor:
+    """Isomorphism from a connected g onto isotropy(x) x Pair(objects).
+
+    A morphism m : y -> z goes to (t_z^-1 m t_y, (y, z)).
+    """
+    iso, _ = isotropy_group(g, x)
+    r = retraction(g, transports(g, x))
+    n = g.n_objects
+    target = direct_product(iso, pair_groupoid(n))
+    object_map = list(g.objects)  # (0, y) has product id y
+    morphism_map = [r[m] * n * n + g.dom[m] * n + g.cod[m] for m in g.morphisms]
+    functor = GroupoidFunctor(g, target, object_map, morphism_map).validate()
+    if not functor_is_isomorphism(functor):
+        raise NonAssociative("structure functor is not bijective")  # unreachable
+    return functor
+
+
+@dataclass
+class EquivalenceData:
+    """Inclusion/retraction pair exhibiting g ~ isotropy(z), with unit and
+    counit natural isomorphisms given per object."""
+
+    inclusion: GroupoidFunctor   # U : G_z -> G
+    retraction: GroupoidFunctor  # R : G -> G_z
+    eta: list[int]      # per object y of G, morphism t_y : (U R)(y) -> y
+    epsilon: list[int]  # per object of G_z, loop id in G_z
+
+    def validate(self) -> "EquivalenceData":
+        g = self.inclusion.target
+        gz = self.inclusion.source
+        for y in g.objects:
+            e = self.eta[y]
+            if g.dom[e] != self.inclusion.object_map[self.retraction.object_map[y]]:
+                raise NotConnected(f"eta component at {y} has wrong dom")
+            if g.cod[e] != y:
+                raise NotConnected(f"eta component at {y} has wrong cod")
+        # naturality of eta: m * eta_dom == eta_cod * U(R(m)) for all m
+        for m in g.morphisms:
+            lhs = g.compose_table[m][self.eta[g.dom[m]]]
+            ur = self.inclusion.morphism_map[self.retraction.morphism_map[m]]
+            rhs = g.compose_table[self.eta[g.cod[m]]][ur]
+            if lhs != rhs:
+                raise NonAssociative(f"eta naturality fails at morphism {m}")
+        # naturality of epsilon: h * eps == eps * R(U(h)) in G_z
+        eps = self.epsilon[0]
+        for h in gz.morphisms:
+            ru = self.retraction.morphism_map[self.inclusion.morphism_map[h]]
+            if gz.compose_table[h][eps] != gz.compose_table[eps][ru]:
+                raise NonAssociative(f"epsilon naturality fails at loop {h}")
+        return self
+
+
+def inclusion_equivalence(g: FiniteGroupoid, z: int) -> EquivalenceData:
+    """The equivalence between a connected g and its isotropy group at z.
+
+    The retraction sends m : y -> w to t_w^-1 m t_y, with t_z the identity,
+    so retraction . inclusion is the identity on the isotropy group and the
+    counit is trivial.
+    """
+    iso, inclusion = isotropy_group(g, z)
+    t = transports(g, z)
+    r = GroupoidFunctor(g, iso, [0] * g.n_objects, retraction(g, t)).validate()
+    eta = [t[y] for y in g.objects]
+    epsilon = [iso.identity[0]]
+    return EquivalenceData(inclusion, r, eta, epsilon).validate()
+
+
+class NotSubgroupoid(GBError):
+    """Morphism subset is not closed under composition/inverse/identities."""
+
+
+class NotWide(GBError):
+    """Subgroupoid does not contain every identity."""
+
+
+@dataclass
+class SubgroupoidSpec:
+    """A subgroupoid given by its parent and a morphism subset."""
+
+    parent: FiniteGroupoid
+    morphism_subset: frozenset[int]
+
+    def validate(self) -> "SubgroupoidSpec":
+        g = self.parent
+        sub = self.morphism_subset
+        for m in sub:
+            if not 0 <= m < g.n_morphisms:
+                raise NotSubgroupoid(f"morphism {m} out of range")
+            if g.inverse[m] not in sub:
+                raise NotSubgroupoid(f"inverse of {m} missing")
+            if g.identity[g.dom[m]] not in sub:
+                raise NotSubgroupoid(f"identity at dom of {m} missing")
+            if g.identity[g.cod[m]] not in sub:
+                raise NotSubgroupoid(f"identity at cod of {m} missing")
+        for a in sub:
+            for b in sub:
+                if g.dom[a] == g.cod[b] and g.compose_table[a][b] not in sub:
+                    raise NotSubgroupoid(f"composite of ({a}, {b}) missing")
+        return self
+
+    def is_wide(self) -> bool:
+        return all(self.parent.identity[x] in self.morphism_subset
+                   for x in self.parent.objects)
+
+    def loops_at(self, x: int) -> frozenset[int]:
+        g = self.parent
+        return frozenset(
+            m for m in self.morphism_subset if g.dom[m] == x and g.cod[m] == x
+        )
+
+
+def is_normal_subgroupoid(g: FiniteGroupoid, sub: SubgroupoidSpec) -> bool:
+    """Whether conjugation by every morphism of g maps loop sets onto each
+    other: g N_{dom g} g^-1 == N_{cod g}."""
+    if sub.parent is not g and sub.parent != g:
+        raise NotSubgroupoid("subgroupoid spec does not belong to this groupoid")
+    sub.validate()
+    if not sub.is_wide():
+        raise NotWide("normality is defined for wide subgroupoids")
+    loop_cache = {x: sub.loops_at(x) for x in g.objects}
+    for m in g.morphisms:
+        x, y = g.dom[m], g.cod[m]
+        conjugated = frozenset(
+            g.compose_table[g.compose_table[m][n]][g.inverse[m]]
+            for n in loop_cache[x]
+        )
+        if conjugated != loop_cache[y]:
+            return False
+    return True
+
+
+@dataclass
+class TransportData:
+    """Round trip of a crossed set along the connected equivalence."""
+
+    restricted: CrossedGSet   # over the isotropy group at z
+    induced: CrossedGSet      # spread back over the original groupoid
+    round_trip_iso: CrossedMap  # induced -> original
+
+
+def transport_induce(cz: CrossedGSet, weight: GMonoid | GSet, z: int) -> CrossedGSet:
+    """Spread a crossed set over the isotropy group at z, labeled in the
+    restriction of ``weight``, across the component of z in the base of
+    ``weight`` (see ``crossed.induce``)."""
+    wz = restrict(weight, z)
+    if not same_base(cz.carrier.base, wz.base):
+        raise BaseMismatch("input does not live over the isotropy group at z")
+    if cz.weight != wz:
+        raise WeightMismatch("input is not labeled in the weight restricted to z")
+    return induce(weight, z, cz.carrier.size(0), cz.carrier.action, cz.label[0])
+
+
+def transport_connected(c: CrossedGSet, z: int) -> TransportData:
+    """Restrict to the isotropy group at z, induce back, and produce the
+    isomorphism onto the original crossed set.
+
+    Restriction after induction is the identity on the nose (the transport
+    at z is the identity), so only this round trip needs a witness.
+    """
+    g = c.carrier.base
+    t = transports(g, z)
+    restricted = transport_restrict(c, z)
+    induced = transport_induce(restricted, c.weight, z)
+    iso = CrossedMap(induced, c, [c.carrier.action[t[y]] for y in g.objects]).validate()
+    if not iso.is_isomorphism():
+        raise NotNatural("transport round trip is not bijective")  # unreachable
+    return TransportData(restricted, induced, iso)
 
 
 def underlying_gset(s: GMonoid) -> GSet:

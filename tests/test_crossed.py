@@ -23,8 +23,6 @@ from gburnside.crossed import (
     restrict,
     right_unitor,
     tensor,
-    transport_connected,
-    transport_induce,
     transport_restrict,
     trivial_label_embed,
     unit_object,
@@ -36,7 +34,6 @@ from gburnside.errors import (
     WeightMismatch,
     WeightNotConjugation,
 )
-from gburnside.groupoid import transports
 from gburnside.sampling import sample_many
 
 from conftest import regular_gset, fixed_points_gset
@@ -44,6 +41,9 @@ from oracles import (
     coherence_isos,
     invert_crossed_map,
     sampled_pentagon_and_triangle,
+    transport_connected,
+    transport_induce,
+    transports,
     underlying_gset,
     validate_crossed,
 )
@@ -604,6 +604,21 @@ class TestTransport:
         transport_induce(cz, gb.conjugation_action(g), 0)
         with pytest.raises(WeightMismatch):
             transport_induce(cz, gb.trivial_gmonoid(g), 0)
+
+    @pytest.mark.parametrize(
+        "weight_of", [gb.conjugation_action, gb.trivial_gmonoid], ids=["conjugation", "trivial"]
+    )
+    def test_round_trip_on_the_connected_corpus(self, corpus, weight_of):
+        connected = [g for g in corpus.values() if gb.is_connected(g)]
+        assert len(connected) == 11
+        for g in connected:
+            weight = weight_of(g)
+            for z in g.objects:
+                for entry in enumerate_basis(g, weight).entries:
+                    data = transport_connected(entry.crossed, z)
+                    data.round_trip_iso.validate()
+                    assert data.round_trip_iso.is_isomorphism()
+                    assert data.restricted.weight == restrict(weight, z)
 
     def test_round_trip_with_non_central_transports(self):
         # S4 acting on the cosets of a point stabilizer: a connected action

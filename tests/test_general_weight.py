@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
 from gburnside.classify import MarkTable, brute_force_basis, enumerate_basis
-from gburnside.crossed import check_monoidal_axioms, transport_connected, unit_object
+from gburnside.crossed import check_monoidal_axioms, unit_object
 from gburnside.gsets import GMonoid, Monoid
 from gburnside.rings import (
     RingPresentation,
@@ -28,6 +28,7 @@ from gburnside.rings import (
 from gburnside.sampling import sample_many
 
 from conftest import dense_constants
+from oracles import transport_connected
 
 
 def semilattice(g: gb.FiniteGroupoid) -> GMonoid:

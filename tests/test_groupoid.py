@@ -16,18 +16,28 @@ from gburnside.errors import (
     NonAssociative,
     NotAGroup,
     NotConnected,
-    NotSubgroupoid,
-    NotWide,
     UnknownObject,
 )
-from gburnside.groupoid import (
-    SENTINEL,
-    FiniteGroupoid,
-    SubgroupoidSpec,
-)
+from gburnside.groupoid import SENTINEL, FiniteGroupoid
 
-from conftest import NON_ASSOCIATIVE_LOOP, cyclic_table, editable_tables, s3_table
-from oracles import compose_functors, identity_functor
+from conftest import (
+    NON_ASSOCIATIVE_LOOP,
+    build_corpus,
+    cyclic_table,
+    editable_tables,
+    s3_table,
+)
+from oracles import (
+    NotSubgroupoid,
+    NotWide,
+    SubgroupoidSpec,
+    compose_functors,
+    connected_structure_iso,
+    functor_is_isomorphism,
+    identity_functor,
+    inclusion_equivalence,
+    is_normal_subgroupoid,
+)
 
 
 class TestValidateGroupoid:
@@ -315,35 +325,41 @@ class TestIsotropy:
         assert checked == [s4]
 
 
+# every object of each of the 11 connected corpus groupoids
+CONNECTED_OBJECTS = [
+    (name, x) for name, g in build_corpus().items() if gb.is_connected(g) for x in g.objects
+]
+
+
 class TestStructureIso:
-    @pytest.mark.parametrize("name,x", [("Pair(3)", 0), ("C2xPair(2)", 0), ("S3", 0)])
+    @pytest.mark.parametrize("name,x", CONNECTED_OBJECTS)
     def test_bijective_functor(self, corpus, name, x):
         g = corpus[name]
-        phi = gb.connected_structure_iso(g, x)
-        assert phi.is_isomorphism()
+        phi = connected_structure_iso(g, x)
+        assert functor_is_isomorphism(phi)
         assert phi.target.n_morphisms == g.n_morphisms
 
     def test_idempotent_shape(self, corpus):
         g = corpus["C2xPair(2)"]
-        phi = gb.connected_structure_iso(g, 0)
+        phi = connected_structure_iso(g, 0)
         # target is (isotropy) x Pair(2): same shape as g itself
         assert (phi.target.n_objects, phi.target.n_morphisms) == (2, 8)
 
     def test_not_connected(self, corpus):
         with pytest.raises(NotConnected):
-            gb.connected_structure_iso(corpus["C2+S3"], 0)
+            connected_structure_iso(corpus["C2+S3"], 0)
 
 
 class TestInclusionEquivalence:
     def test_one_object_group(self, s3):
-        eq = gb.inclusion_equivalence(s3, 0)
+        eq = inclusion_equivalence(s3, 0)
         assert eq.retraction.morphism_map == list(s3.morphisms)
         assert eq.eta == [s3.identity[0]]
         assert eq.epsilon == [0]
 
     def test_pair2_collapse(self):
         g = gb.pair_groupoid(2)
-        eq = gb.inclusion_equivalence(g, 0)
+        eq = inclusion_equivalence(g, 0)
         assert eq.retraction.object_map == [0, 0]
         # eta components are the transports 0 -> y
         assert eq.eta[0] == g.identity[0]
@@ -351,12 +367,12 @@ class TestInclusionEquivalence:
 
     def test_c2_pair2(self, corpus):
         g = corpus["C2xPair(2)"]
-        eq = gb.inclusion_equivalence(g, 0)
+        eq = inclusion_equivalence(g, 0)
         assert sorted(set(eq.retraction.morphism_map)) == [0, 1]
 
     def test_not_connected(self, corpus):
         with pytest.raises(NotConnected):
-            gb.inclusion_equivalence(corpus["C2+S3"], 0)
+            inclusion_equivalence(corpus["C2+S3"], 0)
 
 
 class TestNormalSubgroupoid:
@@ -364,27 +380,27 @@ class TestNormalSubgroupoid:
         for name in ("S3", "Pair(3)", "C2+S3"):
             g = corpus[name]
             sub = SubgroupoidSpec(g, frozenset(g.identity))
-            assert gb.is_normal_subgroupoid(g, sub) is True
+            assert is_normal_subgroupoid(g, sub) is True
 
     def test_a3_inside_s3(self, s3, s3_perms):
         a3 = frozenset(
             k for k, p in enumerate(s3_perms) if _parity(p) == 0
         )
         assert len(a3) == 3
-        assert gb.is_normal_subgroupoid(s3, SubgroupoidSpec(s3, a3)) is True
+        assert is_normal_subgroupoid(s3, SubgroupoidSpec(s3, a3)) is True
 
     def test_c2_inside_s3_not_normal(self, s3, s3_perms):
         transposition = next(
             k for k, p in enumerate(s3_perms) if _parity(p) == 1 and _order(s3, k) == 2
         )
         sub = frozenset({s3.identity[0], transposition})
-        assert gb.is_normal_subgroupoid(s3, SubgroupoidSpec(s3, sub)) is False
+        assert is_normal_subgroupoid(s3, SubgroupoidSpec(s3, sub)) is False
 
     def test_not_wide(self, corpus):
         g = corpus["C2+S3"]
         sub = SubgroupoidSpec(g, frozenset({g.identity[0]}))
         with pytest.raises(NotWide):
-            gb.is_normal_subgroupoid(g, sub)
+            is_normal_subgroupoid(g, sub)
 
     def test_not_closed(self, s3):
         three_cycle = next(m for m in s3.morphisms if _order(s3, m) == 3)
