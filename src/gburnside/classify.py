@@ -15,17 +15,21 @@ here uses a monoid product, so one catalog serves both rings.
 Two independent enumeration routes are provided.  ``enumerate_basis``
 classifies transitive crossed sets by pairs (subgroup of an isotropy group,
 invariant label) up to simultaneous conjugacy and realizes each class as an
-induced crossed set.  ``brute_force_basis`` instead enumerates invariant
-partitions of the morphisms out of a component representative (every
-transitive carrier arises as such a quotient), attaches every consistent
-label, and deduplicates with the generic isomorphism search; it exists to
+induced crossed set; subgroup classes are built class by class (Neubuser,
+1960), and the label values of one class share one induced carrier.
+``brute_force_basis`` instead enumerates invariant partitions of the
+morphisms out of a component representative (every transitive carrier
+arises as such a quotient), attaches every consistent label, and
+deduplicates with the generic isomorphism search; it exists to
 cross-validate the classification and must stay independent of it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import groupby
 
 from .errors import MarksNotTriangular, UnmatchedPiece
 from .crossed import CrossedGSet, CrossedMap, induce, same_weight
@@ -61,28 +65,37 @@ def subgroup_closure(table: list[list[int]], seed) -> frozenset[int]:
     return frozenset(elems)
 
 
-def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
-    """Every subgroup, by closing element-by-element extensions; sorted by
-    (order, sorted elements).  One generating tuple is kept per subgroup
-    found, and an extension by a is the closure of that tuple plus a."""
-    e = identity_and_inverses(table)[0]
-    n = len(table)
-    trivial = frozenset({e})
+def _extension_walk(table: list[list[int]], orbit) -> list[set[frozenset[int]]]:
+    """Orbits of subgroups in order found, from the trivial group: each new
+    subgroup K registers orbit(K), the subgroups it stands for, and is
+    extended by each element a outside it (its generating tuple plus a)."""
+    trivial = frozenset({identity_and_inverses(table)[0]})
     gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+    orbits = [orbit(trivial)]
+    seen = set(orbits[0])
     frontier = [trivial]
     while frontier:
         fresh = []
         for sub in frontier:
             base = gens[sub]
-            for a in range(n):
+            for a in range(len(table)):
                 if a not in sub:
                     seed = base + (a,)
                     grown = subgroup_closure(table, seed)
-                    if grown not in gens:
+                    if grown not in seen:
+                        orbits.append(orbit(grown))
+                        seen |= orbits[-1]
                         gens[grown] = seed
                         fresh.append(grown)
         frontier = fresh
-    return sorted(gens, key=lambda h: (len(h), sorted(h)))
+    return orbits
+
+
+def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
+    """Every subgroup, each standing for itself in the extension walk;
+    sorted by (order, sorted elements)."""
+    subs = [h for (h,) in _extension_walk(table, lambda h: {h})]
+    return sorted(subs, key=lambda h: (len(h), sorted(h)))
 
 
 def conjugate_subgroup(table, inv, a: int, sub: frozenset[int]) -> frozenset[int]:
@@ -91,18 +104,20 @@ def conjugate_subgroup(table, inv, a: int, sub: frozenset[int]) -> frozenset[int
 
 def subgroup_conjugacy_classes(table) -> list[list[frozenset[int]]]:
     """Conjugacy classes of subgroups; classes sorted by (order, least
-    member), each class listing its canonical (least) representative first."""
+    member), each class listing its canonical (least) representative first.
+
+    Built class by class, without the full lattice: in the extension walk
+    each new subgroup registers its whole conjugacy orbit, so only the
+    first member found of each class is extended.  This finds every class:
+    any K != 1 is <M, a> for a maximal subgroup M of K and any a in K \\ M,
+    and if M = c R c^-1 for the found member R of its class, then
+    c^-1 K c = <R, c^-1 a c> is one of the extensions of R."""
     inv = identity_and_inverses(table)[1]
     n = len(table)
-    remaining = set(all_subgroups(table))
-    classes = []
-    while remaining:
-        seed = min(remaining, key=lambda h: (len(h), sorted(h)))
-        orbit = {conjugate_subgroup(table, inv, a, seed) for a in range(n)}
-        classes.append(
-            sorted(orbit, key=lambda h: sorted(h))
-        )
-        remaining -= orbit
+    orbits = _extension_walk(
+        table, lambda h: {conjugate_subgroup(table, inv, a, h) for a in range(n)}
+    )
+    classes = [sorted(orbit, key=sorted) for orbit in orbits]
     classes.sort(key=lambda cls: (len(cls[0]), sorted(cls[0])))
     return classes
 
@@ -237,13 +252,13 @@ def induced_crossed(
     weight: GMonoid | GSet,
     rep: int,
     subgroup: frozenset[int],
-    label_value: int,
-) -> CrossedGSet:
-    """The transitive crossed set induced from (subgroup, invariant label)
-    at a component representative: the left cosets of the subgroup in the
-    isotropy group at rep, acted on by left multiplication and labeled by
-    the action of the target on the label, spread over the component by
-    ``induce``.
+    label_values,
+) -> list[CrossedGSet]:
+    """The transitive crossed sets induced from (subgroup, invariant label)
+    at a component representative, one per label value, all on one
+    carrier: the left cosets of the subgroup in the isotropy group at rep,
+    acted on by left multiplication and labeled by the action of the target
+    on the label, spread over the component by ``induce``.
     """
     loops = g.loops(rep)
     coset_of: dict[int, int] = {}
@@ -255,21 +270,18 @@ def induced_crossed(
             for h in subgroup:
                 coset_of[g.compose_table[m][h]] = k
     loop_action = [[coset_of[g.compose_table[u][c]] for c in coset_reps] for u in loops]
-    label = [weight.action[c][label_value] for c in coset_reps]
-    return induce(weight, rep, len(coset_reps), loop_action, label)
+    labels = [[weight.action[c][v] for c in coset_reps] for v in label_values]
+    return induce(weight, rep, len(coset_reps), loop_action, labels)
 
 
 # -- the table of marks ------------------------------------------------------------
 
-def label_marks(carrier: GSet, label: list[list[int]], rep: int, subgroup) -> dict[int, int]:
-    """Per label value u, the mark phi_(K, u): how many elements of the
-    fiber at rep every loop of the subgroup K fixes and carry label u.
-    Labels without such an element are absent."""
-    counts: dict[int, int] = {}
-    lab = label[rep]
-    for i in fixed_points(carrier, rep, subgroup):
-        counts[lab[i]] = counts.get(lab[i], 0) + 1
-    return counts
+def label_marks(carrier: GSet, labels, rep: int, subgroup) -> list[dict[int, int]]:
+    """Per labeling of one carrier (one fixed-point scan serves them all),
+    per label value u, the mark phi_(K, u): how many elements of the fiber
+    at rep every loop of the subgroup K fixes and carry label u."""
+    points = fixed_points(carrier, rep, subgroup)
+    return [Counter(map(label[rep].__getitem__, points)) for label in labels]
 
 
 class MarkTable:
@@ -285,7 +297,8 @@ class MarkTable:
     non-isomorphic and ordered by ascending |K| within each component, the
     table is upper-triangular with diagonal |Stab_N(K)(u) : K| > 0; the
     constructor checks this.  Coordinates then follow from marks by exact
-    integer back-substitution over the non-zero marks.
+    integer back-substitution over the non-zero marks.  Consecutive entries
+    on one carrier object share one fixed-point scan per row subgroup.
     """
 
     def __init__(self, entries):
@@ -312,10 +325,11 @@ class MarkTable:
         for s, (rep, _) in enumerate(self.subgroups):
             self.at_rep.setdefault(rep, []).append(s)
         # fixed[j][s]: label -> mark of entry j under subgroup s, every label
-        # (the tensor convolution sums over all factorizations of a label)
-        self.fixed = [
-            self._fixed(carrier, label, [rep]) for rep, _, _, carrier, label in entries
-        ]
+        # (the tensor convolution sums over all factorizations of a label),
+        # from one fixed-point scan per run of entries on one carrier
+        self.fixed: list[dict[int, dict[int, int]]] = []
+        for (_, rep, carrier), run in groupby(entries, key=lambda e: (id(e[3]), e[0], e[3])):
+            self.fixed += self._fixed(carrier, [label for *_, label in run], [rep])
         self.diag = [0] * d
         self.above: list[list[tuple[int, int]]] = [[] for _ in range(d)]
         for j in range(d):
@@ -335,15 +349,14 @@ class MarkTable:
                     f"diagonal mark of basis entry {j} {self.names[j]} is not positive"
                 )
 
-    def _fixed(self, carrier: GSet, label, reps) -> dict[int, dict[int, int]]:
-        out = {}
+    def _fixed(self, carrier: GSet, labels, reps) -> list[dict[int, dict[int, int]]]:
+        out: list[dict[int, dict[int, int]]] = [{} for _ in labels]
         for rep in reps:
-            if carrier.size(rep) == 0:
-                continue
             for s in self.at_rep.get(rep, ()):
-                counts = label_marks(carrier, label, rep, self.subgroups[s][1])
-                if counts:
-                    out[s] = counts
+                marks = label_marks(carrier, labels, rep, self.subgroups[s][1])
+                for fixed, counts in zip(out, marks):
+                    if counts:
+                        fixed[s] = counts
         return out
 
     def _marks(self, fixed: dict[int, dict[int, int]]) -> dict[int, int]:
@@ -397,7 +410,8 @@ class MarkTable:
     def express(self, carrier: GSet, label) -> list[int]:
         """Coordinates of a labeled G-set from its marks; every element must
         be accounted for by the solution."""
-        coords = self._dense(self._solve(self._marks(self._fixed(carrier, label, self.at_rep))))
+        (fixed,) = self._fixed(carrier, [label], self.at_rep)
+        coords = self._dense(self._solve(self._marks(fixed)))
         covered = sum(n * t for n, t in zip(coords, self.totals))
         if covered != carrier.total_size:
             raise UnmatchedPiece(
@@ -472,9 +486,10 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     crossed sets.  The labels live in ``weight``: a G-monoid, or any G-set
     (the transitive objects of the slice over it).
 
-    Entry order is (component, subgroup class by ascending order then
-    elements, label class by least label id); the catalog is bit-for-bit
-    reproducible.
+    The carrier depends on H alone: the entries of one subgroup class share
+    one induced carrier.  Entry order is (component, subgroup class by
+    ascending order then elements, label class by least label id); the
+    catalog is bit-for-bit reproducible.
     """
     entries = []
     for rep in connected_components(g).representatives:
@@ -483,11 +498,10 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
         weight_act = [weight.action[m] for m in loops]  # by loop index
         for cls in subgroup_conjugacy_classes(table):
             canon = cls[0]
-            invariant = [
-                v
-                for v in range(weight.size(rep))
-                if all(weight_act[h][v] == v for h in canon)
-            ]
+            fixing = [weight_act[h] for h in canon]
+            invariant = [v for v in range(weight.size(rep)) if all(a[v] == v for a in fixing)]
+            if not invariant:
+                continue  # no entry, so no carrier
             normalizer = [
                 a
                 for a in range(len(loops))
@@ -500,12 +514,10 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
                 orbit = {weight_act[a][v] for a in normalizer}
                 label_reps.append(v)
                 remaining -= orbit
-            for v in label_reps:
-                subgroup_loops = frozenset(loops[h] for h in canon)
-                crossed = induced_crossed(g, weight, rep, subgroup_loops, v)
-                entries.append(
-                    TransitivePiece(rep, crossed, (subgroup_loops, v))
-                )
+            subgroup_loops = frozenset(loops[h] for h in canon)
+            crossed = induced_crossed(g, weight, rep, subgroup_loops, label_reps)
+            for v, c in zip(label_reps, crossed):
+                entries.append(TransitivePiece(rep, c, (subgroup_loops, v)))
     index: dict[tuple, list[int]] = {}
     for k, entry in enumerate(entries):
         index.setdefault(entry.fingerprint, []).append(k)

@@ -350,21 +350,27 @@ def transport_restrict(c: CrossedGSet, z: int) -> CrossedGSet:
 
 
 def induce(
-    weight: GMonoid | GSet, z: int, size: int, loop_action: list[list[int]], label: list[int]
-) -> CrossedGSet:
+    weight: GMonoid | GSet, z: int, size: int, loop_action: list[list[int]], labels
+) -> list[CrossedGSet]:
     """Spread a fiber of ``size`` elements at z, acted on by the isotropy
-    group at z (loop position k acts by ``loop_action[k]``) and labeled in
-    weight(z), over the component of z along the retraction
-    R(m : y -> w) = t_w^-1 m t_y: every component object gets the fiber,
-    m acts by R(m), and the labels at y are moved by weight(t_y).  Objects
-    off the component get empty fibers.  Only ``weight.action`` is read, so
-    labels may live in any G-set."""
+    group at z (loop position k acts by ``loop_action[k]``), over the
+    component of z along the retraction R(m : y -> w) = t_w^-1 m t_y:
+    every component object gets the fiber, m acts by R(m).  Objects off
+    the component get empty fibers.  One crossed set on this one carrier
+    per labeling in ``labels`` of the fiber in weight(z), moved to y by
+    weight(t_y).  Only ``weight.action`` is read, so labels may live in
+    any G-set."""
     g = weight.base
     t = component_transports(g, z)
     action = [[] if k is None else loop_action[k] for k in retraction(g, t)]
     sizes = [size if y in t else 0 for y in g.objects]
-    labels = [[weight.action[t[y]][v] for v in label] if y in t else [] for y in g.objects]
-    return CrossedGSet(GSet(g, sizes, action), weight, labels).validate()
+    carrier = GSet(g, sizes, action).validate()
+    out = []
+    for label in labels:
+        spread = [[weight.action[t[y]][v] for v in label] if y in t else [] for y in g.objects]
+        GMap(carrier, weight, spread).validate()  # the carrier is proved once
+        out.append(CrossedGSet(carrier, weight, spread))
+    return out
 
 
 # -- axiom checking ----------------------------------------------------------------

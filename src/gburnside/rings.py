@@ -146,6 +146,11 @@ def _distinct(rows: list[list[Sparse]]) -> tuple[list[list[int]], list[Sparse]]:
     return pid, list(index)
 
 
+def _symmetric(pid: list[list[int]]) -> bool:
+    """Whether a product-id table has e_i e_j = e_j e_i throughout."""
+    return list(map(tuple, pid)) == list(zip(*pid))
+
+
 def _lincomb(terms: Sparse, vecs, length: int) -> tuple[int, ...]:
     """The sum of c * vecs[n] over (n, c) in terms, the vecs being int
     tuples of the given length, by element-wise maps in C."""
@@ -232,7 +237,7 @@ class RingPresentation:
         packed = [_packed(p, w) for p in products]
         by_row = [tuple(packed[p] for p in pm) for pm in pid]  # [m][k] = e_m e_k
         lefts = [_lincomb(p, by_row, d) for p in products]
-        if list(map(tuple, pid)) == list(zip(*pid)):  # e_i e_m = e_m e_i: e_i p = p e_i
+        if _symmetric(pid):  # e_i e_m = e_m e_i: e_i p = p e_i
             rights = lefts
         else:
             by_col = list(zip(*by_row))  # [m][i] = e_i e_m
@@ -458,7 +463,8 @@ class RingHom:
         carries a witness: the first target coordinate where phi(1) differs
         from the unit, the determinant of a square matrix that is not
         invertible over Z, and the first non-multiplicative (i, j) in
-        row-major order."""
+        row-major order.  Two commutative tables make the failing pairs
+        symmetric, so then only the pairs i <= j are compared."""
         src, tgt = self.source, self.target
         unit_image = self.apply(src.unit_vector)
         unital = unit_image == tgt.unit_vector
@@ -474,10 +480,14 @@ class RingHom:
         tgt_rows = [tuple(tgt_packed[p] for p in pr) for pr in tgt_pid]  # [r][s] = e_r e_s
         # by_image[s][i] = phi(e_i) e_s
         by_image = list(zip(*(_lincomb(v, tgt_rows, tgt.dim) for v in images)))
+        # a symmetric failure set has its least (i, j) at i <= j
+        half = _symmetric(pid) and _symmetric(tgt_pid)
         failures = []
         for j, (image, col) in enumerate(zip(images, zip(*pid))):
-            left = tuple(map(lhs.__getitem__, col))  # [i] = phi(e_i e_j)
-            right = _lincomb(image, by_image, src.dim)  # [i] = phi(e_i) phi(e_j)
+            n = j + 1 if half else src.dim
+            left = tuple(map(lhs.__getitem__, col[:n]))  # [i] = phi(e_i e_j)
+            # [i] = phi(e_i) phi(e_j)
+            right = _lincomb(image, {s: by_image[s][:n] for s, _ in image}, n)
             if left != right:
                 failures.append((next(i for i, x in enumerate(left) if x != right[i]), j))
         witness = min(failures, default=None)
@@ -563,7 +573,8 @@ def connected_reduction_hom(g: FiniteGroupoid, weight: GMonoid, z: int) -> RingH
 def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
     """Direct product presentation: each block's rows shifted by the
     block's offset, empty rows across blocks, concatenated units, basis
-    order inherited from block order."""
+    order inherited from block order.  Each distinct block row is shifted
+    once, so equal rows stay one object."""
     dim = sum(b.dim for b in blocks)
     constants = []
     unit = []
@@ -571,9 +582,10 @@ def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
     offset = 0
     for bi, block in enumerate(blocks):
         before, after = [()] * offset, [()] * (dim - offset - block.dim)
-        for ri in block.structure_constants:
-            shifted = [tuple((offset + k, v) for k, v in rij) for rij in ri]
-            constants.append(before + shifted + after)
+        pid, rows = _distinct(block.structure_constants)
+        shifted = [tuple((offset + k, v) for k, v in row) for row in rows]
+        for pi in pid:
+            constants.append(before + [shifted[p] for p in pi] + after)
         unit.extend(block.unit_vector)
         for entry in block.basis_info:
             info.append({"block": bi, **entry})

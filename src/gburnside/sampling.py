@@ -85,7 +85,7 @@ def sample_crossed(
             continue
         v = rng.choice(invariant)
         if v not in pieces:
-            pieces[v] = induced_crossed(g, weight, rep, sub_loops, v)
+            (pieces[v],) = induced_crossed(g, weight, rep, sub_loops, [v])
         piece = pieces[v]
         for x in cls:
             budget[x] -= size

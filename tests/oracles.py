@@ -233,7 +233,7 @@ def transport_induce(cz: CrossedGSet, weight: GMonoid | GSet, z: int) -> Crossed
         raise BaseMismatch("input does not live over the isotropy group at z")
     if cz.weight != wz:
         raise WeightMismatch("input is not labeled in the weight restricted to z")
-    return induce(weight, z, cz.carrier.size(0), cz.carrier.action, cz.label[0])
+    return induce(weight, z, cz.carrier.size(0), cz.carrier.action, [cz.label[0]])[0]
 
 
 def transport_connected(c: CrossedGSet, z: int) -> TransportData:

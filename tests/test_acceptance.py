@@ -158,8 +158,8 @@ def test_criterion_01_validation_suites():
                 # collapsing two elements of a free orbit is never natural:
                 # natural self-maps of a free orbit are right translations
                 free = induced_crossed(
-                    g, triv, rep, frozenset({g.identity[rep]}), 0
-                ).carrier
+                    g, triv, rep, frozenset({g.identity[rep]}), [0]
+                )[0].carrier
                 broken_map = GMap(
                     free, free, [list(range(free.size(x))) for x in g.objects]
                 )

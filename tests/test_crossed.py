@@ -626,7 +626,7 @@ class TestTransport:
         # so induced labels must follow the conjugation action exactly
         s4 = gb.from_group(gb.group_table_from_perm_gens([[1, 0, 2, 3], [1, 2, 3, 0]]))
         sub = next(h for h in all_subgroups(s4.compose_table) if len(h) == 6)
-        cosets = induced_crossed(s4, gb.trivial_gmonoid(s4), 0, sub, 0).carrier
+        cosets = induced_crossed(s4, gb.trivial_gmonoid(s4), 0, sub, [0])[0].carrier
         g = gb.action_groupoid(s4, cosets).groupoid
         conj = gb.conjugation_action(g)
         t = transports(g, 0)

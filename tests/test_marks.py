@@ -9,15 +9,19 @@ import pytest
 
 import gburnside as gb
 from gburnside import rings
+from gburnside import classify
 from gburnside.classify import (
     BasisCatalog,
     MarkTable,
+    all_subgroups,
     enumerate_basis,
     express_by_decomposition,
     express_in_basis,
+    induced_crossed,
     label_marks,
 )
 from gburnside.errors import MarksNotTriangular, UnmatchedPiece
+from gburnside.gsets import GSet
 from gburnside.rings import (
     burnside_ring,
     connected_reduction_hom,
@@ -103,7 +107,71 @@ class TestRoutesAgreeOnCorpus:
         assert fast == ref
 
 
+def a4_on_points() -> gb.FiniteGroupoid:
+    """The action groupoid of A4 on its 4 points: 4 objects, isotropy C3,
+    48 morphisms."""
+    a4 = gb.from_group(gb.group_table_from_perm_gens([[1, 2, 0, 3], [0, 2, 3, 1]]))
+    stabilizer = next(h for h in all_subgroups(a4.compose_table) if len(h) == 3)
+    points = induced_crossed(a4, gb.trivial_gmonoid(a4), 0, stabilizer, [0])[0].carrier
+    return gb.action_groupoid(a4, points).groupoid
+
+
+class TestNonCentralTransports:
+    """In every corpus groupoid the transports leave weight positions where
+    they are, so a basis whose labels were never moved along them would
+    pass the corpus.  Over A4 on its points they move: the labels of every
+    basis carrier must follow the conjugation action exactly."""
+
+    def test_marks_equal_decomposition_and_reduction_verified(self):
+        g = a4_on_points()
+        assert (g.n_objects, len(g.morphisms), len(g.loops(0))) == (4, 48, 3)
+        conj = gb.conjugation_action(g)
+        assert any(conj.action[m] != [0, 1, 2] for m in g.morphisms)
+        assert_same_ring(
+            crossed_burnside_ring(g, conj), crossed_burnside_ring_by_decomposition(g, conj)
+        )
+        for z in g.objects:
+            assert connected_reduction_hom(g, conj, z).verified == {
+                "unital": True, "multiplicative": True, "bijective": True,
+            }
+
+
 class TestMarkTable:
+    def test_one_carrier_and_one_scan_per_subgroup_class(self, corpus, monkeypatch):
+        g = corpus["C2+S3"]
+        conj = gb.conjugation_action(g)
+        validated = []
+        validate = GSet.validate
+
+        def counted(self):
+            validated.append(self)
+            return validate(self)
+
+        monkeypatch.setattr(GSet, "validate", counted)
+        catalog = enumerate_basis(g, conj)
+        entries = catalog.entries
+        classes = {(e.component_rep, e.standard_pair[0]) for e in entries}
+        # every class has a label (the unit), and several share a carrier
+        assert len(validated) == len(classes) < catalog.dim
+        for e in entries:
+            for f in entries:
+                same_class = (e.component_rep, e.standard_pair[0]) == (
+                    f.component_rep, f.standard_pair[0])
+                assert (e.crossed.carrier is f.crossed.carrier) == same_class
+        scans = []
+        fixed_points = classify.fixed_points
+
+        def scan(carrier, rep, subgroup):
+            scans.append((id(carrier), subgroup))
+            return fixed_points(carrier, rep, subgroup)
+
+        monkeypatch.setattr(classify, "fixed_points", scan)
+        marks = catalog.marks()
+        # one scan per shared carrier and row subgroup at its component
+        assert len(scans) == len(set(scans)) == sum(
+            len(marks.at_rep[rep]) for rep, _ in classes
+        )
+
     def test_diagonal_is_normalizer_index(self, s3):
         # S3 conjugation: (1, e) has diagonal 6; (C2, e) has |N(C2) : C2| = 1;
         # (C3, e) and (S3, e) have 2 and 1; (1, s) for a transposition s
@@ -209,8 +277,8 @@ class DenseOracle:
         # label_counts[j][k]: label -> mark of entry j under the subgroup of row k
         self.label_counts = [
             [
-                label_marks(ej.crossed.carrier, ej.crossed.label, ek.component_rep,
-                            ek.standard_pair[0])
+                label_marks(ej.crossed.carrier, [ej.crossed.label], ek.component_rep,
+                            ek.standard_pair[0])[0]
                 if ek.component_rep == ej.component_rep else {}
                 for ek in entries
             ]

@@ -398,6 +398,22 @@ class TestDecomposition:
                 else:
                     assert row == ()
 
+    def test_product_ring_keeps_interned_rows(self, c2, s3):
+        blocks = [crossed_burnside_ring(g, gb.conjugation_action(g)) for g in (c2, s3)]
+        prod = product_ring(blocks)
+        rows = [r for row in prod.structure_constants for r in row]
+        # equal rows are one object, as in the blocks
+        assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
+        offset = 0
+        for block in blocks:
+            for i, ri in enumerate(block.structure_constants):
+                for j, rij in enumerate(ri):
+                    assert prod.structure_constants[offset + i][offset + j] == tuple(
+                        (offset + k, v) for k, v in rij
+                    )
+            offset += block.dim
+        assert prod.dim == offset
+
 
 class TestActionGroupoidIso:
     def test_c2_regular(self, c2):
@@ -929,6 +945,49 @@ class TestPackedKernel:
         assert str(err.value) == f"associativity fails at (i, j, k, l) = {expected}"
         # one packed table for both sides
         assert len(lincomb_calls) == len({r for row in ring.structure_constants for r in row})
+
+    def test_commutative_hom_compares_each_pair_once(self, corpus, lincomb_calls):
+        # both tables commutative: column j compares the pairs i <= j only
+        hom = conjugation_decomposition(corpus["C2+S3"])
+        src, tgt = hom.source, hom.target
+        lincomb_calls.clear()
+        assert RingHom(src, tgt, hom.matrix).verify().verified["multiplicative"]
+        d = src.dim
+        assert [length for *_, length in lincomb_calls] == [tgt.dim] * d + list(range(1, d + 1))
+
+    def test_non_commutative_hom_compares_every_pair(self, lincomb_calls):
+        # e0 e1 = e1 but e1 e0 = 0: the identity map compares all d^2 pairs
+        c = [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]
+        ring = _presentation(c)
+        lincomb_calls.clear()
+        assert RingHom(ring, ring, [[1, 0], [0, 1]]).verify().verified["multiplicative"]
+        assert [length for *_, length in lincomb_calls] == [2, 2, 2, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_commutative_multiplicativity_matches_oracle(self, data):
+        # the witness of a hom between commutative tables, found on i <= j,
+        # is the row-major first failure over all pairs
+        def symmetric(c):
+            return [[c[min(i, j)][max(i, j)] for j in range(len(c))] for i in range(len(c))]
+
+        c = symmetric(data.draw(tables(max_dim=4)))
+        src = _presentation(c)
+        if data.draw(st.booleans()):
+            p, p_inv = _unimodular(data.draw, src.dim)
+            tgt = _presentation(_change_basis(c, p, p_inv))
+            matrix = [list(row) for row in p_inv]
+            if data.draw(st.booleans()):
+                r, m = (data.draw(st.integers(0, src.dim - 1)) for _ in range(2))
+                matrix[r][m] += data.draw(CONSTANTS)
+        else:
+            tgt = _presentation(symmetric(data.draw(tables(max_dim=4))))
+            entry = st.one_of(st.just(0), CONSTANTS)
+            matrix = [[data.draw(entry) for _ in range(src.dim)] for _ in range(tgt.dim)]
+        expected = oracle_hom_failure(src, tgt, matrix)
+        verified = RingHom(src, tgt, matrix).verify().verified
+        assert verified["multiplicative"] == (expected is None)
+        assert verified.get("witness") == expected
 
     def test_difference_that_aliases_at_the_constants_width(self):
         # x = e0 with x^2 = e1 + e4, e1 x = e4 x = 2^h e2 and x e1 = e3, so

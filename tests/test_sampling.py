@@ -53,11 +53,12 @@ def test_each_piece_induced_once_and_never_shared(corpus, monkeypatch):
     induce = sampling.induced_crossed
     pieces = {}
 
-    def counted(g, weight, rep, subgroup, label_value):
+    def counted(g, weight, rep, subgroup, label_values):
+        (label_value,) = label_values
         key = (rep, subgroup, label_value)
         assert key not in pieces
-        pieces[key] = induce(g, weight, rep, subgroup, label_value)
-        return pieces[key]
+        (pieces[key],) = induce(g, weight, rep, subgroup, label_values)
+        return [pieces[key]]
 
     monkeypatch.setattr(sampling, "induced_crossed", counted)
     samples = sample_many(g, conj, 30, seed=0)
