@@ -16,7 +16,9 @@ Two independent enumeration routes are provided.  ``enumerate_basis``
 classifies transitive crossed sets by pairs (subgroup of an isotropy group,
 invariant label) up to simultaneous conjugacy and realizes each class as an
 induced crossed set; subgroup classes are built class by class (Neubuser,
-1960), and the label values of one class share one induced carrier.
+1960), extending one member by one element per coset, and the label values
+of one class share one coset fiber, which gives their marks.  A basis
+carrier is built only when something reads it.
 ``brute_force_basis`` instead enumerates invariant partitions of the
 morphisms out of a component representative (every transitive carrier
 arises as such a quotient), attaches every consistent label, and
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 
@@ -35,6 +38,7 @@ from .errors import MarksNotTriangular, UnmatchedPiece
 from .crossed import CrossedGSet, CrossedMap, induce, same_weight
 from .groupoid import (
     FiniteGroupoid,
+    component_transports,
     connected_components,
     identity_and_inverses,
     isotropy_group,
@@ -65,41 +69,67 @@ def subgroup_closure(table: list[list[int]], seed) -> frozenset[int]:
     return frozenset(elems)
 
 
-def _extension_walk(table: list[list[int]], orbit) -> list[set[frozenset[int]]]:
-    """Orbits of subgroups in order found, from the trivial group: each new
-    subgroup K registers orbit(K), the subgroups it stands for, and is
-    extended by each element a outside it (its generating tuple plus a)."""
+def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
+    """Every subgroup, sorted by (order, sorted elements), by the plain
+    walk: each one found is extended by every element outside it.  None of
+    the cuts of the class walk, which this lattice is the oracle of."""
     trivial = frozenset({identity_and_inverses(table)[0]})
     gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    orbits = [orbit(trivial)]
-    seen = set(orbits[0])
     frontier = [trivial]
     while frontier:
         fresh = []
         for sub in frontier:
-            base = gens[sub]
             for a in range(len(table)):
                 if a not in sub:
-                    seed = base + (a,)
+                    seed = gens[sub] + (a,)
                     grown = subgroup_closure(table, seed)
-                    if grown not in seen:
-                        orbits.append(orbit(grown))
-                        seen |= orbits[-1]
+                    if grown not in gens:
                         gens[grown] = seed
                         fresh.append(grown)
         frontier = fresh
-    return orbits
+    return sorted(gens, key=lambda h: (len(h), sorted(h)))
 
 
-def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
-    """Every subgroup, each standing for itself in the extension walk;
-    sorted by (order, sorted elements)."""
-    subs = [h for (h,) in _extension_walk(table, lambda h: {h})]
-    return sorted(subs, key=lambda h: (len(h), sorted(h)))
+def _subgroup_classes(table) -> list[tuple[list[frozenset[int]], list[int]]]:
+    """Conjugacy classes of subgroups, as in ``subgroup_conjugacy_classes``,
+    each with the normalizer of its canonical member.
 
+    The orbit pass conjugates a new subgroup R by every element.  If
+    b R b^-1 is the canonical member C, then a C a^-1 = C exactly when
+    (ab) R (ab)^-1 = C, so N(C) = {c b^-1 : c R c^-1 = C} is read off the
+    same pass."""
+    e, inv = identity_and_inverses(table)
+    n = len(table)
 
-def conjugate_subgroup(table, inv, a: int, sub: frozenset[int]) -> frozenset[int]:
-    return frozenset(table[table[a][h]][inv[a]] for h in sub)
+    def orbit(sub):
+        conj = [frozenset(table[table[a][h]][inv[a]] for h in sub) for a in range(n)]
+        members = sorted(set(conj), key=sorted)
+        onto = [c for c, k in enumerate(conj) if k == members[0]]
+        return members, [table[c][inv[onto[0]]] for c in onto]
+
+    trivial = frozenset({e})
+    gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+    found = [orbit(trivial)]
+    seen = set(found[0][0])
+    frontier = [trivial]
+    while frontier:
+        fresh = []
+        for sub in frontier:
+            covered = set(sub)
+            for a in range(n):
+                if a in covered:
+                    continue
+                covered.update(table[a][h] for h in sub)  # the coset a R
+                seed = gens[sub] + (a,)
+                grown = subgroup_closure(table, seed)
+                if grown not in seen:
+                    found.append(orbit(grown))
+                    seen.update(found[-1][0])
+                    gens[grown] = seed
+                    fresh.append(grown)
+        frontier = fresh
+    found.sort(key=lambda c: (len(c[0][0]), sorted(c[0][0])))
+    return found
 
 
 def subgroup_conjugacy_classes(table) -> list[list[frozenset[int]]]:
@@ -108,18 +138,12 @@ def subgroup_conjugacy_classes(table) -> list[list[frozenset[int]]]:
 
     Built class by class, without the full lattice: in the extension walk
     each new subgroup registers its whole conjugacy orbit, so only the
-    first member found of each class is extended.  This finds every class:
-    any K != 1 is <M, a> for a maximal subgroup M of K and any a in K \\ M,
-    and if M = c R c^-1 for the found member R of its class, then
-    c^-1 K c = <R, c^-1 a c> is one of the extensions of R."""
-    inv = identity_and_inverses(table)[1]
-    n = len(table)
-    orbits = _extension_walk(
-        table, lambda h: {conjugate_subgroup(table, inv, a, h) for a in range(n)}
-    )
-    classes = [sorted(orbit, key=sorted) for orbit in orbits]
-    classes.sort(key=lambda cls: (len(cls[0]), sorted(cls[0])))
-    return classes
+    first member R found of each class is extended, and by one element a
+    per left coset aR, since <R, a> = <R, ah> for h in R.  This finds every
+    class: any K != 1 is <M, a> for a maximal subgroup M of K and any a in
+    K \\ M, and if M = c R c^-1 for the found member R of its class, then
+    c^-1 K c = <R, c^-1 a c> is the extension of R by its coset of c^-1 a c."""
+    return [members for members, _ in _subgroup_classes(table)]
 
 
 # -- fingerprints and transitive pieces ----------------------------------------
@@ -132,15 +156,24 @@ def crossed_fingerprint(c: CrossedGSet) -> tuple:
     )
 
 
-@dataclass
 class TransitivePiece:
     """A transitive crossed set supported on a single component, with the
     (stabilizer subgroup, base label) coordinates of one of its elements
-    at the component representative."""
+    at the component representative.  A basis entry holds the ``CosetFiber``
+    of its class and its label's position there, and builds ``crossed`` on
+    first read."""
 
-    component_rep: int
-    crossed: CrossedGSet
-    standard_pair: tuple[frozenset[int], int]
+    def __init__(self, component_rep: int, crossed: CrossedGSet | None,
+                 standard_pair: tuple[frozenset[int], int], fiber=None, index: int = 0):
+        self.component_rep = component_rep
+        self.standard_pair = standard_pair
+        self.fiber, self.index = fiber, index
+        if crossed is not None:
+            self.crossed = crossed
+
+    @cached_property
+    def crossed(self) -> CrossedGSet:
+        return self.fiber.crossed[self.index]
 
     @property
     def fingerprint(self) -> tuple:
@@ -247,6 +280,46 @@ def are_isomorphic(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap | None:
 
 # -- induced transitive crossed sets --------------------------------------------
 
+class CosetFiber:
+    """The fiber at rep of the crossed sets induced from (H, v), for a
+    subgroup H of the isotropy group at rep and each H-invariant value v of
+    ``label_values``: the left cosets cH, each named by its least loop c,
+    in loop order.  A loop u moves cH to (uc)H, and cH carries the label
+    S(c)v (``labels``, one list per v), well defined because H fixes v.
+    ``total`` is the size of the induced carrier, |G_rep : H| times the
+    size of the component.  Marks need only the fiber (``fixed_by``).
+    ``crossed`` spreads the fiber over the component with ``induce`` when
+    first read: one carrier, validated once, and each labeling validated."""
+
+    def __init__(self, g: FiniteGroupoid, weight: GMonoid | GSet, rep: int,
+                 subgroup: frozenset[int], label_values):
+        ct, inv = g.compose_table, g.inverse
+        coset_of: dict[int, int] = {}
+        coset_reps: list[int] = []
+        for m in g.loops(rep):
+            if m not in coset_of:
+                k = len(coset_reps)
+                coset_reps.append(m)
+                for h in subgroup:
+                    coset_of[ct[m][h]] = k
+        self.g, self.weight, self.rep = g, weight, rep
+        self.coset_of, self.coset_reps = coset_of, coset_reps
+        self.stabilizers = [frozenset(ct[ct[c][h]][inv[c]] for h in subgroup) for c in coset_reps]
+        self.labels = [[weight.action[c][v] for c in coset_reps] for v in label_values]
+        self.total = len(coset_reps) * len(component_transports(g, rep))
+
+    def fixed_by(self, sub: frozenset[int]) -> list[int]:
+        """The cosets that the subgroup ``sub`` fixes: ucH = cH exactly when
+        u lies in cHc^-1, the stabilizer of cH."""
+        return [i for i, stab in enumerate(self.stabilizers) if sub <= stab]
+
+    @cached_property
+    def crossed(self) -> list[CrossedGSet]:
+        ct, coset_of, reps = self.g.compose_table, self.coset_of, self.coset_reps
+        loop_action = [[coset_of[ct[u][c]] for c in reps] for u in self.g.loops(self.rep)]
+        return induce(self.weight, self.rep, len(reps), loop_action, self.labels)
+
+
 def induced_crossed(
     g: FiniteGroupoid,
     weight: GMonoid | GSet,
@@ -256,49 +329,29 @@ def induced_crossed(
 ) -> list[CrossedGSet]:
     """The transitive crossed sets induced from (subgroup, invariant label)
     at a component representative, one per label value, all on one
-    carrier: the left cosets of the subgroup in the isotropy group at rep,
-    acted on by left multiplication and labeled by the action of the target
-    on the label, spread over the component by ``induce``.
-    """
-    loops = g.loops(rep)
-    coset_of: dict[int, int] = {}
-    coset_reps: list[int] = []
-    for m in loops:
-        if m not in coset_of:
-            k = len(coset_reps)
-            coset_reps.append(m)
-            for h in subgroup:
-                coset_of[g.compose_table[m][h]] = k
-    loop_action = [[coset_of[g.compose_table[u][c]] for c in coset_reps] for u in loops]
-    labels = [[weight.action[c][v] for c in coset_reps] for v in label_values]
-    return induce(weight, rep, len(coset_reps), loop_action, labels)
+    carrier: the ``CosetFiber`` spread over the component by ``induce``."""
+    return CosetFiber(g, weight, rep, subgroup, label_values).crossed
 
 
 # -- the table of marks ------------------------------------------------------------
 
-def label_marks(carrier: GSet, labels, rep: int, subgroup) -> list[dict[int, int]]:
-    """Per labeling of one carrier (one fixed-point scan serves them all),
-    per label value u, the mark phi_(K, u): how many elements of the fiber
-    at rep every loop of the subgroup K fixes and carry label u."""
-    points = fixed_points(carrier, rep, subgroup)
-    return [Counter(map(label[rep].__getitem__, points)) for label in labels]
-
-
 class MarkTable:
     """The marks of a catalog's entries, and coordinates from marks.
 
-    Each entry is ``(rep, K, u, carrier, label)``: a transitive labeled
-    G-set at component representative rep together with the (stabilizer,
-    label) pair (K, u) of one of its elements there.  Row k of the table is
-    the mark phi_(K_k, u_k).  A transitive X has phi_(K, u)(X) > 0 only if
+    Each entry is ``(rep, K, u, fiber, label)``: a transitive labeled
+    G-set at component representative rep, by the ``CosetFiber`` of its
+    carrier and the labels of the cosets, with the (stabilizer, label) pair
+    (K, u) of one of its elements there.  Row k of the table is the mark
+    phi_(K_k, u_k).  A transitive X has phi_(K, u)(X) > 0 only if
     K fixes an element x of X with label u, so |K| <= |Stab(x)|; with
     equality (K, u) is the (stabilizer, label) pair of x, which makes X
     isomorphic to the entry of that row.  With the entries pairwise
     non-isomorphic and ordered by ascending |K| within each component, the
     table is upper-triangular with diagonal |Stab_N(K)(u) : K| > 0; the
     constructor checks this.  Coordinates then follow from marks by exact
-    integer back-substitution over the non-zero marks.  Consecutive entries
-    on one carrier object share one fixed-point scan per row subgroup.
+    integer back-substitution over the non-zero marks.  The marks of an
+    entry are read off its fiber at rep, and consecutive entries on one
+    fiber share one scan per row subgroup; no carrier is built.
     """
 
     def __init__(self, entries):
@@ -309,7 +362,7 @@ class MarkTable:
             f"(component {rep}, subgroup {sorted(sub)}, label {u})"
             for rep, sub, u, _, _ in entries
         ]
-        self.totals = [carrier.total_size for _, _, _, carrier, _ in entries]
+        self.totals = [fiber.total for _, _, _, fiber, _ in entries]
         # distinct (rep, K) over the rows, and per subgroup the row of each label
         ids: dict[tuple[int, frozenset[int]], int] = {}
         self.subgroups: list[tuple[int, frozenset[int]]] = []
@@ -326,10 +379,10 @@ class MarkTable:
             self.at_rep.setdefault(rep, []).append(s)
         # fixed[j][s]: label -> mark of entry j under subgroup s, every label
         # (the tensor convolution sums over all factorizations of a label),
-        # from one fixed-point scan per run of entries on one carrier
+        # from one scan per run of entries on one fiber
         self.fixed: list[dict[int, dict[int, int]]] = []
-        for (_, rep, carrier), run in groupby(entries, key=lambda e: (id(e[3]), e[0], e[3])):
-            self.fixed += self._fixed(carrier, [label for *_, label in run], [rep])
+        for (_, rep, fiber), run in groupby(entries, key=lambda e: (id(e[3]), e[0], e[3])):
+            self.fixed += self._fixed(fiber.fixed_by, [label for *_, label in run], rep)
         self.diag = [0] * d
         self.above: list[list[tuple[int, int]]] = [[] for _ in range(d)]
         for j in range(d):
@@ -349,14 +402,13 @@ class MarkTable:
                     f"diagonal mark of basis entry {j} {self.names[j]} is not positive"
                 )
 
-    def _fixed(self, carrier: GSet, labels, reps) -> list[dict[int, dict[int, int]]]:
+    def _fixed(self, fixed_by, labels, rep: int) -> list[dict[int, dict[int, int]]]:
         out: list[dict[int, dict[int, int]]] = [{} for _ in labels]
-        for rep in reps:
-            for s in self.at_rep.get(rep, ()):
-                marks = label_marks(carrier, labels, rep, self.subgroups[s][1])
-                for fixed, counts in zip(out, marks):
-                    if counts:
-                        fixed[s] = counts
+        for s in self.at_rep.get(rep, ()):
+            points = fixed_by(self.subgroups[s][1])
+            if points:
+                for fixed, label in zip(out, labels):
+                    fixed[s] = Counter(map(label.__getitem__, points))
         return out
 
     def _marks(self, fixed: dict[int, dict[int, int]]) -> dict[int, int]:
@@ -410,7 +462,9 @@ class MarkTable:
     def express(self, carrier: GSet, label) -> list[int]:
         """Coordinates of a labeled G-set from its marks; every element must
         be accounted for by the solution."""
-        (fixed,) = self._fixed(carrier, [label], self.at_rep)
+        fixed: dict[int, dict[int, int]] = {}
+        for rep in self.at_rep:
+            fixed.update(self._fixed(partial(fixed_points, carrier, rep), [label[rep]], rep)[0])
         coords = self._dense(self._solve(self._marks(fixed)))
         covered = sum(n * t for n, t in zip(coords, self.totals))
         if covered != carrier.total_size:
@@ -442,13 +496,13 @@ class MarkTable:
 @dataclass
 class BasisCatalog:
     """Ordered, pairwise non-isomorphic transitive representatives, with a
-    fingerprint index for candidate lookup and a table of marks built on
-    first use."""
+    fingerprint index for candidate lookup, which reads every carrier, and
+    a table of marks, which reads only coset fibers; both built on first use."""
 
     base: FiniteGroupoid
     weight: GMonoid | GSet  # the target the labels live in
     entries: list[TransitivePiece]
-    index: dict[tuple, list[int]]
+    index: dict[tuple, list[int]] | None = None
     _marks: MarkTable | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -459,13 +513,17 @@ class BasisCatalog:
         if self._marks is None:
             self._marks = MarkTable(
                 [
-                    (e.component_rep, *e.standard_pair, e.crossed.carrier, e.crossed.label)
+                    (e.component_rep, *e.standard_pair, e.fiber, e.fiber.labels[e.index])
                     for e in self.entries
                 ]
             )
         return self._marks
 
     def find(self, piece: TransitivePiece) -> int | None:
+        if self.index is None:
+            self.index = {}
+            for k, entry in enumerate(self.entries):
+                self.index.setdefault(entry.fingerprint, []).append(k)
         for k in self.index.get(piece.fingerprint, []):
             entry = self.entries[k]
             if (
@@ -482,46 +540,38 @@ class BasisCatalog:
 def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     """Classify transitive crossed sets per component by pairs (H, s), H a
     subgroup of the isotropy group up to conjugacy and s an H-invariant
-    label up to the action of the normalizer of H, realized as induced
-    crossed sets.  The labels live in ``weight``: a G-monoid, or any G-set
-    (the transitive objects of the slice over it).
+    label up to the action of the normalizer of H (recorded by the class
+    walk), realized as induced crossed sets.  The labels live in
+    ``weight``: a G-monoid, or any G-set (the transitive objects of the
+    slice over it).
 
     The carrier depends on H alone: the entries of one subgroup class share
-    one induced carrier.  Entry order is (component, subgroup class by
-    ascending order then elements, label class by least label id); the
-    catalog is bit-for-bit reproducible.
+    one ``CosetFiber``, which gives their marks, and build one carrier
+    from it when one of them is first read.  Entry order is (component,
+    subgroup class by ascending order then elements, label class by least
+    label id); the catalog is bit-for-bit reproducible.
     """
     entries = []
     for rep in connected_components(g).representatives:
         iso, inclusion = isotropy_group(g, rep)
-        loops, table, inv = inclusion.morphism_map, iso.compose_table, iso.inverse
+        loops = inclusion.morphism_map
         weight_act = [weight.action[m] for m in loops]  # by loop index
-        for cls in subgroup_conjugacy_classes(table):
-            canon = cls[0]
-            fixing = [weight_act[h] for h in canon]
-            invariant = [v for v in range(weight.size(rep)) if all(a[v] == v for a in fixing)]
-            if not invariant:
-                continue  # no entry, so no carrier
-            normalizer = [
-                a
-                for a in range(len(loops))
-                if conjugate_subgroup(table, inv, a, canon) == canon
-            ]
-            remaining = set(invariant)
+        for cls, normalizer in _subgroup_classes(iso.compose_table):
+            fixing = [weight_act[h] for h in cls[0]]
+            remaining = {v for v in range(weight.size(rep)) if all(a[v] == v for a in fixing)}
+            if not remaining:
+                continue  # no entry, so no fiber
             label_reps = []
             while remaining:
                 v = min(remaining)
-                orbit = {weight_act[a][v] for a in normalizer}
                 label_reps.append(v)
-                remaining -= orbit
-            subgroup_loops = frozenset(loops[h] for h in canon)
-            crossed = induced_crossed(g, weight, rep, subgroup_loops, label_reps)
-            for v, c in zip(label_reps, crossed):
-                entries.append(TransitivePiece(rep, c, (subgroup_loops, v)))
-    index: dict[tuple, list[int]] = {}
-    for k, entry in enumerate(entries):
-        index.setdefault(entry.fingerprint, []).append(k)
-    return BasisCatalog(g, weight, entries, index)
+                remaining -= {weight_act[a][v] for a in normalizer}
+            sub = frozenset(loops[h] for h in cls[0])
+            fiber = CosetFiber(g, weight, rep, sub, label_reps)
+            entries += [
+                TransitivePiece(rep, None, (sub, v), fiber, k) for k, v in enumerate(label_reps)
+            ]
+    return BasisCatalog(g, weight, entries)
 
 
 def express_in_basis(c: CrossedGSet, catalog: BasisCatalog) -> list[int]:

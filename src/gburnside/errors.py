@@ -44,10 +44,6 @@ class NotConnected(GBError):
     """Operation requires a connected groupoid."""
 
 
-class NotSubgroup(GBError):
-    """A morphism subset is not a subgroup of the isotropy group."""
-
-
 # -- functor data ---------------------------------------------------------
 
 class BaseMismatch(GBError):

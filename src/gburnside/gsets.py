@@ -29,8 +29,6 @@ from .errors import (
     AllFibersEmpty,
     BaseMismatch,
     NotNatural,
-    NotSubgroup,
-    UnknownObject,
 )
 from .groupoid import (
     SENTINEL,
@@ -513,38 +511,8 @@ def gset_coproduct(x: GSet, y: GSet) -> GSet:
     return GSet(g, sizes, action)
 
 
-# -- marks ---------------------------------------------------------------------
-
-def check_subgroup(g: FiniteGroupoid, x: int, subgroup: frozenset[int]) -> None:
-    """Verify a morphism subset is a subgroup of the isotropy group at x."""
-    loops = set(g.loops(x))
-    if not subgroup:
-        raise NotSubgroup("a subgroup cannot be empty")
-    for h in subgroup:
-        if h not in loops:
-            raise NotSubgroup(f"morphism {h} is not a loop at {x}")
-        if g.inverse[h] not in subgroup:
-            raise NotSubgroup(f"inverse of {h} missing")
-    if g.identity[x] not in subgroup:
-        raise NotSubgroup(f"identity at {x} missing")
-    for a in subgroup:
-        for b in subgroup:
-            if g.compose_table[a][b] not in subgroup:
-                raise NotSubgroup(f"composite of ({a}, {b}) missing")
-
-
 def fixed_points(x: GSet, rep: int, subgroup) -> list[int]:
     """Elements of the fiber at rep fixed by every loop in the subgroup,
     ascending; the subgroup is not checked."""
     acts = [x.action[h] for h in subgroup]
     return [i for i in range(x.size(rep)) if all(a[i] == i for a in acts)]
-
-
-def marks(g: FiniteGroupoid, x: GSet, rep: int, subgroup) -> int:
-    """Number of elements of the fiber at rep fixed by every loop in the
-    subgroup; an isomorphism invariant of G-sets."""
-    if not 0 <= rep < g.n_objects:
-        raise UnknownObject(f"object {rep} not in 0..{g.n_objects - 1}")
-    sub = frozenset(subgroup)
-    check_subgroup(g, rep, sub)
-    return len(fixed_points(x, rep, sub))

@@ -310,7 +310,7 @@ def _crossed_info(e: TransitivePiece) -> dict:
         "component": e.component_rep,
         "subgroup": sorted(sub),
         "label": lab,
-        "carrier_size": e.crossed.total_size,
+        "carrier_size": e.fiber.total,
     }
 
 
@@ -370,7 +370,7 @@ def burnside_ring(g: FiniteGroupoid) -> RingPresentation:
 def _slice_info(e: TransitivePiece) -> dict:
     return {
         "component": e.component_rep,
-        "carrier_size": e.crossed.total_size,
+        "carrier_size": e.fiber.total,
         "base_image": e.standard_pair[1],
     }
 
@@ -406,6 +406,8 @@ def _fiber_product(a: CrossedGSet, b: CrossedGSet) -> CrossedGSet:
 def _identity_slice(g: FiniteGroupoid, x: GSet) -> CrossedGSet:
     """x labeled by itself through the identity: the unit of the Hadamard
     ring."""
+    if not isinstance(x, GSet):
+        raise RingMismatch(f"the Hadamard ring is over a G-set, not a {type(x).__name__}")
     if not same_base(g, x.base):
         raise RingMismatch("G-set does not live over this groupoid")
     return CrossedGSet(x, x, [list(range(x.size(o))) for o in g.objects]).validate()

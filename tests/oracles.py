@@ -3,6 +3,7 @@ checks built on them stay independent of the code they check."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from gburnside.classify import MarkTable
@@ -29,6 +30,7 @@ from gburnside.errors import (
     NotConnected,
     NotNatural,
     RingMismatch,
+    UnknownObject,
     WeightMismatch,
 )
 from gburnside.groupoid import (
@@ -40,7 +42,7 @@ from gburnside.groupoid import (
     pair_groupoid,
     retraction,
 )
-from gburnside.gsets import GMonoid, GSet, same_base
+from gburnside.gsets import GMonoid, GSet, fixed_points, same_base
 from gburnside.rings import RingPresentation
 
 
@@ -48,6 +50,45 @@ def mark_solve(marks: MarkTable, phi: list[int]) -> list[int]:
     """The coordinates with the row marks ``phi``, as a dense vector; the
     back-substitution runs over the non-zero marks only."""
     return marks._dense(marks._solve({k: v for k, v in enumerate(phi) if v}))
+
+
+class NotSubgroup(GBError):
+    """A morphism subset is not a subgroup of the isotropy group."""
+
+
+def check_subgroup(g: FiniteGroupoid, x: int, subgroup: frozenset[int]) -> None:
+    """Verify a morphism subset is a subgroup of the isotropy group at x."""
+    loops = set(g.loops(x))
+    if not subgroup:
+        raise NotSubgroup("a subgroup cannot be empty")
+    for h in subgroup:
+        if h not in loops:
+            raise NotSubgroup(f"morphism {h} is not a loop at {x}")
+        if g.inverse[h] not in subgroup:
+            raise NotSubgroup(f"inverse of {h} missing")
+    if g.identity[x] not in subgroup:
+        raise NotSubgroup(f"identity at {x} missing")
+    for a in subgroup:
+        for b in subgroup:
+            if g.compose_table[a][b] not in subgroup:
+                raise NotSubgroup(f"composite of ({a}, {b}) missing")
+
+
+def marks(g: FiniteGroupoid, x: GSet, rep: int, subgroup) -> int:
+    """Number of elements of the fiber at rep fixed by every loop in the
+    subgroup; an isomorphism invariant of G-sets."""
+    if not 0 <= rep < g.n_objects:
+        raise UnknownObject(f"object {rep} not in 0..{g.n_objects - 1}")
+    sub = frozenset(subgroup)
+    check_subgroup(g, rep, sub)
+    return len(fixed_points(x, rep, sub))
+
+
+def fixed_label_counts(c: CrossedGSet, rep: int, subgroup) -> dict[int, int]:
+    """The marks phi_(K, u) of a built crossed set for every label u, by a
+    fixed-point scan of its carrier at rep: the oracle of the marks that
+    ``MarkTable`` reads off coset fibers."""
+    return dict(Counter(c.label[rep][i] for i in fixed_points(c.carrier, rep, subgroup)))
 
 
 def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:

@@ -447,10 +447,11 @@ class TestSubgroupClasses:
         t = renumbered(table, data.draw(st.permutations(range(len(table)))))
         assert subgroup_conjugacy_classes(t) == classes_from_lattice(t)
 
-    def test_s5_closes_one_extension_per_class_and_element(self, monkeypatch):
-        # every class representative R is extended by each element outside
-        # it: sum over the 19 classes of 120 - |R| = 1971 closures, against
-        # 17,509 for the whole lattice of 156 subgroups
+    def test_s5_closes_one_extension_per_class_and_coset(self, monkeypatch):
+        # the found member R of each class is extended by one element per
+        # left coset aR other than R: sum over the 19 classes of
+        # 120 / |R| - 1 = 496 closures, against 1,971 for one per element
+        # outside R and 17,509 for the whole lattice of 156 subgroups
         calls = []
         closure = classify.subgroup_closure
 
@@ -461,4 +462,30 @@ class TestSubgroupClasses:
         monkeypatch.setattr(classify, "subgroup_closure", counted)
         classes = subgroup_conjugacy_classes(s5_table())
         assert len(classes) == 19
-        assert len(calls) == sum(120 - len(cls[0]) for cls in classes) < 2500
+        assert len(calls) == sum(120 // len(cls[0]) - 1 for cls in classes) == 496
+
+    def test_s6_published_counts(self):
+        # 56 classes (OEIS A000638) of 1,455 subgroups (A005432)
+        table = gb.group_table_from_perm_gens([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]])
+        assert len(table) == 720
+        classes = subgroup_conjugacy_classes(table)
+        assert len(classes) == 56
+        assert sum(len(cls) for cls in classes) == 1455
+
+    @pytest.mark.parametrize(
+        "build", [s4_table, a4_table, d8_table, lambda: GROUP_TABLES_LEQ8["Q8"]],
+        ids=["S4", "A4", "D8", "Q8"],
+    )
+    def test_recorded_normalizer_of_the_canonical_member(self, build):
+        table = build()
+        n = len(table)
+        e = next(a for a in range(n) if all(table[a][b] == b for b in range(n)))
+        inv = [next(b for b in range(n) if table[a][b] == e) for a in range(n)]
+        found = classify._subgroup_classes(table)
+        assert [cls for cls, _ in found] == subgroup_conjugacy_classes(table)
+        for cls, normalizer in found:
+            canon = cls[0]
+            assert sorted(normalizer) == [
+                a for a in range(n)
+                if {table[table[a][h]][inv[a]] for h in canon} == canon
+            ]

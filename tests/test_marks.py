@@ -18,10 +18,9 @@ from gburnside.classify import (
     express_by_decomposition,
     express_in_basis,
     induced_crossed,
-    label_marks,
 )
 from gburnside.errors import MarksNotTriangular, UnmatchedPiece
-from gburnside.gsets import GSet
+from gburnside.gsets import GMap, GSet
 from gburnside.rings import (
     burnside_ring,
     connected_reduction_hom,
@@ -35,7 +34,7 @@ from gburnside.rings import (
 from gburnside.sampling import sample_many
 
 from conftest import build_corpus, regular_gset
-from oracles import mark_solve
+from oracles import fixed_label_counts, mark_solve
 
 CORPUS = build_corpus()
 NAMES = sorted(CORPUS)
@@ -136,6 +135,36 @@ class TestNonCentralTransports:
             }
 
 
+class TestNoCarrierOnTheMarksRoute:
+    @pytest.mark.parametrize("name", ["(C2xPair(2))+C3", "C2+S3", "D4"])
+    def test_rings_induce_nothing_and_a_read_builds_one_carrier_per_class(
+        self, name, monkeypatch
+    ):
+        g = CORPUS[name]
+        conj = gb.conjugation_action(g)
+        x = conj.underlying()
+        calls = {"induce": 0, "GSet": 0, "GMap": 0}
+
+        def counted(key, fn):
+            def run(*args):
+                calls[key] += 1
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(classify, "induce", counted("induce", classify.induce))
+        built = [crossed_burnside_ring(g, conj), hadamard_ring(g, x)]
+        assert calls["induce"] == 0
+        monkeypatch.setattr(GSet, "validate", counted("GSet", GSet.validate))
+        monkeypatch.setattr(GMap, "validate", counted("GMap", GMap.validate))
+        for ring in built:
+            entries = ring.basis.entries
+            for e in entries + entries:
+                assert e.crossed is e.fiber.crossed[e.index]
+            classes = len({id(e.fiber) for e in entries})
+            assert calls == {"induce": classes, "GSet": classes, "GMap": len(entries)}
+            calls.update(dict.fromkeys(calls, 0))
+
+
 class TestMarkTable:
     def test_one_carrier_and_one_scan_per_subgroup_class(self, corpus, monkeypatch):
         g = corpus["C2+S3"]
@@ -148,29 +177,33 @@ class TestMarkTable:
             return validate(self)
 
         monkeypatch.setattr(GSet, "validate", counted)
+        scans = []
+        fixed_by = classify.CosetFiber.fixed_by
+
+        def scan(fiber, subgroup):
+            scans.append((id(fiber), subgroup))
+            return fixed_by(fiber, subgroup)
+
+        monkeypatch.setattr(classify.CosetFiber, "fixed_by", scan)
         catalog = enumerate_basis(g, conj)
         entries = catalog.entries
         classes = {(e.component_rep, e.standard_pair[0]) for e in entries}
-        # every class has a label (the unit), and several share a carrier
-        assert len(validated) == len(classes) < catalog.dim
+        marks = catalog.marks()
+        # one scan per shared coset fiber and row subgroup at its component,
+        # and no carrier built for the table
+        assert len(scans) == len(set(scans)) == sum(
+            len(marks.at_rep[rep]) for rep, _ in classes
+        )
+        assert validated == []
+        # every class has a label (the unit), and several share a carrier,
+        # built and validated once when the first of them is read
+        assert len({id(e.fiber) for e in entries}) == len(classes) < catalog.dim
         for e in entries:
             for f in entries:
                 same_class = (e.component_rep, e.standard_pair[0]) == (
                     f.component_rep, f.standard_pair[0])
                 assert (e.crossed.carrier is f.crossed.carrier) == same_class
-        scans = []
-        fixed_points = classify.fixed_points
-
-        def scan(carrier, rep, subgroup):
-            scans.append((id(carrier), subgroup))
-            return fixed_points(carrier, rep, subgroup)
-
-        monkeypatch.setattr(classify, "fixed_points", scan)
-        marks = catalog.marks()
-        # one scan per shared carrier and row subgroup at its component
-        assert len(scans) == len(set(scans)) == sum(
-            len(marks.at_rep[rep]) for rep, _ in classes
-        )
+        assert len(validated) == len(classes)
 
     def test_diagonal_is_normalizer_index(self, s3):
         # S3 conjugation: (1, e) has diagonal 6; (C2, e) has |N(C2) : C2| = 1;
@@ -202,9 +235,7 @@ class TestMarkTable:
     def test_duplicate_entry_rejected(self, c2):
         catalog = enumerate_basis(c2, gb.conjugation_action(c2))
         e = catalog.entries[0]
-        table = [
-            (e.component_rep, *e.standard_pair, e.crossed.carrier, e.crossed.label)
-        ] * 2
+        table = [(e.component_rep, *e.standard_pair, e.fiber, e.fiber.labels[e.index])] * 2
         with pytest.raises(MarksNotTriangular):
             MarkTable(table)
 
@@ -262,6 +293,36 @@ def mark_tables():
 MARK_TABLES = list(mark_tables())
 
 
+class TestCosetMarks:
+    """The marks ``MarkTable`` reads off coset fibers against a fixed-point
+    scan of every built, validated carrier."""
+
+    CASES = [
+        (key, catalog) for key, catalog, _ in MARK_TABLES
+        if "|crossed|" in key or key in ("S3|hadamard|conjugation", "D4|hadamard|conjugation")
+    ]
+
+    @staticmethod
+    def check(catalog):
+        marks = catalog.marks()
+        for j, e in enumerate(catalog.entries):
+            e.crossed.validate()
+            assert marks.totals[j] == e.fiber.total == e.crossed.total_size
+            for s in marks.at_rep[e.component_rep]:
+                want = fixed_label_counts(e.crossed, e.component_rep, marks.subgroups[s][1])
+                assert marks.fixed[j].get(s, {}) == want, (j, s)
+
+    @pytest.mark.parametrize("key, catalog", CASES, ids=[key for key, _ in CASES])
+    def test_fiber_marks_match_carrier_scan(self, key, catalog):
+        self.check(catalog)
+
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    def test_non_central_transports(self, weight):
+        g = a4_on_points()
+        w = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+        self.check(enumerate_basis(g, w))
+
+
 class DenseOracle:
     """The table of marks of a catalog as a dense matrix M[k][j] computed
     entry by entry, and plain back-substitution over every column."""
@@ -277,8 +338,7 @@ class DenseOracle:
         # label_counts[j][k]: label -> mark of entry j under the subgroup of row k
         self.label_counts = [
             [
-                label_marks(ej.crossed.carrier, [ej.crossed.label], ek.component_rep,
-                            ek.standard_pair[0])[0]
+                fixed_label_counts(ej.crossed, ek.component_rep, ek.standard_pair[0])
                 if ek.component_rep == ej.component_rep else {}
                 for ek in entries
             ]

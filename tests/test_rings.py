@@ -263,6 +263,14 @@ class TestHadamard:
         ring = hadamard_ring(s3, s3_natural)
         assert ring.dim == 2
 
+    @pytest.mark.parametrize("build", [hadamard_ring, rings.hadamard_ring_by_decomposition])
+    def test_gmonoid_target_is_a_ring_mismatch(self, c2, build):
+        # a G-monoid is not a G-set: the slice is over its underlying() G-set
+        conj = gb.conjugation_action(c2)
+        with pytest.raises(RingMismatch, match="over a G-set"):
+            build(c2, conj)
+        assert build(c2, conj.underlying()).dim == 4
+
     def test_unit_need_not_be_a_basis_vector(self, c2):
         x = fixed_points_gset(c2, 2)
         ring = hadamard_ring(c2, x)

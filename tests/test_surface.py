@@ -11,6 +11,7 @@ import gburnside
 import gburnside.crossed
 import gburnside.errors
 import gburnside.groupoid
+import gburnside.gsets
 from gburnside.groupoid import FiniteGroupoid, GroupoidFunctor
 
 MOVED_TO_ORACLES = [
@@ -25,11 +26,15 @@ MOVED_TO_ORACLES = [
     "transport_connected",
     "NotSubgroupoid",
     "NotWide",
+    "marks",
+    "check_subgroup",
+    "NotSubgroup",
 ]
 
 
 @pytest.mark.parametrize(
-    "module", [gburnside, gburnside.groupoid, gburnside.crossed, gburnside.errors],
+    "module",
+    [gburnside, gburnside.groupoid, gburnside.gsets, gburnside.crossed, gburnside.errors],
     ids=lambda m: m.__name__,
 )
 def test_moved_names_are_not_in_the_package(module):
