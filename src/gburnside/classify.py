@@ -5,7 +5,10 @@ rings.
 Coordinates over the basis come from the table of marks (``MarkTable``):
 a labeled G-set is determined up to isomorphism by how many of its
 elements each (subgroup, label) pair fixes, and the marks of the basis
-form a triangular integer matrix.  ``express_by_decomposition`` is the
+form a triangular integer matrix.  The marks of a labeled G-set come
+from its fixed points, and those of a transitive one from its fiber of
+cosets (``CosetFiber``), which is how the basis and the columns of the
+theorem homs in ``rings`` are read.  ``express_by_decomposition`` is the
 reference route, by orbit decomposition and transporter search.
 
 Labels live in a target G-set: the weight G-monoid of the crossed
@@ -18,7 +21,9 @@ invariant label) up to simultaneous conjugacy and realizes each class as an
 induced crossed set; subgroup classes are built class by class (Neubuser,
 1960), extending one member by one element per coset, and the label values
 of one class share one coset fiber, which gives their marks.  A basis
-carrier is built only when something reads it.
+carrier is built only when something reads it: the reference routes, the
+brute-force comparison and the sampler.  The plain subgroup lattice, the
+oracle of the class walk, is kept outside the package.
 ``brute_force_basis`` instead enumerates invariant partitions of the
 morphisms out of a component representative (every transitive carrier
 arises as such a quotient), attaches every consistent label, and
@@ -67,27 +72,6 @@ def subgroup_closure(table: list[list[int]], seed) -> frozenset[int]:
                     fresh.append(c)
         frontier = fresh
     return frozenset(elems)
-
-
-def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
-    """Every subgroup, sorted by (order, sorted elements), by the plain
-    walk: each one found is extended by every element outside it.  None of
-    the cuts of the class walk, which this lattice is the oracle of."""
-    trivial = frozenset({identity_and_inverses(table)[0]})
-    gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        fresh = []
-        for sub in frontier:
-            for a in range(len(table)):
-                if a not in sub:
-                    seed = gens[sub] + (a,)
-                    grown = subgroup_closure(table, seed)
-                    if grown not in gens:
-                        gens[grown] = seed
-                        fresh.append(grown)
-        frontier = fresh
-    return sorted(gens, key=lambda h: (len(h), sorted(h)))
 
 
 def _subgroup_classes(table) -> list[tuple[list[frozenset[int]], list[int]]]:
@@ -465,11 +449,20 @@ class MarkTable:
         fixed: dict[int, dict[int, int]] = {}
         for rep in self.at_rep:
             fixed.update(self._fixed(partial(fixed_points, carrier, rep), [label[rep]], rep)[0])
+        return self._covering(fixed, carrier.total_size)
+
+    def express_fiber(self, rep: int, fixed_by, labels: list[int], total: int) -> list[int]:
+        """Coordinates of a transitive labeled G-set of ``total`` elements
+        from its fiber at the component representative rep: ``fixed_by(K)``
+        lists the fiber points that K fixes, and ``labels`` labels them."""
+        return self._covering(self._fixed(fixed_by, [labels], rep)[0], total)
+
+    def _covering(self, fixed: dict[int, dict[int, int]], total: int) -> list[int]:
         coords = self._dense(self._solve(self._marks(fixed)))
         covered = sum(n * t for n, t in zip(coords, self.totals))
-        if covered != carrier.total_size:
+        if covered != total:
             raise UnmatchedPiece(
-                f"coordinates account for {covered} of {carrier.total_size} "
+                f"coordinates account for {covered} of {total} "
                 f"elements; a transitive piece matched no catalog entry"
             )
         return coords

@@ -234,7 +234,7 @@ def _cmd_validate(job: JobSpec):
         if job.weight is not None:
             weight = _get_weight(job, g)
             report["weight"] = {"sizes": [weight.size(x) for x in g.objects]}
-        if job.gset:
+        if job.gset is not None:
             obj = _load_json(job.gset)
             if "labels" in obj:
                 if weight is None:
@@ -404,7 +404,7 @@ def _verify_marks(job: JobSpec, g: FiniteGroupoid):
     weight = _get_weight(job, g)
     routes = [("crossed-burnside", crossed_burnside_ring(g, weight),
                crossed_burnside_ring_by_decomposition(g, weight))]
-    if job.gset:
+    if job.gset is not None:
         x = parse_gset(_load_json(job.gset), g)
         routes.append(("hadamard", hadamard_ring(g, x), hadamard_ring_by_decomposition(g, x)))
     rings = []

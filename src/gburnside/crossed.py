@@ -2,14 +2,16 @@
 slice category over it.  The target is usually a G-monoid (the weight),
 but labels may live in any G-set: only the tensor product (labels multiply
 in the weight monoid), the monoidal unit and the braiding need the monoid.
-Also here: the coherence isomorphisms, the braiding over the conjugation
-weight, distributivity, the trivial-label embedding, and transport along
-the equivalence between a groupoid's component and an isotropy group, for
-any weight: ``restrict`` pulls a carrier or weight back along the
-inclusion (the reduction and decomposition homs in ``rings``), and
-``induce`` spreads a fiber back along the retraction (the basis carriers
-in ``classify``).  The round trip that proves the two inverse up to
-isomorphism is a test oracle, kept outside the package.
+Also here: the associator, the braiding over the conjugation weight,
+distributivity, and transport along the equivalence between a groupoid's
+component and an isotropy group, for any weight: ``restrict`` pulls a
+carrier or weight back along the inclusion (the target weights of the
+reduction and decomposition homs in ``rings``, whose columns come from
+coset fibers; ``transport_restrict`` is the carrier route they are checked
+against), and ``induce`` spreads a fiber back along the retraction (the
+basis carriers in ``classify``).  The round trip that proves the two
+inverse up to isomorphism, both unitors and the trivial-label embedding
+are test oracles, kept outside the package.
 
 Products, coproducts and coherence maps are built, not proved: they are
 index formulas on the dense ids that products and coproducts assign (see
@@ -214,18 +216,6 @@ def associator(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet) -> CrossedMap:
     return CrossedMap(src, tgt, _identity_components(src))
 
 
-def left_unitor(c: CrossedGSet) -> CrossedMap:
-    """(1, x) -> x from I (x) X to X: the identity on ids, as |I| = 1."""
-    src = tensor(unit_object(c.carrier.base, c.weight), c)
-    return CrossedMap(src, c, _identity_components(c))
-
-
-def right_unitor(c: CrossedGSet) -> CrossedMap:
-    """(x, 1) -> x from X (x) I to X: the identity on ids, as |I| = 1."""
-    src = tensor(c, unit_object(c.carrier.base, c.weight))
-    return CrossedMap(src, c, _identity_components(c))
-
-
 def tensor_map(f: CrossedMap, g: CrossedMap) -> CrossedMap:
     """f (x) g on tensor products, componentwise on pairs."""
     src = tensor(f.source, g.source)
@@ -317,18 +307,7 @@ def distributivity_iso(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet) -> Cro
     return CrossedMap(src, tgt, comps)
 
 
-# -- trivial labels and transport -------------------------------------------------
-
-def trivial_label_embed(x: GSet, s: GMonoid) -> CrossedGSet:
-    """Label every element by the weight unit (the embedding functor on
-    objects); tensor of trivially-labeled sets is the trivially-labeled
-    product."""
-    if not same_base(x.base, s.base):
-        raise BaseMismatch("G-set and weight live over different groupoids")
-    return CrossedGSet(
-        x, s, [[s.unit(o)] * x.size(o) for o in x.base.objects]
-    ).validate()
-
+# -- transport ---------------------------------------------------------------
 
 def restrict(x: GSet | GMonoid, z: int) -> GSet | GMonoid:
     """Pull a G-set or a G-monoid back along the inclusion of the isotropy

@@ -3,10 +3,13 @@ ring of a groupoid, the Hadamard ring of a slice over a G-set, and the
 crossed Burnside ring of a G-monoid, together with the theorem witnesses:
 the trivial-label embedding, connected reduction, component decomposition,
 and the action-groupoid comparison, each built column by column from its
-theorem and then verified (the comparison pushes forward along G x X -> G).
-Reduction and decomposition take any weight: each basis carrier is
-restricted to an isotropy group, into the crossed Burnside ring of the
-weight restricted there.
+theorem and then verified.  A column is the image of a basis entry, read
+off the entry's coset fiber and solved in the target's table of marks, so
+no carrier is built: the embedding labels every coset by the unit;
+reduction and decomposition move the fiber to an isotropy group along a
+transport, for any weight, into the crossed Burnside ring of the weight
+restricted there; the comparison pushes forward along G x X -> G.  The
+same maps on built carriers are test oracles.
 
 All three rings are free on one kind of basis: the transitive G-sets
 labeled in a target, classified by ``enumerate_basis`` as pairs (H, t in
@@ -58,20 +61,21 @@ from operator import add, mul
 from .errors import NotConnected, NotNatural, RingMismatch
 from .classify import (
     BasisCatalog,
+    CosetFiber,
+    MarkTable,
     TransitivePiece,
     enumerate_basis,
     express_by_decomposition,
     express_in_basis,
 )
-from .crossed import (
-    CrossedGSet,
-    restrict,
-    tensor,
-    transport_restrict,
-    trivial_label_embed,
-    unit_object,
+from .crossed import CrossedGSet, restrict, tensor, unit_object
+from .groupoid import (
+    FiniteGroupoid,
+    component_transports,
+    connected_components,
+    is_connected,
+    isotropy_group,
 )
-from .groupoid import FiniteGroupoid, connected_components, is_connected, isotropy_group
 from .gsets import (
     ActionGroupoid,
     GMonoid,
@@ -540,20 +544,43 @@ def _int_det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _hom(source: RingPresentation, target: RingPresentation, cols) -> RingHom:
+    """The verified hom whose j-th column is the image of source basis
+    element j."""
+    return RingHom(source, target, [list(row) for row in zip(*cols)]).verify()
+
+
 def embedding_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
     """The Burnside ring inside the crossed Burnside ring: each transitive
-    G-set goes to its trivially-labeled class."""
+    G-set goes to its trivially-labeled class, the entry's coset fiber with
+    every coset labeled by the unit."""
     plain = burnside_ring(g)
     crossed = crossed_burnside_ring(g, weight)
+    marks = crossed.basis.marks()
     cols = []
     for entry in plain.basis.entries:
-        labeled = trivial_label_embed(entry.crossed.carrier, weight)
-        cols.append(express_in_basis(labeled, crossed.basis))
-    hom = RingHom(plain, crossed, [list(row) for row in zip(*cols)]).verify()
+        f, rep = entry.fiber, entry.component_rep
+        units = [weight.unit(rep)] * len(f.coset_reps)
+        cols.append(marks.express_fiber(rep, f.fixed_by, units, f.total))
+    hom = _hom(plain, crossed, cols)
     hom.verified["injective"] = len({tuple(col) for col in cols}) == plain.dim and all(
         sum(col) == 1 and max(col) == 1 for col in cols
     )
     return hom
+
+
+def _restricted(entry: TransitivePiece, z: int, marks: MarkTable) -> list[int]:
+    """Coordinates in ``marks``, over the isotropy group at z, of a basis
+    entry restricted to z, read off its coset fiber moved along the
+    transport t : rep -> z.  The fiber at z is the cosets tcH: a loop u
+    fixes tcH exactly when t^-1 u t lies in cHc^-1, and tcH carries the
+    label S(t)S(c)v."""
+    f, g = entry.fiber, entry.fiber.g
+    t = component_transports(g, entry.component_rep)[z]
+    ct, inv, move = g.compose_table, g.inverse, f.weight.action[t]
+    pull = [ct[ct[inv[t]][u]][t] for u in isotropy_group(g, z)[1].morphism_map]
+    return marks.express_fiber(0, lambda sub: f.fixed_by(frozenset(pull[k] for k in sub)),
+                               [move[v] for v in f.labels[entry.index]], len(f.coset_reps))
 
 
 def connected_reduction_hom(g: FiniteGroupoid, weight: GMonoid, z: int) -> RingHom:
@@ -565,11 +592,8 @@ def connected_reduction_hom(g: FiniteGroupoid, weight: GMonoid, z: int) -> RingH
     source = crossed_burnside_ring(g, weight)
     iso, _ = isotropy_group(g, z)
     target = source if iso is g else crossed_burnside_ring(iso, restrict(weight, z))
-    cols = []
-    for entry in source.basis.entries:
-        restricted = transport_restrict(entry.crossed, z)
-        cols.append(express_in_basis(restricted, target.basis))
-    return RingHom(source, target, [list(row) for row in zip(*cols)]).verify()
+    marks = target.basis.marks()
+    return _hom(source, target, [_restricted(e, z, marks) for e in source.basis.entries])
 
 
 def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
@@ -618,10 +642,9 @@ def decomposition_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
     cols = []
     for entry in source.basis.entries:
         offset, block = where[entry.component_rep]
-        restricted = transport_restrict(entry.crossed, entry.component_rep)
-        local = express_in_basis(restricted, block.basis)
+        local = _restricted(entry, entry.component_rep, block.basis.marks())
         cols.append([0] * offset + local + [0] * (target.dim - offset - block.dim))
-    return RingHom(source, target, [list(row) for row in zip(*cols)]).verify()
+    return _hom(source, target, cols)
 
 
 # -- action-groupoid comparison ---------------------------------------------------
@@ -630,28 +653,19 @@ def _ring_bijection(
     ag: ActionGroupoid, x: GSet, left: RingPresentation, right: RingPresentation
 ) -> RingHom:
     """The corollary's map from B(G x X) to the Hadamard ring over X,
-    verified.  Each basis carrier Y of ``left`` is pushed forward along the
-    projection: its fiber at o is the disjoint union of the Y(o, a) over a
-    in X(o), each element labeled by its a, and m acts on the part over a
-    by Y(m, a); the column of Y is that labeled G-set expressed in ``right``."""
-    h, proj, g = ag.groupoid, ag.projection, ag.projection.target
+    verified.  The basis element of ``left`` induced from K at the object
+    (o, a) pushes forward along the projection to the X-labeled G-set
+    induced from (proj K, a) at o; o is the component representative below
+    (o, a), as objects are numbered in (o, a) order.  Its column is read
+    off that ``CosetFiber``."""
+    g, proj = ag.projection.target, ag.projection.morphism_map
+    marks = right.basis.marks()
     cols = []
     for entry in left.basis.entries:
-        y = entry.crossed.carrier
-        labels: list[list[int]] = [[] for _ in g.objects]
-        start = []  # object of h -> offset of its part in the fiber below it
-        for obj, (o, a) in enumerate(ag.object_tags):
-            start.append(len(labels[o]))
-            labels[o].extend([a] * y.size(obj))
-        sizes = [len(lab) for lab in labels]
-        action = [[0] * sizes[g.dom[m]] for m in g.morphisms]
-        for t, m in enumerate(proj.morphism_map):
-            row, src, dst = action[m], start[h.dom[t]], start[h.cod[t]]
-            for k, v in enumerate(y.action[t]):
-                row[src + k] = dst + v
-        pushed = CrossedGSet(GSet(g, sizes, action), x, labels)
-        cols.append(express_in_basis(pushed, right.basis))
-    return RingHom(left, right, [list(row) for row in zip(*cols)]).verify()
+        o, a = ag.object_tags[entry.component_rep]
+        f = CosetFiber(g, x, o, frozenset(proj[k] for k in entry.standard_pair[0]), [a])
+        cols.append(marks.express_fiber(o, f.fixed_by, f.labels[0], f.total))
+    return _hom(left, right, cols)
 
 
 def action_groupoid_iso_check(g: FiniteGroupoid, x: GSet) -> dict:

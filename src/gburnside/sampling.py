@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .classify import all_subgroups, induced_crossed
+from .classify import induced_crossed, subgroup_conjugacy_classes
 from .crossed import CrossedGSet, crossed_coproduct, empty_crossed
 from .groupoid import FiniteGroupoid, connected_components, isotropy_group
 from .gsets import GMonoid, GSet
@@ -20,14 +20,15 @@ from .gsets import GMonoid, GSet
 def _orbit_options(g: FiniteGroupoid, weight: GMonoid):
     """Every (component rep, subgroup as loop ids, invariant labels, piece
     fiber size, component objects, induced pieces by label) available to
-    the sampler.  A cached piece is only read: every sample gets fresh
-    lists from shuffle_fibers."""
+    the sampler, subgroups by (order, sorted elements).  A cached piece is
+    only read: every sample gets fresh lists from shuffle_fibers."""
     options = []
     comps = connected_components(g)
     for rep, cls in zip(comps.representatives, comps.classes):
         iso, inclusion = isotropy_group(g, rep)
         loops = inclusion.morphism_map
-        for sub in all_subgroups(iso.compose_table):
+        subs = [h for members in subgroup_conjugacy_classes(iso.compose_table) for h in members]
+        for sub in sorted(subs, key=lambda h: (len(h), sorted(h))):
             sub_loops = frozenset(loops[h] for h in sub)
             invariant = [
                 v

@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from gburnside.classify import MarkTable
+from gburnside.classify import MarkTable, express_by_decomposition, subgroup_closure
 from gburnside.crossed import (
     CrossedGSet,
     CrossedMap,
@@ -14,9 +14,7 @@ from gburnside.crossed import (
     compose_crossed_maps,
     identity_crossed_map,
     induce,
-    left_unitor,
     restrict,
-    right_unitor,
     tensor,
     tensor_map,
     transport_restrict,
@@ -37,19 +35,42 @@ from gburnside.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
     component_transports,
+    connected_components,
     direct_product,
+    identity_and_inverses,
     isotropy_group,
     pair_groupoid,
     retraction,
 )
-from gburnside.gsets import GMonoid, GSet, fixed_points, same_base
-from gburnside.rings import RingPresentation
+from gburnside.gsets import ActionGroupoid, GMonoid, GSet, fixed_points, same_base
+from gburnside.rings import RingHom, RingPresentation
 
 
 def mark_solve(marks: MarkTable, phi: list[int]) -> list[int]:
     """The coordinates with the row marks ``phi``, as a dense vector; the
     back-substitution runs over the non-zero marks only."""
     return marks._dense(marks._solve({k: v for k, v in enumerate(phi) if v}))
+
+
+def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
+    """Every subgroup, sorted by (order, sorted elements), by the plain
+    walk: each one found is extended by every element outside it.  None of
+    the cuts of the class walk, which this lattice is the oracle of."""
+    trivial = frozenset({identity_and_inverses(table)[0]})
+    gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        fresh = []
+        for sub in frontier:
+            for a in range(len(table)):
+                if a not in sub:
+                    seed = gens[sub] + (a,)
+                    grown = subgroup_closure(table, seed)
+                    if grown not in gens:
+                        gens[grown] = seed
+                        fresh.append(grown)
+        frontier = fresh
+    return sorted(gens, key=lambda h: (len(h), sorted(h)))
 
 
 class NotSubgroup(GBError):
@@ -315,6 +336,18 @@ def invert_crossed_map(m: CrossedMap) -> CrossedMap:
     return CrossedMap(m.target, m.source, inv)
 
 
+def left_unitor(c: CrossedGSet) -> CrossedMap:
+    """(1, x) -> x from I (x) X to X: the identity on ids, as |I| = 1."""
+    src = tensor(unit_object(c.carrier.base, c.weight), c)
+    return CrossedMap(src, c, identity_crossed_map(c).components)
+
+
+def right_unitor(c: CrossedGSet) -> CrossedMap:
+    """(x, 1) -> x from X (x) I to X: the identity on ids, as |I| = 1."""
+    src = tensor(c, unit_object(c.carrier.base, c.weight))
+    return CrossedMap(src, c, identity_crossed_map(c).components)
+
+
 @dataclass
 class CoherenceIsos:
     associator: CrossedMap
@@ -425,3 +458,78 @@ def ring_eq(a: RingElement, b: RingElement) -> bool:
     if a.ring is not b.ring:
         raise RingMismatch("elements of different rings")
     return a.coords == b.coords
+
+
+# -- the theorem homs on carriers --------------------------------------------------
+#
+# The reference route of the four hom builders in ``rings``: every basis
+# carrier is built, mapped as a crossed set, and decomposed over the target
+# catalog by transporter search.
+
+def trivial_label_embed(x: GSet, s: GMonoid) -> CrossedGSet:
+    """Label every element by the weight unit (the embedding functor on
+    objects); tensor of trivially-labeled sets is the trivially-labeled
+    product."""
+    if not same_base(x.base, s.base):
+        raise BaseMismatch("G-set and weight live over different groupoids")
+    return CrossedGSet(
+        x, s, [[s.unit(o)] * x.size(o) for o in x.base.objects]
+    ).validate()
+
+
+def pushforward(ag: ActionGroupoid, x: GSet, y: GSet) -> CrossedGSet:
+    """A G x X-set y pushed forward along the projection: its fiber at o
+    is the disjoint union of the y(o, a) over a in X(o), each element
+    labeled by its a, and m acts on the part over a by y(m, a)."""
+    h, proj, g = ag.groupoid, ag.projection, ag.projection.target
+    labels: list[list[int]] = [[] for _ in g.objects]
+    start = []  # object of h -> offset of its part in the fiber below it
+    for obj, (o, a) in enumerate(ag.object_tags):
+        start.append(len(labels[o]))
+        labels[o].extend([a] * y.size(obj))
+    sizes = [len(lab) for lab in labels]
+    action = [[0] * sizes[g.dom[m]] for m in g.morphisms]
+    for t, m in enumerate(proj.morphism_map):
+        row, src, dst = action[m], start[h.dom[t]], start[h.cod[t]]
+        for k, v in enumerate(y.action[t]):
+            row[src + k] = dst + v
+    return CrossedGSet(GSet(g, sizes, action), x, labels).validate()
+
+
+def _carrier_matrix(hom: RingHom, image) -> list[list[int]]:
+    """The matrix whose j-th column is ``image(e)`` for source basis entry
+    e: its coordinates in the target, from its built carrier."""
+    return [list(row) for row in zip(*map(image, hom.source.basis.entries))]
+
+
+def embedding_matrix(hom: RingHom) -> list[list[int]]:
+    catalog = hom.target.basis
+    return _carrier_matrix(hom, lambda e: express_by_decomposition(
+        trivial_label_embed(e.crossed.carrier, catalog.weight), catalog))
+
+
+def reduction_matrix(hom: RingHom, z: int) -> list[list[int]]:
+    catalog = hom.target.basis
+    return _carrier_matrix(
+        hom, lambda e: express_by_decomposition(transport_restrict(e.crossed, z), catalog))
+
+
+def decomposition_matrix(hom: RingHom) -> list[list[int]]:
+    """Each entry restricted to its component representative and expressed
+    in that component's block of the product."""
+    blocks = hom.target.basis  # one catalog per component, in representative order
+    reps = connected_components(hom.source.basis.base).representatives
+
+    def image(e):
+        k = reps.index(e.component_rep)
+        before = sum(b.dim for b in blocks[:k])
+        local = express_by_decomposition(transport_restrict(e.crossed, e.component_rep), blocks[k])
+        return [0] * before + local + [0] * (hom.target.dim - before - len(local))
+
+    return _carrier_matrix(hom, image)
+
+
+def pushforward_matrix(hom: RingHom, ag: ActionGroupoid, x: GSet) -> list[list[int]]:
+    catalog = hom.target.basis
+    return _carrier_matrix(hom, lambda e: express_by_decomposition(
+        pushforward(ag, x, e.crossed.carrier), catalog))

@@ -13,7 +13,6 @@ import gburnside as gb
 from gburnside import classify
 from gburnside.classify import (
     BasisCatalog,
-    all_subgroups,
     are_isomorphic,
     brute_force_basis,
     crossed_fingerprint,
@@ -27,7 +26,7 @@ from gburnside.errors import UnmatchedPiece, WeightMismatch
 from gburnside.sampling import sample_many, shuffle_fibers
 
 from conftest import GROUP_TABLES_LEQ8, cyclic_table, regular_gset, table_product
-from oracles import validate_crossed
+from oracles import all_subgroups, validate_crossed
 
 
 def exhaustive_iso_exists(c1, c2) -> bool:

@@ -104,6 +104,15 @@ class TestCommands:
         code, _ = run_cli(capsys, "validate", "--groupoid", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["validate"], ["verify", "marks"]])
+    def test_empty_gset_path_exits_2(self, inputs, capsys, command):
+        # an empty path names no file; it is not an omitted flag
+        code = main([*command, "--groupoid", inputs["c2.json"], "--gset", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: input file not found: \n"
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

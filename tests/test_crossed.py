@@ -8,7 +8,7 @@ import pytest
 
 import gburnside as gb
 import gburnside.crossed as crossed_module
-from gburnside.classify import all_subgroups, are_isomorphic, enumerate_basis, induced_crossed
+from gburnside.classify import are_isomorphic, enumerate_basis, induced_crossed
 from gburnside.crossed import (
     associator,
     braiding,
@@ -19,12 +19,9 @@ from gburnside.crossed import (
     distributivity_iso,
     empty_crossed,
     identity_crossed_map,
-    left_unitor,
     restrict,
-    right_unitor,
     tensor,
     transport_restrict,
-    trivial_label_embed,
     unit_object,
 )
 from gburnside.errors import (
@@ -38,12 +35,16 @@ from gburnside.sampling import sample_many
 
 from conftest import regular_gset, fixed_points_gset
 from oracles import (
+    all_subgroups,
     coherence_isos,
     invert_crossed_map,
+    left_unitor,
+    right_unitor,
     sampled_pentagon_and_triangle,
     transport_connected,
     transport_induce,
     transports,
+    trivial_label_embed,
     underlying_gset,
     validate_crossed,
 )

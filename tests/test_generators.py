@@ -14,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
 from gburnside import groupoid, gsets
-from gburnside.classify import all_subgroups, subgroup_closure
+from gburnside.classify import subgroup_closure
 from gburnside.errors import GBError
 from gburnside.groupoid import FiniteGroupoid, generating_set, loop_table
 from gburnside.gsets import GMonoid, GSet, Monoid
 
 from conftest import build_corpus, editable_tables, regular_gset
+from oracles import all_subgroups
 
 CORPUS = build_corpus()
 

@@ -13,7 +13,7 @@ from gburnside import classify
 from gburnside.classify import (
     BasisCatalog,
     MarkTable,
-    all_subgroups,
+    TransitivePiece,
     enumerate_basis,
     express_by_decomposition,
     express_in_basis,
@@ -34,7 +34,15 @@ from gburnside.rings import (
 from gburnside.sampling import sample_many
 
 from conftest import build_corpus, regular_gset
-from oracles import fixed_label_counts, mark_solve
+from oracles import (
+    all_subgroups,
+    decomposition_matrix,
+    embedding_matrix,
+    fixed_label_counts,
+    mark_solve,
+    pushforward_matrix,
+    reduction_matrix,
+)
 
 CORPUS = build_corpus()
 NAMES = sorted(CORPUS)
@@ -74,36 +82,43 @@ class TestRoutesAgreeOnCorpus:
         x = gb.conjugation_action(g).underlying() if over == "conjugation" else regular_gset(g)
         assert_same_ring(hadamard_ring(g, x), hadamard_ring_by_decomposition(g, x))
 
+    # Each hom reads its columns off coset fibers; the carrier oracle builds
+    # every source basis carrier, maps it and decomposes the image.
+
     @staticmethod
-    def both_routes(monkeypatch, build):
-        """build() with the hom columns from marks, then from the reference
-        route (the homs call ``rings.express_in_basis`` for every column)."""
-        fast = build().matrix
-        monkeypatch.setattr(rings, "express_in_basis", express_by_decomposition)
-        return fast, build().matrix
+    def weights(g):
+        return [gb.conjugation_action(g), gb.trivial_gmonoid(g)]
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_embedding_hom(self, name, monkeypatch):
+    def test_embedding_hom(self, name):
         g = CORPUS[name]
-        conj = gb.conjugation_action(g)
-        fast, ref = self.both_routes(monkeypatch, lambda: embedding_hom(g, conj))
-        assert fast == ref
+        for w in self.weights(g):
+            hom = embedding_hom(g, w)
+            assert hom.matrix == embedding_matrix(hom)
 
     @pytest.mark.parametrize("name", [n for n in NAMES if gb.is_connected(CORPUS[n])])
     @pytest.mark.parametrize("last", [False, True])
-    def test_connected_reduction_hom(self, name, last, monkeypatch):
+    def test_connected_reduction_hom(self, name, last):
         g = CORPUS[name]
         z = g.n_objects - 1 if last else 0
-        conj = gb.conjugation_action(g)
-        fast, ref = self.both_routes(monkeypatch, lambda: connected_reduction_hom(g, conj, z))
-        assert fast == ref
+        for w in self.weights(g):
+            hom = connected_reduction_hom(g, w, z)
+            assert hom.matrix == reduction_matrix(hom, z)
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_decomposition_hom(self, name, monkeypatch):
+    def test_decomposition_hom(self, name):
         g = CORPUS[name]
-        conj = gb.conjugation_action(g)
-        fast, ref = self.both_routes(monkeypatch, lambda: decomposition_hom(g, conj))
-        assert fast == ref
+        for w in self.weights(g):
+            hom = decomposition_hom(g, w)
+            assert hom.matrix == decomposition_matrix(hom)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_action_groupoid_pushforward(self, name):
+        g = CORPUS[name]
+        x = gb.conjugation_action(g).underlying()
+        ag = gb.action_groupoid(g, x)
+        hom = rings._ring_bijection(ag, x, burnside_ring(ag.groupoid), hadamard_ring(g, x))
+        assert hom.matrix == pushforward_matrix(hom, ag, x)
 
 
 def a4_on_points() -> gb.FiniteGroupoid:
@@ -134,6 +149,21 @@ class TestNonCentralTransports:
                 "unital": True, "multiplicative": True, "bijective": True,
             }
 
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    def test_homs_equal_carrier_oracle_at_every_object(self, weight):
+        # the reduction column moves each coset label along the transport
+        # to z; a column that left the labels as they are at the
+        # representative differs from the restricted carrier here
+        g = a4_on_points()
+        w = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+        for z in g.objects:
+            hom = connected_reduction_hom(g, w, z)
+            assert hom.matrix == reduction_matrix(hom, z), z
+        hom = decomposition_hom(g, w)
+        assert hom.matrix == decomposition_matrix(hom)
+        hom = embedding_hom(g, w)
+        assert hom.matrix == embedding_matrix(hom)
+
 
 class TestNoCarrierOnTheMarksRoute:
     @pytest.mark.parametrize("name", ["(C2xPair(2))+C3", "C2+S3", "D4"])
@@ -163,6 +193,29 @@ class TestNoCarrierOnTheMarksRoute:
             classes = len({id(e.fiber) for e in entries})
             assert calls == {"induce": classes, "GSet": classes, "GMap": len(entries)}
             calls.update(dict.fromkeys(calls, 0))
+
+    def test_hom_builders_build_no_carrier(self, monkeypatch):
+        g = CORPUS["C2+S3"]
+        conj = gb.conjugation_action(g)
+        x = conj.underlying()
+        pair = CORPUS["C2xPair(2)"]
+        calls = {"induce": 0, "crossed": 0}
+
+        def counted(*args):
+            calls["induce"] += 1
+            return induce(*args)
+
+        def read(piece):
+            calls["crossed"] += 1
+
+        induce = classify.induce
+        monkeypatch.setattr(classify, "induce", counted)
+        monkeypatch.setattr(TransitivePiece, "crossed", property(read))
+        embedding_hom(g, conj)
+        decomposition_hom(g, conj)
+        connected_reduction_hom(pair, gb.conjugation_action(pair), 1)
+        assert gb.action_groupoid_iso_check(g, x)["status"] == "ok"
+        assert calls == {"induce": 0, "crossed": 0}
 
 
 class TestMarkTable:

@@ -37,7 +37,7 @@ from conftest import (
     regular_gset,
     sparse_rows,
 )
-from oracles import RingElement, ring_add, ring_eq, ring_mul, ring_unit
+from oracles import RingElement, pushforward_matrix, ring_add, ring_eq, ring_mul, ring_unit
 
 
 @pytest.fixture(scope="module")
@@ -505,6 +505,7 @@ def test_pushforward_is_a_verified_permutation(case):
     left, right = burnside_ring(ag.groupoid), hadamard_ring(g, x)
     hom = rings._ring_bijection(ag, x, left, right)
     assert hom.verified == {"unital": True, "multiplicative": True, "bijective": True}
+    assert hom.matrix == pushforward_matrix(hom, ag, x)
     cols = list(zip(*hom.matrix))
     assert all(sum(map(abs, col)) == 1 == max(col) for col in cols)
     perm = [col.index(1) for col in cols]
