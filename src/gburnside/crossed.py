@@ -71,10 +71,6 @@ class CrossedGSet:
         self.weight = weight
         self.label: list[list[int]] = label
 
-    @property
-    def total_size(self) -> int:
-        return self.carrier.total_size
-
     def validate(self) -> "CrossedGSet":
         """The carrier is a G-set and the labels a G-map into the weight."""
         self.carrier.validate()

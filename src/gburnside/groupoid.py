@@ -9,11 +9,17 @@ Objects and morphisms are dense integers.  Composition is stored as a flat
 table indexed by (g, f) with -1 marking non-composable pairs; validation
 proves every axiom, associativity on a proved generating set (see
 ``validate_groupoid``), so corrupted tables fail loudly.
+
+A groupoid derived from others (``pair_groupoid``, ``disjoint_union``,
+``direct_product`` and ``gsets.action_groupoid``) states its id formulas
+and its composition rule, and ``tabulate`` fills and validates the table:
+that is the one path by which a derived table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     DomCodMismatch,
@@ -335,7 +341,6 @@ def group_table_from_perm_gens(gens: list[list[int]]) -> list[list[int]]:
                     elems.append(r)
                     new_frontier.append(r)
         frontier = new_frontier
-    n = len(elems)
     table = [
         [index[tuple(a[b[i]] for i in range(deg))] for b in elems] for a in elems
     ]
@@ -343,6 +348,19 @@ def group_table_from_perm_gens(gens: list[list[int]]) -> list[list[int]]:
 
 
 # -- pair groupoid, coproduct, product --------------------------------------
+
+def tabulate(n_objects, dom, cod, identity, inverse, compose) -> FiniteGroupoid:
+    """The validated groupoid on these ids whose table holds ``compose(g, f)``
+    on every composable pair (dom g == cod f) and -1 on every other pair."""
+    by_cod: list[list[int]] = [[] for _ in range(n_objects)]
+    for f, y in enumerate(cod):
+        by_cod[y].append(f)
+    table = [[SENTINEL] * len(dom) for _ in dom]
+    for g, row in enumerate(table):
+        for f in by_cod[dom[g]]:
+            row[f] = compose(g, f)
+    return validate_groupoid(FiniteGroupoid(n_objects, dom, cod, table, identity, inverse))
+
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """Groupoid on n objects with exactly one morphism per ordered pair.
@@ -354,16 +372,9 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
         raise EmptyObjectSet("pair groupoid needs at least one object")
     dom = [x for x in range(n) for _ in range(n)]
     cod = [y for _ in range(n) for y in range(n)]
-    table = [[SENTINEL] * (n * n) for _ in range(n * n)]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                table[y * n + z][x * n + y] = x * n + z
     identity = [x * n + x for x in range(n)]
     inverse = [y * n + x for x in range(n) for y in range(n)]
-    return validate_groupoid(
-        FiniteGroupoid(n, dom, cod, table, identity, inverse)
-    )
+    return tabulate(n, dom, cod, identity, inverse, lambda g, f: dom[f] * n + cod[g])
 
 
 @dataclass
@@ -400,9 +411,6 @@ class GroupoidFunctor:
                     )
         return self
 
-    def __call__(self, morphism: int) -> int:
-        return self.morphism_map[morphism]
-
 
 def disjoint_union(
     parts: list[FiniteGroupoid],
@@ -410,35 +418,22 @@ def disjoint_union(
     """Coproduct groupoid with parts reindexed in order; returns injections."""
     if not parts:
         raise EmptyObjectSet("disjoint union of no parts")
-    obj_off, mor_off = [], []
-    n_obj = n_mor = 0
-    for p in parts:
-        obj_off.append(n_obj)
-        mor_off.append(n_mor)
-        n_obj += p.n_objects
-        n_mor += p.n_morphisms
-    dom = [0] * n_mor
-    cod = [0] * n_mor
-    table = [[SENTINEL] * n_mor for _ in range(n_mor)]
-    identity = [0] * n_obj
-    inverse = [0] * n_mor
+    obj_off = list(accumulate((p.n_objects for p in parts), initial=0))
+    mor_off = list(accumulate((p.n_morphisms for p in parts), initial=0))
+    part, dom, cod, identity, inverse = [], [], [], [], []  # part[m]: the part m is from
     for k, p in enumerate(parts):
         oo, mo = obj_off[k], mor_off[k]
-        for m in p.morphisms:
-            dom[mo + m] = oo + p.dom[m]
-            cod[mo + m] = oo + p.cod[m]
-            inverse[mo + m] = mo + p.inverse[m]
-        for x in p.objects:
-            identity[oo + x] = mo + p.identity[x]
-        for g2 in p.morphisms:
-            row_src = p.compose_table[g2]
-            row_dst = table[mo + g2]
-            for f in p.morphisms:
-                if row_src[f] != SENTINEL:
-                    row_dst[mo + f] = mo + row_src[f]
-    union = validate_groupoid(
-        FiniteGroupoid(n_obj, dom, cod, table, identity, inverse)
-    )
+        part += [k] * p.n_morphisms
+        dom += [oo + x for x in p.dom]
+        cod += [oo + y for y in p.cod]
+        identity += [mo + e for e in p.identity]
+        inverse += [mo + f for f in p.inverse]
+
+    def compose(g2: int, f: int) -> int:  # composable pairs lie in one part
+        mo = mor_off[part[g2]]
+        return mo + parts[part[g2]].compose_table[g2 - mo][f - mo]
+
+    union = tabulate(obj_off[-1], dom, cod, identity, inverse, compose)
     injections = [
         GroupoidFunctor(
             p,
@@ -452,35 +447,26 @@ def disjoint_union(
 
 
 def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
-    """Product groupoid: object (a, b) -> a*|H0| + b, componentwise tables."""
+    """Product groupoid: object (a, b) -> a*|H0| + b, morphism (p, q) ->
+    p*|H1| + q, componentwise tables."""
     no, nm = h.n_objects, h.n_morphisms
-    n_obj = g.n_objects * no
-    n_mor = g.n_morphisms * nm
-    dom = [0] * n_mor
-    cod = [0] * n_mor
-    inverse = [0] * n_mor
+    dom, cod, inverse = [], [], []
     for p in g.morphisms:
-        for q in h.morphisms:
-            m = p * nm + q
-            dom[m] = g.dom[p] * no + h.dom[q]
-            cod[m] = g.cod[p] * no + h.cod[q]
-            inverse[m] = g.inverse[p] * nm + h.inverse[q]
+        for q in h.morphisms:  # in ascending id order
+            dom.append(g.dom[p] * no + h.dom[q])
+            cod.append(g.cod[p] * no + h.cod[q])
+            inverse.append(g.inverse[p] * nm + h.inverse[q])
     identity = [
         g.identity[a] * nm + h.identity[b]
         for a in g.objects
         for b in h.objects
     ]
-    table = [[SENTINEL] * n_mor for _ in range(n_mor)]
-    for p2 in g.morphisms:
-        for q2 in h.morphisms:
-            row = table[p2 * nm + q2]
-            for p1 in g.by_cod(g.dom[p2]):
-                gp = g.compose_table[p2][p1]
-                for q1 in h.by_cod(h.dom[q2]):
-                    row[p1 * nm + q1] = gp * nm + h.compose_table[q2][q1]
-    return validate_groupoid(
-        FiniteGroupoid(n_obj, dom, cod, table, identity, inverse)
-    )
+
+    def compose(m2: int, m1: int) -> int:
+        (p2, q2), (p1, q1) = divmod(m2, nm), divmod(m1, nm)
+        return g.compose_table[p2][p1] * nm + h.compose_table[q2][q1]
+
+    return tabulate(g.n_objects * no, dom, cod, identity, inverse, compose)
 
 
 # -- components, isotropy, transport morphisms ------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
     AllFibersEmpty,
@@ -31,7 +32,6 @@ from .errors import (
     NotNatural,
 )
 from .groupoid import (
-    SENTINEL,
     BindOnce,
     FiniteGroupoid,
     GroupoidFunctor,
@@ -39,7 +39,7 @@ from .groupoid import (
     generating_set,
     loop_table,
     on_generators,
-    validate_groupoid,
+    tabulate,
 )
 
 
@@ -131,9 +131,6 @@ class Monoid:
     def size(self) -> int:
         return len(self.table)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def validate(self) -> "Monoid":
         n = self.size
         for row in self.table:
@@ -195,9 +192,6 @@ class GMonoid(BindOnce):
 
     def size(self, x: int) -> int:
         return self.monoids[x].size
-
-    def mul(self, x: int, a: int, b: int) -> int:
-        return self.monoids[x].mul(a, b)
 
     def unit(self, x: int) -> int:
         return self.monoids[x].unit
@@ -355,45 +349,31 @@ class ActionGroupoid:
 
 def action_groupoid(g: FiniteGroupoid, x: GSet) -> ActionGroupoid:
     """Objects are tagged fiber elements <G, a>, ordered lexicographically;
-    a morphism <g, a> : <dom g, a> -> <cod g, g.a> exists for every g and a."""
+    a morphism <g, a> : <dom g, a> -> <cod g, g.a> exists for every g and a,
+    and <g2, g1.a> after <g1, a> is <g2 g1, a>.  The table is built by
+    ``groupoid.tabulate``."""
     if not same_base(g, x.base):
         raise BaseMismatch("G-set does not live over this groupoid")
-    obj_off = []
-    total = 0
-    for o in g.objects:
-        obj_off.append(total)
-        total += x.size(o)
     object_tags = [(o, i) for o in g.objects for i in range(x.size(o))]
-    mor_off = []
-    n_mor = 0
-    for m in g.morphisms:
-        mor_off.append(n_mor)
-        n_mor += x.size(g.dom[m])
     morphism_tags = [
         (m, i) for m in g.morphisms for i in range(x.size(g.dom[m]))
     ]
-    dom = [0] * n_mor
-    cod = [0] * n_mor
-    inverse = [0] * n_mor
-    for m in g.morphisms:
-        for i in range(x.size(g.dom[m])):
-            t = mor_off[m] + i
-            dom[t] = obj_off[g.dom[m]] + i
-            cod[t] = obj_off[g.cod[m]] + x.action[m][i]
-            inverse[t] = mor_off[g.inverse[m]] + x.action[m][i]
-    identity = [
-        mor_off[g.identity[o]] + i for o in g.objects for i in range(x.size(o))
-    ]
-    table = [[SENTINEL] * n_mor for _ in range(n_mor)]
-    for g2 in g.morphisms:
-        for g1 in g.by_cod(g.dom[g2]):
-            comp = g.compose_table[g2][g1]
-            a1 = x.action[g1]
-            for i in range(x.size(g.dom[g1])):
-                table[mor_off[g2] + a1[i]][mor_off[g1] + i] = mor_off[comp] + i
-    grpd = validate_groupoid(
-        FiniteGroupoid(total, dom, cod, table, identity, inverse)
-    )
+    # <o, i> has id obj_off[o] + i and <m, i> has id mor_off[m] + i
+    obj_off = list(accumulate(x.sizes, initial=0))
+    mor_off = list(accumulate((x.size(o) for o in g.dom), initial=0))
+    dom, cod, inverse = [], [], []
+    for m, i in morphism_tags:
+        j = x.action[m][i]
+        dom.append(obj_off[g.dom[m]] + i)
+        cod.append(obj_off[g.cod[m]] + j)
+        inverse.append(mor_off[g.inverse[m]] + j)
+    identity = [mor_off[g.identity[o]] + i for o, i in object_tags]
+
+    def compose(t2: int, t1: int) -> int:  # composable: t2 = <g2, g1.a>
+        (g2, _), (g1, a) = morphism_tags[t2], morphism_tags[t1]
+        return mor_off[g.compose_table[g2][g1]] + a
+
+    grpd = tabulate(len(object_tags), dom, cod, identity, inverse, compose)
     projection = GroupoidFunctor(
         grpd,
         g,
@@ -407,12 +387,8 @@ def _orbit_classes(x: GSet) -> list[list[tuple[int, int]]]:
     """Connected components of the action groupoid, computed directly on
     tagged elements; classes ordered by least tagged element."""
     g = x.base
-    offsets = []
-    total = 0
-    for o in g.objects:
-        offsets.append(total)
-        total += x.size(o)
-    uf = _UnionFind(total)
+    offsets = list(accumulate(x.sizes, initial=0))
+    uf = _UnionFind(offsets[-1])
     for m in g.morphisms:
         do, co = offsets[g.dom[m]], offsets[g.cod[m]]
         for i, j in enumerate(x.action[m]):

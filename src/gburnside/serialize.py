@@ -14,6 +14,8 @@ Input schemas:
   ``{"trivial": true}``.
 * crossed set: a G-set body plus ``{"labels": {"0": [...], ...}}``.
 
+A groupoid, ``group`` or G-monoid object names exactly one form: one with
+fields of two (``{"pair": 2, "group": ...}``) is refused, naming them.
 Object and morphism id keys are canonical decimals: ``"00"`` is refused.
 """
 
@@ -76,32 +78,49 @@ def _id_key(key: str, n: int, what: str, kind: str) -> int:
     return k
 
 
+def _one_form(obj: dict, forms: tuple[str, ...], what: str) -> str | None:
+    """The first field that ``obj`` names of the one form it uses, each
+    form given as its fields separated by spaces, or None if it names none.
+    An object naming fields of two forms is ambiguous and refused."""
+    named = [[f for f in form.split() if f in obj] for form in forms]
+    used = [fields for fields in named if fields]
+    conflict = ", ".join(repr(f) for fields in used for f in fields)
+    _expect(len(used) < 2, f"{what} names more than one form: {conflict}")
+    return used[0][0] if used else None
+
+
+_EXPLICIT = "objects morphisms compose identity inverse"
+
+
 def parse_groupoid(obj) -> FiniteGroupoid:
     _expect(isinstance(obj, dict), "groupoid input must be a JSON object")
-    if "pair" in obj:
+    forms = ("pair", "group", "disjoint_union", "product", _EXPLICIT)
+    form = _one_form(obj, forms, "groupoid input")
+    if form == "pair":
         _expect(_is_int(obj["pair"]), "field 'pair' must be an integer")
         return pair_groupoid(obj["pair"])
-    if "group" in obj:
+    if form == "group":
         spec = obj["group"]
         _expect(isinstance(spec, dict), "field 'group' must be an object")
-        if "table" in spec:
+        form = _one_form(spec, ("table", "perm_gens"), "field 'group'")
+        if form == "table":
             return from_group(_int_rows(spec["table"], "field 'group.table'"))
-        if "perm_gens" in spec:
+        if form == "perm_gens":
             gens = _int_rows(spec["perm_gens"], "field 'group.perm_gens'")
             return from_group(group_table_from_perm_gens(gens))
         raise ParseError("field 'group' needs 'table' or 'perm_gens'")
-    if "disjoint_union" in obj:
+    if form == "disjoint_union":
         parts = obj["disjoint_union"]
         _expect(isinstance(parts, list) and parts, "field 'disjoint_union' must be a non-empty list")
         return disjoint_union([parse_groupoid(p) for p in parts])[0]
-    if "product" in obj:
+    if form == "product":
         parts = obj["product"]
         _expect(isinstance(parts, list) and parts, "field 'product' must be a non-empty list")
         out = parse_groupoid(parts[0])
         for p in parts[1:]:
             out = direct_product(out, parse_groupoid(p))
         return out
-    for field in ("objects", "morphisms", "compose", "identity", "inverse"):
+    for field in _EXPLICIT.split():
         _expect(field in obj, f"groupoid input is missing field '{field}'")
     _expect(_is_int(obj["objects"]), "field 'objects' must be an integer")
     morphisms = obj["morphisms"]
@@ -171,10 +190,10 @@ def parse_gset(obj, g: FiniteGroupoid) -> GSet:
 
 def parse_gmonoid(obj, g: FiniteGroupoid) -> GMonoid:
     _expect(isinstance(obj, dict), "G-monoid input must be a JSON object")
-    if obj.get("conjugation"):
-        return conjugation_action(g)
-    if obj.get("trivial"):
-        return trivial_gmonoid(g)
+    form = _one_form(obj, ("conjugation", "trivial", "monoids fibers action"), "G-monoid input")
+    if form in ("conjugation", "trivial"):
+        _expect(obj[form] is True, f"field '{form}' must be true")
+        return conjugation_action(g) if form == "conjugation" else trivial_gmonoid(g)
     _expect("monoids" in obj, "G-monoid input is missing field 'monoids'")
     monoid_spec = obj["monoids"]
     _expect(isinstance(monoid_spec, dict), "field 'monoids' must be an object")

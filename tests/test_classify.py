@@ -81,7 +81,7 @@ class TestAreIsomorphic:
         # do not identify because the carrier map is unique
         conj = gb.conjugation_action(s3)
         basis = enumerate_basis(s3, conj)
-        points = [e for e in basis.entries if e.crossed.total_size == 1]
+        points = [e for e in basis.entries if e.crossed.carrier.total_size == 1]
         for a, b in itertools.combinations(points, 2):
             assert are_isomorphic(a.crossed, b.crossed) is None
 
@@ -115,7 +115,7 @@ class TestAreIsomorphic:
         g = corpus["C2+S3"]
         conj = gb.conjugation_action(g)
         samples = sample_many(g, conj, 14, seed=23, max_fiber=3, max_orbits=2)
-        small = [c for c in samples if c.total_size <= 6]
+        small = [c for c in samples if c.carrier.total_size <= 6]
         assert len(small) >= 6
         checked = 0
         for a, b in itertools.combinations(small, 2):

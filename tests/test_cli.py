@@ -159,6 +159,15 @@ class TestCommands:
         assert captured.out == ""
         assert "fiber key '00'" in captured.err
 
+    def test_two_groupoid_forms_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "pair_and_group.json"
+        p.write_text(json.dumps({"pair": 2, "group": {"table": [[0]]}}))
+        code = main(["components", "--groupoid", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: groupoid input names more than one form: 'pair', 'group'\n"
+
     def test_boolean_pair_exits_2(self, tmp_path, capsys):
         p = tmp_path / "pair_true.json"
         p.write_text(json.dumps({"pair": True}))

@@ -360,7 +360,7 @@ class TestCosetMarks:
         marks = catalog.marks()
         for j, e in enumerate(catalog.entries):
             e.crossed.validate()
-            assert marks.totals[j] == e.fiber.total == e.crossed.total_size
+            assert marks.totals[j] == e.fiber.total == e.crossed.carrier.total_size
             for s in marks.at_rep[e.component_rep]:
                 want = fixed_label_counts(e.crossed, e.component_rep, marks.subgroups[s][1])
                 assert marks.fixed[j].get(s, {}) == want, (j, s)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gburnside as gb
-from gburnside.errors import MissingInverse, NotAGroup, NotNatural
+from gburnside.errors import DomCodMismatch, MissingInverse, NotAGroup, NotNatural
 from gburnside.serialize import (
     ParseError,
     groupoid_to_obj,
@@ -85,6 +85,27 @@ class TestParseGroupoid:
         with pytest.raises(ParseError, match="'pair'"):
             parse_groupoid({"pair": flag})
 
+    def test_entry_on_non_composable_pair_rejected(self):
+        # Pair(2): morphism 1 is 0 -> 1, so 1 after 1 is not composable
+        obj = groupoid_to_obj(gb.pair_groupoid(2))
+        obj["compose"].append([1, 1, 1])
+        with pytest.raises(DomCodMismatch, match="non-composable"):
+            parse_groupoid(obj)
+
+    @pytest.mark.parametrize("obj, fields", [
+        ({"pair": 2, "group": {"table": [[0]]}}, "'pair', 'group'"),
+        ({"product": [{"pair": 1}], "disjoint_union": [{"pair": 1}]}, "'disjoint_union', 'product'"),
+        ({"pair": 1, "objects": 1, "identity": [0]}, "'pair', 'objects', 'identity'"),
+    ])
+    def test_two_forms_refused(self, obj, fields):
+        with pytest.raises(ParseError, match=f"groupoid input names more than one form: {fields}$"):
+            parse_groupoid(obj)
+
+    def test_group_with_table_and_perm_gens_refused(self):
+        obj = {"group": {"table": [[0, 1], [1, 0]], "perm_gens": [[1, 0, 2], [1, 2, 0]]}}
+        with pytest.raises(ParseError, match="field 'group' names more than one form: 'table', 'perm_gens'$"):
+            parse_groupoid(obj)
+
     def test_objects_boolean_rejected(self):
         with pytest.raises(ParseError, match="'objects'"):
             parse_groupoid(
@@ -139,6 +160,20 @@ class TestParseGMonoid:
     def test_trivial_shorthand(self, s3):
         w = parse_gmonoid({"trivial": True}, s3)
         assert w == gb.trivial_gmonoid(s3)
+
+    @pytest.mark.parametrize("obj, fields", [
+        ({"conjugation": True, "trivial": True}, "'conjugation', 'trivial'"),
+        ({"conjugation": True, "monoids": {"0": {"table": [[0]], "unit": 0}}}, "'conjugation', 'monoids'"),
+        ({"trivial": True, "fibers": {"0": 1}, "action": {}}, "'trivial', 'fibers', 'action'"),
+    ])
+    def test_two_forms_refused(self, s3, obj, fields):
+        with pytest.raises(ParseError, match=f"G-monoid input names more than one form: {fields}$"):
+            parse_gmonoid(obj, s3)
+
+    @pytest.mark.parametrize("form", ["conjugation", "trivial"])
+    def test_shorthand_must_be_true(self, s3, form):
+        with pytest.raises(ParseError, match=f"field '{form}' must be true"):
+            parse_gmonoid({form: False}, s3)
 
     def test_explicit_monoid(self, c2):
         w = parse_gmonoid(
