@@ -217,9 +217,18 @@ def _check_axioms(g: FiniteGroupoid) -> None:
             raise DomCodMismatch(f"morphism {f} has dom/cod outside 0..{n-1}")
     if len(g.compose_table) != m or any(len(row) != m for row in g.compose_table):
         raise DomCodMismatch("compose table is not |M| x |M|")
-    for gg in range(m):
-        for f in range(m):
-            gf = g.compose_table[gg][f]
+    # y -> the f with cod f = y, in a dict: until the identity list is
+    # checked nothing bounds n, so nothing is made per object
+    into: dict[int, list[int]] = {}
+    for f, y in enumerate(g.cod):
+        into.setdefault(y, []).append(f)
+    for gg, row in enumerate(g.compose_table):
+        # -1 is on exactly the non-composable entries if it is on none of the k
+        # composable pairs and on m - k in all; else scan the row for its first witness
+        pairs = into.get(g.dom[gg], [])
+        whole = row.count(SENTINEL) + len(pairs) != m or SENTINEL in map(row.__getitem__, pairs)
+        for f in range(m) if whole else pairs:
+            gf = row[f]
             composable = g.dom[gg] == g.cod[f]
             if not composable:
                 if gf != SENTINEL:
@@ -483,42 +492,20 @@ class ComponentData:
         return len(self.classes)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller id wins, keeping representatives deterministic
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-
 def connected_components(g: FiniteGroupoid) -> ComponentData:
-    """Partition objects by x ~ y iff some morphism x -> y exists.
-
-    Classes are ordered by least object id, which is also the class
-    representative.
-    """
-    uf = _UnionFind(g.n_objects)
-    for m in g.morphisms:
-        uf.union(g.dom[m], g.cod[m])
-    buckets: dict[int, list[int]] = {}
+    """Partition objects by x ~ y iff some morphism x -> y exists, into
+    classes ordered by least object id, their representative.  In a
+    groupoid ~ is already an equivalence (identities, inverses and
+    composites are morphisms), so the class of x is the one-step image
+    {cod m : dom m = x}; ``validate_groupoid`` proves the premise first."""
+    validate_groupoid(g)
+    seen: set[int] = set()
+    classes = []
     for x in g.objects:
-        buckets.setdefault(uf.find(x), []).append(x)
-    classes = [buckets[r] for r in sorted(buckets)]
-    return ComponentData(classes=classes, representatives=sorted(buckets))
+        if x not in seen:
+            classes.append(sorted({g.cod[m] for m in g.by_dom(x)}))
+            seen.update(classes[-1])
+    return ComponentData(classes=classes, representatives=[c[0] for c in classes])
 
 
 def is_connected(g: FiniteGroupoid) -> bool:

@@ -35,7 +35,6 @@ from .groupoid import (
     BindOnce,
     FiniteGroupoid,
     GroupoidFunctor,
-    _UnionFind,
     generating_set,
     loop_table,
     on_generators,
@@ -383,25 +382,28 @@ def action_groupoid(g: FiniteGroupoid, x: GSet) -> ActionGroupoid:
     return ActionGroupoid(grpd, projection, object_tags, morphism_tags)
 
 
-def _orbit_classes(x: GSet) -> list[list[tuple[int, int]]]:
-    """Connected components of the action groupoid, computed directly on
-    tagged elements; classes ordered by least tagged element."""
+def _orbit_classes(x: GSet) -> list[list[list[int]]]:
+    """The orbits of x as their members per object, ascending, ordered by
+    least tagged element (o, i).  x is functorial, so "some m : o -> o'
+    takes i to j" is already an equivalence (identities, inverses and
+    composites act): the orbit of (o, i) is {(cod m, m.i) : dom m = o}."""
     g = x.base
-    offsets = list(accumulate(x.sizes, initial=0))
-    uf = _UnionFind(offsets[-1])
-    for m in g.morphisms:
-        do, co = offsets[g.dom[m]], offsets[g.cod[m]]
-        for i, j in enumerate(x.action[m]):
-            uf.union(do + i, co + j)
-    buckets: dict[int, list[tuple[int, int]]] = {}
+    seen: list[set[int]] = [set() for _ in g.objects]
+    out = []
     for o in g.objects:
         for i in range(x.size(o)):
-            buckets.setdefault(uf.find(offsets[o] + i), []).append((o, i))
-    return [buckets[r] for r in sorted(buckets)]
+            if i not in seen[o]:
+                members: list[set[int]] = [set() for _ in g.objects]
+                for m in g.by_dom(o):
+                    members[g.cod[m]].add(x.action[m][i])
+                out.append([sorted(js) for js in members])
+                for done, js in zip(seen, members):
+                    done |= js
+    return out
 
 
 def is_transitive(g: FiniteGroupoid, x: GSet) -> bool:
-    """Whether the action groupoid of x is connected."""
+    """Whether the action groupoid of x (functorial) is connected."""
     if not same_base(g, x.base):
         raise BaseMismatch("G-set does not live over this groupoid")
     if x.total_size == 0:
@@ -413,17 +415,13 @@ def orbit_decomposition(g: FiniteGroupoid, x: GSet) -> list[tuple[GSet, GMap]]:
     """Split x into transitive pieces with embeddings back into x.
 
     A piece numbers its elements at each object in the order of their
-    ids in x; the embedding's component lists those ids.
+    ids in x; the embedding's component lists those ids.  x must be
+    functorial: validated, or a product or coproduct of validated G-sets.
     """
     if not same_base(g, x.base):
         raise BaseMismatch("G-set does not live over this groupoid")
     out = []
-    for cls in _orbit_classes(x):
-        members: list[list[int]] = [[] for _ in g.objects]
-        for o, i in cls:
-            members[o].append(i)
-        for lst in members:
-            lst.sort()
+    for members in _orbit_classes(x):
         back = [
             {orig: k for k, orig in enumerate(lst)} for lst in members
         ]

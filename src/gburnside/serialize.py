@@ -243,11 +243,11 @@ def parse_crossed(obj, g: FiniteGroupoid, weight: GMonoid) -> CrossedGSet:
 # -- output ----------------------------------------------------------------------
 
 def groupoid_to_obj(g: FiniteGroupoid) -> dict:
+    """A valid groupoid's input form; compose lists its composable pairs."""
     compose = [
         [gg, f, g.compose_table[gg][f]]
         for gg in g.morphisms
-        for f in g.morphisms
-        if g.compose_table[gg][f] != SENTINEL
+        for f in g.by_cod(g.dom[gg])
     ]
     return {
         "objects": g.n_objects,

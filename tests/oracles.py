@@ -533,3 +533,76 @@ def pushforward_matrix(hom: RingHom, ag: ActionGroupoid, x: GSet) -> list[list[i
     catalog = hom.target.basis
     return _carrier_matrix(hom, lambda e: express_by_decomposition(
         pushforward(ag, x, e.crossed.carrier), catalog))
+
+
+def closure_classes(n: int, edges) -> list[list[int]]:
+    """The classes of the equivalence on 0..n-1 generated by the pairs in
+    ``edges``, by breadth-first search along each pair in both directions:
+    nothing is assumed of the pairs.  Classes are ascending and ordered by
+    least member."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    found = [False] * n
+    classes = []
+    for start in range(n):
+        if found[start]:
+            continue
+        found[start] = True
+        queue = [start]
+        for a in queue:  # the queue grows while it is read
+            for b in adjacent[a]:
+                if not found[b]:
+                    found[b] = True
+                    queue.append(b)
+        classes.append(sorted(queue))
+    return classes
+
+
+def closure_components(g: FiniteGroupoid) -> list[list[int]]:
+    """The connected components of g, closed from the pairs (dom m, cod m)."""
+    return closure_classes(g.n_objects, zip(g.dom, g.cod))
+
+
+def closure_orbits(x: GSet) -> list[list[list[int]]]:
+    """The orbits of x as their members per object, closed from the pairs
+    ((dom m, i), (cod m, m.i)) on tagged elements in (object, element)
+    order, so that orbits are ordered by least tagged element."""
+    g = x.base
+    tags = [(o, i) for o in g.objects for i in range(x.size(o))]
+    index = {t: k for k, t in enumerate(tags)}
+    edges = [
+        (index[g.dom[m], i], index[g.cod[m], j])
+        for m in g.morphisms
+        for i, j in enumerate(x.action[m])
+    ]
+    orbits = []
+    for cls in closure_classes(len(tags), edges):
+        members: list[list[int]] = [[] for _ in g.objects]
+        for k in cls:
+            o, i = tags[k]
+            members[o].append(i)
+        orbits.append(members)
+    return orbits
+
+
+def first_table_fault(g: FiniteGroupoid) -> str | None:
+    """The message of the first bad entry of a square composition table
+    over in-range dom/cod, scanning all |M|^2 entries row by row, or None:
+    -1 exactly on the non-composable pairs, and each composite in range
+    with the dom of f and the cod of g."""
+    m = g.n_morphisms
+    for gg in range(m):
+        for f in range(m):
+            gf = g.compose_table[gg][f]
+            if g.dom[gg] != g.cod[f]:
+                if gf != -1:
+                    return f"compose({gg}, {f}) defined on a non-composable pair"
+            elif gf == -1:
+                return f"compose({gg}, {f}) missing"
+            elif not 0 <= gf < m:
+                return f"compose({gg}, {f}) = {gf} out of range"
+            elif g.dom[gf] != g.dom[f] or g.cod[gf] != g.cod[gg]:
+                return f"compose({gg}, {f}) = {gf} has inconsistent dom/cod"
+    return None
