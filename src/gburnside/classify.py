@@ -46,7 +46,6 @@ from .groupoid import (
     component_transports,
     connected_components,
     identity_and_inverses,
-    isotropy_group,
 )
 from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition
 
@@ -74,21 +73,21 @@ def subgroup_closure(table: list[list[int]], seed) -> frozenset[int]:
     return frozenset(elems)
 
 
-def _subgroup_classes(table) -> list[tuple[list[frozenset[int]], list[int]]]:
-    """Conjugacy classes of subgroups, as in ``subgroup_conjugacy_classes``,
-    each with the normalizer of its canonical member.
+def subgroup_classes(table, elements, e, inv) -> list[tuple[list[frozenset[int]], list[int]]]:
+    """As ``subgroup_conjugacy_classes``, for the group of ``elements``
+    (ascending ids, identity e, inverses inv) in ``table``, with the
+    normalizer of each canonical member.  On a groupoid's table, the
+    loops at x name the subgroups of the isotropy group by loop ids.
 
     The orbit pass conjugates a new subgroup R by every element.  If
     b R b^-1 is the canonical member C, then a C a^-1 = C exactly when
     (ab) R (ab)^-1 = C, so N(C) = {c b^-1 : c R c^-1 = C} is read off the
     same pass."""
-    e, inv = identity_and_inverses(table)
-    n = len(table)
 
     def orbit(sub):
-        conj = [frozenset(table[table[a][h]][inv[a]] for h in sub) for a in range(n)]
+        conj = [frozenset(table[table[a][h]][inv[a]] for h in sub) for a in elements]
         members = sorted(set(conj), key=sorted)
-        onto = [c for c, k in enumerate(conj) if k == members[0]]
+        onto = [c for c, k in zip(elements, conj) if k == members[0]]
         return members, [table[c][inv[onto[0]]] for c in onto]
 
     trivial = frozenset({e})
@@ -100,7 +99,7 @@ def _subgroup_classes(table) -> list[tuple[list[frozenset[int]], list[int]]]:
         fresh = []
         for sub in frontier:
             covered = set(sub)
-            for a in range(n):
+            for a in elements:
                 if a in covered:
                     continue
                 covered.update(table[a][h] for h in sub)  # the coset a R
@@ -127,7 +126,8 @@ def subgroup_conjugacy_classes(table) -> list[list[frozenset[int]]]:
     class: any K != 1 is <M, a> for a maximal subgroup M of K and any a in
     K \\ M, and if M = c R c^-1 for the found member R of its class, then
     c^-1 K c = <R, c^-1 a c> is the extension of R by its coset of c^-1 a c."""
-    return [members for members, _ in _subgroup_classes(table)]
+    e, inv = identity_and_inverses(table)
+    return [members for members, _ in subgroup_classes(table, range(len(table)), e, inv)]
 
 
 # -- fingerprints and transitive pieces ----------------------------------------
@@ -532,11 +532,11 @@ class BasisCatalog:
 
 def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     """Classify transitive crossed sets per component by pairs (H, s), H a
-    subgroup of the isotropy group up to conjugacy and s an H-invariant
-    label up to the action of the normalizer of H (recorded by the class
-    walk), realized as induced crossed sets.  The labels live in
-    ``weight``: a G-monoid, or any G-set (the transitive objects of the
-    slice over it).
+    subgroup of the isotropy group up to conjugacy, named by its loop ids
+    (``subgroup_classes`` on the table of g), and s an H-invariant label
+    up to the action of the normalizer of H (recorded by the class walk),
+    realized as induced crossed sets.  The labels live in ``weight``: a
+    G-monoid, or any G-set (the transitive objects of the slice over it).
 
     The carrier depends on H alone: the entries of one subgroup class share
     one ``CosetFiber``, which gives their marks, and build one carrier
@@ -546,11 +546,9 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     """
     entries = []
     for rep in connected_components(g).representatives:
-        iso, inclusion = isotropy_group(g, rep)
-        loops = inclusion.morphism_map
-        weight_act = [weight.action[m] for m in loops]  # by loop index
-        for cls, normalizer in _subgroup_classes(iso.compose_table):
-            fixing = [weight_act[h] for h in cls[0]]
+        for cls, normalizer in subgroup_classes(g.compose_table, g.loops(rep),
+                                                g.identity[rep], g.inverse):
+            fixing = [weight.action[h] for h in cls[0]]
             remaining = {v for v in range(weight.size(rep)) if all(a[v] == v for a in fixing)}
             if not remaining:
                 continue  # no entry, so no fiber
@@ -558,11 +556,10 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
             while remaining:
                 v = min(remaining)
                 label_reps.append(v)
-                remaining -= {weight_act[a][v] for a in normalizer}
-            sub = frozenset(loops[h] for h in cls[0])
-            fiber = CosetFiber(g, weight, rep, sub, label_reps)
+                remaining -= {weight.action[a][v] for a in normalizer}
+            fiber = CosetFiber(g, weight, rep, cls[0], label_reps)
             entries += [
-                TransitivePiece(rep, None, (sub, v), fiber, k) for k, v in enumerate(label_reps)
+                TransitivePiece(rep, None, (cls[0], v), fiber, k) for k, v in enumerate(label_reps)
             ]
     return BasisCatalog(g, weight, entries)
 

@@ -15,12 +15,13 @@ decomposition`` restrict --weight to the isotropy groups and build their
 blocks over it, for any weight.
 
 Exit status: 0 on success or verified; 1 on a verification counterexample
-(the report carries a witness); 2 on input errors, an unreadable input
-file or an unwritable --out included.  Identical invocations with the same
-seed produce byte-identical JSON.  A report is rendered exactly as
-``json.dumps(report, indent=2, sort_keys=True)`` would render it, with each
-distinct row of a ring's table rendered once (``render_json``).  Set
-GB_LOG to quiet, info, or debug to control stderr logging.
+(the report carries a witness); 2 on input errors, an unreadable or too
+deeply nested input file or an unwritable --out included.  Identical
+invocations with the same seed produce byte-identical JSON.  A report is
+rendered exactly as ``json.dumps(report, indent=2, sort_keys=True)`` would
+render it, with each distinct row of a ring's table rendered once
+(``render_json``).  Set GB_LOG to quiet, info, or debug to control stderr
+logging.
 """
 
 from __future__ import annotations
@@ -160,6 +161,8 @@ def _load_json(path: str):
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to decode") from None
     except ParseError as exc:  # from _unique_keys
         raise ParseError(f"{path}: {exc}") from None
 
@@ -236,7 +239,7 @@ def _cmd_validate(job: JobSpec):
             report["weight"] = {"sizes": [weight.size(x) for x in g.objects]}
         if job.gset is not None:
             obj = _load_json(job.gset)
-            if "labels" in obj:
+            if isinstance(obj, dict) and "labels" in obj:
                 if weight is None:
                     weight = conjugation_action(g)
                 crossed = parse_crossed(obj, g, weight)

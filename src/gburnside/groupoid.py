@@ -528,8 +528,9 @@ def isotropy_group(
 ) -> tuple[FiniteGroupoid, GroupoidFunctor]:
     """One-object groupoid on the loops at x, with its inclusion functor.
 
-    Loop k of the isotropy group is the k-th loop of g at x in ascending
-    morphism-id order; the inclusion functor records the correspondence.
+    Loop k of the isotropy group, the group of ``loop_table``, is the k-th
+    loop of g at x in ascending morphism-id order; the inclusion functor
+    records the correspondence.
     A one-object g is its own isotropy group (loop positions are then the
     morphism ids), with the identity inclusion.  Built once per groupoid
     and object; every call returns the same pair.
@@ -540,20 +541,9 @@ def isotropy_group(
         # the identity functor of a valid groupoid needs no check
         g._isotropy[x] = (validate_groupoid(g), GroupoidFunctor(g, g, [0], list(g.morphisms)))
     elif x not in g._isotropy:
-        loops, pos, table = loop_table(g, x)
-        n = len(loops)
-        iso = validate_groupoid(
-            FiniteGroupoid(
-                n_objects=1,
-                dom=[0] * n,
-                cod=[0] * n,
-                compose_table=table,
-                identity=[pos[g.identity[x]]],
-                inverse=[pos[g.inverse[m]] for m in loops],
-            )
-        )
-        inclusion = GroupoidFunctor(iso, g, [x], list(loops)).validate()
-        g._isotropy[x] = (iso, inclusion)
+        loops, _, table = loop_table(g, x)
+        iso = from_group(table)
+        g._isotropy[x] = (iso, GroupoidFunctor(iso, g, [x], list(loops)).validate())
     return g._isotropy[x]
 
 
@@ -580,8 +570,7 @@ def retraction(g: FiniteGroupoid, t: dict[int, int]) -> list[int | None]:
     m : y -> w in the component of z, the position in isotropy(z) of the
     loop t_w^-1 m t_y; None for a morphism off the component."""
     z = g.dom[next(iter(t.values()))]
-    _, inclusion = isotropy_group(g, z)
-    pos = {m: k for k, m in enumerate(inclusion.morphism_map)}
+    pos = {m: k for k, m in enumerate(g.loops(z))}
     ct, inv, dom, cod = g.compose_table, g.inverse, g.dom, g.cod
     return [
         pos[ct[inv[t[cod[m]]]][ct[m][t[dom[m]]]]] if dom[m] in t else None

@@ -55,7 +55,7 @@ symmetry itself and then shares one packed table between both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 
 from .errors import NotConnected, NotNatural, RingMismatch
@@ -101,10 +101,6 @@ def _sparse(vec: list[int]) -> Sparse:
 
 def _combine(terms: Sparse, vecs) -> Sparse:
     """The sparse vector sum of c * vecs[n] over (n, c) in terms."""
-    if len(terms) == 1:
-        (n, c), = terms
-        vec = vecs[n]
-        return vec if c == 1 else tuple((k, c * v) for k, v in vec)
     out: dict[int, int] = {}
     for n, c in terms:
         for k, v in vecs[n]:
@@ -150,9 +146,9 @@ def _distinct(rows: list[list[Sparse]]) -> tuple[list[list[int]], list[Sparse]]:
     return pid, list(index)
 
 
-def _symmetric(pid: list[list[int]]) -> bool:
-    """Whether a product-id table has e_i e_j = e_j e_i throughout."""
-    return list(map(tuple, pid)) == list(zip(*pid))
+def _symmetric(table) -> bool:
+    """Whether a square table has t[i][j] = t[j][i] throughout."""
+    return list(map(tuple, table)) == list(zip(*table))
 
 
 def _lincomb(terms: Sparse, vecs, length: int) -> tuple[int, ...]:
@@ -336,7 +332,7 @@ def _convolution(weight: GMonoid):
 
 def _commutes(weight: GMonoid) -> bool:
     """Whether every weight monoid is commutative, on all pairs."""
-    return all(list(zip(*m.table)) == list(map(tuple, m.table)) for m in weight.monoids)
+    return all(_symmetric(m.table) for m in weight.monoids)
 
 
 def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentation:
@@ -544,6 +540,13 @@ def _int_det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _basis_row(col) -> int | None:
+    """The row r when a column is the basis vector e_r, that is when r
+    holds its only non-zero entry and that entry is 1; else None."""
+    nonzero = [r for r, v in enumerate(col) if v]
+    return nonzero[0] if len(nonzero) == 1 and col[nonzero[0]] == 1 else None
+
+
 def _hom(source: RingPresentation, target: RingPresentation, cols) -> RingHom:
     """The verified hom whose j-th column is the image of source basis
     element j."""
@@ -563,9 +566,8 @@ def embedding_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
         units = [weight.unit(rep)] * len(f.coset_reps)
         cols.append(marks.express_fiber(rep, f.fixed_by, units, f.total))
     hom = _hom(plain, crossed, cols)
-    hom.verified["injective"] = len({tuple(col) for col in cols}) == plain.dim and all(
-        sum(col) == 1 and max(col) == 1 for col in cols
-    )
+    rows = [_basis_row(col) for col in cols]
+    hom.verified["injective"] = None not in rows and len(set(rows)) == plain.dim
     return hom
 
 
@@ -578,7 +580,7 @@ def _restricted(entry: TransitivePiece, z: int, marks: MarkTable) -> list[int]:
     f, g = entry.fiber, entry.fiber.g
     t = component_transports(g, entry.component_rep)[z]
     ct, inv, move = g.compose_table, g.inverse, f.weight.action[t]
-    pull = [ct[ct[inv[t]][u]][t] for u in isotropy_group(g, z)[1].morphism_map]
+    pull = [ct[ct[inv[t]][u]][t] for u in g.loops(z)]
     return marks.express_fiber(0, lambda sub: f.fixed_by(frozenset(pull[k] for k in sub)),
                                [move[v] for v in f.labels[entry.index]], len(f.coset_reps))
 
@@ -635,10 +637,8 @@ def decomposition_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
         blocks.append(source if iso is g else crossed_burnside_ring(iso, restrict(weight, rep)))
     target = product_ring(blocks)
     # component representative -> (offset of its block, the block)
-    where, offset = {}, 0
-    for rep, block in zip(comps.representatives, blocks):
-        where[rep] = (offset, block)
-        offset += block.dim
+    offsets = accumulate((block.dim for block in blocks), initial=0)
+    where = dict(zip(comps.representatives, zip(offsets, blocks)))
     cols = []
     for entry in source.basis.entries:
         offset, block = where[entry.component_rep]
@@ -680,16 +680,11 @@ def action_groupoid_iso_check(g: FiniteGroupoid, x: GSet) -> dict:
         report["status"] = {"witness": "dimension mismatch"}
         return report
     hom = _ring_bijection(ag, x, left, right)
-    one = {}  # column -> row of its only entry, None unless that entry is a 1
-    for r, row in enumerate(hom.matrix):
-        for j, v in enumerate(row):
-            if v:
-                one[j] = r if v == 1 and j not in one else None
-    other = next((j for j in range(left.dim) if one.get(j) is None), None)
-    if other is not None:
+    rows = [_basis_row(col) for col in zip(*hom.matrix)]
+    if None in rows:
         report["status"] = {
             "witness": "pushforward of a basis element is not a basis element",
-            "basis_index": other,
+            "basis_index": rows.index(None),
         }
     elif not all(hom.verified[p] for p in ("unital", "multiplicative", "bijective")):
         report["status"] = {
@@ -698,5 +693,5 @@ def action_groupoid_iso_check(g: FiniteGroupoid, x: GSet) -> dict:
         }
     else:
         report["status"] = "ok"
-        report["bijection"] = [one[j] for j in range(left.dim)]
+        report["bijection"] = rows
     return report

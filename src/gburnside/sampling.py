@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 
-from .classify import induced_crossed, subgroup_conjugacy_classes
+from .classify import induced_crossed, subgroup_classes
 from .crossed import CrossedGSet, crossed_coproduct, empty_crossed
-from .groupoid import FiniteGroupoid, connected_components, isotropy_group
+from .groupoid import FiniteGroupoid, connected_components
 from .gsets import GMonoid, GSet
 
 
@@ -25,20 +25,17 @@ def _orbit_options(g: FiniteGroupoid, weight: GMonoid):
     options = []
     comps = connected_components(g)
     for rep, cls in zip(comps.representatives, comps.classes):
-        iso, inclusion = isotropy_group(g, rep)
-        loops = inclusion.morphism_map
-        subs = [h for members in subgroup_conjugacy_classes(iso.compose_table) for h in members]
+        loops = g.loops(rep)
+        walk = subgroup_classes(g.compose_table, loops, g.identity[rep], g.inverse)
+        subs = [h for members, _ in walk for h in members]
         for sub in sorted(subs, key=lambda h: (len(h), sorted(h))):
-            sub_loops = frozenset(loops[h] for h in sub)
             invariant = [
                 v
                 for v in range(weight.size(rep))
-                if all(weight.action[m][v] == v for m in sub_loops)
+                if all(weight.action[m][v] == v for m in sub)
             ]
             if invariant:
-                options.append(
-                    (rep, sub_loops, invariant, len(loops) // len(sub), cls, {})
-                )
+                options.append((rep, sub, invariant, len(loops) // len(sub), cls, {}))
     return options
 
 
@@ -81,12 +78,12 @@ def sample_crossed(
     budget = [max_fiber] * g.n_objects
     out = None
     for _ in range(rng.randint(0, max_orbits)):
-        rep, sub_loops, invariant, size, cls, pieces = rng.choice(options)
+        rep, sub, invariant, size, cls, pieces = rng.choice(options)
         if any(budget[x] < size for x in cls):
             continue
         v = rng.choice(invariant)
         if v not in pieces:
-            (pieces[v],) = induced_crossed(g, weight, rep, sub_loops, [v])
+            (pieces[v],) = induced_crossed(g, weight, rep, sub, [v])
         piece = pieces[v]
         for x in cls:
             budget[x] -= size

@@ -480,7 +480,7 @@ class TestSubgroupClasses:
         n = len(table)
         e = next(a for a in range(n) if all(table[a][b] == b for b in range(n)))
         inv = [next(b for b in range(n) if table[a][b] == e) for a in range(n)]
-        found = classify._subgroup_classes(table)
+        found = classify.subgroup_classes(table, range(n), e, inv)
         assert [cls for cls, _ in found] == subgroup_conjugacy_classes(table)
         for cls, normalizer in found:
             canon = cls[0]
@@ -488,3 +488,53 @@ class TestSubgroupClasses:
                 a for a in range(n)
                 if {table[table[a][h]][inv[a]] for h in canon} == canon
             ]
+
+
+def conjugation_action_groupoid(g: gb.FiniteGroupoid) -> gb.FiniteGroupoid:
+    return gb.action_groupoid(g, gb.conjugation_action(g).underlying()).groupoid
+
+
+def s3_pair2() -> gb.FiniteGroupoid:
+    return gb.direct_product(gb.from_group(GROUP_TABLES_LEQ8["S3"]), gb.pair_groupoid(2))
+
+
+class TestWalkOnLoopIds:
+    """The class walk on a groupoid's own table, over the loops at a
+    component representative, is the walk on the table of its isotropy
+    group, whose elements are loop positions, renamed by the inclusion:
+    the same classes in the same order, each listing the same members in
+    the same order, with the same normalizers."""
+
+    @staticmethod
+    def assert_walks_agree(g: gb.FiniteGroupoid) -> None:
+        for rep in gb.connected_components(g).representatives:
+            iso, inclusion = gb.isotropy_group(g, rep)
+            loop = inclusion.morphism_map
+            by_position = classify.subgroup_classes(
+                iso.compose_table, iso.morphisms, iso.identity[0], iso.inverse
+            )
+            by_loop = classify.subgroup_classes(
+                g.compose_table, g.loops(rep), g.identity[rep], g.inverse
+            )
+            assert [cls for cls, _ in by_loop] == [
+                [frozenset(loop[h] for h in sub) for sub in cls] for cls, _ in by_position
+            ]
+            assert [set(normalizer) for _, normalizer in by_loop] == [
+                {loop[h] for h in normalizer} for _, normalizer in by_position
+            ]
+
+    def test_corpus(self, corpus):
+        for g in corpus.values():
+            self.assert_walks_agree(g)
+
+    @pytest.mark.parametrize(
+        "build",
+        [s3_pair2, lambda: conjugation_action_groupoid(s3_pair2()),
+         lambda: conjugation_action_groupoid(gb.from_group(a4_table()))],
+        ids=["S3xPair(2)", "S3xPair(2)-conjugation", "A4-conjugation"],
+    )
+    def test_loop_ids_that_are_not_positions(self, build):
+        g = build()
+        reps = gb.connected_components(g).representatives
+        assert any(g.loops(rep) != list(range(len(g.loops(rep)))) for rep in reps)
+        self.assert_walks_agree(g)

@@ -148,6 +148,19 @@ class TestCommands:
         key = "group" if kind == "groupoid" else "0"
         assert captured.err == f"input error: {paths[kind]}: repeated key {key!r}\n"
 
+    @pytest.mark.parametrize("text", ["null", "5", "true"])
+    def test_gset_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        # validate looks for 'labels' first, which a scalar cannot hold
+        c1 = tmp_path / "c1.json"
+        c1.write_text(json.dumps({"group": {"table": [[0]]}}))
+        gset = tmp_path / "scalar.json"
+        gset.write_text(text)
+        code = main(["validate", "--groupoid", str(c1), "--gset", str(gset)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: G-set input must be a JSON object\n"
+
     def test_two_spellings_of_one_fiber_key_exit_2(self, tmp_path, capsys):
         c1 = tmp_path / "c1.json"
         c1.write_text(json.dumps({"group": {"table": [[0]]}}))
@@ -228,6 +241,29 @@ class TestCommands:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("depth", [2_000, 100_000])
+    @pytest.mark.parametrize("flag, head, tail", [
+        ("--groupoid", '{"pair": ' + "[", "]"),
+        ("--groupoid", '{"disjoint_union": [', "]}"),
+        ("--gset", '{"fibers": ' + "[", "]"),
+        ("--weight", '{"monoids": ' + "[", "]"),
+    ], ids=["groupoid-list", "groupoid-union", "gset", "weight"])
+    def test_deeply_nested_input_exits_2(self, tmp_path, capsys, flag, head, tail, depth):
+        # past the recursion limit json.load raises RecursionError, not a decode error
+        c1 = tmp_path / "c1.json"
+        c1.write_text(json.dumps({"group": {"table": [[0]]}}))
+        nested = tmp_path / "nested.json"
+        nested.write_text(head * depth + '{"pair": 1}' + tail * depth)
+        argv = ["validate", "--groupoid", str(c1), flag, str(nested)]
+        if flag == "--groupoid":
+            argv = ["validate", "--groupoid", str(nested)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"input error: {nested}: JSON nested too deeply to decode\n"
         assert "Traceback" not in captured.err
 
     def test_components(self, inputs, capsys):

@@ -6,6 +6,7 @@ import copy
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,12 +30,14 @@ from gburnside.rings import (
 )
 from gburnside.classify import subgroup_closure
 from gburnside.gsets import GSet
+from gburnside.sampling import sample_many
 
 from conftest import (
     cyclic_table,
     dense_constants,
     fixed_points_gset,
     regular_gset,
+    s3_table,
     sparse_rows,
 )
 from oracles import RingElement, pushforward_matrix, ring_add, ring_eq, ring_mul, ring_unit
@@ -246,6 +249,22 @@ class TestEmbedding:
             for col in cols:
                 assert sum(col) == 1 and set(col) <= {0, 1}
 
+    def test_column_summing_to_one_is_not_a_basis_image(self, c2, monkeypatch):
+        # (1, 1, -1, 0) has sum 1 and max 1 and is distinct from (1, 0, 0, 0),
+        # but it is not a basis element, so the embedding is not injective
+        express = gb.classify.MarkTable.express_fiber
+        calls = []
+
+        def second_column_corrupted(self, *args):
+            calls.append(args)
+            return [1, 1, -1, 0] if len(calls) == 2 else express(self, *args)
+
+        monkeypatch.setattr(gb.classify.MarkTable, "express_fiber", second_column_corrupted)
+        hom = embedding_hom(c2, gb.conjugation_action(c2))
+        assert len(calls) == 2
+        assert [list(col) for col in zip(*hom.matrix)] == [[1, 0, 0, 0], [1, 1, -1, 0]]
+        assert hom.verified["injective"] is False
+
 
 class TestHadamard:
     def test_terminal_slice_recovers_burnside(self, s3):
@@ -421,6 +440,49 @@ class TestDecomposition:
                     )
             offset += block.dim
         assert prod.dim == offset
+
+
+@pytest.fixture
+def isotropy_calls(monkeypatch) -> list[tuple[gb.FiniteGroupoid, int]]:
+    """The (groupoid, object) of every ``isotropy_group`` call made through
+    any gburnside module that binds the name."""
+    calls = []
+    original = gb.groupoid.isotropy_group
+
+    def counted(g, x):
+        calls.append((g, x))
+        return original(g, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gburnside" and getattr(module, "isotropy_group", None) is original:
+            monkeypatch.setattr(module, "isotropy_group", counted)
+    return calls
+
+
+class TestIsotropyGroupCalls:
+    """Subgroups are named by loop ids on the groupoid's own table, so an
+    isotropy groupoid is built only where a one-object base is needed."""
+
+    @staticmethod
+    def s3_pair2():
+        return gb.direct_product(gb.from_group(s3_table()), gb.pair_groupoid(2))
+
+    def test_rings_comparison_and_sampler_build_none(self, isotropy_calls):
+        g = self.s3_pair2()
+        conj = gb.conjugation_action(g)
+        crossed_burnside_ring(g, conj)
+        burnside_ring(g)
+        hadamard_ring(g, conj.underlying())
+        assert action_groupoid_iso_check(g, conj.underlying())["status"] == "ok"
+        assert len(sample_many(g, conj, 5, seed=0)) == 5
+        assert isotropy_calls == []
+
+    def test_decomposition_builds_its_one_block_base(self, isotropy_calls):
+        # one component: the base of its block and the weight restricted to it
+        g = self.s3_pair2()
+        hom = decomposition_hom(g, gb.conjugation_action(g))
+        assert hom.verified["bijective"]
+        assert isotropy_calls == [(g, 0), (g, 0)]
 
 
 class TestActionGroupoidIso:
