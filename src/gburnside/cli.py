@@ -64,6 +64,9 @@ from .serialize import (
 )
 
 logger = logging.getLogger("gburnside")
+# JSON arrays and objects nested deeper are an input error on every interpreter:
+# the bound lies far below any recursion limit that the decoder or parsers reach.
+MAX_JSON_DEPTH = 100
 
 
 @dataclass
@@ -152,7 +155,16 @@ def _unique_keys(pairs: list) -> dict:
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
+        level = [[obj]]  # the arrays and objects at depth 1, 2, ... in turn
+        for _ in range(MAX_JSON_DEPTH + 1):
+            if not level:
+                break
+            level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)
+                     if isinstance(v, (dict, list))]
+        if level:
+            raise ParseError(f"JSON nested more than {MAX_JSON_DEPTH} levels deep")
+        return obj
     except FileNotFoundError:
         raise ParseError(f"input file not found: {path}") from None
     except OSError as exc:
@@ -161,9 +173,9 @@ def _load_json(path: str):
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise ParseError(f"{path}: JSON nested too deeply to decode") from None
-    except ParseError as exc:  # from _unique_keys
+    except RecursionError:  # json.load's own limit, far past MAX_JSON_DEPTH
+        raise ParseError(f"{path}: JSON nested more than {MAX_JSON_DEPTH} levels deep") from None
+    except ParseError as exc:  # from _unique_keys or the depth bound
         raise ParseError(f"{path}: {exc}") from None
 
 

@@ -55,7 +55,7 @@ symmetry itself and then shares one packed table between both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import add, mul
 
 from .errors import NotConnected, NotNatural, RingMismatch
@@ -330,11 +330,6 @@ def _convolution(weight: GMonoid):
     return convolve
 
 
-def _commutes(weight: GMonoid) -> bool:
-    """Whether every weight monoid is commutative, on all pairs."""
-    return all(_symmetric(m.table) for m in weight.monoids)
-
-
 def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentation:
     """Basis from the (H, s) classification; the marks of a tensor of basis
     elements are convolved from the marks of the factors and solved in the
@@ -342,7 +337,8 @@ def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentatio
     commutative (see the module docstring)."""
     catalog = enumerate_basis(g, weight)
     unit = express_in_basis(unit_object(g, weight), catalog)
-    commutative = _commutes(weight) or conjugation_loops(weight) is not None
+    commutative = (all(_symmetric(m.table) for m in weight.monoids)
+                   or conjugation_loops(weight) is not None)
     products = _by_marks(catalog, _convolution(weight))
     return _ring(catalog, products, unit, _crossed_info, commutative)
 
@@ -637,8 +633,10 @@ def decomposition_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
         blocks.append(source if iso is g else crossed_burnside_ring(iso, restrict(weight, rep)))
     target = product_ring(blocks)
     # component representative -> (offset of its block, the block)
-    offsets = accumulate((block.dim for block in blocks), initial=0)
-    where = dict(zip(comps.representatives, zip(offsets, blocks)))
+    where, offset = {}, 0
+    for rep, block in zip(comps.representatives, blocks):
+        where[rep] = (offset, block)
+        offset += block.dim
     cols = []
     for entry in source.basis.entries:
         offset, block = where[entry.component_rep]

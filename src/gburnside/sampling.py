@@ -44,15 +44,14 @@ def shuffle_fibers(c: CrossedGSet, rng: random.Random) -> CrossedGSet:
     labels accordingly; the result is isomorphic to the input."""
     g = c.carrier.base
     perms = []
+    labels = []
     for x in g.objects:
         p = list(range(c.carrier.size(x)))
         rng.shuffle(p)
         perms.append(p)  # p[i] = new position of old element i
-    labels = []
-    for x in g.objects:
-        lab = [0] * c.carrier.size(x)
+        lab = [0] * len(p)
         for i, v in enumerate(c.label[x]):
-            lab[perms[x][i]] = v
+            lab[p[i]] = v
         labels.append(lab)
     action = []
     for m in g.morphisms:

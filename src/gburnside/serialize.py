@@ -109,16 +109,14 @@ def parse_groupoid(obj) -> FiniteGroupoid:
             gens = _int_rows(spec["perm_gens"], "field 'group.perm_gens'")
             return from_group(group_table_from_perm_gens(gens))
         raise ParseError("field 'group' needs 'table' or 'perm_gens'")
-    if form == "disjoint_union":
-        parts = obj["disjoint_union"]
-        _expect(isinstance(parts, list) and parts, "field 'disjoint_union' must be a non-empty list")
-        return disjoint_union([parse_groupoid(p) for p in parts])[0]
-    if form == "product":
-        parts = obj["product"]
-        _expect(isinstance(parts, list) and parts, "field 'product' must be a non-empty list")
-        out = parse_groupoid(parts[0])
-        for p in parts[1:]:
-            out = direct_product(out, parse_groupoid(p))
+    if form in ("disjoint_union", "product"):
+        parts = obj[form]
+        _expect(isinstance(parts, list) and parts, f"field '{form}' must be a non-empty list")
+        out, *rest = [parse_groupoid(p) for p in parts]
+        if form == "disjoint_union":
+            return disjoint_union([out, *rest])[0]
+        for part in rest:
+            out = direct_product(out, part)
         return out
     for field in _EXPLICIT.split():
         _expect(field in obj, f"groupoid input is missing field '{field}'")

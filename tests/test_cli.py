@@ -244,27 +244,55 @@ class TestCommands:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("depth", [2_000, 100_000])
-    @pytest.mark.parametrize("flag, head, tail", [
-        ("--groupoid", '{"pair": ' + "[", "]"),
-        ("--groupoid", '{"disjoint_union": [', "]}"),
-        ("--gset", '{"fibers": ' + "[", "]"),
-        ("--weight", '{"monoids": ' + "[", "]"),
+    @pytest.mark.parametrize("flag, union", [
+        ("--groupoid", False), ("--groupoid", True), ("--gset", False), ("--weight", False),
     ], ids=["groupoid-list", "groupoid-union", "gset", "weight"])
-    def test_deeply_nested_input_exits_2(self, tmp_path, capsys, flag, head, tail, depth):
-        # past the recursion limit json.load raises RecursionError, not a decode error
+    @pytest.mark.parametrize("recursion_limit", [None, 5_000])
+    def test_deeply_nested_input_exits_2(
+        self, tmp_path, capsys, flag, union, depth, recursion_limit
+    ):
+        # json.load may fail on its own recursion limit or decode the file, as
+        # interpreters differ; a higher limit makes it decode 2,000 levels here,
+        # and then the depth bound refuses the file before any parser recurses
         c1 = tmp_path / "c1.json"
         c1.write_text(json.dumps({"group": {"table": [[0]]}}))
         nested = tmp_path / "nested.json"
-        nested.write_text(head * depth + '{"pair": 1}' + tail * depth)
+        if union:
+            nested.write_text('{"disjoint_union": [' * depth + '{"pair": 1}' + "]}" * depth)
+        else:
+            nested.write_text('{"pair": ' + "[" * depth + "]" * depth + "}")
         argv = ["validate", "--groupoid", str(c1), flag, str(nested)]
         if flag == "--groupoid":
             argv = ["validate", "--groupoid", str(nested)]
-        code = main(argv)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(recursion_limit or limit)
+        try:
+            code = main(argv)
+        finally:
+            sys.setrecursionlimit(limit)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"input error: {nested}: JSON nested too deeply to decode\n"
+        assert captured.err == f"input error: {nested}: JSON nested more than 100 levels deep\n"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("unions, leaf, code", [
+        (48, {"group": {"table": [[0]]}}, 0),  # 2 * 48 + 4 = 100 levels
+        (50, {"pair": 1}, 2),  # 2 * 50 + 1 = 101 levels
+    ])
+    def test_nesting_bound_is_exact(self, tmp_path, capsys, unions, leaf, code):
+        # each disjoint_union level is an object and a list
+        spec = leaf
+        for _ in range(unions):
+            spec = {"disjoint_union": [spec]}
+        nested = tmp_path / "nested.json"
+        nested.write_text(json.dumps(spec))
+        assert main(["validate", "--groupoid", str(nested)]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert json.loads(captured.out)["groupoid"] == {"objects": 1, "morphisms": 1}
+        else:
+            assert captured.err == f"input error: {nested}: JSON nested more than 100 levels deep\n"
 
     def test_components(self, inputs, capsys):
         code, out = run_cli(capsys, "components", "--groupoid", inputs["c2_plus_s3.json"])
