@@ -34,19 +34,13 @@ cross-validate the classification and must stay independent of it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 
 from .errors import MarksNotTriangular, UnmatchedPiece
 from .crossed import CrossedGSet, CrossedMap, induce, same_weight
-from .groupoid import (
-    FiniteGroupoid,
-    component_transports,
-    connected_components,
-    identity_and_inverses,
-)
+from .groupoid import FiniteGroupoid, Record, component_transports, connected_components
 from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition
 
 
@@ -74,10 +68,20 @@ def subgroup_closure(table: list[list[int]], seed) -> frozenset[int]:
 
 
 def subgroup_classes(table, elements, e, inv) -> list[tuple[list[frozenset[int]], list[int]]]:
-    """As ``subgroup_conjugacy_classes``, for the group of ``elements``
-    (ascending ids, identity e, inverses inv) in ``table``, with the
-    normalizer of each canonical member.  On a groupoid's table, the
-    loops at x name the subgroups of the isotropy group by loop ids.
+    """Conjugacy classes of subgroups of the group of ``elements``
+    (ascending ids, identity e, inverses inv) in ``table``, each with the
+    normalizer of its canonical member: classes sorted by (order, least
+    member), each class listing its canonical (least) member first.  On a
+    groupoid's table, the loops at x name the subgroups of the isotropy
+    group by loop ids.
+
+    Built class by class, without the full lattice: in the extension walk
+    each new subgroup registers its whole conjugacy orbit, so only the
+    first member R found of each class is extended, and by one element a
+    per left coset aR, since <R, a> = <R, ah> for h in R.  This finds every
+    class: any K != 1 is <M, a> for a maximal subgroup M of K and any a in
+    K \\ M, and if M = c R c^-1 for the found member R of its class, then
+    c^-1 K c = <R, c^-1 a c> is the extension of R by its coset of c^-1 a c.
 
     The orbit pass conjugates a new subgroup R by every element.  If
     b R b^-1 is the canonical member C, then a C a^-1 = C exactly when
@@ -113,21 +117,6 @@ def subgroup_classes(table, elements, e, inv) -> list[tuple[list[frozenset[int]]
         frontier = fresh
     found.sort(key=lambda c: (len(c[0][0]), sorted(c[0][0])))
     return found
-
-
-def subgroup_conjugacy_classes(table) -> list[list[frozenset[int]]]:
-    """Conjugacy classes of subgroups; classes sorted by (order, least
-    member), each class listing its canonical (least) representative first.
-
-    Built class by class, without the full lattice: in the extension walk
-    each new subgroup registers its whole conjugacy orbit, so only the
-    first member R found of each class is extended, and by one element a
-    per left coset aR, since <R, a> = <R, ah> for h in R.  This finds every
-    class: any K != 1 is <M, a> for a maximal subgroup M of K and any a in
-    K \\ M, and if M = c R c^-1 for the found member R of its class, then
-    c^-1 K c = <R, c^-1 a c> is the extension of R by its coset of c^-1 a c."""
-    e, inv = identity_and_inverses(table)
-    return [members for members, _ in subgroup_classes(table, range(len(table)), e, inv)]
 
 
 # -- fingerprints and transitive pieces ----------------------------------------
@@ -486,17 +475,16 @@ class MarkTable:
 
 # -- the catalog -----------------------------------------------------------------
 
-@dataclass
-class BasisCatalog:
+class BasisCatalog(Record):
     """Ordered, pairwise non-isomorphic transitive representatives, with a
     fingerprint index for candidate lookup, which reads every carrier, and
-    a table of marks, which reads only coset fibers; both built on first use."""
+    a table of marks, which reads only coset fibers; both built on first use.
+    The labels live in ``weight``."""
 
-    base: FiniteGroupoid
-    weight: GMonoid | GSet  # the target the labels live in
-    entries: list[TransitivePiece]
-    index: dict[tuple, list[int]] | None = None
-    _marks: MarkTable | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, base: FiniteGroupoid, weight: GMonoid | GSet,
+                 entries: list[TransitivePiece], index: dict[tuple, list[int]] | None = None):
+        self.base, self.weight, self.entries, self.index = base, weight, entries, index
+        self._marks: MarkTable | None = None
 
     @property
     def dim(self) -> int:

@@ -20,23 +20,22 @@ deeply nested input file or an unwritable --out included.  Identical
 invocations with the same seed produce byte-identical JSON.  A report is
 rendered exactly as ``json.dumps(report, indent=2, sort_keys=True)`` would
 render it, with each distinct row of a ring's table rendered once
-(``render_json``).  Set GB_LOG to quiet, info, or debug to control stderr
-logging.
+(``render_json``).  With GB_LOG, which is read on every call, set to info
+or debug, a ring command writes ``INFO <message>`` to stderr; unset, quiet
+or any other value writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
-from dataclasses import dataclass
 
 from .classify import brute_force_basis, enumerate_basis, transitive_decomposition
 from .crossed import check_monoidal_axioms
 from .errors import GBError
-from .groupoid import FiniteGroupoid, connected_components, generating_set, isotropy_group
+from .groupoid import FiniteGroupoid, Record, connected_components, generating_set, isotropy_group
 from .gsets import action_groupoid, conjugation_action, trivial_gmonoid
 from .rings import (
     RingPresentation,
@@ -63,21 +62,19 @@ from .serialize import (
     ring_to_obj,
 )
 
-logger = logging.getLogger("gburnside")
 # JSON arrays and objects nested deeper are an input error on every interpreter:
 # the bound lies far below any recursion limit that the decoder or parsers reach.
 MAX_JSON_DEPTH = 100
 
 
-@dataclass
-class JobSpec:
-    """One CLI invocation, fully determined (seed included).
+class JobSpec(Record):
+    """One CLI invocation, fully determined (seed included): a command and
+    its options, which are passed by keyword.
 
-    The only home of the option defaults: the parser leaves every option
-    it was not given unset.  ``weight`` None means the conjugation weight
-    (``validate`` then checks no weight)."""
+    The class attributes are the only home of the option defaults: the
+    parser leaves every option it was not given unset.  ``weight`` None
+    means the conjugation weight (``validate`` then checks no weight)."""
 
-    command: str
     verify_target: str | None = None
     groupoid: str | None = None
     gset: str | None = None
@@ -87,6 +84,13 @@ class JobSpec:
     seed: int = 0
     format: str = "json"
     out: str | None = None
+
+    def __init__(self, command: str, **options) -> None:
+        self.command = command
+        for name in JobSpec.__annotations__:
+            setattr(self, name, options.pop(name, getattr(JobSpec, name)))
+        if options:
+            raise TypeError(f"JobSpec() got unexpected options {sorted(options)}")
 
 
 # optional flags in usage order: name -> add_argument keywords
@@ -313,21 +317,21 @@ def _ring_command(ring: RingPresentation, g: FiniteGroupoid):
 
 def _cmd_burnside(job: JobSpec):
     g = _get_groupoid(job)
-    logger.info("building Burnside ring")
+    _info("building Burnside ring")
     return _ring_command(burnside_ring(g), g)
 
 
 def _cmd_hadamard(job: JobSpec):
     g = _get_groupoid(job)
     x = parse_gset(_load_json(job.gset), g)
-    logger.info("building Hadamard ring")
+    _info("building Hadamard ring")
     return _ring_command(hadamard_ring(g, x), g)
 
 
 def _cmd_crossed_burnside(job: JobSpec):
     g = _get_groupoid(job)
     weight = _get_weight(job, g)
-    logger.info("building crossed Burnside ring")
+    _info("building crossed Burnside ring")
     return _ring_command(crossed_burnside_ring(g, weight), g)
 
 
@@ -491,14 +495,12 @@ def _write(text: str, path: str | None) -> None:
         raise ParseError(f"cannot write output file {path}: {exc.strerror}") from None
 
 
-def _configure_logging() -> None:
-    levels = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    level = levels.get(os.environ.get("GB_LOG", ""), logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
+def _info(message: str) -> None:
+    if os.environ.get("GB_LOG") in ("info", "debug"):
+        print(f"INFO {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser(argv)
     try:
         args = vars(parser.parse_args(argv))

@@ -18,7 +18,6 @@ that is the one path by which a derived table is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import (
@@ -53,6 +52,19 @@ class BindOnce:
         if name in self._FIELDS:
             raise AttributeError(f"{type(self).__name__}.{name} cannot be deleted")
         super().__delattr__(name)
+
+
+class Record:
+    """Field-wise ``==`` as a dataclass has it, which leaves the class unhashable.
+    The fields are the instance attributes not named ``_...``; a cache so named takes no part."""
+
+    def _fields(self) -> dict:
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
 def generating_set(table, starts, elements=None) -> tuple[int, ...]:
@@ -386,14 +398,13 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     return tabulate(n, dom, cod, identity, inverse, lambda g, f: dom[f] * n + cod[g])
 
 
-@dataclass
-class GroupoidFunctor:
+class GroupoidFunctor(Record):
     """A functor between finite groupoids as explicit object/morphism maps."""
 
-    source: FiniteGroupoid
-    target: FiniteGroupoid
-    object_map: list[int]
-    morphism_map: list[int]
+    def __init__(self, source: FiniteGroupoid, target: FiniteGroupoid,
+                 object_map: list[int], morphism_map: list[int]):
+        self.source, self.target = source, target
+        self.object_map, self.morphism_map = object_map, morphism_map
 
     def validate(self) -> "GroupoidFunctor":
         s, t = self.source, self.target
@@ -480,12 +491,11 @@ def direct_product(g: FiniteGroupoid, h: FiniteGroupoid) -> FiniteGroupoid:
 
 # -- components, isotropy, transport morphisms ------------------------------
 
-@dataclass
-class ComponentData:
+class ComponentData(Record):
     """Partition of the object set under reachability."""
 
-    classes: list[list[int]]
-    representatives: list[int]
+    def __init__(self, classes: list[list[int]], representatives: list[int]):
+        self.classes, self.representatives = classes, representatives
 
     @property
     def count(self) -> int:

@@ -22,7 +22,6 @@ actions only when it is first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -35,6 +34,7 @@ from .groupoid import (
     BindOnce,
     FiniteGroupoid,
     GroupoidFunctor,
+    Record,
     generating_set,
     loop_table,
     on_generators,
@@ -119,12 +119,13 @@ def empty_gset(g: FiniteGroupoid) -> GSet:
     return GSet(g, [0] * g.n_objects, [[] for _ in g.morphisms]).validate()
 
 
-@dataclass(frozen=True)
-class Monoid:
+class Monoid(BindOnce, Record):
     """A finite monoid on dense ids with an explicit multiplication table."""
 
-    table: list[list[int]]
-    unit: int
+    _FIELDS = frozenset({"table", "unit"})
+
+    def __init__(self, table: list[list[int]], unit: int):
+        self.table, self.unit = table, unit
 
     @property
     def size(self) -> int:
@@ -335,15 +336,14 @@ class GMap:
 
 # -- action groupoid ---------------------------------------------------------
 
-@dataclass
-class ActionGroupoid:
-    """The action groupoid of a G-set, with its projection functor and the
-    tagged-pair decoding of the new dense ids."""
+class ActionGroupoid(Record):
+    """The action groupoid of a G-set, its projection functor, and the tags that
+    decode new ids: object -> (object, element), morphism -> (morphism, element)."""
 
-    groupoid: FiniteGroupoid
-    projection: GroupoidFunctor
-    object_tags: list[tuple[int, int]]    # new object id -> (object, element)
-    morphism_tags: list[tuple[int, int]]  # new morphism id -> (morphism, element)
+    def __init__(self, groupoid: FiniteGroupoid, projection: GroupoidFunctor,
+                 object_tags: list[tuple[int, int]], morphism_tags: list[tuple[int, int]]):
+        self.groupoid, self.projection = groupoid, projection
+        self.object_tags, self.morphism_tags = object_tags, morphism_tags
 
 
 def action_groupoid(g: FiniteGroupoid, x: GSet) -> ActionGroupoid:

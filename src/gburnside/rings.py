@@ -54,7 +54,6 @@ symmetry itself and then shares one packed table between both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul
 
@@ -71,6 +70,7 @@ from .classify import (
 from .crossed import CrossedGSet, restrict, tensor, unit_object
 from .groupoid import (
     FiniteGroupoid,
+    Record,
     component_transports,
     connected_components,
     is_connected,
@@ -171,17 +171,17 @@ def _top(vecs) -> int:
     return max((abs(v) for vec in vecs for _, v in vec), default=0)
 
 
-@dataclass
-class RingPresentation:
+class RingPresentation(Record):
     """A free Z-module on a transitive basis with a unit vector and integer
     structure constants stored as sparse rows: ``structure_constants[i][j]``
-    is e_i e_j as a ``Sparse`` vector ((k, c_ijk), ...) of positive c_ijk."""
+    is e_i e_j as a ``Sparse`` vector ((k, c_ijk), ...) of positive c_ijk.
+    ``basis_info`` defaults to a new empty list."""
 
-    dim: int
-    structure_constants: list[list[Sparse]]
-    unit_vector: list[int]
-    basis: object = None
-    basis_info: list[dict] = field(default_factory=list)
+    def __init__(self, dim: int, structure_constants: list[list[Sparse]],
+                 unit_vector: list[int], basis: object = None, basis_info: list[dict] | None = None):
+        self.dim, self.structure_constants = dim, structure_constants
+        self.unit_vector, self.basis = unit_vector, basis
+        self.basis_info = [] if basis_info is None else basis_info
 
     def validate(self) -> "RingPresentation":
         d = self.dim
@@ -436,15 +436,15 @@ def hadamard_ring_by_decomposition(g: FiniteGroupoid, x: GSet) -> RingPresentati
 
 # -- ring homomorphisms --------------------------------------------------------------
 
-@dataclass
-class RingHom:
-    """A basis-indexed integer matrix between two presentations, with its
-    verified homomorphism status."""
+class RingHom(Record):
+    """A basis-indexed integer matrix (target dim x source dim) between two
+    presentations, with its verified homomorphism status (default a new
+    empty dict)."""
 
-    source: RingPresentation
-    target: RingPresentation
-    matrix: list[list[int]]  # target_dim x source_dim
-    verified: dict = field(default_factory=dict)
+    def __init__(self, source: RingPresentation, target: RingPresentation,
+                 matrix: list[list[int]], verified: dict | None = None):
+        self.source, self.target, self.matrix = source, target, matrix
+        self.verified = {} if verified is None else verified
 
     def apply(self, coords: list[int]) -> list[int]:
         return [

@@ -1,11 +1,27 @@
-"""Shared corpus: group tables, corpus groupoids, and small helpers."""
+"""Shared corpus: group tables, corpus groupoids, and small helpers.
+
+Hypothesis runs under the ``tier1`` profile unless ``--hypothesis-profile``
+names another: every run of one tree draws the same examples, each test's
+from its own source, and no example database carries them between runs.
+Each test keeps its own ``max_examples``.  The ``explore`` profile draws
+fresh examples from ``--hypothesis-seed`` (random when not given), and ten
+times the default count for a test that sets none::
+
+    PYTHONPATH=src python -m pytest -m hypothesis --hypothesis-profile explore --hypothesis-seed 1
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 import gburnside as gb
 from gburnside.gsets import GSet
+
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None, max_examples=1000)
+settings.load_profile("tier1")
 
 
 def cyclic_table(n: int) -> list[list[int]]:

@@ -6,7 +6,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from gburnside.classify import MarkTable, express_by_decomposition, subgroup_closure
+from gburnside.classify import (
+    MarkTable,
+    express_by_decomposition,
+    subgroup_classes,
+    subgroup_closure,
+)
 from gburnside.crossed import (
     CrossedGSet,
     CrossedMap,
@@ -71,6 +76,14 @@ def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
                         fresh.append(grown)
         frontier = fresh
     return sorted(gens, key=lambda h: (len(h), sorted(h)))
+
+
+def subgroup_conjugacy_classes(table) -> list[list[frozenset[int]]]:
+    """The conjugacy classes of subgroups of a group table, as
+    ``classify.subgroup_classes`` finds them (without the normalizers), in
+    its order; the walk's completeness argument is on that function."""
+    e, inv = identity_and_inverses(table)
+    return [members for members, _ in subgroup_classes(table, range(len(table)), e, inv)]
 
 
 class NotSubgroup(GBError):

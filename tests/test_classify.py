@@ -18,7 +18,6 @@ from gburnside.classify import (
     crossed_fingerprint,
     enumerate_basis,
     express_in_basis,
-    subgroup_conjugacy_classes,
     transitive_decomposition,
 )
 from gburnside.crossed import crossed_coproduct, tensor, unit_object
@@ -26,7 +25,7 @@ from gburnside.errors import UnmatchedPiece, WeightMismatch
 from gburnside.sampling import sample_many, shuffle_fibers
 
 from conftest import GROUP_TABLES_LEQ8, cyclic_table, regular_gset, table_product
-from oracles import all_subgroups, validate_crossed
+from oracles import all_subgroups, subgroup_conjugacy_classes, validate_crossed
 
 
 def exhaustive_iso_exists(c1, c2) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -682,6 +683,46 @@ def test_python_dash_m_runs_the_cli(inputs):
     bad = run("burnside", "--groupoid", str(Path(inputs["c2.json"]).with_name("missing.json")))
     assert bad.returncode == 2
     assert "Traceback" not in bad.stderr
+
+
+def test_gb_log_is_read_on_every_call(inputs, capsys, monkeypatch):
+    """GB_LOG takes effect on every ``main`` call of one process, not only
+    on the first, and ``main`` leaves the host's root logger as it was."""
+    root_handlers = list(logging.getLogger().handlers)
+    monkeypatch.delenv("GB_LOG", raising=False)
+    argv = ["burnside", "--groupoid", inputs["c2.json"]]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("GB_LOG", "info")
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "INFO building Burnside ring\n"
+    monkeypatch.setenv("GB_LOG", "quiet")
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert logging.getLogger().handlers == root_handlers
+
+
+@pytest.mark.parametrize("level, err", [
+    (None, b""),
+    ("quiet", b""),
+    ("info", b"INFO building Burnside ring\n"),
+    ("debug", b"INFO building Burnside ring\n"),
+])
+def test_gb_log_stderr_bytes_of_a_fresh_process(inputs, level, err):
+    """The exact stderr of one ``burnside`` run under each GB_LOG level."""
+    env = {k: v for k, v in os.environ.items() if k != "GB_LOG"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if level is not None:
+        env["GB_LOG"] = level
+    result = subprocess.run(
+        [sys.executable, "-m", "gburnside", "burnside", "--groupoid", inputs["c2.json"]],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == err
+    assert json.loads(result.stdout)["dim"] == 2
 
 
 def _parser_with_every_flag():

@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import pytest
 
@@ -109,7 +108,7 @@ def _hom_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
 def _table_jobs(gpath: str, xpath: str, g: gb.FiniteGroupoid):
     for jobs in (_ring_jobs, _axiom_jobs):
         for command, weight, job in jobs(gpath, xpath, g):
-            yield f"{command}-table", weight, replace(job, format="table")
+            yield f"{command}-table", weight, JobSpec(**{**vars(job), "format": "table"})
     yield "verify-decomposition-table", None, JobSpec(
         command="verify", verify_target="decomposition", groupoid=gpath, format="table"
     )

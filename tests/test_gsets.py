@@ -4,7 +4,6 @@ orbits, products, and marks."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,9 +156,9 @@ class TestGMonoid:
     @pytest.mark.parametrize("field", ["table", "unit"])
     def test_monoid_is_frozen(self, field):
         mon = Monoid([[0, 1], [1, 0]], 0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(mon, field, 1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             delattr(mon, field)
         assert mon == Monoid([[0, 1], [1, 0]], 0)
 

@@ -4,16 +4,25 @@ moved to ``tests/oracles.py`` because only tests call them."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import gburnside
+import gburnside as gb
 import gburnside.classify
 import gburnside.crossed
 import gburnside.errors
 import gburnside.groupoid
 import gburnside.gsets
-from gburnside.groupoid import FiniteGroupoid, GroupoidFunctor
+from gburnside.classify import BasisCatalog
+from gburnside.cli import JobSpec
+from gburnside.groupoid import ComponentData, FiniteGroupoid, GroupoidFunctor
+from gburnside.gsets import ActionGroupoid, Monoid
+from gburnside.rings import RingHom, RingPresentation
 
 MOVED_TO_ORACLES = [
     "connected_structure_iso",
@@ -31,6 +40,7 @@ MOVED_TO_ORACLES = [
     "check_subgroup",
     "NotSubgroup",
     "all_subgroups",
+    "subgroup_conjugacy_classes",
     "left_unitor",
     "right_unitor",
     "trivial_label_embed",
@@ -63,3 +73,87 @@ def test_all_lists_every_public_name_init_binds():
     }
     assert len(gburnside.__all__) == len(set(gburnside.__all__))
     assert set(gburnside.__all__) == {name for name in bound if not name.startswith("_")}
+
+
+def test_cli_import_loads_no_dataclasses_or_logging():
+    """Every command starts with ``import gburnside.cli``; it must not load
+    ``dataclasses`` (which brings ``inspect``, ``ast`` and ``dis``) or
+    ``logging``.  Prints the modules the import added."""
+    code = (
+        "import sys; before = set(sys.modules); import gburnside.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before))); print(' '.join(sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    added, modules = result.stdout.splitlines()
+    print("import gburnside.cli loaded:", added)
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "logging")
+    assert [m for m in unwanted if m in modules.split()] == []
+
+
+def _plain_classes() -> dict:
+    """For each former dataclass: two instances with equal fields and one
+    that differs from them in one field."""
+    c2 = gb.from_group([[0, 1], [1, 0]])
+    ag = gb.action_groupoid(c2, gb.terminal_gset(c2))
+    catalog = gb.enumerate_basis(c2, gb.conjugation_action(c2))
+    ring = gb.burnside_ring(c2)
+    rows = [list(ri) for ri in ring.structure_constants]
+
+    def job(**options):
+        return JobSpec("burnside", groupoid="c2.json", **options)
+
+    return {
+        "GroupoidFunctor": [GroupoidFunctor(c2, c2, [0], m) for m in ([0, 1], [0, 1], [1, 0])],
+        "ComponentData": [ComponentData([[0]], r) for r in ([0], [0], [1])],
+        "Monoid": [Monoid([[0, 1], [1, 0]], u) for u in (0, 0, 1)],
+        "ActionGroupoid": [
+            ActionGroupoid(ag.groupoid, ag.projection, list(ag.object_tags), t)
+            for t in (list(ag.morphism_tags), list(ag.morphism_tags), [])
+        ],
+        "BasisCatalog": [BasisCatalog(c2, catalog.weight, list(catalog.entries), i)
+                         for i in (None, None, {})],
+        "RingPresentation": [
+            RingPresentation(2, rows, [1, 0]),
+            RingPresentation(2, rows, [1, 0], None, []),
+            RingPresentation(2, rows, [1, 0], basis_info=[{}, {}]),
+        ],
+        "RingHom": [RingHom(ring, ring, [[1, 0], [0, 1]], *v) for v in ((), ({},), ({"u": 1},))],
+        "JobSpec": [job(), job(seed=0), job(seed=1)],
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "GroupoidFunctor", "ComponentData", "Monoid", "ActionGroupoid", "BasisCatalog",
+    "RingPresentation", "RingHom", "JobSpec",
+])
+def test_former_dataclasses_compare_field_by_field(name):
+    a, b, c = _plain_classes()[name]
+    assert a == b
+    assert a != c
+    assert a != (a, b)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_former_dataclass_defaults():
+    cases = _plain_classes()
+    catalog, same, _ = cases["BasisCatalog"]
+    catalog.marks()  # the cache takes no part in ==
+    assert catalog == same
+    ring, hom = cases["RingPresentation"][0], cases["RingHom"][0]
+    assert (ring.basis, ring.basis_info, hom.verified) == (None, [], {})
+    # each instance gets a list and a dict of its own
+    assert ring.basis_info is not RingPresentation(0, [], []).basis_info
+    assert hom.verified is not RingHom(ring, ring, []).verified
+    job = cases["JobSpec"][0]
+    assert (job.object_id, job.samples, job.seed, job.format) == (0, 20, 0, "json")
+    assert job.verify_target is job.gset is job.weight is job.out is None
+    with pytest.raises(TypeError, match="samplez"):
+        JobSpec("burnside", samplez=3)
