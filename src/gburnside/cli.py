@@ -4,7 +4,9 @@ The command surface is declared once: ``COMMANDS`` gives each command its
 handler, help text and optional flags, and ``VERIFY`` each verify target
 its handler and flags; any other flag exits 2.  The parser, the target
 checks and the dispatch in ``run`` all read these two tables, and every
-default lives in ``JobSpec``.  A ring command renders its table only for
+default lives in ``JobSpec``.  A plain line is read straight from them;
+argparse, which reads it the same, is built for any other line and alone
+prints help and errors.  A ring command renders its table only for
 ``--format table``.
 
 ``verify marks`` builds the crossed Burnside ring for --weight (and the
@@ -27,7 +29,6 @@ or any other value writes nothing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -93,6 +94,8 @@ class JobSpec(Record):
             raise TypeError(f"JobSpec() got unexpected options {sorted(options)}")
 
 
+FORMATS = ("json", "table")
+
 # optional flags in usage order: name -> add_argument keywords
 FLAGS = {
     "gset": {"help": "path to a G-set JSON file"},
@@ -105,21 +108,15 @@ FLAGS = {
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every command with its help and flags, or only the command that
-    argv starts with, as parsing argv needs no other; the usage then still
-    lists every command."""
-    args = sys.argv[1:] if argv is None else argv
-    named = [args[0]] if args and args[0] in COMMANDS else None
+    """Every command with its help and flags; the parser does not depend on argv."""
+    import argparse  # only help and errors need it: see _parse_plain
+
     parser = argparse.ArgumentParser(
         prog="gburnside",
         description="Finite groupoids, crossed G-sets, and exact Burnside-style rings.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if named is None else "{" + ",".join(COMMANDS) + "}",
-    )
-    for name in named or COMMANDS:
-        _, help_text, flags = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         if name == "verify":
             p.add_argument("target", choices=VERIFY)
@@ -128,9 +125,40 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         for flag, kwargs in FLAGS.items():
             if flag in wanted or f"{flag}!" in wanted:
                 p.add_argument(f"--{flag}", required=f"{flag}!" in wanted, **kwargs)
-        p.add_argument("--format", choices=("json", "table"))
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--out", help="output path (default stdout)")
     return parser
+
+
+def _parse_plain(argv) -> dict | None:
+    """argparse's arguments after the target checks, keyed by dest, for a
+    plain argv, else None.  Plain: a command (and verify target), then
+    distinct full ``--flag value`` pairs it takes, required ones included,
+    no value starting with "-" and each valid.  argparse reads that the same:
+    an exact option beats an abbreviation, a token not starting with "-" is
+    the value of the option before it, and a flag not given stays unset."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    args, flags, pairs = {"command": argv[0]}, COMMANDS[argv[0]][2], argv[1:]
+    if argv[0] == "verify":
+        if not pairs or pairs[0] not in VERIFY:
+            return None
+        args["target"], flags, pairs = pairs[0], VERIFY[pairs[0]][1], pairs[1:]
+    takes = {"--groupoid": {}, "--format": {"choices": FORMATS}, "--out": {}}
+    takes.update((f"--{flag.rstrip('!')}", FLAGS[flag.rstrip("!")]) for flag in flags.split())
+    names = set(pairs[::2])
+    required = {"--groupoid", *(f"--{flag[:-1]}" for flag in flags.split() if flag[-1] == "!")}
+    if len(pairs) % 2 or len(names) < len(pairs) // 2 or not required <= names:
+        return None
+    for name, value in zip(pairs[::2], pairs[1::2]):
+        kwargs = takes.get(name)
+        if kwargs is None or value[:1] == "-" or value not in kwargs.get("choices", (value,)):
+            return None
+        try:
+            args[kwargs.get("dest", name[2:])] = kwargs.get("type", str)(value)
+        except ValueError:  # argparse calls the same type
+            return None
+    return args
 
 
 def _check_target_flags(parser: argparse.ArgumentParser, target: str, args: dict) -> None:
@@ -501,13 +529,15 @@ def _info(message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser(argv)
-    try:
-        args = vars(parser.parse_args(argv))
-        if "target" in args:
-            _check_target_flags(parser, args["target"], args)
-    except SystemExit as exc:  # argparse has printed usage or help
-        return exc.code
+    args = _parse_plain(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            args = vars(parser.parse_args(argv))
+            if "target" in args:
+                _check_target_flags(parser, args["target"], args)
+        except SystemExit as exc:  # argparse has printed usage or help
+            return exc.code
     job = JobSpec(verify_target=args.pop("target", None), **args)
     try:
         code, text = run(job)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import logging
 import os
@@ -11,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gburnside as gb
 from gburnside import cli
@@ -783,3 +787,87 @@ def test_parser_of_the_named_command_parses_the_same(capsys, argv):
         return (result, *capsys.readouterr())
 
     assert outcome(cli.build_parser(argv)) == outcome(_parser_with_every_flag())
+
+
+def _argparse_args(argv):
+    """What the argparse route makes of argv: the arguments after the
+    verify target checks, or the exit code."""
+    parser = _parser_with_every_flag()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(parser.parse_args(argv))
+            if "target" in args:
+                cli._check_target_flags(parser, args["target"], args)
+        except SystemExit as exc:
+            return exc.code
+    return args
+
+
+FLAG_NAMES = [f"--{name}" for name in ("groupoid", *cli.FLAGS, "format", "out")]
+PERTURBED = ["--gro", "--s", "--sa", "--obj", "--format=json", "--seed=3", "--object=1",
+             "-h", "--help", "--"]
+VALUES = ["g.json", "0", "1", "trivial", "json", "table", "", "-1", " 7", "1_0", "x", "xml"]
+TOKENS = [*cli.COMMANDS, *cli.VERIFY, *FLAG_NAMES, *PERTURBED, *VALUES]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and, for verify, a target, then --groupoid and other flags
+    it takes, each given once, with a valid value or any other; then up to
+    two tokens replaced or inserted anywhere, so that flags repeat, are
+    abbreviated, go missing or stand out of place."""
+    argv = [draw(st.sampled_from(list(cli.COMMANDS)))]
+    flags = cli.COMMANDS[argv[0]][2]
+    if argv[0] == "verify":
+        argv.append(draw(st.sampled_from(list(cli.VERIFY))))
+        flags = cli.VERIFY[argv[1]][1]
+    taken = [f"--{flag.rstrip('!')}" for flag in flags.split()] + ["--format", "--out"]
+    names = draw(st.permutations(taken))[:draw(st.integers(0, len(taken)))]
+    names.insert(draw(st.integers(0, len(names))), "--groupoid")
+    for name in names:
+        valid = st.sampled_from(cli.FORMATS if name == "--format" else ["1"])
+        argv += [name, draw(valid | st.sampled_from(VALUES))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        k, token = draw(st.integers(0, len(argv) - 1)), draw(st.sampled_from(TOKENS))
+        argv[k:k + draw(st.integers(0, 1))] = [token]
+    return argv
+
+
+def _with_parse_cases(test):
+    for argv in PARSE_CASES:
+        test = example(argv=argv)(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.one_of(command_lines(), st.lists(st.sampled_from(TOKENS), max_size=8)))
+@_with_parse_cases
+def test_a_plain_line_parses_as_argparse_does(argv):
+    """``main`` reads a plain line without argparse: the arguments must be
+    the ones argparse and the target checks give.  Any other line is None
+    and goes to argparse."""
+    plain = cli._parse_plain(argv)
+    assert plain is None or plain == _argparse_args(argv), argv
+
+
+def _perfbench_inputs():
+    """``perfbench/inputs.py``, registered as a module (its dataclass needs that)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+PERFBENCH_INPUTS = _perfbench_inputs()
+
+
+@pytest.mark.parametrize("workload", sorted(PERFBENCH_INPUTS.WORKLOADS))
+def test_every_benchmark_command_line_is_plain(tmp_path, workload):
+    """Every command line the benchmark runs takes the plain route, and
+    parses as argparse parses it."""
+    for _, argv in PERFBENCH_INPUTS.write_inputs(workload, 1, str(tmp_path)):
+        plain = cli._parse_plain(argv)
+        assert plain is not None, argv
+        assert plain == _argparse_args(argv)

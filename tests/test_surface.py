@@ -77,24 +77,50 @@ def test_all_lists_every_public_name_init_binds():
 
 def test_cli_import_loads_no_dataclasses_or_logging():
     """Every command starts with ``import gburnside.cli``; it must not load
-    ``dataclasses`` (which brings ``inspect``, ``ast`` and ``dis``) or
-    ``logging``.  Prints the modules the import added."""
-    code = (
+    ``dataclasses`` (which brings ``inspect``, ``ast`` and ``dis``),
+    ``logging``, or ``argparse`` with the ``gettext`` and ``locale`` it
+    brings, which only help and errors need.  Prints the modules the
+    import added."""
+    result = _run_python(
         "import sys; before = set(sys.modules); import gburnside.cli; "
         "print(' '.join(sorted(set(sys.modules) - before))); print(' '.join(sys.modules))"
     )
+    added, modules = result.stdout.splitlines()
+    print("import gburnside.cli loaded:", added)
+    unwanted = ("dataclasses", "inspect", "ast", "dis", "logging", "argparse", "gettext", "locale")
+    assert [m for m in unwanted if m in modules.split()] == []
+
+
+def test_a_plain_command_loads_no_argparse(tmp_path):
+    """A plain command line is read without argparse; ``--help`` still
+    builds it and prints argparse's usage."""
+    c2 = tmp_path / "c2.json"
+    c2.write_text('{"group": {"table": [[0, 1], [1, 0]]}}')
+    result = _run_python(
+        "import sys, gburnside.cli as cli; "
+        "code = cli.main(['burnside', '--groupoid', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(code, *(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules)); "
+        "print(cli.main(['--help']))",
+        str(c2), str(tmp_path / "ring.json"),
+    )
+    first, *help_lines, last = result.stdout.splitlines()
+    assert first == "0"
+    assert help_lines[0].startswith("usage: gburnside")
+    assert last == "0"
+    assert '"dim": 2' in (tmp_path / "ring.json").read_text()
+
+
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code args`` in a fresh process that imports the package from src/."""
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    added, modules = result.stdout.splitlines()
-    print("import gburnside.cli loaded:", added)
-    unwanted = ("dataclasses", "inspect", "ast", "dis", "logging")
-    assert [m for m in unwanted if m in modules.split()] == []
+    return result
 
 
 def _plain_classes() -> dict:
