@@ -107,8 +107,8 @@ FLAGS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every command with its help and flags; the parser does not depend on argv."""
+def build_parser() -> argparse.ArgumentParser:
+    """Every command with its help and flags."""
     import argparse  # only help and errors need it: see _parse_plain
 
     parser = argparse.ArgumentParser(

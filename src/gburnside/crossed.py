@@ -21,12 +21,11 @@ the triangle on the weight, exhaustively: they hold exactly when every
 weight monoid is associative and has a two-sided unit.
 The families that act on carriers (distributivity and the braiding
 axioms) it checks on windows of samples, comparing composite maps as
-data, so a failure is reported with a concrete witness.
-
-A tensor product builds its labels, like its carrier's action, only when
-they are first read: most products the axiom checker builds are the
-source or target of a map whose components need only fiber sizes.  The
-unit object is built once per weight instance and kept on it.
+data, so a failure is reported with a concrete witness.  Each coherence
+formula returns component lists, which the public maps wrap with their
+endpoints; the braiding windows compare the lists themselves and build
+only the product the hexagon braids with.  The unit object is built once
+per weight instance and kept on it.
 
 ``CrossedGSet`` and ``CrossedMap`` take ownership of the lists they are
 handed, as the G-set constructors do (see ``gsets``).
@@ -34,7 +33,7 @@ handed, as the G-set constructors do (see ``gsets``).
 
 from __future__ import annotations
 
-from functools import cached_property
+from itertools import zip_longest
 
 from .errors import (
     BaseMismatch,
@@ -132,23 +131,26 @@ class CrossedMap:
         return f"CrossedMap(components={[len(c) for c in self.components]})"
 
 
-def _identity_components(c: CrossedGSet) -> list[list[int]]:
-    return [list(range(n)) for n in c.carrier.sizes]
+def _identity(sizes) -> list[list[int]]:
+    return [list(range(n)) for n in sizes]
 
 
 def identity_crossed_map(c: CrossedGSet) -> CrossedMap:
-    return CrossedMap(c, c, _identity_components(c))
+    return CrossedMap(c, c, _identity(c.carrier.sizes))
+
+
+def _compose(second, first) -> list[list[int | None]]:
+    """Components of second after first; an image of first outside the
+    domain of second has no image (None), so a short map cannot raise."""
+    out = []
+    for s, f in zip(second, first):
+        n = len(s)
+        out.append([s[i] if 0 <= i < n else None for i in f])
+    return out
 
 
 def compose_crossed_maps(second: CrossedMap, first: CrossedMap) -> CrossedMap:
-    return CrossedMap(
-        first.source,
-        second.target,
-        [
-            [second.components[x][i] for i in first.components[x]]
-            for x in first.source.carrier.base.objects
-        ],
-    )
+    return CrossedMap(first.source, second.target, _compose(second.components, first.components))
 
 
 # -- monoidal structure -------------------------------------------------------
@@ -156,28 +158,11 @@ def compose_crossed_maps(second: CrossedMap, first: CrossedMap) -> CrossedMap:
 def tensor(c1: CrossedGSet, c2: CrossedGSet) -> CrossedGSet:
     """Tensor product: cartesian carrier, labels multiplied in the weight."""
     same_weight(c1, c2)
-    return _CrossedProduct(c1, c2)
-
-
-class _CrossedProduct(CrossedGSet):
-    """A tensor product whose labels are built when first read (see
-    ``gsets._ProductGSet``)."""
-
-    def __init__(self, c1: CrossedGSet, c2: CrossedGSet):
-        # not CrossedGSet.__init__: binding label would hide the property below
-        self.carrier = gset_product(c1.carrier, c2.carrier)
-        self.weight = c1.weight
-        # reading monoids here fails now, not at first read, on a G-set weight
-        self._factors = (c1, c2, c1.weight.monoids)
-
-    @cached_property
-    def label(self) -> list[list[int]]:
-        c1, c2, monoids = self._factors
-        self._factors = None  # the factors may be freed now
-        return [
-            [mon.table[a][b] for a in l1 for b in l2]
-            for mon, l1, l2 in zip(monoids, c1.label, c2.label)
-        ]
+    label = [
+        [mon.table[a][b] for a in l1 for b in l2]
+        for mon, l1, l2 in zip(c1.weight.monoids, c1.label, c2.label)
+    ]
+    return CrossedGSet(gset_product(c1.carrier, c2.carrier), c1.weight, label)
 
 
 def unit_object(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
@@ -209,23 +194,19 @@ def associator(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet) -> CrossedMap:
     the identity on ids, as (i|Y| + j)|Z| + k = i|Y||Z| + j|Z| + k."""
     src = tensor(tensor(cx, cy), cz)
     tgt = tensor(cx, tensor(cy, cz))
-    return CrossedMap(src, tgt, _identity_components(src))
+    return CrossedMap(src, tgt, _identity(src.carrier.sizes))
+
+
+def _tensor_components(f, g, g_target_sizes) -> list[list[int]]:
+    """Components of f (x) g, componentwise on pairs: (i, j) goes to
+    f(i)|target of g| + g(j)."""
+    return [[a * w + b for a in fx for b in gx] for fx, gx, w in zip(f, g, g_target_sizes)]
 
 
 def tensor_map(f: CrossedMap, g: CrossedMap) -> CrossedMap:
-    """f (x) g on tensor products, componentwise on pairs."""
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
-    comps = []
-    for x in src.carrier.base.objects:
-        nf = f.source.carrier.size(x)
-        ng = g.source.carrier.size(x)
-        wt = g.target.carrier.size(x)
-        fc, gc = f.components[x], g.components[x]
-        comps.append(
-            [fc[i] * wt + gc[j] for i in range(nf) for j in range(ng)]
-        )
-    return CrossedMap(src, tgt, comps)
+    """f (x) g on tensor products."""
+    comps = _tensor_components(f.components, g.components, g.target.carrier.sizes)
+    return CrossedMap(tensor(f.source, g.source), tensor(f.target, g.target), comps)
 
 
 # -- braiding over the conjugation weight --------------------------------------
@@ -247,9 +228,13 @@ def braiding(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap:
     G-monoid.
     """
     same_weight(c1, c2)
+    comps = _braid(c1, c2)
+    return CrossedMap(tensor(c1, c2), tensor(c2, c1), comps)
+
+
+def _braid(c1: CrossedGSet, c2: CrossedGSet) -> list[list[int]]:
+    """Components of ``braiding(c1, c2)``."""
     loops = _require_conjugation(c1.weight)
-    src = tensor(c1, c2)
-    tgt = tensor(c2, c1)
     comps = []
     for x in c1.carrier.base.objects:
         n1 = c1.carrier.size(x)
@@ -261,16 +246,20 @@ def braiding(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap:
             for j in range(n2):
                 comp.append(act[j] * n1 + i)
         comps.append(comp)
-    return CrossedMap(src, tgt, comps)
+    return comps
 
 
 def braiding_inverse(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap:
     """(u, x) -> (x, Y(theta(x))^-1(u)) from Y (x) X back to X (x) Y."""
     same_weight(c1, c2)
+    comps = _braid_inverse(c1, c2)
+    return CrossedMap(tensor(c2, c1), tensor(c1, c2), comps)
+
+
+def _braid_inverse(c1: CrossedGSet, c2: CrossedGSet) -> list[list[int]]:
+    """Components of ``braiding_inverse(c1, c2)``."""
     loops = _require_conjugation(c1.weight)
     g = c1.carrier.base
-    src = tensor(c2, c1)
-    tgt = tensor(c1, c2)
     comps = []
     for x in g.objects:
         n1 = c1.carrier.size(x)
@@ -282,7 +271,7 @@ def braiding_inverse(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap:
                 act = c2.carrier.action[g.inverse[loop]]
                 comp[j * n1 + i] = i * n2 + act[j]
         comps.append(comp)
-    return CrossedMap(src, tgt, comps)
+    return comps
 
 
 # -- distributivity -------------------------------------------------------------
@@ -350,10 +339,11 @@ def induce(
 
 # -- axiom checking ----------------------------------------------------------------
 
-def _maps_equal(a: CrossedMap, b: CrossedMap):
-    """None if equal, else a witness locating the first disagreement."""
-    for x, (ca, cb) in enumerate(zip(a.components, b.components)):
-        for i, (va, vb) in enumerate(zip(ca, cb)):
+def _maps_equal(a: list[list[int]], b: list[list[int]]):
+    """None if the component lists are equal, else a witness locating the
+    first disagreement; where one side has no image, its image is None."""
+    for x, (ca, cb) in enumerate(zip_longest(a, b, fillvalue=[])):
+        for i, (va, vb) in enumerate(zip_longest(ca, cb)):
             if va != vb:
                 return {
                     "object": x,
@@ -384,26 +374,24 @@ def _symmetry(cx, cy):
     # one-sided formula with itself is not the identity in general (the
     # structure is braided): over C2, swap a unit-labeled with a
     # sigma-labeled free orbit and the double braiding translates by sigma.
-    fwd = braiding(cx, cy)
-    inv = braiding_inverse(cx, cy)
-    witness = _maps_equal(compose_crossed_maps(inv, fwd), identity_crossed_map(fwd.source))
-    if witness is not None:
-        return witness
-    return _maps_equal(compose_crossed_maps(fwd, inv), identity_crossed_map(inv.source))
+    fwd, inv = _braid(cx, cy), _braid_inverse(cx, cy)
+    ident = _identity(a * b for a, b in zip(cx.carrier.sizes, cy.carrier.sizes))
+    return _maps_equal(_compose(inv, fwd), ident) or _maps_equal(_compose(fwd, inv), ident)
 
 
 def _hexagon(cx, cy, cz):
-    lhs = braiding(cx, tensor(cy, cz))
-    rhs = compose_crossed_maps(
-        tensor_map(identity_crossed_map(cy), braiding(cx, cz)),
-        tensor_map(braiding(cx, cy), identity_crossed_map(cz)),
-    )
-    return _maps_equal(lhs, rhs)
+    # the right side is (1 (x) b(X, Z))(b(X, Y) (x) 1); its identities have
+    # the carrier sizes of Y and Z, and b(X, Z) has target Z (x) X
+    ys, zs = cy.carrier.sizes, cz.carrier.sizes
+    first = _tensor_components(_braid(cx, cy), _identity(zs), zs)
+    zx = [a * b for a, b in zip(zs, cx.carrier.sizes)]
+    second = _tensor_components(_identity(ys), _braid(cx, cz), zx)
+    return _maps_equal(_braid(cx, tensor(cy, cz)), _compose(second, first))
 
 
 def _unitor_braiding(cx):
     unit = unit_object(cx.carrier.base, cx.weight)
-    return _maps_equal(braiding(unit, cx), identity_crossed_map(cx))
+    return _maps_equal(_braid(unit, cx), _identity(cx.carrier.sizes))
 
 
 def _distributivity(cx, cy, cz):

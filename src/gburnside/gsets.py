@@ -16,13 +16,10 @@ The constructors of ``GSet``, ``GMonoid`` and ``GMap`` take ownership of
 the lists they are handed and store them without copying; no operation
 mutates such a list afterwards, so structures may share them.  A caller
 that wants to edit one (to build a mutant, say) passes its own copy.
-This makes it safe for a product to build its action from its factors'
-actions only when it is first read.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import accumulate
 
 from .errors import (
@@ -440,35 +437,17 @@ def orbit_decomposition(g: FiniteGroupoid, x: GSet) -> list[tuple[GSet, GMap]]:
 def gset_product(x: GSet, y: GSet) -> GSet:
     """Fiberwise cartesian product with the diagonal action.
 
-    The element (i, j) has dense id i*|Y| + j.  The action is built when
-    first read.
+    The element (i, j) has dense id i*|Y| + j.
     """
     if not same_base(x.base, y.base):
         raise BaseMismatch("product of G-sets over different groupoids")
-    return _ProductGSet(x, y)
-
-
-class _ProductGSet(GSet):
-    """A product whose action is built when first read: the coherence maps
-    of the axiom checker read only the sizes of most products they build."""
-
-    def __init__(self, x: GSet, y: GSet):
-        # not GSet.__init__: binding action would hide the property below
-        self.base = x.base
-        self.sizes = [a * b for a, b in zip(x.sizes, y.sizes)]
-        self._factors = (x, y)
-
-    @cached_property
-    def action(self) -> list[list[int]]:
-        x, y = self._factors
-        self._factors = None  # the factors may be freed now
-        g = self.base
-        out = []
-        for m in g.morphisms:
-            ax, ay = x.action[m], y.action[m]
-            w = y.sizes[g.cod[m]]
-            out.append([i * w + j for i in ax for j in ay])
-        return out
+    g = x.base
+    action = []
+    for m in g.morphisms:
+        ax, ay = x.action[m], y.action[m]
+        w = y.sizes[g.cod[m]]
+        action.append([i * w + j for i in ax for j in ay])
+    return GSet(g, [a * b for a, b in zip(x.sizes, y.sizes)], action)
 
 
 def gset_coproduct(x: GSet, y: GSet) -> GSet:

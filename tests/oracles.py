@@ -15,7 +15,10 @@ from gburnside.classify import (
 from gburnside.crossed import (
     CrossedGSet,
     CrossedMap,
+    _maps_equal,
     associator,
+    braiding,
+    braiding_inverse,
     compose_crossed_maps,
     identity_crossed_map,
     induce,
@@ -403,6 +406,39 @@ def triangle_composites(cx: CrossedGSet, cy: CrossedGSet):
         associator(cx, unit, cy).validate(),
     )
     return via, tensor_map(right_unitor(cx).validate(), identity_crossed_map(cy))
+
+
+def _witness(lhs: CrossedMap, rhs: CrossedMap):
+    return _maps_equal(lhs.components, rhs.components)
+
+
+def symmetry_by_maps(cx: CrossedGSet, cy: CrossedGSet):
+    """The symmetry window on crossed maps with their endpoints: the
+    braiding composed with its inverse formula, both ways round, against
+    the identity.  The reference for the checker's window on component
+    lists, which must give the same witness or None."""
+    fwd = braiding(cx, cy)
+    inv = braiding_inverse(cx, cy)
+    witness = _witness(compose_crossed_maps(inv, fwd), identity_crossed_map(fwd.source))
+    if witness is not None:
+        return witness
+    return _witness(compose_crossed_maps(fwd, inv), identity_crossed_map(inv.source))
+
+
+def hexagon_by_maps(cx: CrossedGSet, cy: CrossedGSet, cz: CrossedGSet):
+    """b(X, Y (x) Z) against (1 (x) b(X, Z))(b(X, Y) (x) 1), on crossed maps."""
+    lhs = braiding(cx, tensor(cy, cz))
+    rhs = compose_crossed_maps(
+        tensor_map(identity_crossed_map(cy), braiding(cx, cz)),
+        tensor_map(braiding(cx, cy), identity_crossed_map(cz)),
+    )
+    return _witness(lhs, rhs)
+
+
+def unitor_braiding_by_maps(cx: CrossedGSet):
+    """b(I, X) against the identity of X, on crossed maps."""
+    unit = unit_object(cx.carrier.base, cx.weight)
+    return _witness(braiding(unit, cx), identity_crossed_map(cx))
 
 
 def _sides_agree(sides, window) -> bool:

@@ -775,9 +775,9 @@ PARSE_CASES = [
 
 @pytest.mark.parametrize("argv", PARSE_CASES)
 def test_parser_of_the_named_command_parses_the_same(capsys, argv):
-    """The parser built for argv, however few commands it registers,
-    parses argv to the same arguments, or exits with the same code and
-    text, as the parser of every command with every flag."""
+    """The package's parser parses argv to the same arguments, or exits
+    with the same code and text, as the parser of every command with every
+    flag."""
 
     def outcome(parser):
         try:
@@ -786,7 +786,7 @@ def test_parser_of_the_named_command_parses_the_same(capsys, argv):
             result = exc.code
         return (result, *capsys.readouterr())
 
-    assert outcome(cli.build_parser(argv)) == outcome(_parser_with_every_flag())
+    assert outcome(cli.build_parser()) == outcome(_parser_with_every_flag())
 
 
 def _argparse_args(argv):
