@@ -478,12 +478,13 @@ class MarkTable:
 class BasisCatalog(Record):
     """Ordered, pairwise non-isomorphic transitive representatives, with a
     fingerprint index for candidate lookup, which reads every carrier, and
-    a table of marks, which reads only coset fibers; both built on first use.
-    The labels live in ``weight``."""
+    a table of marks, which reads only coset fibers; both are caches built on
+    first use, so neither takes part in ``==``.  The labels live in ``weight``."""
 
     def __init__(self, base: FiniteGroupoid, weight: GMonoid | GSet,
-                 entries: list[TransitivePiece], index: dict[tuple, list[int]] | None = None):
-        self.base, self.weight, self.entries, self.index = base, weight, entries, index
+                 entries: list[TransitivePiece]):
+        self.base, self.weight, self.entries = base, weight, entries
+        self._index: dict[tuple, list[int]] | None = None
         self._marks: MarkTable | None = None
 
     @property
@@ -501,11 +502,11 @@ class BasisCatalog(Record):
         return self._marks
 
     def find(self, piece: TransitivePiece) -> int | None:
-        if self.index is None:
-            self.index = {}
+        if self._index is None:
+            self._index = {}
             for k, entry in enumerate(self.entries):
-                self.index.setdefault(entry.fingerprint, []).append(k)
-        for k in self.index.get(piece.fingerprint, []):
+                self._index.setdefault(entry.fingerprint, []).append(k)
+        for k in self._index.get(piece.fingerprint, []):
             entry = self.entries[k]
             if (
                 entry.component_rep == piece.component_rep
@@ -536,8 +537,7 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     for rep in connected_components(g).representatives:
         for cls, normalizer in subgroup_classes(g.compose_table, g.loops(rep),
                                                 g.identity[rep], g.inverse):
-            fixing = [weight.action[h] for h in cls[0]]
-            remaining = {v for v in range(weight.size(rep)) if all(a[v] == v for a in fixing)}
+            remaining = set(fixed_points(weight, rep, cls[0]))
             if not remaining:
                 continue  # no entry, so no fiber
             label_reps = []

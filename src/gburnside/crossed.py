@@ -43,6 +43,7 @@ from .errors import (
 )
 from .groupoid import (
     FiniteGroupoid,
+    Record,
     component_transports,
     isotropy_group,
     retraction,
@@ -60,7 +61,7 @@ from .gsets import (
 )
 
 
-class CrossedGSet:
+class CrossedGSet(Record):
     """A G-set with a natural labeling into a target ``weight``: a G-monoid
     or any G-set (an object of the slice category over it).  Validation
     reads only ``base``, ``size`` and ``action`` of the target."""
@@ -76,15 +77,6 @@ class CrossedGSet:
         GMap(self.carrier, self.weight, self.label).validate()
         return self
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CrossedGSet):
-            return NotImplemented
-        return (
-            self.carrier == other.carrier
-            and self.weight == other.weight
-            and self.label == other.label
-        )
-
     def __repr__(self) -> str:
         return f"CrossedGSet(sizes={self.carrier.sizes})"
 
@@ -96,7 +88,7 @@ def same_weight(a: CrossedGSet, b: CrossedGSet) -> None:
         raise WeightMismatch("crossed sets are labeled in different G-monoids")
 
 
-class CrossedMap:
+class CrossedMap(Record):
     """A G-map between crossed sets commuting with the labels."""
 
     def __init__(self, source: CrossedGSet, target: CrossedGSet, components):
@@ -121,11 +113,6 @@ class CrossedMap:
         return GMap(
             self.source.carrier, self.target.carrier, self.components
         ).is_bijection()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CrossedMap):
-            return NotImplemented
-        return self.components == other.components and self.source == other.source
 
     def __repr__(self) -> str:
         return f"CrossedMap(components={[len(c) for c in self.components]})"

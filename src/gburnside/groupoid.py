@@ -56,6 +56,7 @@ class BindOnce:
 
 class Record:
     """Field-wise ``==`` as a dataclass has it, which leaves the class unhashable.
+    Every data class of the package compares through it, and only with its own type.
     The fields are the instance attributes not named ``_...``; a cache so named takes no part."""
 
     def _fields(self) -> dict:
@@ -104,7 +105,7 @@ def on_generators(check, generators, everything) -> None:
     check(everything)
 
 
-class FiniteGroupoid(BindOnce):
+class FiniteGroupoid(BindOnce, Record):
     """A finite groupoid on dense integer ids.
 
     Objects are ``0..n_objects-1``.  Morphism ``m`` runs ``dom[m] -> cod[m]``.
@@ -177,18 +178,6 @@ class FiniteGroupoid(BindOnce):
     def loops(self, x: int) -> list[int]:
         """Morphism ids x -> x, ascending (the isotropy group at x)."""
         return self.hom(x, x)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteGroupoid):
-            return NotImplemented
-        return (
-            self.n_objects == other.n_objects
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.compose_table == other.compose_table
-            and self.identity == other.identity
-            and self.inverse == other.inverse
-        )
 
     def __repr__(self) -> str:
         return (

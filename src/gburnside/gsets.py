@@ -43,7 +43,7 @@ def same_base(a: FiniteGroupoid, b: FiniteGroupoid) -> bool:
     return a is b or a == b
 
 
-class GSet:
+class GSet(Record):
     """A functor from the base groupoid to finite sets."""
 
     def __init__(self, base: FiniteGroupoid, sizes, action):
@@ -93,15 +93,6 @@ class GSet:
                         raise NotNatural(
                             f"functoriality fails at pair ({g2}, {g1}), element {i}"
                         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GSet):
-            return NotImplemented
-        return (
-            same_base(self.base, other.base)
-            and self.sizes == other.sizes
-            and self.action == other.action
-        )
 
     def __repr__(self) -> str:
         return f"GSet(sizes={self.sizes})"
@@ -171,7 +162,7 @@ class Monoid(BindOnce, Record):
         return None
 
 
-class GMonoid(BindOnce):
+class GMonoid(BindOnce, Record):
     """A functor from the base groupoid to finite monoids.
 
     Action maps are required to be bijective monoid homomorphisms: the base
@@ -222,15 +213,6 @@ class GMonoid(BindOnce):
                             f"action of morphism {m} is not a homomorphism at ({a}, {b})"
                         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GMonoid):
-            return NotImplemented
-        return (
-            same_base(self.base, other.base)
-            and self.monoids == other.monoids
-            and self.action == other.action
-        )
-
     def __repr__(self) -> str:
         return f"GMonoid(sizes={[mon.size for mon in self.monoids]})"
 
@@ -279,7 +261,7 @@ def conjugation_loops(s: GMonoid) -> list[list[int]] | None:
     return None
 
 
-class GMap:
+class GMap(Record):
     """A natural transformation between G-sets over the same base."""
 
     def __init__(self, source: GSet, target: GSet, components):
@@ -316,15 +298,6 @@ class GMap:
             sorted(self.components[x]) == list(range(self.target.size(x)))
             and self.source.size(x) == self.target.size(x)
             for x in self.source.base.objects
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.components == other.components
         )
 
     def __repr__(self) -> str:
@@ -464,7 +437,7 @@ def gset_coproduct(x: GSet, y: GSet) -> GSet:
     return GSet(g, sizes, action)
 
 
-def fixed_points(x: GSet, rep: int, subgroup) -> list[int]:
+def fixed_points(x: GSet | GMonoid, rep: int, subgroup) -> list[int]:
     """Elements of the fiber at rep fixed by every loop in the subgroup,
     ascending; the subgroup is not checked."""
     acts = [x.action[h] for h in subgroup]

@@ -14,7 +14,7 @@ import random
 from .classify import induced_crossed, subgroup_classes
 from .crossed import CrossedGSet, crossed_coproduct, empty_crossed
 from .groupoid import FiniteGroupoid, connected_components
-from .gsets import GMonoid, GSet
+from .gsets import GMonoid, GSet, fixed_points
 
 
 def _orbit_options(g: FiniteGroupoid, weight: GMonoid):
@@ -29,11 +29,7 @@ def _orbit_options(g: FiniteGroupoid, weight: GMonoid):
         walk = subgroup_classes(g.compose_table, loops, g.identity[rep], g.inverse)
         subs = [h for members, _ in walk for h in members]
         for sub in sorted(subs, key=lambda h: (len(h), sorted(h))):
-            invariant = [
-                v
-                for v in range(weight.size(rep))
-                if all(weight.action[m][v] == v for m in sub)
-            ]
+            invariant = fixed_points(weight, rep, sub)
             if invariant:
                 options.append((rep, sub, invariant, len(loops) // len(sub), cls, {}))
     return options

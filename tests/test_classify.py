@@ -288,12 +288,18 @@ class TestExpressInBasis:
     def test_unmatched_piece(self, c2):
         conj = gb.conjugation_action(c2)
         catalog = enumerate_basis(c2, conj)
-        truncated = BasisCatalog(c2, conj, catalog.entries[:3], {})
-        for k, e in enumerate(truncated.entries):
-            truncated.index.setdefault(e.fingerprint, []).append(k)
+        truncated = BasisCatalog(c2, conj, catalog.entries[:3])
         missing = catalog.entries[3].crossed
         with pytest.raises(UnmatchedPiece):
             express_in_basis(missing, truncated)
+
+    def test_find_leaves_equality_unchanged(self, c2):
+        catalog = enumerate_basis(c2, gb.conjugation_action(c2))
+        fresh = BasisCatalog(c2, catalog.weight, list(catalog.entries))
+        assert catalog == fresh
+        piece = transitive_decomposition(catalog.entries[1].crossed)[0]
+        assert catalog.find(piece) == 1
+        assert catalog == fresh
 
     def test_fingerprint_is_iso_invariant(self, corpus):
         g = corpus["C2+S3"]

@@ -10,6 +10,7 @@ import gburnside as gb
 import gburnside.crossed as crossed_module
 from gburnside.classify import are_isomorphic, enumerate_basis, induced_crossed
 from gburnside.crossed import (
+    CrossedMap,
     associator,
     braiding,
     braiding_inverse,
@@ -151,6 +152,12 @@ class TestValidateCrossed:
     def test_constant_sigma_labeling_valid(self, c2, c2_conj):
         x = regular_gset(c2)
         validate_crossed(x, c2_conj, [[1, 1]])
+
+    def test_map_equality_sees_the_target(self, c2, c2_conj):
+        unit = unit_object(c2, c2_conj)
+        inclusion = CrossedMap(unit, crossed_coproduct(unit, unit), [[0]]).validate()
+        assert identity_crossed_map(unit) == identity_crossed_map(unit)
+        assert identity_crossed_map(unit) != inclusion
 
     def test_weight_mismatch_in_maps(self, c2, c2_conj):
         a = unit_object(c2, c2_conj)

@@ -281,7 +281,7 @@ class TestMarkTable:
     def test_out_of_order_catalog_rejected(self, s3):
         catalog = enumerate_basis(s3, gb.conjugation_action(s3))
         reversed_entries = list(reversed(catalog.entries))
-        bad = BasisCatalog(s3, catalog.weight, reversed_entries, {})
+        bad = BasisCatalog(s3, catalog.weight, reversed_entries)
         with pytest.raises(MarksNotTriangular):
             bad.marks()
 
@@ -314,7 +314,7 @@ class TestMarkTable:
         # free orbit has none: its marks solve to 0, which leaves it unaccounted
         conj = gb.conjugation_action(c2)
         catalog = enumerate_basis(c2, conj)
-        fixed_only = BasisCatalog(c2, conj, catalog.entries[2:], {})
+        fixed_only = BasisCatalog(c2, conj, catalog.entries[2:])
         with pytest.raises(UnmatchedPiece, match="account for 0 of 2"):
             express_in_basis(catalog.entries[0].crossed, fixed_only)
 

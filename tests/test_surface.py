@@ -20,8 +20,9 @@ import gburnside.groupoid
 import gburnside.gsets
 from gburnside.classify import BasisCatalog
 from gburnside.cli import JobSpec
+from gburnside.crossed import CrossedGSet, CrossedMap, identity_crossed_map
 from gburnside.groupoid import ComponentData, FiniteGroupoid, GroupoidFunctor
-from gburnside.gsets import ActionGroupoid, Monoid
+from gburnside.gsets import ActionGroupoid, GMap, GMonoid, GSet, Monoid
 from gburnside.rings import RingHom, RingPresentation
 
 MOVED_TO_ORACLES = [
@@ -124,18 +125,41 @@ def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def _plain_classes() -> dict:
-    """For each former dataclass: two instances with equal fields and one
-    that differs from them in one field."""
+    """For each data class: two instances with equal fields and one that
+    differs from them in one field.  The second instance is built from
+    equal but separate parts where it can be, so ``==`` compares values."""
     c2 = gb.from_group([[0, 1], [1, 0]])
+    fresh = _fresh_groupoid(c2)
     ag = gb.action_groupoid(c2, gb.terminal_gset(c2))
-    catalog = gb.enumerate_basis(c2, gb.conjugation_action(c2))
+    conj = gb.conjugation_action(c2)
+    catalog = gb.enumerate_basis(c2, conj)
     ring = gb.burnside_ring(c2)
     rows = [list(ri) for ri in ring.structure_constants]
+    point = gb.terminal_gset(c2)
+    unit = gb.unit_object(c2, conj)
 
     def job(**options):
         return JobSpec("burnside", groupoid="c2.json", **options)
 
+    def monoid():
+        return Monoid([[0, 1], [1, 0]], 0)
+
     return {
+        "FiniteGroupoid": [
+            c2, fresh, FiniteGroupoid(1, [0, 0], [0, 0], [[0, 1], [1, 0]], [0], [0, 0]),
+        ],
+        "GSet": [GSet(g, [1], [[0], [0]]) for g in (c2, fresh)] + [GSet(c2, [2], [[0], [0]])],
+        "GMonoid": [
+            GMonoid(c2, [monoid()], [[0, 1], [0, 1]]),
+            GMonoid(fresh, [monoid()], [[0, 1], [0, 1]]),
+            GMonoid(c2, [monoid()], [[0, 1], [1, 0]]),
+        ],
+        "GMap": [GMap(point, point, [[0]]), GMap(point, gb.terminal_gset(fresh), [[0]]),
+                 GMap(point, gb.gset_coproduct(point, point), [[0]])],
+        "CrossedGSet": [CrossedGSet(point, w, [[0]])
+                        for w in (conj, gb.conjugation_action(fresh), gb.trivial_gmonoid(c2))],
+        "CrossedMap": [identity_crossed_map(unit), identity_crossed_map(unit),
+                       CrossedMap(unit, gb.crossed_coproduct(unit, unit), [[0]])],
         "GroupoidFunctor": [GroupoidFunctor(c2, c2, [0], m) for m in ([0, 1], [0, 1], [1, 0])],
         "ComponentData": [ComponentData([[0]], r) for r in ([0], [0], [1])],
         "Monoid": [Monoid([[0, 1], [1, 0]], u) for u in (0, 0, 1)],
@@ -143,8 +167,8 @@ def _plain_classes() -> dict:
             ActionGroupoid(ag.groupoid, ag.projection, list(ag.object_tags), t)
             for t in (list(ag.morphism_tags), list(ag.morphism_tags), [])
         ],
-        "BasisCatalog": [BasisCatalog(c2, catalog.weight, list(catalog.entries), i)
-                         for i in (None, None, {})],
+        "BasisCatalog": [BasisCatalog(c2, catalog.weight, e)
+                         for e in (list(catalog.entries), list(catalog.entries), catalog.entries[1:])],
         "RingPresentation": [
             RingPresentation(2, rows, [1, 0]),
             RingPresentation(2, rows, [1, 0], None, []),
@@ -155,17 +179,65 @@ def _plain_classes() -> dict:
     }
 
 
-@pytest.mark.parametrize("name", [
-    "GroupoidFunctor", "ComponentData", "Monoid", "ActionGroupoid", "BasisCatalog",
-    "RingPresentation", "RingHom", "JobSpec",
-])
-def test_former_dataclasses_compare_field_by_field(name):
+def _fresh_groupoid(g: FiniteGroupoid) -> FiniteGroupoid:
+    """A new groupoid, with no cache filled, from copies of g's tables."""
+    return FiniteGroupoid(g.n_objects, list(g.dom), list(g.cod),
+                          [list(r) for r in g.compose_table], list(g.identity), list(g.inverse))
+
+
+def _assert_field_wise(name: str) -> None:
     a, b, c = _plain_classes()[name]
+    assert a is not b
     assert a == b
     assert a != c
     assert a != (a, b)
     with pytest.raises(TypeError):
         hash(a)
+
+
+@pytest.mark.parametrize("name", [
+    "GroupoidFunctor", "ComponentData", "Monoid", "ActionGroupoid", "BasisCatalog",
+    "RingPresentation", "RingHom", "JobSpec",
+])
+def test_former_dataclasses_compare_field_by_field(name):
+    _assert_field_wise(name)
+
+
+@pytest.mark.parametrize("name", [
+    "FiniteGroupoid", "GSet", "GMonoid", "GMap", "CrossedGSet", "CrossedMap",
+])
+def test_structures_compare_field_by_field(name):
+    _assert_field_wise(name)
+
+
+def test_caches_take_no_part_in_equality():
+    g = gb.from_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    fresh = _fresh_groupoid(g)
+    assert g == fresh
+    gb.validate_groupoid(g)
+    g.by_dom(0)
+    g.by_cod(0)
+    gb.isotropy_group(g, 0)
+    weight = gb.conjugation_action(g)  # fills g's conjugation cache
+    assert g == fresh
+    fresh_weight = GMonoid(fresh, list(weight.monoids), list(weight.action))
+    assert weight == fresh_weight
+    gb.unit_object(g, weight)
+    assert weight._unit_object is not None
+    assert weight == fresh_weight
+
+
+def test_only_record_defines_eq():
+    """Every class of the package compares through ``groupoid.Record``."""
+    package = Path(gburnside.__file__).parent
+    defining = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__eq__" for f in node.body)
+    ]
+    assert defining == ["groupoid.py:Record"]
 
 
 def test_former_dataclass_defaults():
