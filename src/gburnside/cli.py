@@ -18,13 +18,15 @@ blocks over it, for any weight.
 
 Exit status: 0 on success or verified; 1 on a verification counterexample
 (the report carries a witness); 2 on input errors, an unreadable or too
-deeply nested input file or an unwritable --out included.  Identical
-invocations with the same seed produce byte-identical JSON.  A report is
-rendered exactly as ``json.dumps(report, indent=2, sort_keys=True)`` would
-render it, with each distinct row of a ring's table rendered once
-(``render_json``).  With GB_LOG, which is read on every call, set to info
-or debug, a ring command writes ``INFO <message>`` to stderr; unset, quiet
-or any other value writes nothing.
+deeply nested input file, an unwritable --out and a stdout whose reader
+has closed included.  Identical invocations with the same seed produce
+byte-identical JSON.  A report is written exactly as ``json.dumps(report,
+indent=2, sort_keys=True)`` would render it, with each distinct row of a
+ring's table rendered once, and streamed to stdout or --out a list
+element at a time (``write_json``); a table is written line by line, so
+no command holds its whole report text.  With GB_LOG, which is read on
+every call, set to info or debug, a ring command writes ``INFO <message>``
+to stderr; unset, quiet or any other value writes nothing.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from .serialize import (
     parse_gmonoid,
     parse_groupoid,
     parse_gset,
-    render_json,
     ring_to_obj,
+    write_json,
 )
 
 # JSON arrays and objects nested deeper are an input error on every interpreter:
@@ -233,43 +235,42 @@ def _basis_entry_text(g: FiniteGroupoid, info: dict) -> str:
     return f"({info['component']}, size={info['carrier_size']}, image={info['base_image']})"
 
 
-def _render_ring_table(g: FiniteGroupoid, ring: RingPresentation) -> list[str]:
-    lines = [f"dim: {ring.dim}", f"unit: {ring.unit_vector}", "basis:"]
+def _render_ring_table(g: FiniteGroupoid, ring: RingPresentation):
+    yield f"dim: {ring.dim}"
+    yield f"unit: {ring.unit_vector}"
+    yield "basis:"
     width = max((len(f"e{k}") for k in range(ring.dim)), default=2)
     for k, info in enumerate(ring.basis_info):
-        lines.append(f"  {f'e{k}':<{width}} = {_basis_entry_text(g, info)}")
-    lines.append("products:")
+        yield f"  {f'e{k}':<{width}} = {_basis_entry_text(g, info)}"
+    yield "products:"
     for i, ri in enumerate(ring.structure_constants):
         for j, rij in enumerate(ri):
             terms = [(f"{v} " if v != 1 else "") + f"e{k}" for k, v in rij]
             rhs = " + ".join(terms) if terms else "0"
-            lines.append(f"  {f'e{i}':<{width}} * {f'e{j}':<{width}} = {rhs}")
-    return lines
+            yield f"  {f'e{i}':<{width}} * {f'e{j}':<{width}} = {rhs}"
 
 
-def _render_generic_table(report: dict, prefix: str = "") -> list[str]:
-    lines = []
+def _render_generic_table(report: dict, prefix: str = ""):
     for key in sorted(report):
         val = report[key]
         if isinstance(val, dict):
-            lines.append(f"{prefix}{key}:")
-            lines.extend(_render_generic_table(val, prefix + "  "))
+            yield f"{prefix}{key}:"
+            yield from _render_generic_table(val, prefix + "  ")
         elif isinstance(val, list) and val and all(isinstance(v, dict) for v in val):
-            lines.append(f"{prefix}{key}:")
+            yield f"{prefix}{key}:"
             for item in val:
                 if set(item) == {"axiom", "status"}:
-                    lines.append(f"{prefix}  {item['axiom']}: {item['status']}")
+                    yield f"{prefix}  {item['axiom']}: {item['status']}"
                 else:
-                    lines.extend(_render_generic_table(item, prefix + "  "))
+                    yield from _render_generic_table(item, prefix + "  ")
         else:
-            lines.append(f"{prefix}{key}: {val}")
-    return lines
+            yield f"{prefix}{key}: {val}"
 
 
 # -- command handlers -----------------------------------------------------------------
 #
 # A command handler returns (exit code, report, render): render is None or a
-# zero-argument callable that builds the --format table lines, so a JSON run
+# zero-argument callable that yields the --format table lines, so a JSON run
 # never renders a table.  A verify handler returns (exit code, report).
 
 def _cmd_validate(job: JobSpec):
@@ -500,27 +501,41 @@ COMMANDS = {
 }
 
 
-def run(job: JobSpec) -> tuple[int, str]:
-    """Execute a job; returns (exit code, rendered report)."""
+def run(job: JobSpec):
+    """Execute a job; returns (exit code, report writer).  The writer passes
+    the rendered report to the ``write`` it is called with a piece at a
+    time: JSON element by element (``write_json``), a table line by line."""
     code, report, render = COMMANDS[job.command][0](job)
     report = {"command": job.command, **report}
-    if job.format == "table":
-        lines = render() if render is not None else _render_generic_table(report)
-        text = "\n".join(lines) + "\n"
+    if job.format == "json":
+        def emit(write) -> None:
+            write_json(report, write)
+            write("\n")
     else:
-        text = render_json(report) + "\n"
-    return code, text
+        def emit(write) -> None:
+            for line in render() if render is not None else _render_generic_table(report):
+                write(line + "\n")
+    return code, emit
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write(emit, path: str | None) -> None:
+    """Stream a report writer to the --out file or to stdout.  A failed
+    write to either is an input error; after one to stdout, stdout points
+    at the null device, so the interpreter's exit flush writes nothing."""
     try:
+        if path is None:
+            emit(sys.stdout.write)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            emit(fh.write)
     except OSError as exc:
-        raise ParseError(f"cannot write output file {path}: {exc.strerror}") from None
+        if path is not None:
+            raise ParseError(f"cannot write output file {path}: {exc.strerror}") from None
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ParseError(f"cannot write to stdout: {exc.strerror}") from None
 
 
 def _info(message: str) -> None:
@@ -540,8 +555,8 @@ def main(argv=None) -> int:
             return exc.code
     job = JobSpec(verify_target=args.pop("target", None), **args)
     try:
-        code, text = run(job)
-        _write(text, job.out)
+        code, emit = run(job)
+        _write(emit, job.out)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,7 @@ handed, as the G-set constructors do (see ``gsets``).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import zip_longest
 
 from .errors import (
@@ -215,13 +216,13 @@ def braiding(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap:
     G-monoid.
     """
     same_weight(c1, c2)
-    comps = _braid(c1, c2)
+    comps = _braid(_require_conjugation(c1.weight), c1, c2)
     return CrossedMap(tensor(c1, c2), tensor(c2, c1), comps)
 
 
-def _braid(c1: CrossedGSet, c2: CrossedGSet) -> list[list[int]]:
-    """Components of ``braiding(c1, c2)``."""
-    loops = _require_conjugation(c1.weight)
+def _braid(loops: list[list[int]], c1: CrossedGSet, c2: CrossedGSet) -> list[list[int]]:
+    """Components of ``braiding(c1, c2)``, given the loop map of their
+    conjugation weight (``conjugation_loops``)."""
     comps = []
     for x in c1.carrier.base.objects:
         n1 = c1.carrier.size(x)
@@ -239,13 +240,12 @@ def _braid(c1: CrossedGSet, c2: CrossedGSet) -> list[list[int]]:
 def braiding_inverse(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap:
     """(u, x) -> (x, Y(theta(x))^-1(u)) from Y (x) X back to X (x) Y."""
     same_weight(c1, c2)
-    comps = _braid_inverse(c1, c2)
+    comps = _braid_inverse(_require_conjugation(c1.weight), c1, c2)
     return CrossedMap(tensor(c2, c1), tensor(c1, c2), comps)
 
 
-def _braid_inverse(c1: CrossedGSet, c2: CrossedGSet) -> list[list[int]]:
-    """Components of ``braiding_inverse(c1, c2)``."""
-    loops = _require_conjugation(c1.weight)
+def _braid_inverse(loops: list[list[int]], c1: CrossedGSet, c2: CrossedGSet) -> list[list[int]]:
+    """Components of ``braiding_inverse(c1, c2)``, given the loop map as ``_braid``."""
     g = c1.carrier.base
     comps = []
     for x in g.objects:
@@ -356,29 +356,29 @@ def _weight_laws(weight: GMonoid) -> tuple[dict | None, dict | None]:
     return pentagon, triangle
 
 
-def _symmetry(cx, cy):
+def _symmetry(loops, cx, cy):
     # Pairs the braiding with its explicit inverse formula.  Composing the
     # one-sided formula with itself is not the identity in general (the
     # structure is braided): over C2, swap a unit-labeled with a
     # sigma-labeled free orbit and the double braiding translates by sigma.
-    fwd, inv = _braid(cx, cy), _braid_inverse(cx, cy)
+    fwd, inv = _braid(loops, cx, cy), _braid_inverse(loops, cx, cy)
     ident = _identity(a * b for a, b in zip(cx.carrier.sizes, cy.carrier.sizes))
     return _maps_equal(_compose(inv, fwd), ident) or _maps_equal(_compose(fwd, inv), ident)
 
 
-def _hexagon(cx, cy, cz):
+def _hexagon(loops, cx, cy, cz):
     # the right side is (1 (x) b(X, Z))(b(X, Y) (x) 1); its identities have
     # the carrier sizes of Y and Z, and b(X, Z) has target Z (x) X
     ys, zs = cy.carrier.sizes, cz.carrier.sizes
-    first = _tensor_components(_braid(cx, cy), _identity(zs), zs)
+    first = _tensor_components(_braid(loops, cx, cy), _identity(zs), zs)
     zx = [a * b for a, b in zip(zs, cx.carrier.sizes)]
-    second = _tensor_components(_identity(ys), _braid(cx, cz), zx)
-    return _maps_equal(_braid(cx, tensor(cy, cz)), _compose(second, first))
+    second = _tensor_components(_identity(ys), _braid(loops, cx, cz), zx)
+    return _maps_equal(_braid(loops, cx, tensor(cy, cz)), _compose(second, first))
 
 
-def _unitor_braiding(cx):
+def _unitor_braiding(loops, cx):
     unit = unit_object(cx.carrier.base, cx.weight)
-    return _maps_equal(_braid(unit, cx), _identity(cx.carrier.sizes))
+    return _maps_equal(_braid(loops, unit, cx), _identity(cx.carrier.sizes))
 
 
 def _distributivity(cx, cy, cz):
@@ -420,11 +420,12 @@ def check_monoidal_axioms(samples: list[CrossedGSet]) -> list[dict]:
     for s in samples[1:]:
         same_weight(samples[0], s)
     checks: list[tuple[str, int, object]] = [("distributivity", 3, _distributivity)]
-    if conjugation_loops(samples[0].weight) is not None:
+    loops = conjugation_loops(samples[0].weight)  # resolved once for every window
+    if loops is not None:
         checks += [
-            ("symmetry", 2, _symmetry),
-            ("hexagon", 3, _hexagon),
-            ("unitor-braiding", 1, _unitor_braiding),
+            ("symmetry", 2, partial(_symmetry, loops)),
+            ("hexagon", 3, partial(_hexagon, loops)),
+            ("unitor-braiding", 1, partial(_unitor_braiding, loops)),
         ]
     n = len(samples)
     status: list[object] = ["ok"] * len(checks)

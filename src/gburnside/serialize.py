@@ -17,11 +17,17 @@ Input schemas:
 A groupoid, ``group`` or G-monoid object names exactly one form: one with
 fields of two (``{"pair": 2, "group": ...}``) is refused, naming them.
 Object and morphism id keys are canonical decimals: ``"00"`` is refused.
+
+Reports are written by ``write_json`` exactly as ``json.dumps(report,
+indent=2, sort_keys=True)`` renders them, one piece at a time: each
+element of a list the report holds (a ring-table row, a basis entry, a
+matrix row, an axiom check) is rendered and written before the next.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .crossed import CrossedGSet
@@ -275,13 +281,16 @@ def hom_to_obj(hom) -> dict:
     }
 
 
-def render_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with each
-    tuple object met again at the same depth rendered once (a ring's equal
-    rows are one object, see ``rings._ring``).  The memo is keyed by identity,
-    not value: (1,), (True,) and (1.0,) are equal with three texts.  Values
-    other than str, exact int, list, tuple and str-keyed dict go to ``json``,
-    re-indented to their depth: every newline it writes is layout."""
+def write_json(obj, write) -> None:
+    """Pass ``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, to
+    ``write`` a piece at a time: a top-level str-keyed dict key by key, and
+    each list or tuple it holds element by element, so no more than one
+    element's text exists at once.  Each tuple object met again at the same
+    depth is rendered once (a ring's equal rows are one object, see
+    ``rings._ring``).  The memo is keyed by identity, not value: (1,),
+    (True,) and (1.0,) are equal with three texts.  Values other than str,
+    exact int, list, tuple and str-keyed dict go to ``json``, re-indented to
+    their depth: every newline it writes is layout."""
     memo: dict[tuple[int, int], str] = {}
 
     def text(v, pad: str) -> str:  # pad: a newline and the indent of v's line
@@ -309,7 +318,32 @@ def render_json(obj) -> str:
         if not v:
             return "[]"
         inner = pad + "  "
-        items = map(str, v) if set(map(type, v)) == {int} else [text(x, inner) for x in v]
+        kinds = set(map(type, v))
+        if kinds == {int}:
+            items = map(str, v)
+        elif kinds == {list} and all(v) and set(map(type, chain.from_iterable(v))) == {int}:
+            # non-empty integer lists, such as compose triples: no call per item
+            sep = "," + inner + "  "
+            head, tail = "[" + sep[1:], inner + "]"
+            items = [head + sep.join(map(str, x)) + tail for x in v]
+        else:
+            items = [text(x, inner) for x in v]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
 
-    return text(obj, "\n")
+    if type(obj) is not dict or not obj or not all(type(k) is str for k in obj):
+        write(text(obj, "\n"))
+        return
+    head = "{\n  "
+    for k in sorted(obj):
+        v = obj[k]
+        write(head + encode_basestring_ascii(k) + ": ")
+        head = ",\n  "
+        if type(v) in (list, tuple) and v:
+            sep = "[\n    "
+            for x in v:
+                write(sep + text(x, "\n    "))
+                sep = ",\n    "
+            write("\n  ]")
+        else:
+            write(text(v, "\n  "))
+    write("\n}")

@@ -11,6 +11,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,9 @@ import gburnside as gb
 from gburnside import cli
 from gburnside.cli import main
 
-from conftest import NON_ASSOCIATIVE_LOOP, cyclic_table, dense_constants, sparse_rows
+from conftest import (
+    NON_ASSOCIATIVE_LOOP, cyclic_table, dense_constants, sparse_rows, table_product,
+)
 
 
 @pytest.fixture
@@ -635,6 +638,83 @@ class TestDeterminism:
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["checks"] == r2["checks"]
         assert r1["seed"] != r2["seed"]
+
+
+STREAMED = {
+    "ring": ["crossed-burnside", "--groupoid", "{s3}", "--weight", "conjugation"],
+    "hom": ["verify", "decomposition", "--groupoid", "{c2_pair2}"],
+    "axioms": ["verify", "axioms", "--groupoid", "{s3}", "--samples", "5", "--seed", "2"],
+    "action-groupoid": [
+        "action-groupoid", "--groupoid", "{s3}", "--gset", "{s3_conjugation}",
+    ],
+    "table": ["crossed-burnside", "--groupoid", "{s3}", "--format", "table"],
+    "generic-table": ["verify", "axioms", "--groupoid", "{c2}", "--format", "table"],
+}
+
+
+def _streamed_argv(inputs, kind: str) -> list[str]:
+    paths = {name.removesuffix(".json"): path for name, path in inputs.items()}
+    return [a.format(**paths) for a in STREAMED[kind]]
+
+
+class TestStreamedReport:
+    """A report is written a piece at a time, to stdout or to --out."""
+
+    @pytest.mark.parametrize("kind", STREAMED)
+    def test_stdout_and_out_hold_the_same_bytes(self, inputs, tmp_path, capsys, kind):
+        argv = _streamed_argv(inputs, kind)
+        code, out = run_cli(capsys, *argv)
+        target = tmp_path / "report"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (code, "")
+        assert code == 0
+        assert target.read_bytes() == out.encode("utf-8")
+        if "table" in kind:
+            assert out.endswith("\n") and not out.endswith("\n\n")
+        else:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    def test_writing_a_report_holds_a_fraction_of_it(self, tmp_path):
+        c2 = cyclic_table(2)
+        path = tmp_path / "c2_3.json"
+        path.write_text(json.dumps({"group": {"table": table_product(table_product(c2, c2), c2)}}))
+        target = tmp_path / "report.json"
+        job = cli.JobSpec("crossed-burnside", groupoid=str(path), out=str(target))
+        code, emit = cli.run(job)
+        tracemalloc.start()
+        try:
+            cli._write(emit, job.out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = target.stat().st_size
+        assert code == 0 and json.loads(target.read_text())["dim"] == 128
+        assert size > 1_000_000
+        assert peak < size / 4, (peak, size)
+
+    @pytest.mark.parametrize("how", ["pipe", "full"])
+    def test_a_failed_stdout_exits_2(self, inputs, how):
+        """A pipe whose read end is closed before the child writes, and a
+        full device: one input error line, exit 2."""
+        cmd = [sys.executable, "-m", "gburnside", "burnside", "--groupoid", inputs["s3.json"]]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        if how == "pipe":
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                result = subprocess.run(cmd, env=env, stdout=write, stderr=subprocess.PIPE,
+                                        timeout=60)
+            finally:
+                os.close(write)
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "wb") as full:
+                result = subprocess.run(cmd, env=env, stdout=full, stderr=subprocess.PIPE,
+                                        timeout=60)
+        err = result.stderr.decode()
+        assert result.returncode == 2, err
+        assert err.startswith("input error: cannot write to stdout: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_json_ring_commands_render_no_table(inputs, capsys, monkeypatch):

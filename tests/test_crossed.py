@@ -65,11 +65,12 @@ def axiom_major_report(samples):
         for name, w in (("pentagon", pentagon), ("triangle", triangle))
     ]
     families = [("distributivity", 3, lambda w: crossed_module._distributivity(*w))]
-    if gb.gsets.conjugation_loops(samples[0].weight) is not None:
+    loops = gb.gsets.conjugation_loops(samples[0].weight)
+    if loops is not None:
         families += [
-            ("symmetry", 2, lambda w: crossed_module._symmetry(*w)),
-            ("hexagon", 3, lambda w: crossed_module._hexagon(*w)),
-            ("unitor-braiding", 1, lambda w: crossed_module._unitor_braiding(*w)),
+            ("symmetry", 2, lambda w: crossed_module._symmetry(loops, *w)),
+            ("hexagon", 3, lambda w: crossed_module._hexagon(loops, *w)),
+            ("unitor-braiding", 1, lambda w: crossed_module._unitor_braiding(loops, *w)),
         ]
     n = len(samples)
     for name, arity, run in families:
@@ -95,8 +96,8 @@ def corrupt_when_first(monkeypatch, samples, k):
     def first_long(components):
         return next((c for c in components if len(c) >= 2), None)
 
-    def bad_braid(a, b):
-        comps = good_braid(a, b)
+    def bad_braid(loops, a, b):
+        comps = good_braid(loops, a, b)
         comp = first_long(comps) if a is samples[k] else None
         if comp is not None:
             comp[0], comp[1] = comp[1], comp[0]
@@ -437,6 +438,7 @@ class TestAxiomChecker:
         witnesses = 0
         for name, g in corpus.items():
             samples = sample_many(g, gb.conjugation_action(g), 6, seed=13)
+            loops = gb.gsets.conjugation_loops(samples[0].weight)
             n = len(samples)
             for corrupt in (False, True):
                 if corrupt:
@@ -444,7 +446,7 @@ class TestAxiomChecker:
                 for arity, by_components, by_maps in families:
                     for i in range(n):
                         window = [samples[(i + j) % n] for j in range(arity)]
-                        got = by_components(*window)
+                        got = by_components(loops, *window)
                         assert got == by_maps(*window), (name, corrupt, arity, i)
                         witnesses += got is not None
                 monkeypatch.undo()
@@ -456,8 +458,8 @@ class TestAxiomChecker:
         # IndexError where a composite looked up an image that was not there
         good_braid = crossed_module._braid
 
-        def short_braid(a, b):
-            comps = good_braid(a, b)
+        def short_braid(loops, a, b):
+            comps = good_braid(loops, a, b)
             for c in comps:
                 if c:
                     c.pop()

@@ -135,8 +135,11 @@ def compute_digests(corpus: dict, workdir: str, jobs=_ring_jobs) -> dict[str, st
         with open(xpath, "w", encoding="utf-8") as fh:
             json.dump(conjugation_gset_obj(g), fh)
         for command, weight, job in jobs(gpath, xpath, g):
-            code, text = run(job)
+            code, emit = run(job)
             assert code == 0
+            parts: list[str] = []
+            emit(parts.append)
+            text = "".join(parts)
             out[_key(name, command, weight)] = hashlib.sha256(
                 text.encode("utf-8")
             ).hexdigest()

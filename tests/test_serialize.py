@@ -18,7 +18,8 @@ from gburnside.serialize import (
     parse_gmonoid,
     parse_groupoid,
     parse_gset,
-    render_json,
+    ring_to_obj,
+    write_json,
 )
 
 from conftest import cyclic_table, s3_table
@@ -299,6 +300,16 @@ class TestKeySpelling:
 
 # -- report rendering ------------------------------------------------------------
 
+def _pieces(obj) -> list[str]:
+    parts: list[str] = []
+    write_json(obj, parts.append)
+    return parts
+
+
+def render_json(obj) -> str:
+    return "".join(_pieces(obj))
+
+
 # One tuple object that the examples place at several depths, and equal
 # tuples whose texts differ: a memo keyed by value would mix them up.
 SHARED = ((3, 1), (5, 2))
@@ -329,5 +340,33 @@ json_values = st.recursive(
 @example({2: "b", 10: (1,), -1: {3: True, 0: SHARED}})
 @example(SHARED)
 @example("plain")
+@example({"rows": [[[1, 2], [3]], [[]], [[1, True]], [[1], []]], "t": (SHARED, [SHARED])})
+@example({"a": [], "b": (), "c": {}, "d": [[], ()], "e": [SHARED, (SHARED,)]})
 def test_render_json_is_json_dumps(obj):
     assert render_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_write_json_passes_one_element_at_a_time(s3):
+    # a ring's equal rows are one tuple; here one of them is also met as an
+    # element of a streamed list and one level deeper, so the memo sees it
+    # at three depths
+    ring = gb.burnside_ring(s3)
+    shared = ring.structure_constants[1][1]
+    report = {"command": "burnside", **ring_to_obj(ring), "again": [shared, [shared]]}
+    parts = _pieces(report)
+    assert "".join(parts) == json.dumps(report, indent=2, sort_keys=True)
+    # a piece per key, per scalar value or list close, per list element, and
+    # the closing brace; each element's piece is its separator and its text
+    lists = [v for v in report.values() if isinstance(v, (list, tuple)) and v]
+    assert len(parts) == 2 * len(report) + sum(map(len, lists)) + 1
+    elements = {
+        sep + json.dumps(x, indent=2, sort_keys=True).replace("\n", "\n    ")
+        for v in lists for x in v for sep in ("[\n    ", ",\n    ")
+    }
+    assert sum(p in elements for p in parts) == sum(map(len, lists))
+    assert all(p in elements or len(p) < 30 for p in parts)
+
+
+def test_write_json_renders_a_top_level_non_dict_whole():
+    for obj in ([1, [2, 3]], (SHARED,), {1: [2]}, {}, "plain"):
+        assert _pieces(obj) == [json.dumps(obj, indent=2, sort_keys=True)]
