@@ -9,7 +9,10 @@ form a triangular integer matrix.  The marks of a labeled G-set come
 from its fixed points, and those of a transitive one from its fiber of
 cosets (``CosetFiber``), which is how the basis and the columns of the
 theorem homs in ``rings`` are read.  ``express_by_decomposition`` is the
-reference route, by orbit decomposition and transporter search.
+reference route: ``transitive_decomposition`` splits a crossed set into
+its orbits, each a plain ``CrossedGSet`` paired with its member ids, and
+``BasisCatalog.find`` matches each to its entry by transporter search.
+A basis entry is a ``TransitivePiece`` and nothing else.
 
 Labels live in a target G-set: the weight G-monoid of the crossed
 Burnside ring, or any G-set for the Hadamard ring of a slice.  Nothing
@@ -130,69 +133,49 @@ def crossed_fingerprint(c: CrossedGSet) -> tuple:
 
 
 class TransitivePiece:
-    """A transitive crossed set supported on a single component, with the
-    (stabilizer subgroup, base label) coordinates of one of its elements
-    at the component representative.  A basis entry holds the ``CosetFiber``
-    of its class and its label's position there, and builds ``crossed`` on
-    first read."""
+    """A basis entry: the transitive crossed set induced at the component
+    representative from the (stabilizer subgroup, base label) pair
+    ``standard_pair``, held as the ``CosetFiber`` of its subgroup class and
+    its label's position there.  ``crossed`` reads the fiber's carriers,
+    which are built on first read."""
 
-    def __init__(self, component_rep: int, crossed: CrossedGSet | None,
-                 standard_pair: tuple[frozenset[int], int], fiber=None, index: int = 0):
-        self.component_rep = component_rep
-        self.standard_pair = standard_pair
+    def __init__(self, component_rep: int, standard_pair: tuple[frozenset[int], int],
+                 fiber: CosetFiber, index: int):
+        self.component_rep, self.standard_pair = component_rep, standard_pair
         self.fiber, self.index = fiber, index
-        if crossed is not None:
-            self.crossed = crossed
 
-    @cached_property
+    @property
     def crossed(self) -> CrossedGSet:
         return self.fiber.crossed[self.index]
 
-    @property
-    def fingerprint(self) -> tuple:
-        return crossed_fingerprint(self.crossed)
 
-
-def _decompose_with_embeddings(c: CrossedGSet):
+def transitive_decomposition(c: CrossedGSet) -> list[tuple[CrossedGSet, list[list[int]]]]:
+    """The orbits of c, each a transitive crossed set with restricted labels
+    paired with its member ids in c per object; the coproduct of the pieces
+    is a relabeling of c."""
     g = c.carrier.base
     pieces = []
-    embeds = []
-    for piece_carrier, embed in orbit_decomposition(g, c.carrier):
-        label = [
-            [c.label[x][i] for i in embed.components[x]] for x in g.objects
-        ]
-        crossed = CrossedGSet(piece_carrier, c.weight, label)
-        rep = min(x for x in g.objects if piece_carrier.size(x) > 0)
-        base_elt = 0
-        stab = frozenset(
-            h for h in g.loops(rep) if piece_carrier.action[h][base_elt] == base_elt
-        )
-        pieces.append(
-            TransitivePiece(rep, crossed, (stab, label[rep][base_elt]))
-        )
-        embeds.append(embed)
-    return pieces, embeds
+    for piece, embed in orbit_decomposition(g, c.carrier):
+        members = embed.components
+        label = [[c.label[x][i] for i in members[x]] for x in g.objects]
+        pieces.append((CrossedGSet(piece, c.weight, label), members))
+    return pieces
 
 
-def transitive_decomposition(c: CrossedGSet) -> list[TransitivePiece]:
-    """Orbit pieces of the carrier with restricted labels; the coproduct of
-    the pieces is a relabeling of c."""
-    return _decompose_with_embeddings(c)[0]
-
-
-def _transitive_iso(p1: CrossedGSet, p2: CrossedGSet, rep: int) -> list[list[int]] | None:
+def _transitive_iso(p1: CrossedGSet, p2: CrossedGSet) -> list[list[int]] | None:
     """Base-point transporter search between transitive pieces.
 
-    Fix the first element of p1 at rep; try each label-compatible image in
-    p2 in ascending order; propagate along all morphisms out of rep and
-    fail on any conflict.  Success gives a full natural label-preserving
-    bijection.  Callers must already have matched fingerprints (equal fiber
-    sizes force any conflict-free propagation to be bijective).
+    Fix the first element of p1 at the least object where it has elements;
+    try each label-compatible image in p2 in ascending order; propagate
+    along all morphisms out of that object and fail on any conflict.
+    Success gives a full natural label-preserving bijection.  Callers must
+    already have matched fingerprints (equal fiber sizes force any
+    conflict-free propagation to be bijective).
     """
     g = p1.carrier.base
+    rep = next(x for x in g.objects if p1.carrier.size(x))
     base_label = p1.label[rep][0]
-    n_rep = p2.carrier.size(rep)
-    for cand in range(n_rep):
+    for cand in range(p2.carrier.size(rep)):
         if p2.label[rep][cand] != base_label:
             continue
         mapping = [[-1] * p1.carrier.size(x) for x in g.objects]
@@ -223,30 +206,25 @@ def are_isomorphic(c1: CrossedGSet, c2: CrossedGSet) -> CrossedMap | None:
     if crossed_fingerprint(c1) != crossed_fingerprint(c2):
         return None
     g = c1.carrier.base
-    pieces1, embeds1 = _decompose_with_embeddings(c1)
-    pieces2, embeds2 = _decompose_with_embeddings(c2)
+    pieces1, pieces2 = transitive_decomposition(c1), transitive_decomposition(c2)
     if len(pieces1) != len(pieces2):
         return None
     used = [False] * len(pieces2)
     components = [[-1] * c1.carrier.size(x) for x in g.objects]
-    for k, piece in enumerate(pieces1):
-        fp = piece.fingerprint
-        matched = False
-        for l, other in enumerate(pieces2):
-            if used[l] or other.fingerprint != fp:
+    for piece, members1 in pieces1:
+        fp = crossed_fingerprint(piece)
+        for l, (other, members2) in enumerate(pieces2):
+            if used[l] or crossed_fingerprint(other) != fp:
                 continue
-            witness = _transitive_iso(piece.crossed, other.crossed, piece.component_rep)
+            witness = _transitive_iso(piece, other)
             if witness is None:
                 continue
             used[l] = True
-            matched = True
             for x in g.objects:
-                e1 = embeds1[k].components[x]
-                e2 = embeds2[l].components[x]
                 for i, w in enumerate(witness[x]):
-                    components[x][e1[i]] = e2[w]
+                    components[x][members1[x][i]] = members2[x][w]
             break
-        if not matched:
+        else:
             return None
     return CrossedMap(c1, c2, components).validate()
 
@@ -311,10 +289,10 @@ def induced_crossed(
 class MarkTable:
     """The marks of a catalog's entries, and coordinates from marks.
 
-    Each entry is ``(rep, K, u, fiber, label)``: a transitive labeled
-    G-set at component representative rep, by the ``CosetFiber`` of its
-    carrier and the labels of the cosets, with the (stabilizer, label) pair
-    (K, u) of one of its elements there.  Row k of the table is the mark
+    Each entry is a ``TransitivePiece``: a transitive labeled G-set at
+    component representative rep, by the ``CosetFiber`` of its carrier and
+    its label's position there, with the (stabilizer, label) pair (K, u)
+    of one of its elements there.  Row k of the table is the mark
     phi_(K_k, u_k).  A transitive X has phi_(K, u)(X) > 0 only if
     K fixes an element x of X with label u, so |K| <= |Stab(x)|; with
     equality (K, u) is the (stabilizer, label) pair of x, which makes X
@@ -330,18 +308,17 @@ class MarkTable:
     def __init__(self, entries):
         d = len(entries)
         self.dim = d
-        self.reps = [e[0] for e in entries]
-        self.names = [
-            f"(component {rep}, subgroup {sorted(sub)}, label {u})"
-            for rep, sub, u, _, _ in entries
-        ]
-        self.totals = [fiber.total for _, _, _, fiber, _ in entries]
+        self.reps = [e.component_rep for e in entries]
+        self.names = [f"(component {e.component_rep}, subgroup {sorted(e.standard_pair[0])}, "
+                      f"label {e.standard_pair[1]})" for e in entries]
+        self.totals = [e.fiber.total for e in entries]
         # distinct (rep, K) over the rows, and per subgroup the row of each label
         ids: dict[tuple[int, frozenset[int]], int] = {}
         self.subgroups: list[tuple[int, frozenset[int]]] = []
         self.row_of: list[dict[int, int]] = []
-        for k, (rep, sub, u, _, _) in enumerate(entries):
-            key = (rep, frozenset(sub))
+        for k, e in enumerate(entries):
+            sub, u = e.standard_pair
+            key = (e.component_rep, frozenset(sub))
             if key not in ids:
                 ids[key] = len(self.subgroups)
                 self.subgroups.append(key)
@@ -354,8 +331,9 @@ class MarkTable:
         # (the tensor convolution sums over all factorizations of a label),
         # from one scan per run of entries on one fiber
         self.fixed: list[dict[int, dict[int, int]]] = []
-        for (_, rep, fiber), run in groupby(entries, key=lambda e: (id(e[3]), e[0], e[3])):
-            self.fixed += self._fixed(fiber.fixed_by, [label for *_, label in run], rep)
+        for fiber, run in groupby(entries, key=lambda e: e.fiber):
+            labels = [fiber.labels[e.index] for e in run]
+            self.fixed += self._fixed(fiber.fixed_by, labels, fiber.rep)
         self.diag = [0] * d
         self.above: list[list[tuple[int, int]]] = [[] for _ in range(d)]
         for j in range(d):
@@ -493,28 +471,20 @@ class BasisCatalog(Record):
 
     def marks(self) -> MarkTable:
         if self._marks is None:
-            self._marks = MarkTable(
-                [
-                    (e.component_rep, *e.standard_pair, e.fiber, e.fiber.labels[e.index])
-                    for e in self.entries
-                ]
-            )
+            self._marks = MarkTable(self.entries)
         return self._marks
 
-    def find(self, piece: TransitivePiece) -> int | None:
+    def find(self, piece: CrossedGSet) -> int | None:
+        """The index of the entry isomorphic to the transitive crossed set
+        ``piece``, or None.  No component is compared: an entry with the
+        piece's fingerprint has its fiber sizes, so it has elements on the
+        same objects, which are the piece's component."""
         if self._index is None:
             self._index = {}
             for k, entry in enumerate(self.entries):
-                self._index.setdefault(entry.fingerprint, []).append(k)
-        for k in self._index.get(piece.fingerprint, []):
-            entry = self.entries[k]
-            if (
-                entry.component_rep == piece.component_rep
-                and _transitive_iso(
-                    piece.crossed, entry.crossed, piece.component_rep
-                )
-                is not None
-            ):
+                self._index.setdefault(crossed_fingerprint(entry.crossed), []).append(k)
+        for k in self._index.get(crossed_fingerprint(piece), []):
+            if _transitive_iso(piece, self.entries[k].crossed) is not None:
                 return k
         return None
 
@@ -547,7 +517,7 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
                 remaining -= {weight.action[a][v] for a in normalizer}
             fiber = CosetFiber(g, weight, rep, cls[0], label_reps)
             entries += [
-                TransitivePiece(rep, None, (cls[0], v), fiber, k) for k, v in enumerate(label_reps)
+                TransitivePiece(rep, (cls[0], v), fiber, k) for k, v in enumerate(label_reps)
             ]
     return BasisCatalog(g, weight, entries)
 
@@ -563,12 +533,11 @@ def express_by_decomposition(c: CrossedGSet, catalog: BasisCatalog) -> list[int]
     """Reference route for ``express_in_basis``: split c into orbits and
     match every piece to its catalog entry by transporter search."""
     coords = [0] * catalog.dim
-    for piece in transitive_decomposition(c):
+    for piece, _ in transitive_decomposition(c):
         k = catalog.find(piece)
         if k is None:
             raise UnmatchedPiece(
-                f"piece at component {piece.component_rep} with fingerprint "
-                f"{piece.fingerprint} matched no catalog entry"
+                f"piece with fingerprint {crossed_fingerprint(piece)} matched no catalog entry"
             )
         coords[k] += 1
     return coords

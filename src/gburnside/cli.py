@@ -18,8 +18,8 @@ blocks over it, for any weight.
 
 Exit status: 0 on success or verified; 1 on a verification counterexample
 (the report carries a witness); 2 on input errors, an unreadable or too
-deeply nested input file, an unwritable --out and a stdout whose reader
-has closed included.  Identical invocations with the same seed produce
+deeply nested input file, an unwritable --out, a stdout whose reader
+has closed and a file descriptor 1 closed at start included.  Identical invocations with the same seed produce
 byte-identical JSON.  A report is written exactly as ``json.dumps(report,
 indent=2, sort_keys=True)`` would render it, with each distinct row of a
 ring's table rendered once, and streamed to stdout or --out a list
@@ -35,7 +35,7 @@ import json
 import os
 import sys
 
-from .classify import brute_force_basis, enumerate_basis, transitive_decomposition
+from .classify import brute_force_basis, enumerate_basis
 from .crossed import check_monoidal_axioms
 from .errors import GBError
 from .groupoid import FiniteGroupoid, Record, connected_components, generating_set, isotropy_group
@@ -409,10 +409,7 @@ def _verify_basis_oracle(job: JobSpec, g: FiniteGroupoid):
     weight = _get_weight(job, g)
     catalog = enumerate_basis(g, weight)
     brute = brute_force_basis(g, weight)
-    matched: list[int | None] = []
-    for crossed in brute:
-        pieces = transitive_decomposition(crossed)
-        matched.append(catalog.find(pieces[0]) if len(pieces) == 1 else None)
+    matched = [catalog.find(crossed) for crossed in brute]  # each one is transitive
     ok = (
         len(brute) == catalog.dim
         and all(m is not None for m in matched)
@@ -524,6 +521,8 @@ def _write(emit, path: str | None) -> None:
     at the null device, so the interpreter's exit flush writes nothing."""
     try:
         if path is None:
+            if sys.stdout is None:  # file descriptor 1 was closed at start
+                raise ParseError("cannot write to stdout: it is closed")
             emit(sys.stdout.write)
             sys.stdout.flush()
             return

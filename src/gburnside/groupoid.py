@@ -369,6 +369,7 @@ def tabulate(n_objects, dom, cod, identity, inverse, compose) -> FiniteGroupoid:
     for g, row in enumerate(table):
         for f in by_cod[dom[g]]:
             row[f] = compose(g, f)
+        table[g] = tuple(row)  # frozen as filled, so FiniteGroupoid keeps it as it is
     return validate_groupoid(FiniteGroupoid(n_objects, dom, cod, table, identity, inverse))
 
 

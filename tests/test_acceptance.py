@@ -224,7 +224,7 @@ def test_criterion_05_basis_oracle():
                 assert len(brute) == catalog.dim, (name, kind)
                 hits = []
                 for crossed in brute:
-                    (piece,) = transitive_decomposition(crossed)
+                    ((piece, _),) = transitive_decomposition(crossed)
                     hit = catalog.find(piece)
                     assert hit is not None, (name, kind)
                     hits.append(hit)

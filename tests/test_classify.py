@@ -22,6 +22,7 @@ from gburnside.classify import (
 )
 from gburnside.crossed import crossed_coproduct, tensor, unit_object
 from gburnside.errors import UnmatchedPiece, WeightMismatch
+from gburnside.gsets import is_transitive
 from gburnside.sampling import sample_many, shuffle_fibers
 
 from conftest import GROUP_TABLES_LEQ8, cyclic_table, regular_gset, table_product
@@ -135,15 +136,14 @@ class TestTransitiveDecomposition:
         u, _ = gb.disjoint_union([c2, c3])
         conj = gb.conjugation_action(u)
         pieces = transitive_decomposition(unit_object(u, conj))
-        assert [p.component_rep for p in pieces] == [0, 1]
+        assert [members for _, members in pieces] == [[[0], []], [[], [0]]]
 
     def test_regular_with_unit_labels(self, c2):
         conj = gb.conjugation_action(c2)
         c = validate_crossed(regular_gset(c2), conj, [[0, 0]])
-        (piece,) = transitive_decomposition(c)
-        subgroup, label = piece.standard_pair
-        assert subgroup == frozenset({c2.identity[0]})
-        assert label == 0
+        ((piece, members),) = transitive_decomposition(c)
+        assert piece == c
+        assert members == [[0, 1]]
 
     def test_empty_carrier(self, c2):
         conj = gb.conjugation_action(c2)
@@ -151,13 +151,16 @@ class TestTransitiveDecomposition:
 
         assert transitive_decomposition(empty_crossed(c2, conj)) == []
 
-    def test_standard_pair_label_is_invariant(self, s3):
+    def test_pieces_relabel_their_input(self, s3):
         conj = gb.conjugation_action(s3)
         for c in sample_many(s3, conj, 12, seed=9):
-            for piece in transitive_decomposition(c):
-                subgroup, label = piece.standard_pair
-                for h in subgroup:
-                    assert conj.action[h][label] == label
+            pieces = transitive_decomposition(c)
+            for piece, members in pieces:
+                assert is_transitive(s3, piece.carrier)
+                assert piece.label == [[c.label[x][i] for i in members[x]] for x in s3.objects]
+            for x in s3.objects:
+                ids = sorted(i for _, members in pieces for i in members[x])
+                assert ids == list(range(c.carrier.size(x)))
 
 
 class TestEnumerateBasis:
@@ -234,8 +237,7 @@ class TestBruteForce:
                 brute = brute_force_basis(g, weight)
                 assert len(brute) == catalog.dim
                 for crossed in brute:
-                    (piece,) = transitive_decomposition(crossed)
-                    assert catalog.find(piece) is not None
+                    assert catalog.find(crossed) is not None
 
     def test_works_on_disconnected_groupoid(self, c2, c3):
         u, _ = gb.disjoint_union([c2, c3])
@@ -259,8 +261,7 @@ class TestBruteForce:
             brute = brute_force_basis(g, weight)
             assert catalog.dim == len(brute) == dim
             for crossed in brute:
-                (piece,) = transitive_decomposition(crossed)
-                assert catalog.find(piece) is not None
+                assert catalog.find(crossed) is not None
 
 
 class TestExpressInBasis:
@@ -297,9 +298,20 @@ class TestExpressInBasis:
         catalog = enumerate_basis(c2, gb.conjugation_action(c2))
         fresh = BasisCatalog(c2, catalog.weight, list(catalog.entries))
         assert catalog == fresh
-        piece = transitive_decomposition(catalog.entries[1].crossed)[0]
+        piece, _ = transitive_decomposition(catalog.entries[1].crossed)[0]
         assert catalog.find(piece) == 1
         assert catalog == fresh
+
+    @pytest.mark.parametrize("name", ["C2+S3", "(C2xPair(2))+C3"])
+    def test_find_matches_a_shuffled_entry_in_its_component(self, corpus, name):
+        # find compares no component: the components share no objects, so an
+        # entry's fingerprint alone keeps every other component's entries out
+        g = corpus[name]
+        rng = random.Random(3)
+        for weight in (gb.conjugation_action(g), gb.trivial_gmonoid(g)):
+            catalog = enumerate_basis(g, weight)
+            for k, e in enumerate(catalog.entries):
+                assert catalog.find(shuffle_fibers(e.crossed, rng).validate()) == k
 
     def test_fingerprint_is_iso_invariant(self, corpus):
         g = corpus["C2+S3"]

@@ -691,10 +691,11 @@ class TestStreamedReport:
         assert size > 1_000_000
         assert peak < size / 4, (peak, size)
 
-    @pytest.mark.parametrize("how", ["pipe", "full"])
+    @pytest.mark.parametrize("how", ["pipe", "full", "closed"])
     def test_a_failed_stdout_exits_2(self, inputs, how):
-        """A pipe whose read end is closed before the child writes, and a
-        full device: one input error line, exit 2."""
+        """A pipe whose read end is closed before the child writes, a full
+        device, and file descriptor 1 closed before the interpreter starts,
+        which leaves sys.stdout None: one input error line, exit 2."""
         cmd = [sys.executable, "-m", "gburnside", "burnside", "--groupoid", inputs["s3.json"]]
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         if how == "pipe":
@@ -705,12 +706,15 @@ class TestStreamedReport:
                                         timeout=60)
             finally:
                 os.close(write)
-        else:
+        elif how == "full":
             if not os.path.exists("/dev/full"):
                 pytest.skip("no /dev/full")
             with open("/dev/full", "wb") as full:
                 result = subprocess.run(cmd, env=env, stdout=full, stderr=subprocess.PIPE,
                                         timeout=60)
+        else:
+            result = subprocess.run(["/bin/sh", "-c", 'exec "$@" >&-', "sh", *cmd], env=env,
+                                    stderr=subprocess.PIPE, timeout=60)
         err = result.stderr.decode()
         assert result.returncode == 2, err
         assert err.startswith("input error: cannot write to stdout: ")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -212,6 +213,20 @@ class TestPairGroupoid:
         x = data.draw(st.integers(min_value=0, max_value=n - 1))
         iso, _ = gb.isotropy_group(g, x)
         assert iso.n_morphisms == 1
+
+    def test_tabulate_holds_the_table_once(self):
+        """Each row is frozen as it is filled, so the table never exists both
+        as lists and as tuples: the peak stays near the groupoid it returns."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            g = gb.pair_groupoid(24)  # 576 morphisms, a 576 x 576 table
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n_morphisms == 576
+        assert peak - before < 1.25 * (kept - before), (peak - before, kept - before)
 
 
 class TestDisjointUnion:

@@ -288,9 +288,8 @@ class TestMarkTable:
     def test_duplicate_entry_rejected(self, c2):
         catalog = enumerate_basis(c2, gb.conjugation_action(c2))
         e = catalog.entries[0]
-        table = [(e.component_rep, *e.standard_pair, e.fiber, e.fiber.labels[e.index])] * 2
         with pytest.raises(MarksNotTriangular):
-            MarkTable(table)
+            MarkTable([e, e])
 
     def test_non_integral_coordinate_names_entry(self, c2):
         catalog = enumerate_basis(c2, gb.conjugation_action(c2))
