@@ -438,10 +438,9 @@ class MarkTable:
         """The sparse coordinates ((k, c), ...) of a product of entries i
         and j whose marks are ``combine(rep, marks_i, marks_j)`` per
         subgroup, each a dict from label to mark; no carrier and no dense
-        vector is built."""
+        vector is built.  Entries on two components share no subgroup row,
+        so their product is the empty row."""
         rep = self.reps[i]
-        if self.reps[j] != rep:
-            return ()
         fixed_j = self.fixed[j]
         prod = {}
         for s, a in self.fixed[i].items():

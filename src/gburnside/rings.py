@@ -42,6 +42,16 @@ associativity and multiplicativity checks pack each vector into one integer
 prove, so each linear combination is a few big-integer operations and
 packed values are equal exactly when the vectors are.
 
+Lemma 1 (the blocks of the decomposition theorem and its action-groupoid
+corollary): a tensor of crossed sets on two components is empty, for any
+weight, and so is a fiber product over X of sets over two G-orbits of X;
+the production routes solve only the products inside one block.  Lemma 2:
+if every row e_i e_j across two blocks is empty and every row inside a
+block is supported in it, the table is associative exactly when each
+block is, as a triple meeting two blocks gives 0 on both sides; so the
+least failing (i, j) lies in one block.  ``validate`` proves that premise
+on the table and checks block by block, else the whole table.
+
 A commutative ring is built on half its table, e_i e_j for i <= j, each
 row standing also for (j, i), on a premise checked on the input: the
 Hadamard product is pointwise on marks; (x, y) -> (y, x) is an iso
@@ -175,15 +185,21 @@ class RingPresentation(Record):
     """A free Z-module on a transitive basis with a unit vector and integer
     structure constants stored as sparse rows: ``structure_constants[i][j]``
     is e_i e_j as a ``Sparse`` vector ((k, c_ijk), ...) of positive c_ijk.
-    ``basis_info`` defaults to a new empty list."""
+    ``basis_info`` defaults to a new empty list.  ``blocks``, one key per
+    entry, names blocks for ``validate`` (lemma 2); it takes no part in ``==``."""
 
     def __init__(self, dim: int, structure_constants: list[list[Sparse]],
-                 unit_vector: list[int], basis: object = None, basis_info: list[dict] | None = None):
+                 unit_vector: list[int], basis: object = None, basis_info: list[dict] | None = None,
+                 blocks=None):
         self.dim, self.structure_constants = dim, structure_constants
         self.unit_vector, self.basis = unit_vector, basis
         self.basis_info = [] if basis_info is None else basis_info
+        self._blocks = blocks
 
     def validate(self) -> "RingPresentation":
+        """Row shapes, the unit law, then associativity: by blocks when an
+        O(d^2) scan of the table proves the premise of lemma 2 (see the
+        module docstring) for two or more, else whole; verdicts agree."""
         d = self.dim
         rows = self.structure_constants
         if len(rows) != d or any(len(ri) != d for ri in rows):
@@ -202,7 +218,10 @@ class RingPresentation(Record):
         if len(self.unit_vector) != d:
             raise NotNatural("unit vector has wrong length")
         self._check_unit()
-        self._check_associativity()
+        of = self._blocks
+        diagonal = of and len(of) == d and len(set(of)) > 1 and all(
+            of[k] == oi == oj for ri, oi in zip(rows, of) for rij, oj in zip(ri, of) for k, _ in rij)
+        self._check_associativity(of if diagonal else None)
         return self
 
     def _check_unit(self) -> None:
@@ -215,39 +234,41 @@ class RingPresentation(Record):
             if _combine(unit, col) != expected or _combine(unit, row) != expected:
                 raise NotNatural(f"unit law fails at basis element {j}")
 
-    def _check_associativity(self) -> None:
-        """(e_i e_j) e_k = e_i (e_j e_k) on all d^3 basis triples:
-        sum_m c_ijm (e_m e_k) against sum_m c_jkm (e_i e_m), on packed
-        vectors (see ``_packed``).  Every coordinate of either side is at
-        most B = (largest l1-norm of a row) * (largest |c|), which sets the
-        width.  Both sides are linear combinations keyed by a product
-        vector, so each distinct product p is combined once, for all k or i
-        at once: lefts[p][k] = p e_k and rights[p][i] = e_i p.  These tables
-        hold 2 D d ints of about d w bits, D the number of distinct products
-        (tracemalloc peaks of 836 KB for D8, d = 44, and 779 KB for
-        B(C2^4), d = 67); a symmetric table gives e_i p = p e_i, so rights
-        is lefts.  Then for each j the d x d matrices (e_i e_j) e_k and
-        e_i (e_j e_k) are compared whole.  The witness is the
-        lexicographically first failing (i, j, k, l), with (k, l) recomputed
-        on the sparse rows."""
-        d = self.dim
+    def _check_associativity(self, keys=None) -> None:
+        """(e_i e_j) e_k = e_i (e_j e_k) on all d^3 basis triples, or in each
+        block b of ``keys`` alone (i, j, k in b, d = |b|): sum_m c_ijm (e_m e_k)
+        against sum_m c_jkm (e_i e_m), on packed vectors (see ``_packed``).
+        Every coordinate of either side is at most B = (largest l1-norm of a
+        row) * (largest |c|), which sets the width.  Both sides are linear
+        combinations keyed by a product vector, so each distinct product p is
+        combined once, for all k or i at once: lefts[p][k] = p e_k and
+        rights[p][i] = e_i p.  These tables hold 2 D d ints of about d w bits,
+        D the number of distinct products (tracemalloc peaks of 836 KB for D8,
+        d = 44, and 779 KB for B(C2^4), d = 67); a symmetric table gives
+        e_i p = p e_i, so rights is lefts.  Then for each j the d x d matrices
+        (e_i e_j) e_k and e_i (e_j e_k) are compared whole.  The witness is
+        the lexicographically first failing (i, j, k, l), with (k, l)
+        recomputed on the sparse rows."""
         rows = self.structure_constants
-        pid, products = _distinct(rows)
-        w = _width(_norm(products) * _top(products))
-        packed = [_packed(p, w) for p in products]
-        by_row = [tuple(packed[p] for p in pm) for pm in pid]  # [m][k] = e_m e_k
-        lefts = [_lincomb(p, by_row, d) for p in products]
-        if _symmetric(pid):  # e_i e_m = e_m e_i: e_i p = p e_i
-            rights = lefts
-        else:
-            by_col = list(zip(*by_row))  # [m][i] = e_i e_m
-            rights = [_lincomb(p, by_col, d) for p in products]
         failures = []
-        for j, (pj, col) in enumerate(zip(pid, zip(*pid))):
-            left = list(map(lefts.__getitem__, col))  # [i][k]
-            right = list(zip(*map(rights.__getitem__, pj)))  # [i][k]
-            if left != right:
-                failures.append((next(i for i in range(d) if left[i] != right[i]), j))
+        for key in dict.fromkeys(keys or [None]):
+            b = [k for k, x in enumerate(keys) if x == key] if keys else range(self.dim)
+            d = len(b)
+            pid, products = _distinct([[rows[i][j] for j in b] for i in b] if keys else rows)
+            w = _width(_norm(products) * _top(products))
+            packed = [_packed(p, w) for p in products]
+            by_row = dict(zip(b, [tuple(packed[p] for p in pm) for pm in pid]))  # [m][k] = e_m e_k
+            lefts = [_lincomb(p, by_row, d) for p in products]
+            if _symmetric(pid):  # e_i e_m = e_m e_i: e_i p = p e_i
+                rights = lefts
+            else:
+                by_col = dict(zip(b, zip(*by_row.values())))  # [m][i] = e_i e_m
+                rights = [_lincomb(p, by_col, d) for p in products]
+            for j, (pj, col) in enumerate(zip(pid, zip(*pid))):
+                left = list(map(lefts.__getitem__, col))  # [i][k]
+                right = list(zip(*map(rights.__getitem__, pj)))  # [i][k]
+                if left != right:
+                    failures.append((b[next(i for i in range(d) if left[i] != right[i])], b[j]))
         if failures:
             raise NotNatural(self._associativity_witness(*min(failures)))
 
@@ -267,24 +288,28 @@ class RingPresentation(Record):
 # -- ring constructors ------------------------------------------------------------
 
 def _ring(
-    catalog: BasisCatalog, product, unit: list[int], info, commutative: bool = False
+    catalog: BasisCatalog, product, unit: list[int], info, commutative: bool = False, block=None
 ) -> RingPresentation:
     """The validated presentation on a catalog with e_i e_j = product(i, j),
     a sparse row, and the given unit coordinates; ``info`` reports one
     basis entry.  A caller that has proved e_i e_j = e_j e_i passes
-    ``commutative``, and only i <= j is built: row (i, j) is also (j, i)."""
+    ``commutative``, and only i <= j is built: row (i, j) is also (j, i).
+    ``block`` keys the entries so that two keys multiply to 0 (lemma 1 in
+    the module docstring): such a pair gets the empty row without a call
+    to ``product``, and the keys are the blocks ``validate`` checks."""
     d = catalog.dim
     distinct: dict[Sparse, Sparse] = {}  # each product row, held once
     constants: list[list[Sparse]] = [[] for _ in range(d)]
     for i, ri in enumerate(constants):
         for j in range(len(ri), d):  # a commutative table has j < i from row j
-            p = product(i, j)
+            p = () if block and block[i] != block[j] else product(i, j)
             p = distinct.setdefault(p, p)
             ri.append(p)
             if commutative and j > i:
                 constants[j].append(p)
     return RingPresentation(
-        d, constants, unit, basis=catalog, basis_info=[info(e) for e in catalog.entries]
+        d, constants, unit, basis=catalog, basis_info=[info(e) for e in catalog.entries],
+        blocks=block,
     ).validate()
 
 
@@ -334,13 +359,14 @@ def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentatio
     """Basis from the (H, s) classification; the marks of a tensor of basis
     elements are convolved from the marks of the factors and solved in the
     table of marks; half of them when a premise proves the ring
-    commutative (see the module docstring)."""
+    commutative (see the module docstring), none across components (lemma 1)."""
     catalog = enumerate_basis(g, weight)
     unit = express_in_basis(unit_object(g, weight), catalog)
     commutative = (all(_symmetric(m.table) for m in weight.monoids)
                    or conjugation_loops(weight) is not None)
     products = _by_marks(catalog, _convolution(weight))
-    return _ring(catalog, products, unit, _crossed_info, commutative)
+    block = None if is_connected(g) else [e.component_rep for e in catalog.entries]
+    return _ring(catalog, products, unit, _crossed_info, commutative, block)
 
 
 def crossed_burnside_ring_by_decomposition(
@@ -418,11 +444,14 @@ def _slice_express(c: CrossedGSet, catalog: BasisCatalog) -> list[int]:
 def hadamard_ring(g: FiniteGroupoid, x: GSet) -> RingPresentation:
     """The Grothendieck ring of the slice over x under the fiber product:
     the basis is the (H, b in X^H) classification, and the marks of a
-    product are the pointwise products of the marks of the factors."""
+    product are the pointwise products of the marks of the factors, none
+    across G-orbits of X (lemma 1).  An entry's orbit is its component and
+    the least label of its fiber, whose labels are an isotropy orbit."""
     ident = _identity_slice(g, x)
     catalog = enumerate_basis(g, x)
     unit = _slice_express(ident, catalog)
-    return _ring(catalog, _by_marks(catalog, _meet), unit, _slice_info, commutative=True)
+    return _ring(catalog, _by_marks(catalog, _meet), unit, _slice_info, True,
+                 [(e.component_rep, min(e.fiber.labels[e.index])) for e in catalog.entries])
 
 
 def hadamard_ring_by_decomposition(g: FiniteGroupoid, x: GSet) -> RingPresentation:
@@ -447,10 +476,7 @@ class RingHom(Record):
         self.verified = {} if verified is None else verified
 
     def apply(self, coords: list[int]) -> list[int]:
-        return [
-            sum(self.matrix[r][c] * coords[c] for c in range(self.source.dim))
-            for r in range(self.target.dim)
-        ]
+        return [sum(map(mul, row, coords)) for row in self.matrix]
 
     def verify(self) -> "RingHom":
         """Unital, bijective, and multiplicative on all d^2 basis pairs:
@@ -598,13 +624,13 @@ def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
     """Direct product presentation: each block's rows shifted by the
     block's offset, empty rows across blocks, concatenated units, basis
     order inherited from block order.  Each distinct block row is shifted
-    once, so equal rows stay one object."""
+    once, so equal rows stay one object.  The factors are the blocks of
+    lemma 2, proved on the table and checked one by one in ``validate``."""
     dim = sum(b.dim for b in blocks)
-    constants = []
-    unit = []
-    info = []
+    constants, unit, info, keys = [], [], [], []
     offset = 0
     for bi, block in enumerate(blocks):
+        keys += [bi] * block.dim
         before, after = [()] * offset, [()] * (dim - offset - block.dim)
         pid, rows = _distinct(block.structure_constants)
         shifted = [tuple((offset + k, v) for k, v in row) for row in rows]
@@ -615,7 +641,7 @@ def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
             info.append({"block": bi, **entry})
         offset += block.dim
     return RingPresentation(
-        dim, constants, unit, basis=[b.basis for b in blocks], basis_info=info
+        dim, constants, unit, basis=[b.basis for b in blocks], basis_info=info, blocks=keys
     ).validate()
 
 

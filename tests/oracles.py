@@ -51,7 +51,17 @@ from gburnside.groupoid import (
     retraction,
 )
 from gburnside.gsets import ActionGroupoid, GMonoid, GSet, fixed_points, same_base
-from gburnside.rings import RingHom, RingPresentation
+from gburnside.rings import (
+    RingHom,
+    RingPresentation,
+    _distinct,
+    _lincomb,
+    _norm,
+    _packed,
+    _symmetric,
+    _top,
+    _width,
+)
 
 
 def mark_solve(marks: MarkTable, phi: list[int]) -> list[int]:
@@ -507,6 +517,45 @@ def ring_eq(a: RingElement, b: RingElement) -> bool:
     if a.ring is not b.ring:
         raise RingMismatch("elements of different rings")
     return a.coords == b.coords
+
+
+def whole_table_associativity(ring: RingPresentation) -> str | None:
+    """Associativity on all d^3 basis triples of the whole table, as
+    ``RingPresentation.validate`` checked it before it checked by blocks:
+    None, or the message naming the lexicographically first failing
+    (i, j, k, l).  For each j the d x d matrices (e_i e_j) e_k and
+    e_i (e_j e_k) are compared on packed vectors, each side a linear
+    combination of the rows keyed by one distinct product."""
+    d = ring.dim
+    rows = ring.structure_constants
+    pid, products = _distinct(rows)
+    w = _width(_norm(products) * _top(products))
+    packed = [_packed(p, w) for p in products]
+    by_row = [tuple(packed[p] for p in pm) for pm in pid]  # [m][k] = e_m e_k
+    lefts = [_lincomb(p, by_row, d) for p in products]
+    if _symmetric(pid):
+        rights = lefts
+    else:
+        by_col = list(zip(*by_row))  # [m][i] = e_i e_m
+        rights = [_lincomb(p, by_col, d) for p in products]
+    failures = []
+    for j, (pj, col) in enumerate(zip(pid, zip(*pid))):
+        left = list(map(lefts.__getitem__, col))  # [i][k]
+        right = list(zip(*map(rights.__getitem__, pj)))  # [i][k]
+        if left != right:
+            failures.append((next(i for i in range(d) if left[i] != right[i]), j))
+    return ring._associativity_witness(*min(failures)) if failures else None
+
+
+def whole_table_verdict(ring: RingPresentation) -> str | None:
+    """The verdict of validating a presentation whose rows are well formed
+    with no blocks: None, or the message of the unit law or of
+    ``whole_table_associativity``."""
+    try:
+        ring._check_unit()
+    except NotNatural as exc:
+        return str(exc)
+    return whole_table_associativity(ring)
 
 
 # -- the theorem homs on carriers --------------------------------------------------

@@ -146,6 +146,20 @@ def test_left_zero_ring_is_built_on_the_whole_table(corpus, name, product_calls)
     )
 
 
+def test_left_zero_ring_of_two_components_is_built_by_blocks(corpus, product_calls):
+    # not commutative: every pair (i, j) inside one component, in both
+    # orders, and no pair across two, whose tensor is empty
+    g = corpus["C2+S3"]
+    ring = crossed_burnside_ring(g, left_zero(g))
+    d, reps = ring.dim, [e.component_rep for e in ring.basis.entries]
+    assert sorted(product_calls) == [
+        (i, j) for i in range(d) for j in range(d) if reps[i] == reps[j]
+    ]
+    assert ring._blocks == reps
+    ref = crossed_burnside_ring_by_decomposition(g, left_zero(g))
+    assert (ring.structure_constants, ring.unit_vector) == (ref.structure_constants, ref.unit_vector)
+
+
 def test_left_zero_ring_validates_on_both_packed_tables(c2, lincomb_calls):
     # associative but not commutative: the check builds e_i p and p e_k
     # separately
@@ -163,7 +177,11 @@ def test_commutative_weight_builds_half_the_table(corpus, weight, product_calls)
         product_calls.clear()
         ring = crossed_burnside_ring(g, make(g))
         d = ring.dim
-        assert sorted(product_calls) == [(i, j) for i in range(d) for j in range(i, d)], name
+        reps = [e.component_rep for e in ring.basis.entries]
+        # only the pairs i <= j inside one component: across two, the tensor is empty
+        assert sorted(product_calls) == [
+            (i, j) for i in range(d) for j in range(i, d) if reps[i] == reps[j]
+        ], name
 
 
 WEIGHTS = {

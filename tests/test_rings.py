@@ -30,6 +30,7 @@ from gburnside.rings import (
 )
 from gburnside.classify import subgroup_closure
 from gburnside.gsets import GSet
+from gburnside.serialize import parse_gset
 from gburnside.sampling import sample_many
 
 from conftest import (
@@ -40,7 +41,17 @@ from conftest import (
     s3_table,
     sparse_rows,
 )
-from oracles import RingElement, pushforward_matrix, ring_add, ring_eq, ring_mul, ring_unit
+from oracles import (
+    RingElement,
+    closure_components,
+    closure_orbits,
+    pushforward_matrix,
+    ring_add,
+    ring_eq,
+    ring_mul,
+    ring_unit,
+    whole_table_verdict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -1162,3 +1173,274 @@ class TestIsoWitness:
             "witness": "pushforward of a basis element is not a basis element",
             "basis_index": 1,
         }
+
+
+# -- block-diagonal presentations ---------------------------------------------------
+#
+# Lemma 1: entries on two components, or over two G-orbits of X, multiply to
+# 0, so the rings solve only the products inside one block.  Lemma 2: with
+# every row across blocks empty and every row inside a block supported
+# there, the table is associative exactly when each block is.  The oracle
+# is the whole-table check (``whole_table_verdict``).
+
+def _partition(keys) -> list[list[int]]:
+    """The positions of each key, in order of first appearance."""
+    return [[k for k, x in enumerate(keys) if x == key] for key in dict.fromkeys(keys)]
+
+
+def _blocks_of(ring) -> list[list[int]]:
+    """The blocks ``validate`` checks one by one; [] for the whole table."""
+    blocks = _partition(ring._blocks or ())
+    return blocks if len(blocks) > 1 else []
+
+
+def _component_blocks(ring, g) -> list[list[int]]:
+    """The entries of a crossed ring by component, closed from (dom, cod)."""
+    comp = {x: n for n, cls in enumerate(closure_components(g)) for x in cls}
+    blocks = _partition([comp[e.component_rep] for e in ring.basis.entries])
+    return blocks if len(blocks) > 1 else []
+
+
+def _orbit_blocks(ring, x) -> list[list[int]]:
+    """The entries of a Hadamard ring by the orbit of X that holds the base
+    label at their representative, closed from the action."""
+    orbit = {
+        (o, i): n
+        for n, members in enumerate(closure_orbits(x))
+        for o, ids in enumerate(members)
+        for i in ids
+    }
+    blocks = _partition([orbit[e.component_rep, e.standard_pair[1]] for e in ring.basis.entries])
+    return blocks if len(blocks) > 1 else []
+
+
+def _conjugation_set(g) -> GSet:
+    return gb.conjugation_action(g).underlying()
+
+
+@pytest.fixture
+def associativity_keys(monkeypatch) -> list:
+    """Records the ``keys`` argument of every associativity check: None is
+    the whole table."""
+    calls = []
+    check = RingPresentation._check_associativity
+
+    def recorded(self, keys=None):
+        calls.append(keys)
+        return check(self, keys)
+
+    monkeypatch.setattr(RingPresentation, "_check_associativity", recorded)
+    return calls
+
+
+def _every_pair(ring, combine) -> list[list[tuple]]:
+    """The table built by ``MarkTable.product`` on every pair (i, j)."""
+    marks = ring.basis.marks()
+    return [[marks.product(i, j, combine) for j in range(ring.dim)] for i in range(ring.dim)]
+
+
+def _assert_blocks_annihilate(ring, combine, blocks) -> None:
+    table = _every_pair(ring, combine)
+    assert table == ring.structure_constants
+    block_of = {k: n for n, b in enumerate(blocks) for k in b}
+    for i, j in itertools.product(range(ring.dim), repeat=2):
+        if block_of[i] != block_of[j]:
+            assert table[i][j] == (), (i, j)
+
+
+def _mutant(ring, rows) -> RingPresentation:
+    return RingPresentation(ring.dim, rows, list(ring.unit_vector), blocks=ring._blocks)
+
+
+def _outside_unit(ring) -> list[int]:
+    return [k for k, u in enumerate(ring.unit_vector) if not u]
+
+
+def _block_rings(corpus) -> dict[str, RingPresentation]:
+    """Rings with two or more blocks: crossed rings of disconnected
+    groupoids, Hadamard rings over several orbits, and a product ring."""
+    out = {}
+    for name in ("C2+S3", "(C2xPair(2))+C3"):
+        g = corpus[name]
+        out[f"crossed {name}"] = crossed_burnside_ring(g, gb.conjugation_action(g))
+    for name in ("S3", "D4", "C2xPair(2)"):
+        g = corpus[name]
+        out[f"hadamard {name}"] = hadamard_ring(g, _conjugation_set(g))
+    out["B(C2) x B(S3)"] = product_ring([burnside_ring(corpus["C2"]), burnside_ring(corpus["S3"])])
+    return out
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    def test_crossed_blocks_are_components(self, corpus, weight, associativity_keys):
+        make = gb.conjugation_action if weight == "conjugation" else gb.trivial_gmonoid
+        for name, g in corpus.items():
+            associativity_keys.clear()
+            ring = crossed_burnside_ring(g, make(g))
+            blocks = _component_blocks(ring, g)
+            assert _blocks_of(ring) == blocks, name
+            if not blocks:  # a connected ring carries no keys and scans no premise
+                assert ring._blocks is None, name
+            assert associativity_keys == [ring._blocks if blocks else None], name
+            assert whole_table_verdict(ring) is None, name
+
+    def test_hadamard_blocks_are_orbits(self, corpus, associativity_keys):
+        for name, g in corpus.items():
+            x = _conjugation_set(g)
+            associativity_keys.clear()
+            ring = hadamard_ring(g, x)
+            blocks = _orbit_blocks(ring, x)
+            assert _blocks_of(ring) == blocks, name
+            assert associativity_keys == [ring._blocks if blocks else None], name
+            assert whole_table_verdict(ring) is None, name
+
+    def test_product_ring_blocks_are_factors(self, corpus):
+        ring = product_ring([burnside_ring(corpus["C2"]), burnside_ring(corpus["S3"])])
+        assert _blocks_of(ring) == [[0, 1], [2, 3, 4, 5]]
+        assert whole_table_verdict(ring) is None
+
+    def test_empty_gset_has_no_blocks(self, c2):
+        x = parse_gset({"fibers": {"0": 0}, "action": {"1": []}}, c2)
+        ring = hadamard_ring(c2, x)
+        assert ring.dim == 0 and not ring._blocks
+        assert ring.structure_constants == [] and ring.unit_vector == []
+
+    def test_block_counts(self, corpus):
+        # D4 by conjugation: orbits {1}, {r^2}, {r, r^3}, {s, sr^2}, {sr, sr^3}
+        d4 = corpus["D4"]
+        ring = hadamard_ring(d4, _conjugation_set(d4))
+        assert len(_blocks_of(ring)) == 5
+        assert [len(b) for b in _blocks_of(burnside_ring(corpus["C2+S3"]))] == [2, 4]
+
+    @pytest.mark.parametrize("name", ["C2+S3", "(C2xPair(2))+C3"])
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    def test_tensor_across_components_is_empty(self, corpus, name, weight):
+        g = corpus[name]
+        w = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+        ring = crossed_burnside_ring(g, w)
+        _assert_blocks_annihilate(ring, rings._convolution(w), _component_blocks(ring, g))
+
+    def test_fiber_product_across_orbits_is_empty(self, corpus):
+        for name, g in corpus.items():
+            x = _conjugation_set(g)
+            ring = hadamard_ring(g, x)
+            _assert_blocks_annihilate(ring, rings._meet, _orbit_blocks(ring, x) or [range(ring.dim)])
+
+    # the Hadamard ring over C2xPair(2) is left out here: each of its blocks
+    # is Z[e]/(e^2 - 2e) x Z, and raising a constant there keeps it associative
+    @pytest.mark.parametrize("case", sorted(["crossed C2+S3", "crossed (C2xPair(2))+C3",
+                                             "hadamard S3", "hadamard D4", "B(C2) x B(S3)"]))
+    def test_in_block_mutant_fails_as_the_whole_check(self, corpus, case, associativity_keys):
+        ring = _block_rings(corpus)[case]
+        blocks = _blocks_of(ring)
+        assert blocks
+        free = set(_outside_unit(ring))
+        rng = random.Random(case)
+        candidates = [
+            (i, j, k)
+            for b in blocks
+            for i in b if i in free
+            for j in b if j in free
+            for k in b
+        ]
+        failed = 0
+        for i, j, k in rng.sample(candidates, min(8, len(candidates))):
+            rows = [list(r) for r in ring.structure_constants]
+            row = dict(rows[i][j])
+            row[k] = row.get(k, 0) + 1
+            rows[i][j] = tuple(sorted(row.items()))
+            mutant = _mutant(ring, rows)
+            expected = whole_table_verdict(mutant)
+            associativity_keys.clear()
+            if expected is None:
+                mutant.validate()
+            else:
+                failed += 1
+                with pytest.raises(NotNatural) as err:
+                    mutant.validate()
+                assert str(err.value) == expected
+            assert associativity_keys == [ring._blocks]  # checked by blocks
+        assert failed
+
+    @pytest.mark.parametrize("case", sorted(["crossed C2+S3", "crossed (C2xPair(2))+C3",
+                                             "hadamard S3", "hadamard D4",
+                                             "hadamard C2xPair(2)", "B(C2) x B(S3)"]))
+    @pytest.mark.parametrize("where", ["across", "outside"])
+    def test_cross_block_row_falls_back_to_the_whole_check(
+        self, corpus, case, where, associativity_keys
+    ):
+        # "across": a non-empty row e_i e_j with i and j in two blocks;
+        # "outside": a row inside a block with support in another
+        ring = _block_rings(corpus)[case]
+        blocks = _blocks_of(ring)
+        block_of = {k: n for n, b in enumerate(blocks) for k in b}
+        free = _outside_unit(ring)
+        rng = random.Random(f"{case}:{where}")
+        pairs = [
+            (i, j) for i in free for j in free
+            if (block_of[i] != block_of[j]) == (where == "across")
+        ]
+        for i, j in rng.sample(pairs, min(6, len(pairs))):
+            k = rng.choice([k for k in range(ring.dim)
+                            if (where == "across") or block_of[k] != block_of[i]])
+            rows = [list(r) for r in ring.structure_constants]
+            row = dict(rows[i][j])
+            row[k] = row.get(k, 0) + 1
+            rows[i][j] = tuple(sorted(row.items()))
+            mutant = _mutant(ring, rows)
+            expected = whole_table_verdict(mutant)
+            assert expected is not None
+            associativity_keys.clear()
+            with pytest.raises(NotNatural) as err:
+                mutant.validate()
+            assert str(err.value) == expected
+            assert associativity_keys == [None]  # the premise failed: the whole table
+
+    def test_keys_of_the_wrong_length_check_the_whole_table(self, corpus, associativity_keys):
+        ring = _block_rings(corpus)["hadamard D4"]
+        short = RingPresentation(ring.dim, ring.structure_constants, list(ring.unit_vector),
+                                 blocks=ring._blocks[:-1])
+        associativity_keys.clear()
+        short.validate()
+        assert associativity_keys == [None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_with_gsets())
+def test_hadamard_blocks_on_drawn_gsets(case):
+    g, x = case
+    ring = hadamard_ring(g, x)
+    blocks = _orbit_blocks(ring, x)
+    assert _blocks_of(ring) == blocks
+    _assert_blocks_annihilate(ring, rings._meet, blocks or [range(ring.dim)])
+    assert whole_table_verdict(ring) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blockwise_associativity_matches_oracle(data):
+    # two tables interleaved into one block-diagonal table, each maybe with
+    # one constant changed: the check by blocks gives the whole check's
+    # verdict and witness
+    parts = [data.draw(tables(max_dim=4)) for _ in range(2)]
+    d = sum(map(len, parts))
+    where = data.draw(st.permutations(range(d)))
+    keys = [None] * d
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    start = 0
+    for n, part in enumerate(parts):
+        pos = where[start:start + len(part)]
+        start += len(part)
+        for a, i in enumerate(pos):
+            keys[i] = n
+            for b, j in enumerate(pos):
+                for e, k in enumerate(pos):
+                    c[i][j][k] = part[a][b][e]
+    expected = oracle_associativity_failure(c)
+    ring = RingPresentation(d, sparse_rows(c), [0] * d, blocks=keys)
+    if expected is None:
+        ring._check_associativity(keys)
+    else:
+        with pytest.raises(NotNatural) as err:
+            ring._check_associativity(keys)
+        assert str(err.value) == f"associativity fails at (i, j, k, l) = {expected}"
