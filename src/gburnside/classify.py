@@ -286,6 +286,14 @@ def induced_crossed(
 
 # -- the table of marks ------------------------------------------------------------
 
+def dense(coords, dim: int) -> list[int]:
+    """The length-dim vector with the sparse coordinates ((k, c), ...)."""
+    out = [0] * dim
+    for k, c in coords:
+        out[k] = c
+    return out
+
+
 class MarkTable:
     """The marks of a catalog's entries, and coordinates from marks.
 
@@ -404,12 +412,6 @@ class MarkTable:
         coords.reverse()
         return tuple(coords)
 
-    def _dense(self, coords) -> list[int]:
-        out = [0] * self.dim
-        for j, c in coords:
-            out[j] = c
-        return out
-
     def express(self, carrier: GSet, label) -> list[int]:
         """Coordinates of a labeled G-set from its marks; every element must
         be accounted for by the solution."""
@@ -425,7 +427,7 @@ class MarkTable:
         return self._covering(self._fixed(fixed_by, [labels], rep)[0], total)
 
     def _covering(self, fixed: dict[int, dict[int, int]], total: int) -> list[int]:
-        coords = self._dense(self._solve(self._marks(fixed)))
+        coords = dense(self._solve(self._marks(fixed)), self.dim)
         covered = sum(n * t for n, t in zip(coords, self.totals))
         if covered != total:
             raise UnmatchedPiece(
@@ -500,7 +502,8 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     one ``CosetFiber``, which gives their marks, and build one carrier
     from it when one of them is first read.  Entry order is (component,
     subgroup class by ascending order then elements, label class by least
-    label id); the catalog is bit-for-bit reproducible.
+    label id), components in representative order, so each component's
+    entries are consecutive; the catalog is bit-for-bit reproducible.
     """
     entries = []
     for rep in connected_components(g).representatives:
@@ -580,11 +583,11 @@ def brute_force_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> list[Crossed
     found: list[CrossedGSet] = []
     for rep in reps:
         for blocks in _set_partitions(g.by_dom(rep)):
-            if not _invariant_partition(g, blocks):
+            block_of = _block_map(g, blocks)
+            if block_of is None:
                 continue
-            candidate_labels = _consistent_labels(g, weight, rep, blocks)
-            for labels in candidate_labels:
-                crossed = _partition_crossed(g, weight, rep, blocks, labels)
+            for labels in _consistent_labels(g, weight, rep, blocks):
+                crossed = _partition_crossed(g, weight, blocks, block_of, labels)
                 if not is_transitive(g, crossed.carrier):
                     continue  # unreachable; kept as an honesty check
                 if all(are_isomorphic(crossed, seen) is None for seen in found):
@@ -592,14 +595,15 @@ def brute_force_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> list[Crossed
     return found
 
 
-def _invariant_partition(g, blocks) -> bool:
-    """Blocks must be cod-homogeneous and map into blocks under
+def _block_map(g, blocks) -> dict[int, int] | None:
+    """The block of each morphism when the partition is invariant, else
+    None: blocks must be cod-homogeneous and map into blocks under
     post-composition by every morphism."""
     block_of = {}
     for b, block in enumerate(blocks):
         cods = {g.cod[f] for f in block}
         if len(cods) != 1:
-            return False
+            return None
         for f in block:
             block_of[f] = b
     for block in blocks:
@@ -608,8 +612,8 @@ def _invariant_partition(g, blocks) -> bool:
             first = block_of[g.compose_table[m][block[0]]]
             for f in block[1:]:
                 if block_of[g.compose_table[m][f]] != first:
-                    return False
-    return True
+                    return None
+    return block_of
 
 
 def _consistent_labels(g, weight, rep, blocks):
@@ -630,25 +634,15 @@ def _consistent_labels(g, weight, rep, blocks):
     return out
 
 
-def _partition_crossed(g, weight, rep, blocks, labels) -> CrossedGSet:
-    block_of = {}
-    for b, block in enumerate(blocks):
-        for f in block:
-            block_of[f] = b
+def _partition_crossed(g, weight, blocks, block_of, labels) -> CrossedGSet:
     per_object: list[list[int]] = [[] for _ in g.objects]
     position: dict[int, int] = {}
     for b, block in enumerate(blocks):
         y = g.cod[block[0]]
         position[b] = len(per_object[y])
         per_object[y].append(b)
-    action = []
-    for m in g.morphisms:
-        action.append(
-            [
-                position[block_of[g.compose_table[m][blocks[b][0]]]]
-                for b in per_object[g.dom[m]]
-            ]
-        )
+    action = [[position[block_of[g.compose_table[m][blocks[b][0]]]] for b in per_object[g.dom[m]]]
+              for m in g.morphisms]
     label = [[labels[b] for b in per_object[y]] for y in g.objects]
     sizes = [len(blocks_at) for blocks_at in per_object]
     return CrossedGSet(GSet(g, sizes, action), weight, label).validate()

@@ -35,7 +35,7 @@ import json
 import os
 import sys
 
-from .classify import brute_force_basis, enumerate_basis
+from .classify import brute_force_basis, dense, enumerate_basis
 from .crossed import check_monoidal_axioms
 from .errors import GBError
 from .groupoid import FiniteGroupoid, Record, connected_components, generating_set, isotropy_group
@@ -428,16 +428,11 @@ def _route_difference(fast: RingPresentation, ref: RingPresentation) -> dict | N
     """Where the marks route and the reference route first disagree."""
     if fast.dim != ref.dim:
         return {"dims": {"marks": fast.dim, "decomposition": ref.dim}}
-    def dense(row) -> list[int]:
-        vec = [0] * fast.dim
-        for k, v in row:
-            vec[k] = v
-        return vec
-
     for i, (fi, ri) in enumerate(zip(fast.structure_constants, ref.structure_constants)):
         for j, (a, b) in enumerate(zip(fi, ri)):
             if a != b:
-                return {"pair": [i, j], "marks": dense(a), "decomposition": dense(b)}
+                return {"pair": [i, j], "marks": dense(a, fast.dim),
+                        "decomposition": dense(b, fast.dim)}
     if fast.unit_vector != ref.unit_vector:
         return {
             "unit": {"marks": list(fast.unit_vector), "decomposition": list(ref.unit_vector)}

@@ -2,6 +2,9 @@
 slice category over it.  The target is usually a G-monoid (the weight),
 but labels may live in any G-set: only the tensor product (labels multiply
 in the weight monoid), the monoidal unit and the braiding need the monoid.
+The product of each ring lives here: ``tensor`` for the crossed Burnside
+ring, and ``fiber_product``, the product of the slice category over a
+G-set X, for the Hadamard ring over X.
 Also here: the associator, the braiding over the conjugation weight,
 distributivity, and transport along the equivalence between a groupoid's
 component and an isotropy group, for any weight: ``restrict`` pulls a
@@ -10,8 +13,9 @@ reduction and decomposition homs in ``rings``, whose columns come from
 coset fibers; ``transport_restrict`` is the carrier route they are checked
 against), and ``induce`` spreads a fiber back along the retraction (the
 basis carriers in ``classify``).  The round trip that proves the two
-inverse up to isomorphism, both unitors and the trivial-label embedding
-are test oracles, kept outside the package.
+inverse up to isomorphism, both unitors, the trivial-label embedding and
+the identity, composite and tensor of crossed maps are test oracles, kept
+outside the package.
 
 Products, coproducts and coherence maps are built, not proved: they are
 index formulas on the dense ids that products and coproducts assign (see
@@ -123,10 +127,6 @@ def _identity(sizes) -> list[list[int]]:
     return [list(range(n)) for n in sizes]
 
 
-def identity_crossed_map(c: CrossedGSet) -> CrossedMap:
-    return CrossedMap(c, c, _identity(c.carrier.sizes))
-
-
 def _compose(second, first) -> list[list[int | None]]:
     """Components of second after first; an image of first outside the
     domain of second has no image (None), so a short map cannot raise."""
@@ -135,10 +135,6 @@ def _compose(second, first) -> list[list[int | None]]:
         n = len(s)
         out.append([s[i] if 0 <= i < n else None for i in f])
     return out
-
-
-def compose_crossed_maps(second: CrossedMap, first: CrossedMap) -> CrossedMap:
-    return CrossedMap(first.source, second.target, _compose(second.components, first.components))
 
 
 # -- monoidal structure -------------------------------------------------------
@@ -151,6 +147,22 @@ def tensor(c1: CrossedGSet, c2: CrossedGSet) -> CrossedGSet:
         for mon, l1, l2 in zip(c1.weight.monoids, c1.label, c2.label)
     ]
     return CrossedGSet(gset_product(c1.carrier, c2.carrier), c1.weight, label)
+
+
+def fiber_product(a: CrossedGSet, b: CrossedGSet) -> CrossedGSet:
+    """The product of the slice category over the common target X, the
+    product of the Hadamard ring: the pairs (p, q) with equal labels, with
+    the diagonal action and the common label."""
+    g = a.carrier.base
+    keep = [[(i, j) for i, u in enumerate(a.label[o]) for j, v in enumerate(b.label[o]) if u == v]
+            for o in g.objects]
+    pos = [{pair: k for k, pair in enumerate(pairs)} for pairs in keep]
+    action = []
+    for m in g.morphisms:
+        aa, ba = a.carrier.action[m], b.carrier.action[m]
+        action.append([pos[g.cod[m]][(aa[i], ba[j])] for i, j in keep[g.dom[m]]])
+    label = [[a.label[o][i] for i, _ in keep[o]] for o in g.objects]
+    return CrossedGSet(GSet(g, [len(k) for k in keep], action), a.weight, label).validate()
 
 
 def unit_object(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
@@ -189,12 +201,6 @@ def _tensor_components(f, g, g_target_sizes) -> list[list[int]]:
     """Components of f (x) g, componentwise on pairs: (i, j) goes to
     f(i)|target of g| + g(j)."""
     return [[a * w + b for a in fx for b in gx] for fx, gx, w in zip(f, g, g_target_sizes)]
-
-
-def tensor_map(f: CrossedMap, g: CrossedMap) -> CrossedMap:
-    """f (x) g on tensor products."""
-    comps = _tensor_components(f.components, g.components, g.target.carrier.sizes)
-    return CrossedMap(tensor(f.source, g.source), tensor(f.target, g.target), comps)
 
 
 # -- braiding over the conjugation weight --------------------------------------

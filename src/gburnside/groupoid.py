@@ -290,22 +290,10 @@ def _check_associativity(g: FiniteGroupoid, mids) -> None:
 
 # -- groups ----------------------------------------------------------------
 
-def identity_and_inverses(table) -> tuple[int, list[int]]:
-    """The identity of a multiplication table on 0..n-1 and the two-sided
-    inverse of every element, or NotAGroup; associativity is not checked."""
-    n = len(table)
-    e = next((c for c in range(n) if all(table[c][b] == b == table[b][c] for b in range(n))), None)
-    if e is None:
-        raise NotAGroup("no identity element")
-    inv = [next((b for b in range(n) if table[a][b] == e == table[b][a]), None) for a in range(n)]
-    if None in inv:
-        raise NotAGroup(f"element {inv.index(None)} has no inverse")
-    return e, inv
-
-
 def check_group_table(table) -> tuple[int, list[int]]:
-    """Verify a multiplication table is n x n over 0..n-1 with an identity
-    and two-sided inverses; return them.  Associativity is left to
+    """The identity of a multiplication table and the two-sided inverse
+    of every element, after checking that the table is n x n over 0..n-1
+    (n > 0); NotAGroup when one of them fails.  Associativity is left to
     ``validate_groupoid``."""
     n = len(table)
     if n == 0:
@@ -313,7 +301,13 @@ def check_group_table(table) -> tuple[int, list[int]]:
     for row in table:
         if len(row) != n or any(not (0 <= v < n) for v in row):
             raise NotAGroup("table is not n x n over 0..n-1")
-    return identity_and_inverses(table)
+    e = next((c for c in range(n) if all(table[c][b] == b == table[b][c] for b in range(n))), None)
+    if e is None:
+        raise NotAGroup("no identity element")
+    inv = [next((b for b in range(n) if table[a][b] == e == table[b][a]), None) for a in range(n)]
+    if None in inv:
+        raise NotAGroup(f"element {inv.index(None)} has no inverse")
+    return e, inv
 
 
 def from_group(table) -> FiniteGroupoid:

@@ -6,17 +6,19 @@ and the action-groupoid comparison, each built column by column from its
 theorem and then verified.  A column is the image of a basis entry, read
 off the entry's coset fiber and solved in the target's table of marks, so
 no carrier is built: the embedding labels every coset by the unit;
-reduction and decomposition move the fiber to an isotropy group along a
-transport, for any weight, into the crossed Burnside ring of the weight
-restricted there; the comparison pushes forward along G x X -> G.  The
+reduction moves the fiber to an isotropy group along a transport, for any
+weight, into the crossed Burnside ring of the weight restricted there, and
+the decomposition is the block sum of the reductions at the component
+representatives; the comparison pushes forward along G x X -> G.  The
 same maps on built carriers are test oracles.
 
 All three rings are free on one kind of basis: the transitive G-sets
 labeled in a target, classified by ``enumerate_basis`` as pairs (H, t in
 T^H).  The target is the weight G-monoid for the crossed Burnside ring
 (the trivial one for the Burnside ring) and the G-set X for the Hadamard
-ring; only the product rule differs (the tensor product, which needs the
-monoid, or the fiber product over X).
+ring; only the product rule differs: ``crossed.tensor``, which needs the
+monoid, or ``crossed.fiber_product`` over X, the products the reference
+route builds on carriers.
 
 Structure constants come from the table of marks (production route): the
 marks of a product of basis elements are computed from the marks of the
@@ -64,6 +66,7 @@ symmetry itself and then shares one packed table between both sides.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from operator import add, mul
 
@@ -77,7 +80,7 @@ from .classify import (
     express_by_decomposition,
     express_in_basis,
 )
-from .crossed import CrossedGSet, restrict, tensor, unit_object
+from .crossed import CrossedGSet, fiber_product, restrict, tensor, unit_object
 from .groupoid import (
     FiniteGroupoid,
     Record,
@@ -313,13 +316,6 @@ def _ring(
     ).validate()
 
 
-def _by_marks(catalog: BasisCatalog, combine):
-    """Products from the table of marks: ``combine(rep, a, b)`` gives the
-    marks of a product from the marks of its factors, per subgroup."""
-    marks = catalog.marks()
-    return lambda i, j: marks.product(i, j, combine)
-
-
 def _by_decomposition(catalog: BasisCatalog, multiply):
     """Products built on carriers by ``multiply`` and decomposed over the
     catalog by transporter search."""
@@ -364,7 +360,7 @@ def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentatio
     unit = express_in_basis(unit_object(g, weight), catalog)
     commutative = (all(_symmetric(m.table) for m in weight.monoids)
                    or conjugation_loops(weight) is not None)
-    products = _by_marks(catalog, _convolution(weight))
+    products = partial(catalog.marks().product, combine=_convolution(weight))
     block = None if is_connected(g) else [e.component_rep for e in catalog.entries]
     return _ring(catalog, products, unit, _crossed_info, commutative, block)
 
@@ -403,28 +399,6 @@ def _meet(rep: int, a: dict, b: dict) -> dict:
     return {v: m * b[v] for v, m in a.items() if v in b}
 
 
-def _fiber_product(a: CrossedGSet, b: CrossedGSet) -> CrossedGSet:
-    """The Hadamard product A x_X B: the pairs (p, q) with equal labels,
-    with the diagonal action and the common label."""
-    g = a.carrier.base
-    keep = [
-        [
-            (i, j)
-            for i, u in enumerate(a.label[o])
-            for j, v in enumerate(b.label[o])
-            if u == v
-        ]
-        for o in g.objects
-    ]
-    pos = [{pair: k for k, pair in enumerate(pairs)} for pairs in keep]
-    action = []
-    for m in g.morphisms:
-        aa, ba = a.carrier.action[m], b.carrier.action[m]
-        action.append([pos[g.cod[m]][(aa[i], ba[j])] for i, j in keep[g.dom[m]]])
-    label = [[a.label[o][i] for i, _ in keep[o]] for o in g.objects]
-    return CrossedGSet(GSet(g, [len(k) for k in keep], action), a.weight, label).validate()
-
-
 def _identity_slice(g: FiniteGroupoid, x: GSet) -> CrossedGSet:
     """x labeled by itself through the identity: the unit of the Hadamard
     ring."""
@@ -450,7 +424,7 @@ def hadamard_ring(g: FiniteGroupoid, x: GSet) -> RingPresentation:
     ident = _identity_slice(g, x)
     catalog = enumerate_basis(g, x)
     unit = _slice_express(ident, catalog)
-    return _ring(catalog, _by_marks(catalog, _meet), unit, _slice_info, True,
+    return _ring(catalog, partial(catalog.marks().product, combine=_meet), unit, _slice_info, True,
                  [(e.component_rep, min(e.fiber.labels[e.index])) for e in catalog.entries])
 
 
@@ -460,7 +434,7 @@ def hadamard_ring_by_decomposition(g: FiniteGroupoid, x: GSet) -> RingPresentati
     ident = _identity_slice(g, x)
     catalog = enumerate_basis(g, x)
     unit = express_by_decomposition(ident, catalog)
-    return _ring(catalog, _by_decomposition(catalog, _fiber_product), unit, _slice_info)
+    return _ring(catalog, _by_decomposition(catalog, fiber_product), unit, _slice_info)
 
 
 # -- ring homomorphisms --------------------------------------------------------------
@@ -607,17 +581,27 @@ def _restricted(entry: TransitivePiece, z: int, marks: MarkTable) -> list[int]:
                                [move[v] for v in f.labels[entry.index]], len(f.coset_reps))
 
 
+def _reduction(source: RingPresentation, g: FiniteGroupoid, weight: GMonoid, z: int):
+    """The crossed Burnside ring of the isotropy group at z over the weight
+    restricted there (``source`` itself when g has one object, as g is then
+    its own isotropy group), and the columns of the source entries on the
+    component of z restricted to z, in entry order, each made when read."""
+    iso, _ = isotropy_group(g, z)
+    target = source if iso is g else crossed_burnside_ring(iso, restrict(weight, z))
+    marks, rep = target.basis.marks(), min(component_transports(g, z))
+    return target, (_restricted(e, z, marks) for e in source.basis.entries
+                    if e.component_rep == rep)
+
+
 def connected_reduction_hom(g: FiniteGroupoid, weight: GMonoid, z: int) -> RingHom:
     """Restrict the crossed Burnside basis of a connected groupoid to the
     isotropy group at z, into the crossed Burnside ring of the restricted
-    weight."""
+    weight.  An unknown z is refused before any ring is built."""
     if not is_connected(g):
         raise NotConnected("connected reduction needs a connected groupoid")
+    isotropy_group(g, z)
     source = crossed_burnside_ring(g, weight)
-    iso, _ = isotropy_group(g, z)
-    target = source if iso is g else crossed_burnside_ring(iso, restrict(weight, z))
-    marks = target.basis.marks()
-    return _hom(source, target, [_restricted(e, z, marks) for e in source.basis.entries])
+    return _hom(source, *_reduction(source, g, weight, z))
 
 
 def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
@@ -648,26 +632,16 @@ def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
 def decomposition_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
     """The crossed Burnside ring of a groupoid onto the product of the
     crossed Burnside rings of its isotropy groups, one per component, each
-    over the weight restricted to the component representative.  A
-    one-object groupoid is its own isotropy group and takes the validated
-    source ring as its block instead of building it again."""
-    comps = connected_components(g)
+    over the weight restricted to the component representative: the block
+    sum of the reductions at the representatives, in representative order,
+    which is the order of the source entries (``enumerate_basis``)."""
     source = crossed_burnside_ring(g, weight)
-    blocks = []
-    for rep in comps.representatives:
-        iso, _ = isotropy_group(g, rep)
-        blocks.append(source if iso is g else crossed_burnside_ring(iso, restrict(weight, rep)))
-    target = product_ring(blocks)
-    # component representative -> (offset of its block, the block)
-    where, offset = {}, 0
-    for rep, block in zip(comps.representatives, blocks):
-        where[rep] = (offset, block)
-        offset += block.dim
-    cols = []
-    for entry in source.basis.entries:
-        offset, block = where[entry.component_rep]
-        local = _restricted(entry, entry.component_rep, block.basis.marks())
-        cols.append([0] * offset + local + [0] * (target.dim - offset - block.dim))
+    parts = [_reduction(source, g, weight, rep) for rep in connected_components(g).representatives]
+    target = product_ring([ring for ring, _ in parts])
+    cols, offset = [], 0
+    for ring, local in parts:
+        cols += [[0] * offset + col + [0] * (target.dim - offset - ring.dim) for col in local]
+        offset += ring.dim
     return _hom(source, target, cols)
 
 

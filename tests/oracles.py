@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from gburnside.classify import (
     MarkTable,
+    dense,
     express_by_decomposition,
     subgroup_classes,
     subgroup_closure,
@@ -15,16 +16,16 @@ from gburnside.classify import (
 from gburnside.crossed import (
     CrossedGSet,
     CrossedMap,
+    _compose,
+    _identity,
     _maps_equal,
+    _tensor_components,
     associator,
     braiding,
     braiding_inverse,
-    compose_crossed_maps,
-    identity_crossed_map,
     induce,
     restrict,
     tensor,
-    tensor_map,
     transport_restrict,
     unit_object,
 )
@@ -42,10 +43,10 @@ from gburnside.errors import (
 from gburnside.groupoid import (
     FiniteGroupoid,
     GroupoidFunctor,
+    check_group_table,
     component_transports,
     connected_components,
     direct_product,
-    identity_and_inverses,
     isotropy_group,
     pair_groupoid,
     retraction,
@@ -67,14 +68,14 @@ from gburnside.rings import (
 def mark_solve(marks: MarkTable, phi: list[int]) -> list[int]:
     """The coordinates with the row marks ``phi``, as a dense vector; the
     back-substitution runs over the non-zero marks only."""
-    return marks._dense(marks._solve({k: v for k, v in enumerate(phi) if v}))
+    return dense(marks._solve({k: v for k, v in enumerate(phi) if v}), marks.dim)
 
 
 def all_subgroups(table: list[list[int]]) -> list[frozenset[int]]:
     """Every subgroup, sorted by (order, sorted elements), by the plain
     walk: each one found is extended by every element outside it.  None of
     the cuts of the class walk, which this lattice is the oracle of."""
-    trivial = frozenset({identity_and_inverses(table)[0]})
+    trivial = frozenset({check_group_table(table)[0]})
     gens: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
     frontier = [trivial]
     while frontier:
@@ -95,7 +96,7 @@ def subgroup_conjugacy_classes(table) -> list[list[frozenset[int]]]:
     """The conjugacy classes of subgroups of a group table, as
     ``classify.subgroup_classes`` finds them (without the normalizers), in
     its order; the walk's completeness argument is on that function."""
-    e, inv = identity_and_inverses(table)
+    e, inv = check_group_table(table)
     return [members for members, _ in subgroup_classes(table, range(len(table)), e, inv)]
 
 
@@ -360,6 +361,20 @@ def invert_crossed_map(m: CrossedMap) -> CrossedMap:
             back[j] = i
         inv.append(back)
     return CrossedMap(m.target, m.source, inv)
+
+
+def identity_crossed_map(c: CrossedGSet) -> CrossedMap:
+    return CrossedMap(c, c, _identity(c.carrier.sizes))
+
+
+def compose_crossed_maps(second: CrossedMap, first: CrossedMap) -> CrossedMap:
+    return CrossedMap(first.source, second.target, _compose(second.components, first.components))
+
+
+def tensor_map(f: CrossedMap, g: CrossedMap) -> CrossedMap:
+    """f (x) g on tensor products."""
+    comps = _tensor_components(f.components, g.components, g.target.carrier.sizes)
+    return CrossedMap(tensor(f.source, g.source), tensor(f.target, g.target), comps)
 
 
 def left_unitor(c: CrossedGSet) -> CrossedMap:

@@ -4,6 +4,9 @@ transport along the connected equivalence."""
 
 from __future__ import annotations
 
+from collections import Counter
+import itertools
+
 import pytest
 
 import gburnside as gb
@@ -15,11 +18,10 @@ from gburnside.crossed import (
     braiding,
     braiding_inverse,
     check_monoidal_axioms,
-    compose_crossed_maps,
     crossed_coproduct,
     distributivity_iso,
     empty_crossed,
-    identity_crossed_map,
+    fiber_product,
     restrict,
     tensor,
     transport_restrict,
@@ -38,7 +40,9 @@ from conftest import regular_gset, fixed_points_gset
 from oracles import (
     all_subgroups,
     coherence_isos,
+    compose_crossed_maps,
     hexagon_by_maps,
+    identity_crossed_map,
     invert_crossed_map,
     left_unitor,
     right_unitor,
@@ -249,6 +253,34 @@ class TestTensorUnit:
         c = c2_basis.entries[0].crossed
         z = crossed_coproduct(c, empty_crossed(c2, c2_conj)).validate()
         assert are_isomorphic(c, z) is not None
+
+
+class TestFiberProduct:
+    """The product of the slice category over a G-set X, the product of
+    the Hadamard ring over X."""
+
+    def test_pairs_of_hadamard_basis_carriers(self, corpus):
+        for name, g in corpus.items():
+            x = gb.conjugation_action(g).underlying()
+            carriers = [e.crossed for e in enumerate_basis(g, x).entries]
+            for a, b in itertools.product(carriers, repeat=2):
+                p = fiber_product(a, b).validate()
+                assert p.weight is x, name
+                # the label-equal pairs at each object, in (i, j) order
+                pairs = [[(i, j) for i, u in enumerate(a.label[o])
+                          for j, v in enumerate(b.label[o]) if u == v] for o in g.objects]
+                for o in g.objects:
+                    na, nb = Counter(a.label[o]), Counter(b.label[o])
+                    assert p.carrier.size(o) == len(pairs[o]) == sum(
+                        n * nb[u] for u, n in na.items()), name
+                    assert p.label[o] == [a.label[o][i] for i, _ in pairs[o]], name
+                for m in g.morphisms:
+                    moved = [pairs[g.cod[m]][k] for k in p.carrier.action[m]]
+                    assert moved == [(a.carrier.action[m][i], b.carrier.action[m][j])
+                                     for i, j in pairs[g.dom[m]]], name
+
+    def test_not_exported(self):
+        assert "fiber_product" not in gb.__all__
 
 
 class TestCoherence:

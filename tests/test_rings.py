@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import random
 import re
 import sys
@@ -13,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import gburnside as gb
 from gburnside import rings
-from gburnside.errors import NotConnected, NotNatural, RingMismatch
+from gburnside.cli import main
+from gburnside.crossed import restrict
+from gburnside.errors import NotConnected, NotNatural, RingMismatch, UnknownObject
 from gburnside.rings import (
     RingHom,
     RingPresentation,
@@ -358,6 +361,22 @@ class TestReduction:
         with pytest.raises(NotConnected):
             conjugation_reduction(corpus["C2+S3"], 0)
 
+    def test_unknown_object_is_refused_before_any_ring(self, corpus, tmp_path, capsys, monkeypatch):
+        built = TestDecomposition.count_crossed_rings(monkeypatch)
+        with pytest.raises(UnknownObject, match=r"object 7 not in 0\.\.1"):
+            conjugation_reduction(corpus["C2xPair(2)"], 7)
+        assert built == []
+        path = tmp_path / "c2_pair2.json"
+        c2_pair2 = {"product": [{"group": {"table": cyclic_table(2)}}, {"pair": 2}]}
+        path.write_text(json.dumps(c2_pair2))
+        argv = ["verify", "reduction", "--object", "7", "--weight", "conjugation",
+                "--groupoid", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "input error: UnknownObject: object 7 not in 0..1\n"
+        assert built == []
+        with pytest.raises(NotConnected):  # connectedness is checked first
+            conjugation_reduction(corpus["C2+S3"], 7)
+
     @pytest.mark.parametrize("name", ["C2", "S3", "D4", "Q8"])
     def test_one_object_builds_one_ring(self, corpus, name, monkeypatch):
         built = TestDecomposition.count_crossed_rings(monkeypatch)
@@ -410,6 +429,36 @@ class TestDecomposition:
         assert len(built) == 3
         assert built[0] is corpus["C2+S3"]
         assert [g.n_morphisms for g in built[1:]] == [2, 6]
+
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    def test_connected_decomposition_is_the_reduction(self, corpus, weight):
+        make = gb.conjugation_action if weight == "conjugation" else gb.trivial_gmonoid
+        connected = [(name, g) for name, g in corpus.items() if gb.is_connected(g)]
+        assert len(connected) == 11
+        for name, g in connected:
+            w = make(g)
+            hom, red = decomposition_hom(g, w), connected_reduction_hom(g, w, 0)
+            assert hom.matrix == red.matrix, name
+            assert hom.verified == red.verified, name
+
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    def test_disconnected_decomposition_is_block_diagonal(self, corpus, weight):
+        make = gb.conjugation_action if weight == "conjugation" else gb.trivial_gmonoid
+        disconnected = [g for g in corpus.values() if not gb.is_connected(g)]
+        assert len(disconnected) == 2
+        for g in disconnected:
+            w = make(g)
+            hom = decomposition_hom(g, w)
+            reps = gb.connected_components(g).representatives
+            dims = [crossed_burnside_ring(gb.isotropy_group(g, rep)[0], restrict(w, rep)).dim
+                    for rep in reps]
+            # block k: the target rows of factor k, the source entries of component k
+            row_block = [k for k, d in enumerate(dims) for _ in range(d)]
+            col_block = [reps.index(e.component_rep) for e in hom.source.basis.entries]
+            assert row_block == col_block == [b["block"] for b in hom.target.basis_info]
+            for r, row in enumerate(hom.matrix):
+                assert all(v == 0 for v, c in zip(row, col_block) if c != row_block[r])
+            assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
 
     def test_mixed_components(self, corpus):
         hom = conjugation_decomposition(corpus["(C2xPair(2))+C3"])

@@ -20,10 +20,12 @@ import gburnside.groupoid
 import gburnside.gsets
 from gburnside.classify import BasisCatalog
 from gburnside.cli import JobSpec
-from gburnside.crossed import CrossedGSet, CrossedMap, identity_crossed_map
+from gburnside.crossed import CrossedGSet, CrossedMap
 from gburnside.groupoid import ComponentData, FiniteGroupoid, GroupoidFunctor
 from gburnside.gsets import ActionGroupoid, GMap, GMonoid, GSet, Monoid
 from gburnside.rings import RingHom, RingPresentation
+
+from oracles import identity_crossed_map
 
 MOVED_TO_ORACLES = [
     "connected_structure_iso",
@@ -45,6 +47,9 @@ MOVED_TO_ORACLES = [
     "left_unitor",
     "right_unitor",
     "trivial_label_embed",
+    "identity_crossed_map",
+    "compose_crossed_maps",
+    "tensor_map",
 ]
 
 
