@@ -41,10 +41,10 @@ from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 
-from .errors import MarksNotTriangular, UnmatchedPiece
+from .errors import BaseMismatch, MarksNotTriangular, UnmatchedPiece, WeightMismatch
 from .crossed import CrossedGSet, CrossedMap, induce, same_weight
 from .groupoid import FiniteGroupoid, Record, component_transports, connected_components
-from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition
+from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition, same_base
 
 
 # -- small-group helpers (tables on dense ids) --------------------------------
@@ -475,11 +475,20 @@ class BasisCatalog(Record):
             self._marks = MarkTable(self.entries)
         return self._marks
 
+    def _admit(self, c: CrossedGSet) -> None:
+        """Refuse a crossed set over another groupoid (BaseMismatch) or
+        labeled in another target (WeightMismatch) than the catalog's."""
+        if not same_base(c.carrier.base, self.base):
+            raise BaseMismatch("crossed set does not live over the catalog's groupoid")
+        if not (c.weight is self.weight or c.weight == self.weight):
+            raise WeightMismatch("crossed set is not labeled in the catalog's target")
+
     def find(self, piece: CrossedGSet) -> int | None:
         """The index of the entry isomorphic to the transitive crossed set
         ``piece``, or None.  No component is compared: an entry with the
         piece's fingerprint has its fiber sizes, so it has elements on the
         same objects, which are the piece's component."""
+        self._admit(piece)
         if self._index is None:
             self._index = {}
             for k, entry in enumerate(self.entries):
@@ -505,6 +514,8 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     label id), components in representative order, so each component's
     entries are consecutive; the catalog is bit-for-bit reproducible.
     """
+    if not same_base(g, weight.base):
+        raise BaseMismatch("weight does not live over this groupoid")
     entries = []
     for rep in connected_components(g).representatives:
         for cls, normalizer in subgroup_classes(g.compose_table, g.loops(rep),
@@ -528,12 +539,14 @@ def express_in_basis(c: CrossedGSet, catalog: BasisCatalog) -> list[int]:
     """Multiplicity of each catalog entry in the transitive decomposition,
     from the marks of c by back-substitution in the catalog's table of
     marks."""
+    catalog._admit(c)
     return catalog.marks().express(c.carrier, c.label)
 
 
 def express_by_decomposition(c: CrossedGSet, catalog: BasisCatalog) -> list[int]:
     """Reference route for ``express_in_basis``: split c into orbits and
     match every piece to its catalog entry by transporter search."""
+    catalog._admit(c)
     coords = [0] * catalog.dim
     for piece, _ in transitive_decomposition(c):
         k = catalog.find(piece)
@@ -586,7 +599,7 @@ def brute_force_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> list[Crossed
             block_of = _block_map(g, blocks)
             if block_of is None:
                 continue
-            for labels in _consistent_labels(g, weight, rep, blocks):
+            for labels in _consistent_labels(weight, rep, blocks):
                 crossed = _partition_crossed(g, weight, blocks, block_of, labels)
                 if not is_transitive(g, crossed.carrier):
                     continue  # unreachable; kept as an honesty check
@@ -616,7 +629,7 @@ def _block_map(g, blocks) -> dict[int, int] | None:
     return block_of
 
 
-def _consistent_labels(g, weight, rep, blocks):
+def _consistent_labels(weight, rep, blocks):
     """Every weight value at rep whose propagation along the partition is
     well defined, yielding per-block label assignments."""
     out = []

@@ -113,20 +113,23 @@ class FiniteGroupoid(BindOnce, Record):
     ``dom[g] == cod[f]`` and -1 otherwise.
 
     Instances are immutable: the constructor freezes every table into
-    tuples and binds each table field once (rebinding or deleting one
-    raises AttributeError), so no instance, copy or deep copy changes, and
-    the caches of ``by_dom``/``by_cod``, ``isotropy_group`` and
-    ``gsets.conjugation_action`` and the pass recorded by
+    tuples and binds each table field once, with ``n_morphisms`` and the id
+    ranges ``objects`` and ``morphisms`` computed from them (rebinding or
+    deleting one raises AttributeError), so no instance, copy or deep copy
+    changes, and the caches of ``by_dom``/``by_cod``, ``isotropy_group``
+    and ``gsets.conjugation_action`` and the pass recorded by
     ``validate_groupoid`` are sound.  A mutant is a new instance built from
-    edited tables.  Other structures share lists instead of
-    copying them (see ``gsets``).
+    edited tables; other structures share lists (see ``gsets``).
     """
 
-    _FIELDS = frozenset({"n_objects", "dom", "cod", "compose_table", "identity", "inverse"})
+    _FIELDS = frozenset({"n_objects", "dom", "cod", "compose_table", "identity", "inverse",
+                         "n_morphisms", "objects", "morphisms"})
 
     def __init__(self, n_objects, dom, cod, compose_table, identity, inverse):
         self.n_objects = int(n_objects)
         self.dom = tuple(dom)
+        self.n_morphisms = len(self.dom)
+        self.objects, self.morphisms = range(self.n_objects), range(self.n_morphisms)
         self.cod = tuple(cod)
         self.compose_table = tuple(tuple(row) for row in compose_table)
         self.identity = tuple(identity)
@@ -140,18 +143,6 @@ class FiniteGroupoid(BindOnce, Record):
         self._generators = self.morphisms  # proved generators once valid
 
     # -- basic accessors ---------------------------------------------------
-
-    @property
-    def n_morphisms(self) -> int:
-        return len(self.dom)
-
-    @property
-    def objects(self) -> range:
-        return range(self.n_objects)
-
-    @property
-    def morphisms(self) -> range:
-        return range(self.n_morphisms)
 
     def _bucket(self, ends: tuple[int, ...]) -> list[tuple[int, ...]]:
         out: list[list[int]] = [[] for _ in range(self.n_objects)]

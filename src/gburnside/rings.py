@@ -6,8 +6,9 @@ and the action-groupoid comparison, each built column by column from its
 theorem and then verified.  A column is the image of a basis entry, read
 off the entry's coset fiber and solved in the target's table of marks, so
 no carrier is built: the embedding labels every coset by the unit;
-reduction moves the fiber to an isotropy group along a transport, for any
-weight, into the crossed Burnside ring of the weight restricted there, and
+reduction moves the fibers of a component to an isotropy group along one
+transport, chosen once per reduction, for any weight, into the crossed
+Burnside ring of the weight restricted there, and
 the decomposition is the block sum of the reductions at the component
 representatives; the comparison pushes forward along G x X -> G.  The
 same maps on built carriers are test oracles.
@@ -74,7 +75,6 @@ from .errors import NotConnected, NotNatural, RingMismatch
 from .classify import (
     BasisCatalog,
     CosetFiber,
-    MarkTable,
     TransitivePiece,
     enumerate_basis,
     express_by_decomposition,
@@ -567,30 +567,25 @@ def embedding_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
     return hom
 
 
-def _restricted(entry: TransitivePiece, z: int, marks: MarkTable) -> list[int]:
-    """Coordinates in ``marks``, over the isotropy group at z, of a basis
-    entry restricted to z, read off its coset fiber moved along the
-    transport t : rep -> z.  The fiber at z is the cosets tcH: a loop u
-    fixes tcH exactly when t^-1 u t lies in cHc^-1, and tcH carries the
-    label S(t)S(c)v."""
-    f, g = entry.fiber, entry.fiber.g
-    t = component_transports(g, entry.component_rep)[z]
-    ct, inv, move = g.compose_table, g.inverse, f.weight.action[t]
-    pull = [ct[ct[inv[t]][u]][t] for u in g.loops(z)]
-    return marks.express_fiber(0, lambda sub: f.fixed_by(frozenset(pull[k] for k in sub)),
-                               [move[v] for v in f.labels[entry.index]], len(f.coset_reps))
-
-
 def _reduction(source: RingPresentation, g: FiniteGroupoid, weight: GMonoid, z: int):
     """The crossed Burnside ring of the isotropy group at z over the weight
     restricted there (``source`` itself when g has one object, as g is then
     its own isotropy group), and the columns of the source entries on the
-    component of z restricted to z, in entry order, each made when read."""
+    component of z restricted to z, in entry order, each made when read.
+    A column is the entry's coset fiber at rep moved along the transport
+    t : rep -> z; t, the loops at z pulled back along it and the label move
+    S(t) are fixed for the reduction.  The fiber at z is the cosets tcH: a
+    loop u fixes tcH exactly when t^-1 u t lies in cHc^-1, and tcH carries
+    the label S(t)S(c)v."""
     iso, _ = isotropy_group(g, z)
     target = source if iso is g else crossed_burnside_ring(iso, restrict(weight, z))
     marks, rep = target.basis.marks(), min(component_transports(g, z))
-    return target, (_restricted(e, z, marks) for e in source.basis.entries
-                    if e.component_rep == rep)
+    t = component_transports(g, rep)[z]
+    ct, inv, move = g.compose_table, g.inverse, weight.action[t]
+    pull = [ct[ct[inv[t]][u]][t] for u in g.loops(z)]
+    return target, (marks.express_fiber(0, lambda sub: e.fiber.fixed_by(frozenset(pull[k] for k in sub)),
+                                        [move[v] for v in e.fiber.labels[e.index]], len(e.fiber.coset_reps))
+                    for e in source.basis.entries if e.component_rep == rep)
 
 
 def connected_reduction_hom(g: FiniteGroupoid, weight: GMonoid, z: int) -> RingHom:

@@ -17,11 +17,12 @@ from gburnside.classify import (
     brute_force_basis,
     crossed_fingerprint,
     enumerate_basis,
+    express_by_decomposition,
     express_in_basis,
     transitive_decomposition,
 )
-from gburnside.crossed import crossed_coproduct, tensor, unit_object
-from gburnside.errors import UnmatchedPiece, WeightMismatch
+from gburnside.crossed import CrossedGSet, crossed_coproduct, tensor, unit_object
+from gburnside.errors import BaseMismatch, UnmatchedPiece, WeightMismatch
 from gburnside.gsets import is_transitive
 from gburnside.sampling import sample_many, shuffle_fibers
 
@@ -321,6 +322,53 @@ class TestExpressInBasis:
             assert crossed_fingerprint(c) == crossed_fingerprint(
                 shuffle_fibers(c, rng)
             )
+
+
+# the three ways to read a crossed set against a catalog
+ENTRY_POINTS = pytest.mark.parametrize(
+    "entry", [express_in_basis, express_by_decomposition, lambda c, catalog: catalog.find(c)],
+    ids=["express_in_basis", "express_by_decomposition", "find"],
+)
+
+
+class TestForeignInputs:
+    """A catalog refuses a crossed set over another groupoid or labeled in
+    another target, instead of answering with coordinates of nothing."""
+
+    def test_enumerate_basis_refuses_a_weight_over_another_groupoid(self, c2, s3, monkeypatch):
+        walked = []
+        monkeypatch.setattr(classify, "subgroup_classes", lambda *args: walked.append(args))
+        with pytest.raises(BaseMismatch) as refused:
+            enumerate_basis(c2, gb.conjugation_action(s3))
+        assert str(refused.value) == "weight does not live over this groupoid"
+        assert walked == []
+
+    @ENTRY_POINTS
+    def test_entry_points_refuse_another_groupoid(self, c2, s3, entry):
+        catalog = enumerate_basis(c2, gb.conjugation_action(c2))
+        with pytest.raises(BaseMismatch) as refused:
+            entry(unit_object(s3, gb.conjugation_action(s3)), catalog)
+        assert str(refused.value) == "crossed set does not live over the catalog's groupoid"
+
+    @ENTRY_POINTS
+    @pytest.mark.parametrize("target", ["trivial", "underlying"])
+    def test_entry_points_refuse_another_target(self, s3, entry, target):
+        conj = gb.conjugation_action(s3)
+        catalog = enumerate_basis(s3, conj)
+        if target == "trivial":
+            c = unit_object(s3, gb.trivial_gmonoid(s3))
+        else:  # the same labels, but in the G-set under the weight
+            c = CrossedGSet(gb.terminal_gset(s3), conj.underlying(), [[conj.unit(0)]])
+        with pytest.raises(WeightMismatch) as refused:
+            entry(c, catalog)
+        assert str(refused.value) == "crossed set is not labeled in the catalog's target"
+
+    def test_an_equal_target_is_admitted(self, s3):
+        conj = gb.conjugation_action(s3)
+        catalog = enumerate_basis(s3, conj)
+        twin = gb.GMonoid(s3, list(conj.monoids), list(conj.action))
+        unit = CrossedGSet(gb.terminal_gset(s3), twin, [[conj.unit(0)]])
+        assert express_in_basis(unit, catalog) == express_by_decomposition(unit, catalog)
 
 
 class TestSubgroupHelpers:

@@ -170,6 +170,13 @@ class TestValidateCrossed:
         with pytest.raises(WeightMismatch):
             tensor(a, b)
 
+    def test_base_mismatch_in_maps(self, c2, c3, c2_conj):
+        a = unit_object(c2, c2_conj)
+        b = unit_object(c3, gb.conjugation_action(c3))
+        with pytest.raises(BaseMismatch) as refused:
+            tensor(a, b)
+        assert str(refused.value) == "crossed sets live over different groupoids"
+
 
 class TestTensorUnit:
     def test_point_labels_multiply(self, c2, c2_conj):

@@ -19,7 +19,7 @@ from gburnside.errors import (
     NotConnected,
     UnknownObject,
 )
-from gburnside.groupoid import SENTINEL, FiniteGroupoid
+from gburnside.groupoid import SENTINEL, FiniteGroupoid, check_group_table, component_transports
 
 from conftest import (
     NON_ASSOCIATIVE_LOOP,
@@ -85,6 +85,47 @@ class TestValidateGroupoid:
             gb.validate_groupoid(FiniteGroupoid(0, [], [], [], [], []))
 
 
+C2 = gb.from_group(cyclic_table(2))
+C3 = gb.from_group(cyclic_table(3))
+PAIR2 = gb.pair_groupoid(2)
+
+# each shape refusal of a validator, with the exact message it names
+REFUSALS = [
+    (lambda: gb.validate_groupoid(FiniteGroupoid(1, [0, 0], [0], [[0, 1], [1, 0]], [0], [0, 1])),
+     DomCodMismatch, "dom and cod lists have different lengths"),
+    (lambda: gb.validate_groupoid(FiniteGroupoid(1, [0, 1], [0, 0], [[0, 1], [1, 0]], [0], [0, 1])),
+     DomCodMismatch, "morphism 1 has dom/cod outside 0..0"),
+    (lambda: gb.validate_groupoid(FiniteGroupoid(1, [0, 0], [0, 0], [[0, 1]], [0], [0, 1])),
+     DomCodMismatch, "compose table is not |M| x |M|"),
+    (lambda: check_group_table([]), NotAGroup, "empty table"),
+    (lambda: check_group_table([[0, 1], [1, 2]]), NotAGroup, "table is not n x n over 0..n-1"),
+    (lambda: check_group_table([[1, 0], [0, 0]]), NotAGroup, "no identity element"),
+    (lambda: gb.group_table_from_perm_gens([]), NotAGroup, "no generators"),
+    (lambda: gb.group_table_from_perm_gens([[0, 0]]), NotAGroup,
+     "[0, 0] is not a permutation of 0..1"),
+    (lambda: gb.GroupoidFunctor(C2, C2, [], [0, 1]).validate(),
+     DomCodMismatch, "object map does not cover every object"),
+    (lambda: gb.GroupoidFunctor(C2, C2, [0], [0]).validate(),
+     DomCodMismatch, "morphism map does not cover every morphism"),
+    (lambda: gb.GroupoidFunctor(C2, C2, [1], [0, 1]).validate(),
+     UnknownObject, "object image 1 out of range"),
+    (lambda: gb.GroupoidFunctor(C2, C2, [0], [0, 2]).validate(),
+     DomCodMismatch, "morphism image 2 out of range"),
+    (lambda: gb.GroupoidFunctor(PAIR2, PAIR2, [0, 1], [0, 2, 2, 3]).validate(),
+     DomCodMismatch, "dom/cod not preserved at morphism 1"),
+    (lambda: gb.GroupoidFunctor(C3, C3, [0], [0, 2, 2]).validate(),
+     NonAssociative, "composition not preserved at pair (1, 1)"),
+    (lambda: component_transports(C2, 1), UnknownObject, "object 1 not in 0..0"),
+]
+
+
+@pytest.mark.parametrize("build,error,message", REFUSALS, ids=[case[2] for case in REFUSALS])
+def test_shape_refusals_name_their_error(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 class TestImmutable:
     """Tables are frozen at construction, so every cache answers from the
     instance's own data; a mutant is a new instance."""
@@ -103,7 +144,8 @@ class TestImmutable:
         assert dup == s3
 
     @pytest.mark.parametrize(
-        "field", ["n_objects", "dom", "cod", "compose_table", "identity", "inverse"]
+        "field", ["n_objects", "dom", "cod", "compose_table", "identity", "inverse",
+                  "n_morphisms", "objects", "morphisms"]
     )
     def test_table_fields_reject_rebinding(self, s3, field):
         # a pass recorded by validate_groupoid must not outlive the tables

@@ -14,7 +14,7 @@ from gburnside.errors import AllFibersEmpty, BaseMismatch, NotNatural
 from gburnside.gsets import GMap, GMonoid, GSet, Monoid, conjugation_loops
 from gburnside.sampling import sample_many
 
-from conftest import fixed_points_gset, regular_gset
+from conftest import cyclic_table, fixed_points_gset, regular_gset
 from oracles import NotSubgroup, marks, underlying_gset
 
 
@@ -184,6 +184,46 @@ class TestGMap:
     def test_base_mismatch(self, c2, c3):
         with pytest.raises(BaseMismatch):
             GMap(regular_gset(c2), regular_gset(c3), [[0, 1]]).validate()
+
+
+C2 = gb.from_group(cyclic_table(2))
+C3 = gb.from_group(cyclic_table(3))
+POINT = gb.terminal_gset(C2)
+
+# each shape and base refusal, with the exact message it names
+REFUSALS = [
+    (lambda: GSet(C2, [1, 1], [[0], [0]]).validate(), NotNatural,
+     "size list does not cover every object"),
+    (lambda: GSet(C2, [1], [[0]]).validate(), NotNatural,
+     "action list does not cover every morphism"),
+    (lambda: GSet(C2, [1], [[0], [0, 0]]).validate(), NotNatural,
+     "action of morphism 1 has wrong domain size"),
+    (lambda: Monoid([[0, 1], [1, 2]], 0).validate(), NotNatural,
+     "monoid table is not n x n over 0..n-1"),
+    (lambda: Monoid([[0]], 1).validate(), NotNatural, "monoid unit out of range"),
+    (lambda: GMonoid(C2, [], [[0], [0]]).validate(), NotNatural,
+     "monoid list does not cover every object"),
+    (lambda: GMap(POINT, POINT, []).validate(), NotNatural,
+     "component list does not cover every object"),
+    (lambda: GMap(POINT, POINT, [[0, 0]]).validate(), NotNatural,
+     "component at 0 has wrong domain size"),
+    (lambda: GMap(POINT, POINT, [[1]]).validate(), NotNatural,
+     "component at 0 maps outside the target fiber"),
+    (lambda: gb.is_transitive(C3, POINT), BaseMismatch, "G-set does not live over this groupoid"),
+    (lambda: gb.orbit_decomposition(C3, POINT), BaseMismatch,
+     "G-set does not live over this groupoid"),
+    (lambda: gb.gset_product(POINT, gb.terminal_gset(C3)), BaseMismatch,
+     "product of G-sets over different groupoids"),
+    (lambda: gb.gset_coproduct(POINT, gb.terminal_gset(C3)), BaseMismatch,
+     "coproduct of G-sets over different groupoids"),
+]
+
+
+@pytest.mark.parametrize("build,error,message", REFUSALS, ids=[case[2] for case in REFUSALS])
+def test_refusals_name_their_error(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 class TestActionGroupoid:

@@ -109,6 +109,19 @@ class TestPresentationValidation:
         with pytest.raises(NotNatural, match=re.escape(message)):
             bad.validate()
 
+    @pytest.mark.parametrize(
+        "rows, unit, message",
+        [
+            ([[((0, 1),), ()]], [1], "structure constants are not a dim x dim table of rows"),
+            ([[((0, 1),)]], [1, 0], "unit vector has wrong length"),
+        ],
+        ids=["table-shape", "unit-length"],
+    )
+    def test_malformed_shape_rejected(self, rows, unit, message):
+        with pytest.raises(NotNatural) as refused:
+            RingPresentation(1, rows, unit).validate()
+        assert str(refused.value) == message
+
     def test_broken_unit_rejected(self, b_c2):
         bad = RingPresentation(
             b_c2.dim,
@@ -304,6 +317,11 @@ class TestHadamard:
             build(c2, conj)
         assert build(c2, conj.underlying()).dim == 4
 
+    def test_gset_over_another_groupoid_is_a_ring_mismatch(self, c2, c3):
+        with pytest.raises(RingMismatch) as refused:
+            hadamard_ring(c3, gb.terminal_gset(c2))
+        assert str(refused.value) == "G-set does not live over this groupoid"
+
     def test_unit_need_not_be_a_basis_vector(self, c2):
         x = fixed_points_gset(c2, 2)
         ring = hadamard_ring(c2, x)
@@ -376,6 +394,23 @@ class TestReduction:
         assert built == []
         with pytest.raises(NotConnected):  # connectedness is checked first
             conjugation_reduction(corpus["C2+S3"], 7)
+
+    def test_one_transport_per_reduction(self, monkeypatch):
+        # the transport rep -> z is fixed for the reduction: one lookup for
+        # rep, one for t, whatever the number of entries
+        calls = []
+        original = rings.component_transports
+
+        def counted(g, x):
+            calls.append(x)
+            return original(g, x)
+
+        monkeypatch.setattr(rings, "component_transports", counted)
+        g = gb.direct_product(gb.from_group(s3_table()), gb.pair_groupoid(3))
+        hom = conjugation_reduction(g, 1)
+        assert hom.source.dim == 8
+        assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("name", ["C2", "S3", "D4", "Q8"])
     def test_one_object_builds_one_ring(self, corpus, name, monkeypatch):
