@@ -3,7 +3,8 @@ constructions: one-object groups, pair groupoids, disjoint unions, direct
 products, connected components, isotropy groups with their inclusions,
 and the transport morphisms and the retraction along which
 ``crossed.restrict`` and ``crossed.induce`` move crossed sets between a
-component and an isotropy group.
+component and an isotropy group.  Each per-object fact (loops,
+transports, isotropy group) is derived once and kept on the groupoid.
 
 Objects and morphisms are dense integers.  Composition is stored as a flat
 table indexed by (g, f) with -1 marking non-composable pairs; validation
@@ -116,10 +117,11 @@ class FiniteGroupoid(BindOnce, Record):
     tuples and binds each table field once, with ``n_morphisms`` and the id
     ranges ``objects`` and ``morphisms`` computed from them (rebinding or
     deleting one raises AttributeError), so no instance, copy or deep copy
-    changes, and the caches of ``by_dom``/``by_cod``, ``isotropy_group``
-    and ``gsets.conjugation_action`` and the pass recorded by
-    ``validate_groupoid`` are sound.  A mutant is a new instance built from
-    edited tables; other structures share lists (see ``gsets``).
+    changes, and what it keeps is sound: ``by_dom``/``by_cod``, ``loops``,
+    ``component_transports``, ``isotropy_group``, ``gsets.conjugation_action``
+    and the pass of ``validate_groupoid``, each built on first read and
+    shared, so callers must not change it.  A mutant is a new instance
+    built from edited tables; other structures share lists (see ``gsets``).
     """
 
     _FIELDS = frozenset({"n_objects", "dom", "cod", "compose_table", "identity", "inverse",
@@ -136,9 +138,11 @@ class FiniteGroupoid(BindOnce, Record):
         self.inverse = tuple(inverse)
         self._by_dom: list[tuple[int, ...]] | None = None
         self._by_cod: list[tuple[int, ...]] | None = None
-        # filled by isotropy_group and gsets.conjugation_action
+        self._loops: list[list[int]] | None = None
+        # filled by component_transports, isotropy_group and gsets.conjugation_action
+        self._transports: dict[int, dict[int, int]] = {}
         self._isotropy: dict[int, tuple[FiniteGroupoid, GroupoidFunctor]] = {}
-        self._conjugation = None  # (conjugation G-monoid, loops per object)
+        self._conjugation = None  # the conjugation G-monoid
         self._valid = False  # set by validate_groupoid, with:
         self._generators = self.morphisms  # proved generators once valid
 
@@ -167,8 +171,11 @@ class FiniteGroupoid(BindOnce, Record):
         return [m for m in self.by_dom(x) if self.cod[m] == y]
 
     def loops(self, x: int) -> list[int]:
-        """Morphism ids x -> x, ascending (the isotropy group at x)."""
-        return self.hom(x, x)
+        """Morphism ids x -> x, ascending (the isotropy group at x): one
+        list per object, all kept on the first call; callers must not change it."""
+        if self._loops is None:
+            self._loops = [self.hom(y, y) for y in self.objects]
+        return self._loops[x]
 
     def __repr__(self) -> str:
         return (
@@ -488,7 +495,7 @@ def connected_components(g: FiniteGroupoid) -> ComponentData:
     classes = []
     for x in g.objects:
         if x not in seen:
-            classes.append(sorted({g.cod[m] for m in g.by_dom(x)}))
+            classes.append(sorted(component_transports(g, x)))
             seen.update(classes[-1])
     return ComponentData(classes=classes, representatives=[c[0] for c in classes])
 
@@ -537,16 +544,15 @@ def component_transports(g: FiniteGroupoid, x: int) -> dict[int, int]:
 
     t_x is the identity at x; every other t_y is the least morphism id in
     hom(x, y).  This fixed choice makes all constructions depending on
-    them deterministic.
+    them deterministic.  Kept per object: callers must not change the dict.
     """
     if not 0 <= x < g.n_objects:
         raise UnknownObject(f"object {x} not in 0..{g.n_objects - 1}")
-    t = {x: g.identity[x]}
-    for m in g.by_dom(x):
-        y = g.cod[m]
-        if y != x and y not in t:
-            t[y] = m  # by_dom is ascending, first hit is least
-    return t
+    if x not in g._transports:
+        t = g._transports[x] = {x: g.identity[x]}
+        for m in g.by_dom(x):
+            t.setdefault(g.cod[m], m)  # by_dom is ascending, first hit is least
+    return g._transports[x]
 
 
 def retraction(g: FiniteGroupoid, t: dict[int, int]) -> list[int | None]:

@@ -230,9 +230,9 @@ def conjugation_action(g: FiniteGroupoid) -> GMonoid:
     """The G-monoid x -> isotropy(x), morphisms acting by a -> g a g^-1.
 
     Element k of the monoid at x is the k-th loop at x in ascending
-    morphism-id order.  Built and validated once per groupoid instance, with
-    those loop lists, and shared: every call on the same groupoid returns
-    the same object, so callers must not mutate it.
+    morphism-id order, ``g.loops(x)``.  Built and validated once per
+    groupoid, which keeps it and no loop list: every call on the same
+    groupoid returns the same object, so callers must not mutate it.
     """
     if g._conjugation is None:
         loops, pos, tables = zip(*(loop_table(g, x) for x in g.objects))
@@ -247,17 +247,17 @@ def conjugation_action(g: FiniteGroupoid) -> GMonoid:
                     for a in loops[x]
                 ]
             )
-        g._conjugation = (GMonoid(g, monoids, action).validate(), list(loops))
-    return g._conjugation[0]
+        g._conjugation = GMonoid(g, monoids, action).validate()
+    return g._conjugation
 
 
 def conjugation_loops(s: GMonoid) -> list[list[int]] | None:
     """If s is structurally the conjugation G-monoid, return per object the
-    loop morphism id of each monoid element; otherwise None.  The lists are
-    the groupoid's shared ones (see ``conjugation_action``)."""
+    loop morphism id of each monoid element; otherwise None.  That is the
+    groupoid's own list of ``loops``, the same on every call: do not change it."""
     conj = conjugation_action(s.base)
     if s is conj or (s.monoids == conj.monoids and s.action == conj.action):
-        return s.base._conjugation[1]
+        return s.base._loops
     return None
 
 

@@ -67,8 +67,8 @@ symmetry itself and then shares one packed table between both sides.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import repeat
+from functools import cache, partial
+from itertools import accumulate, repeat
 from operator import add, mul
 
 from .errors import NotConnected, NotNatural, RingMismatch
@@ -290,17 +290,16 @@ class RingPresentation(Record):
 
 # -- ring constructors ------------------------------------------------------------
 
-def _ring(
-    catalog: BasisCatalog, product, unit: list[int], info, commutative: bool = False, block=None
-) -> RingPresentation:
-    """The validated presentation on a catalog with e_i e_j = product(i, j),
-    a sparse row, and the given unit coordinates; ``info`` reports one
-    basis entry.  A caller that has proved e_i e_j = e_j e_i passes
-    ``commutative``, and only i <= j is built: row (i, j) is also (j, i).
-    ``block`` keys the entries so that two keys multiply to 0 (lemma 1 in
-    the module docstring): such a pair gets the empty row without a call
-    to ``product``, and the keys are the blocks ``validate`` checks."""
-    d = catalog.dim
+def _ring(product, unit: list[int], basis, info, commutative: bool = False, block=None) -> RingPresentation:
+    """The validated presentation, the builder of every ring table, with
+    e_i e_j = product(i, j), a sparse row held once however often it
+    occurs, the given unit coordinates and ``basis``; ``info`` has one
+    report per basis entry.  A caller that has proved e_i e_j = e_j e_i
+    passes ``commutative``, and only i <= j is built: row (i, j) is also
+    (j, i).  ``block`` keys the entries so that two keys multiply to 0
+    (lemma 1 in the module docstring): such a pair gets the empty row
+    without a call to ``product``; the keys are the blocks ``validate`` checks."""
+    d = len(info)
     distinct: dict[Sparse, Sparse] = {}  # each product row, held once
     constants: list[list[Sparse]] = [[] for _ in range(d)]
     for i, ri in enumerate(constants):
@@ -310,10 +309,7 @@ def _ring(
             ri.append(p)
             if commutative and j > i:
                 constants[j].append(p)
-    return RingPresentation(
-        d, constants, unit, basis=catalog, basis_info=[info(e) for e in catalog.entries],
-        blocks=block,
-    ).validate()
+    return RingPresentation(d, constants, unit, basis=basis, basis_info=info, blocks=block).validate()
 
 
 def _by_decomposition(catalog: BasisCatalog, multiply):
@@ -362,7 +358,7 @@ def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentatio
                    or conjugation_loops(weight) is not None)
     products = partial(catalog.marks().product, combine=_convolution(weight))
     block = None if is_connected(g) else [e.component_rep for e in catalog.entries]
-    return _ring(catalog, products, unit, _crossed_info, commutative, block)
+    return _ring(products, unit, catalog, list(map(_crossed_info, catalog.entries)), commutative, block)
 
 
 def crossed_burnside_ring_by_decomposition(
@@ -374,7 +370,7 @@ def crossed_burnside_ring_by_decomposition(
     catalog = enumerate_basis(g, weight)
     unit = express_by_decomposition(unit_object(g, weight), catalog)
     products = _by_decomposition(catalog, tensor)
-    return _ring(catalog, products, unit, _crossed_info)
+    return _ring(products, unit, catalog, list(map(_crossed_info, catalog.entries)))
 
 
 def burnside_ring(g: FiniteGroupoid) -> RingPresentation:
@@ -424,7 +420,8 @@ def hadamard_ring(g: FiniteGroupoid, x: GSet) -> RingPresentation:
     ident = _identity_slice(g, x)
     catalog = enumerate_basis(g, x)
     unit = _slice_express(ident, catalog)
-    return _ring(catalog, partial(catalog.marks().product, combine=_meet), unit, _slice_info, True,
+    return _ring(partial(catalog.marks().product, combine=_meet), unit, catalog,
+                 list(map(_slice_info, catalog.entries)), True,
                  [(e.component_rep, min(e.fiber.labels[e.index])) for e in catalog.entries])
 
 
@@ -434,7 +431,8 @@ def hadamard_ring_by_decomposition(g: FiniteGroupoid, x: GSet) -> RingPresentati
     ident = _identity_slice(g, x)
     catalog = enumerate_basis(g, x)
     unit = express_by_decomposition(ident, catalog)
-    return _ring(catalog, _by_decomposition(catalog, fiber_product), unit, _slice_info)
+    return _ring(_by_decomposition(catalog, fiber_product), unit, catalog,
+                 list(map(_slice_info, catalog.entries)))
 
 
 # -- ring homomorphisms --------------------------------------------------------------
@@ -600,28 +598,22 @@ def connected_reduction_hom(g: FiniteGroupoid, weight: GMonoid, z: int) -> RingH
 
 
 def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
-    """Direct product presentation: each block's rows shifted by the
-    block's offset, empty rows across blocks, concatenated units, basis
-    order inherited from block order.  Each distinct block row is shifted
-    once, so equal rows stay one object.  The factors are the blocks of
-    lemma 2, proved on the table and checked one by one in ``validate``."""
-    dim = sum(b.dim for b in blocks)
-    constants, unit, info, keys = [], [], [], []
-    offset = 0
-    for bi, block in enumerate(blocks):
-        keys += [bi] * block.dim
-        before, after = [()] * offset, [()] * (dim - offset - block.dim)
-        pid, rows = _distinct(block.structure_constants)
-        shifted = [tuple((offset + k, v) for k, v in row) for row in rows]
-        for pi in pid:
-            constants.append(before + [shifted[p] for p in pi] + after)
-        unit.extend(block.unit_vector)
-        for entry in block.basis_info:
-            info.append({"block": bi, **entry})
-        offset += block.dim
-    return RingPresentation(
-        dim, constants, unit, basis=[b.basis for b in blocks], basis_info=info, blocks=keys
-    ).validate()
+    """Direct product presentation: e_i e_j inside a block is the block's
+    row shifted by the block's offset, each distinct row once; concatenated
+    units; basis order inherited from block order.  A pair across blocks is
+    0 (lemma 1), so the factors are the blocks of lemma 2, proved on the
+    table and checked one by one in ``validate``."""
+    keys = [bi for bi, b in enumerate(blocks) for _ in range(b.dim)]
+    offsets = list(accumulate((b.dim for b in blocks), initial=0))
+    moved = cache(lambda o, row: tuple((o + k, v) for k, v in row))
+
+    def product(i, j):
+        o = offsets[keys[i]]
+        return moved(o, blocks[keys[i]].structure_constants[i - o][j - o])
+
+    return _ring(product, [u for b in blocks for u in b.unit_vector], [b.basis for b in blocks],
+                 [{"block": bi, **entry} for bi, b in enumerate(blocks) for entry in b.basis_info],
+                 block=keys)
 
 
 def decomposition_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
@@ -633,11 +625,9 @@ def decomposition_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
     source = crossed_burnside_ring(g, weight)
     parts = [_reduction(source, g, weight, rep) for rep in connected_components(g).representatives]
     target = product_ring([ring for ring, _ in parts])
-    cols, offset = [], 0
-    for ring, local in parts:
-        cols += [[0] * offset + col + [0] * (target.dim - offset - ring.dim) for col in local]
-        offset += ring.dim
-    return _hom(source, target, cols)
+    offsets = accumulate((ring.dim for ring, _ in parts), initial=0)
+    return _hom(source, target, [[0] * o + col + [0] * (target.dim - o - len(col))
+                                 for (_, local), o in zip(parts, offsets) for col in local])
 
 
 # -- action-groupoid comparison ---------------------------------------------------

@@ -146,6 +146,7 @@ def parse_groupoid(obj) -> FiniteGroupoid:
             0 <= g < n_mor and 0 <= f < n_mor and 0 <= gf < n_mor,
             f"compose entry {entry!r} references unknown morphisms",
         )
+        _expect(table[g][f] == SENTINEL, f"compose entry {entry!r} repeats the pair ({g}, {f})")
         table[g][f] = gf
     identity = _ints(obj["identity"], "field 'identity'")
     inverse = _ints(obj["inverse"], "field 'inverse'")

@@ -23,7 +23,7 @@ from gburnside.classify import (
 )
 from gburnside.crossed import CrossedGSet, crossed_coproduct, tensor, unit_object
 from gburnside.errors import BaseMismatch, UnmatchedPiece, WeightMismatch
-from gburnside.gsets import is_transitive
+from gburnside.gsets import GSet, is_transitive
 from gburnside.sampling import sample_many, shuffle_fibers
 
 from conftest import GROUP_TABLES_LEQ8, cyclic_table, regular_gset, table_product
@@ -76,6 +76,15 @@ class TestAreIsomorphic:
         e = validate_crossed(gb.terminal_gset(c2), conj, [[0]])
         s = validate_crossed(gb.terminal_gset(c2), conj, [[1]])
         assert are_isomorphic(e, s) is None
+
+    def test_same_fingerprint_different_orbit_count(self, c2):
+        # two fixed points against one free orbit: both have two elements
+        # labeled 0, and they split into two pieces against one
+        weight = gb.trivial_gmonoid(c2)
+        fixed = validate_crossed(GSet(c2, [2], [[0, 1], [0, 1]]), weight, [[0, 0]])
+        free = validate_crossed(GSet(c2, [2], [[0, 1], [1, 0]]), weight, [[0, 0]])
+        assert crossed_fingerprint(fixed) == crossed_fingerprint(free)
+        assert are_isomorphic(fixed, free) is None
 
     def test_s3_points_with_distinct_central_values(self, s3):
         # one-point carriers force exact label equality; conjugate labels
@@ -294,6 +303,17 @@ class TestExpressInBasis:
         missing = catalog.entries[3].crossed
         with pytest.raises(UnmatchedPiece):
             express_in_basis(missing, truncated)
+
+    def test_piece_missing_from_the_catalog(self, c2):
+        # the catalog keeps the free orbit and lacks the fixed point
+        weight = gb.trivial_gmonoid(c2)
+        catalog = enumerate_basis(c2, weight)
+        truncated = BasisCatalog(c2, weight, catalog.entries[:1])
+        missing = catalog.entries[1].crossed
+        assert truncated.find(missing) is None
+        with pytest.raises(UnmatchedPiece) as raised:
+            express_by_decomposition(missing, truncated)
+        assert str(raised.value) == "piece with fingerprint ((1, (0,)),) matched no catalog entry"
 
     def test_find_leaves_equality_unchanged(self, c2):
         catalog = enumerate_basis(c2, gb.conjugation_action(c2))

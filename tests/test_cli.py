@@ -101,6 +101,25 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["crossed"]["fibers"] == [2]
 
+    def test_validate_crossed_input_defaults_to_the_conjugation_weight(self, inputs, capsys):
+        # label 1 exists only in the conjugation weight of C2
+        code, out = run_cli(capsys, "validate", "--groupoid", inputs["c2.json"],
+                            "--gset", inputs["crossed.json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "validate", "crossed": {"fibers": [2]},
+            "groupoid": {"morphisms": 2, "objects": 1}, "valid": True,
+        }
+
+    def test_validate_gset_input(self, inputs, capsys):
+        code, out = run_cli(capsys, "validate", "--groupoid", inputs["c2.json"],
+                            "--gset", inputs["regular.json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "validate", "gset": {"fibers": [2]},
+            "groupoid": {"morphisms": 2, "objects": 1}, "valid": True,
+        }
+
     def test_validate_counterexample_exits_1(self, inputs, capsys):
         code, out = run_cli(capsys, "validate", "--groupoid", inputs["bad_groupoid.json"])
         assert code == 1
@@ -584,6 +603,42 @@ class TestVerifyMarks:
         assert ring["ring"] == "crossed-burnside"
         assert witness["pair"] == [1, 2]
         assert witness["marks"][3] == witness["decomposition"][3] + 1
+
+
+    def test_table_lists_each_ring(self, inputs, capsys):
+        code, out = run_cli(capsys, "verify", "marks", "--groupoid", inputs["s3.json"],
+                            "--weight", "conjugation", "--format", "table")
+        assert code == 0
+        assert out.splitlines() == [
+            "command: verify", "rings:", "  dim: 8", "  ring: crossed-burnside", "  status: ok",
+            "target: marks",
+        ]
+
+    def test_reference_of_another_dim_is_a_witness(self, inputs, capsys, monkeypatch):
+        # the reference route yields the Burnside ring of S3, 4 dims against 8
+        monkeypatch.setattr(cli, "crossed_burnside_ring_by_decomposition",
+                            lambda g, weight: gb.burnside_ring(g))
+        code, out = run_cli(capsys, "verify", "marks", "--groupoid", inputs["s3.json"])
+        assert code == 1
+        assert json.loads(out)["rings"] == [{
+            "dim": 8, "ring": "crossed-burnside",
+            "status": {"witness": {"dims": {"decomposition": 4, "marks": 8}}},
+        }]
+
+    def test_reference_with_another_unit_is_a_witness(self, inputs, capsys, monkeypatch):
+        # the same table as B(C2), whose unit is the point [0, 1], with unit [1, 1]
+        def other_unit(g, weight):
+            ring = gb.burnside_ring(g)
+            return gb.RingPresentation(ring.dim, ring.structure_constants, [1, 1], ring.basis, ring.basis_info)
+
+        monkeypatch.setattr(cli, "crossed_burnside_ring_by_decomposition", other_unit)
+        code, out = run_cli(capsys, "verify", "marks", "--groupoid", inputs["c2.json"],
+                            "--weight", "trivial")
+        assert code == 1
+        assert json.loads(out)["rings"] == [{
+            "dim": 2, "ring": "crossed-burnside",
+            "status": {"witness": {"unit": {"decomposition": [1, 1], "marks": [0, 1]}}},
+        }]
 
 
 class TestDeterminism:

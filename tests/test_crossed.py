@@ -382,6 +382,24 @@ class TestAxiomChecker:
         }
         assert all(r["status"] == "ok" for r in report)
 
+    def test_natural_but_not_bijective_distributivity(self, c2, monkeypatch):
+        # over C2 with the trivial weight the unit object is one fixed point,
+        # so sending X (x) (Y u Z), two fixed points, onto one is a crossed map
+        good = crossed_module.distributivity_iso
+
+        def collapsed(cx, cy, cz):
+            d = good(cx, cy, cz)
+            return CrossedMap(d.source, d.target, [[0] * len(c) for c in d.components])
+
+        monkeypatch.setattr(crossed_module, "distributivity_iso", collapsed)
+        unit = unit_object(c2, gb.trivial_gmonoid(c2))
+        assert check_monoidal_axioms([unit]) == [
+            {"axiom": "pentagon", "status": "ok"},
+            {"axiom": "triangle", "status": "ok"},
+            {"axiom": "distributivity", "status": {"witness": {
+                "error": "distributivity map is not bijective", "window": [0, 0, 0]}}},
+        ]
+
     def test_random_samples_pass(self, corpus):
         g = corpus["C2+S3"]
         samples = sample_many(g, gb.conjugation_action(g), 20, seed=7)

@@ -20,6 +20,7 @@ from gburnside.errors import (
     UnknownObject,
 )
 from gburnside.groupoid import SENTINEL, FiniteGroupoid, check_group_table, component_transports
+from gburnside.gsets import conjugation_loops
 
 from conftest import (
     NON_ASSOCIATIVE_LOOP,
@@ -327,6 +328,16 @@ class TestComponents:
 
     def test_one_object(self, s3):
         assert gb.connected_components(s3).count == 1
+
+    def test_per_object_facts_are_kept(self, corpus):
+        # loops and transports are derived once per groupoid and object, and
+        # the conjugation weight names its elements by the groupoid's own loops
+        for name, g in corpus.items():
+            loops = conjugation_loops(gb.conjugation_action(g))
+            for x in g.objects:
+                assert g.loops(x) is g.loops(x), name
+                assert component_transports(g, x) is component_transports(g, x), name
+                assert loops[x] is g.loops(x), name
 
 
 class TestIsotropy:

@@ -291,6 +291,16 @@ class TestMarkTable:
         with pytest.raises(MarksNotTriangular):
             MarkTable([e, e])
 
+    def test_entry_whose_label_misses_its_fiber_rejected(self, c2):
+        # every coset of the fiber carries label 0, so the row of label 1
+        # gets no mark from its own entry
+        fiber = classify.CosetFiber(c2, gb.trivial_gmonoid(c2), 0, frozenset({0}), [0])
+        with pytest.raises(MarksNotTriangular) as raised:
+            MarkTable([TransitivePiece(0, (frozenset({0}), 1), fiber, 0)])
+        assert str(raised.value) == (
+            "diagonal mark of basis entry 0 (component 0, subgroup [0], label 1) is not positive"
+        )
+
     def test_non_integral_coordinate_names_entry(self, c2):
         catalog = enumerate_basis(c2, gb.conjugation_action(c2))
         marks = catalog.marks()

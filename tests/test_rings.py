@@ -38,6 +38,7 @@ from gburnside.sampling import sample_many
 
 from conftest import (
     cyclic_table,
+    d4_table,
     dense_constants,
     fixed_points_gset,
     regular_gset,
@@ -65,6 +66,19 @@ def b_c2(c2):
 @pytest.fixture(scope="module")
 def bc_c2(c2):
     return crossed_burnside_ring(c2, gb.conjugation_action(c2))
+
+
+@pytest.fixture
+def scans(monkeypatch) -> list[str]:
+    """The name of every ``FiniteGroupoid.by_dom`` and ``hom`` call."""
+    calls = []
+    for name in ("by_dom", "hom"):
+        def counted(self, *args, _name=name, _original=getattr(gb.FiniteGroupoid, name)):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(gb.FiniteGroupoid, name, counted)
+    return calls
 
 
 def conjugation_reduction(g, z):
@@ -395,6 +409,16 @@ class TestReduction:
         with pytest.raises(NotConnected):  # connectedness is checked first
             conjugation_reduction(corpus["C2+S3"], 7)
 
+    def test_reads_kept_loops_and_transports(self, scans):
+        # the loops and transports of each object are scanned out of by_dom
+        # once; 28 by_dom and 13 hom calls when every read rescanned it
+        g = gb.direct_product(gb.from_group(s3_table()), gb.pair_groupoid(3))
+        weight = gb.conjugation_action(g)
+        scans.clear()
+        connected_reduction_hom(g, weight, 1)
+        assert scans.count("by_dom") <= 4
+        assert scans.count("hom") <= 1
+
     def test_one_transport_per_reduction(self, monkeypatch):
         # the transport rep -> z is fixed for the reduction: one lookup for
         # rep, one for t, whatever the number of entries
@@ -434,6 +458,15 @@ class TestDecomposition:
         assert [b["block"] for b in hom.target.basis_info].count(0) == 4
         assert [b["block"] for b in hom.target.basis_info].count(1) == 8
         assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
+
+    def test_reads_kept_loops_and_transports(self, scans):
+        # 91 by_dom and 42 hom calls when every read rescanned by_dom
+        g = gb.disjoint_union([gb.from_group(t) for t in (cyclic_table(2), s3_table(), d4_table())])[0]
+        weight = gb.conjugation_action(g)
+        scans.clear()
+        decomposition_hom(g, weight)
+        assert scans.count("by_dom") <= 9
+        assert scans.count("hom") <= 3
 
     @staticmethod
     def count_crossed_rings(monkeypatch) -> list:
@@ -585,6 +618,15 @@ class TestActionGroupoidIso:
         report = action_groupoid_iso_check(c2, regular_gset(c2))
         assert report["status"] == "ok"
         assert report["dim_hadamard"] == 1
+
+    def test_dimension_mismatch(self, c2, monkeypatch):
+        # the Hadamard ring doubled: 1 dim against 2, compared no further
+        hadamard = rings.hadamard_ring
+        monkeypatch.setattr(rings, "hadamard_ring", lambda g, x: product_ring([hadamard(g, x)] * 2))
+        assert action_groupoid_iso_check(c2, regular_gset(c2)) == {
+            "dim_action_groupoid_burnside": 1, "dim_hadamard": 2,
+            "status": {"witness": "dimension mismatch"},
+        }
 
     def test_c2_fixed_point(self, c2):
         report = action_groupoid_iso_check(c2, fixed_points_gset(c2, 1))
@@ -758,6 +800,13 @@ class TestIntDet:
         assert _int_det([[0, 1], [1, 0]]) == -1
         assert _int_det([[1, 2], [2, 4]]) == 0
         assert _int_det([[2, 3, 1], [4, 1, 3], [1, 5, 2]]) == -22
+
+    def test_empty_matrix_is_invertible(self, c2):
+        # the Hadamard ring over the empty G-set has dim 0: its identity hom
+        # is the empty matrix, whose determinant is 1
+        ring = hadamard_ring(c2, parse_gset({"fibers": {"0": 0}, "action": {"1": []}}, c2))
+        hom = RingHom(ring, ring, []).verify()
+        assert hom.verified == {"unital": True, "multiplicative": True, "bijective": True}
 
 
 # -- exact sparse arithmetic --------------------------------------------------------

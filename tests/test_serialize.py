@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gburnside as gb
+from gburnside.cli import main
 from gburnside.errors import DomCodMismatch, MissingInverse, NotAGroup, NotNatural
 from gburnside.serialize import (
     ParseError,
@@ -92,6 +93,20 @@ class TestParseGroupoid:
         obj["compose"].append([1, 1, 1])
         with pytest.raises(DomCodMismatch, match="non-composable"):
             parse_groupoid(obj)
+
+    @pytest.mark.parametrize("first", [[0, 0, 1], [0, 0, 0]], ids=["conflicting", "identical"])
+    def test_repeated_compose_pair_refused(self, first, tmp_path, capsys):
+        # C2 in the explicit form: a second entry for the pair (0, 0) would
+        # silently replace the first, so any repeat is refused
+        path = tmp_path / "c2.json"
+        path.write_text(json.dumps({
+            "objects": 1, "morphisms": [{"dom": 0, "cod": 0}] * 2, "identity": [0], "inverse": [0, 1],
+            "compose": [first, [0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        }))
+        assert main(["components", "--groupoid", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: compose entry [0, 0, 0] repeats the pair (0, 0)\n"
 
     @pytest.mark.parametrize("obj, fields", [
         ({"pair": 2, "group": {"table": [[0]]}}, "'pair', 'group'"),
@@ -279,6 +294,11 @@ class TestKeySpelling:
         c1 = gb.from_group([[0]])
         with pytest.raises(ParseError, match="fiber key"):
             parse_gset({"fibers": {"0": 2, spelling: 1}}, c1)
+
+    def test_non_numeric_key(self):
+        with pytest.raises(ParseError) as raised:
+            parse_gset({"fibers": {"a": 1}}, gb.from_group([[0]]))
+        assert str(raised.value) == "fiber key 'a' is not an object id"
 
     def test_action_key(self, c2):
         with pytest.raises(ParseError, match="action key"):
