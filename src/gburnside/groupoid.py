@@ -113,15 +113,15 @@ class FiniteGroupoid(BindOnce, Record):
     ``compose_table[g][f]`` is the composite ``g*f`` (apply f, then g) when
     ``dom[g] == cod[f]`` and -1 otherwise.
 
-    Instances are immutable: the constructor freezes every table into
-    tuples and binds each table field once, with ``n_morphisms`` and the id
-    ranges ``objects`` and ``morphisms`` computed from them (rebinding or
-    deleting one raises AttributeError), so no instance, copy or deep copy
-    changes, and what it keeps is sound: ``by_dom``/``by_cod``, ``loops``,
-    ``component_transports``, ``isotropy_group``, ``gsets.conjugation_action``
-    and the pass of ``validate_groupoid``, each built on first read and
-    shared, so callers must not change it.  A mutant is a new instance
-    built from edited tables; other structures share lists (see ``gsets``).
+    Instances are immutable: the constructor freezes every table into tuples
+    and binds each table field once, with ``n_morphisms`` and the id ranges
+    ``objects`` and ``morphisms`` computed from them (rebinding or deleting
+    one raises AttributeError), so no instance, copy or deep copy changes, and
+    what it keeps is sound: ``by_dom``/``by_cod``, ``loops``, the pass of
+    ``validate_groupoid``, ``component_transports``, ``connected_components``,
+    ``isotropy_group`` and ``gsets.conjugation_action``, each built on first
+    read and shared: callers must not change it.  A mutant is a new instance
+    of edited tables; other structures share lists (see ``gsets``).
     """
 
     _FIELDS = frozenset({"n_objects", "dom", "cod", "compose_table", "identity", "inverse",
@@ -141,6 +141,7 @@ class FiniteGroupoid(BindOnce, Record):
         self._loops: list[list[int]] | None = None
         # filled by component_transports, isotropy_group and gsets.conjugation_action
         self._transports: dict[int, dict[int, int]] = {}
+        self._components: ComponentData | None = None  # filled by connected_components
         self._isotropy: dict[int, tuple[FiniteGroupoid, GroupoidFunctor]] = {}
         self._conjugation = None  # the conjugation G-monoid
         self._valid = False  # set by validate_groupoid, with:
@@ -486,18 +487,20 @@ class ComponentData(Record):
 
 def connected_components(g: FiniteGroupoid) -> ComponentData:
     """Partition objects by x ~ y iff some morphism x -> y exists, into
-    classes ordered by least object id, their representative.  In a
-    groupoid ~ is already an equivalence (identities, inverses and
+    classes ordered by least object id, their representative; kept on g.
+    In a groupoid ~ is already an equivalence (identities, inverses and
     composites are morphisms), so the class of x is the one-step image
     {cod m : dom m = x}; ``validate_groupoid`` proves the premise first."""
     validate_groupoid(g)
-    seen: set[int] = set()
-    classes = []
-    for x in g.objects:
-        if x not in seen:
-            classes.append(sorted(component_transports(g, x)))
-            seen.update(classes[-1])
-    return ComponentData(classes=classes, representatives=[c[0] for c in classes])
+    if g._components is None:
+        seen: set[int] = set()
+        classes = []
+        for x in g.objects:
+            if x not in seen:
+                classes.append(sorted(component_transports(g, x)))
+                seen.update(classes[-1])
+        g._components = ComponentData(classes=classes, representatives=[c[0] for c in classes])
+    return g._components
 
 
 def is_connected(g: FiniteGroupoid) -> bool:

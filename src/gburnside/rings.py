@@ -36,14 +36,14 @@ compare the two.
 The structure constants are stored as sparse rows, the product e_i e_j as
 its non-zero coordinates ((k, c_ijk), ...), equal rows as one tuple
 object; no dense d^3 table is built.
-Every presentation is validated and every homomorphism verified
-exhaustively on these rows: the unit law on all d basis elements,
-associativity on all d^3 basis triples, multiplicativity on all d^2 basis
-pairs, in exact Python integers, so no size of constant is refused.  The
-associativity and multiplicativity checks pack each vector into one integer
-(see ``_packed``), with a field width taken from a bound the constants
-prove, so each linear combination is a few big-integer operations and
-packed values are equal exactly when the vectors are.
+Every presentation is validated, a product via its factors (lemma 2), and
+every homomorphism verified exhaustively on these rows: the unit law on all
+d basis elements, associativity on all d^3 basis triples, multiplicativity
+on all d^2 basis pairs, in exact Python integers, so no size of constant is
+refused.  The associativity and multiplicativity checks pack each vector
+into one integer (see ``_packed``), with a field width taken from a bound
+the constants prove, so each linear combination is a few big-integer
+operations and packed values are equal exactly when the vectors are.
 
 Lemma 1 (the blocks of the decomposition theorem and its action-groupoid
 corollary): a tensor of crossed sets on two components is empty, for any
@@ -53,7 +53,8 @@ if every row e_i e_j across two blocks is empty and every row inside a
 block is supported in it, the table is associative exactly when each
 block is, as a triple meeting two blocks gives 0 on both sides; so the
 least failing (i, j) lies in one block.  ``validate`` proves that premise
-on the table and checks block by block, else the whole table.
+on the table and checks block by block, else the whole table.  So a
+product of validated rings is proved in O(d^2) (``product_ring``).
 
 A commutative ring is built on half its table, e_i e_j for i <= j, each
 row standing also for (j, i), on a premise checked on the input: the
@@ -291,7 +292,7 @@ class RingPresentation(Record):
 # -- ring constructors ------------------------------------------------------------
 
 def _ring(product, unit: list[int], basis, info, commutative: bool = False, block=None) -> RingPresentation:
-    """The validated presentation, the builder of every ring table, with
+    """The presentation, not yet proved, the builder of every ring table, with
     e_i e_j = product(i, j), a sparse row held once however often it
     occurs, the given unit coordinates and ``basis``; ``info`` has one
     report per basis entry.  A caller that has proved e_i e_j = e_j e_i
@@ -309,7 +310,7 @@ def _ring(product, unit: list[int], basis, info, commutative: bool = False, bloc
             ri.append(p)
             if commutative and j > i:
                 constants[j].append(p)
-    return RingPresentation(d, constants, unit, basis=basis, basis_info=info, blocks=block).validate()
+    return RingPresentation(d, constants, unit, basis=basis, basis_info=info, blocks=block)
 
 
 def _by_decomposition(catalog: BasisCatalog, multiply):
@@ -358,7 +359,8 @@ def crossed_burnside_ring(g: FiniteGroupoid, weight: GMonoid) -> RingPresentatio
                    or conjugation_loops(weight) is not None)
     products = partial(catalog.marks().product, combine=_convolution(weight))
     block = None if is_connected(g) else [e.component_rep for e in catalog.entries]
-    return _ring(products, unit, catalog, list(map(_crossed_info, catalog.entries)), commutative, block)
+    return _ring(products, unit, catalog, list(map(_crossed_info, catalog.entries)),
+                 commutative, block).validate()
 
 
 def crossed_burnside_ring_by_decomposition(
@@ -370,7 +372,7 @@ def crossed_burnside_ring_by_decomposition(
     catalog = enumerate_basis(g, weight)
     unit = express_by_decomposition(unit_object(g, weight), catalog)
     products = _by_decomposition(catalog, tensor)
-    return _ring(products, unit, catalog, list(map(_crossed_info, catalog.entries)))
+    return _ring(products, unit, catalog, list(map(_crossed_info, catalog.entries))).validate()
 
 
 def burnside_ring(g: FiniteGroupoid) -> RingPresentation:
@@ -422,7 +424,7 @@ def hadamard_ring(g: FiniteGroupoid, x: GSet) -> RingPresentation:
     unit = _slice_express(ident, catalog)
     return _ring(partial(catalog.marks().product, combine=_meet), unit, catalog,
                  list(map(_slice_info, catalog.entries)), True,
-                 [(e.component_rep, min(e.fiber.labels[e.index])) for e in catalog.entries])
+                 [(e.component_rep, min(e.fiber.labels[e.index])) for e in catalog.entries]).validate()
 
 
 def hadamard_ring_by_decomposition(g: FiniteGroupoid, x: GSet) -> RingPresentation:
@@ -432,7 +434,7 @@ def hadamard_ring_by_decomposition(g: FiniteGroupoid, x: GSet) -> RingPresentati
     catalog = enumerate_basis(g, x)
     unit = express_by_decomposition(ident, catalog)
     return _ring(_by_decomposition(catalog, fiber_product), unit, catalog,
-                 list(map(_slice_info, catalog.entries)))
+                 list(map(_slice_info, catalog.entries))).validate()
 
 
 # -- ring homomorphisms --------------------------------------------------------------
@@ -598,22 +600,31 @@ def connected_reduction_hom(g: FiniteGroupoid, weight: GMonoid, z: int) -> RingH
 
 
 def product_ring(blocks: list[RingPresentation]) -> RingPresentation:
-    """Direct product presentation: e_i e_j inside a block is the block's
-    row shifted by the block's offset, each distinct row once; concatenated
-    units; basis order inherited from block order.  A pair across blocks is
-    0 (lemma 1), so the factors are the blocks of lemma 2, proved on the
-    table and checked one by one in ``validate``."""
+    """Direct product of validated presentations (the premise): e_i e_j in
+    a block is the block's row moved by its offset o, each distinct row
+    once, and 0 across blocks (lemma 1); concatenated units; block order;
+    half the table built when every block is symmetric.  Proved, not
+    checked: an O(d^2) scan finds each row and the unit so (list ==, on the
+    same ``moved`` tuples); then the shapes hold, u e_j = u_b e_j = e_j =
+    e_j u for j in block b, and by lemma 2 it is associative as each block is."""
     keys = [bi for bi, b in enumerate(blocks) for _ in range(b.dim)]
     offsets = list(accumulate((b.dim for b in blocks), initial=0))
     moved = cache(lambda o, row: tuple((o + k, v) for k, v in row))
-
-    def product(i, j):
-        o = offsets[keys[i]]
-        return moved(o, blocks[keys[i]].structure_constants[i - o][j - o])
-
-    return _ring(product, [u for b in blocks for u in b.unit_vector], [b.basis for b in blocks],
+    # inside[i]: the columns of row i in its block, the block's row moved
+    inside = [[moved(o, r) for r in ri] for b, o in zip(blocks, offsets) for ri in b.structure_constants]
+    ring = _ring(lambda i, j: inside[i][j - offsets[keys[i]]], [u for b in blocks for u in b.unit_vector],
+                 [b.basis for b in blocks],
                  [{"block": bi, **entry} for bi, b in enumerate(blocks) for entry in b.basis_info],
-                 block=keys)
+                 all(_symmetric(b.structure_constants) for b in blocks), keys)
+    if ring.dim != len(keys) or ring.unit_vector != [u for b in blocks for u in b.unit_vector]:
+        raise NotNatural("product unit is not the blocks' units concatenated")
+    for i, (ri, bi) in enumerate(zip(ring.structure_constants, keys)):
+        row = [()] * offsets[bi] + inside[i] + [()] * (len(keys) - offsets[bi + 1])
+        if ri != row:  # the same tuple objects, each compared at once
+            j = next(j for j, (x, y) in enumerate(zip(ri, row)) if x != y)
+            raise NotNatural(f"product row ({i}, {j}) across two blocks is not empty" if keys[j] != bi
+                             else f"product row ({i}, {j}) is not block {bi}'s row moved by {offsets[bi]}")
+    return ring
 
 
 def decomposition_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
@@ -621,7 +632,8 @@ def decomposition_hom(g: FiniteGroupoid, weight: GMonoid) -> RingHom:
     crossed Burnside rings of its isotropy groups, one per component, each
     over the weight restricted to the component representative: the block
     sum of the reductions at the representatives, in representative order,
-    which is the order of the source entries (``enumerate_basis``)."""
+    which is the order of the source entries (``enumerate_basis``).  Its
+    factors are validated rings, so ``product_ring`` proves the target."""
     source = crossed_burnside_ring(g, weight)
     parts = [_reduction(source, g, weight, rep) for rep in connected_components(g).representatives]
     target = product_ring([ring for ring, _ in parts])

@@ -24,11 +24,12 @@ from gburnside.rings import (
     crossed_burnside_ring_by_decomposition,
     decomposition_hom,
     embedding_hom,
+    product_ring,
 )
 from gburnside.sampling import sample_many
 
 from conftest import dense_constants
-from oracles import transport_connected
+from oracles import transport_connected, whole_table_verdict
 
 
 def semilattice(g: gb.FiniteGroupoid) -> GMonoid:
@@ -168,6 +169,18 @@ def test_left_zero_ring_validates_on_both_packed_tables(c2, lincomb_calls):
     lincomb_calls.clear()
     RingPresentation(ring.dim, rows, list(ring.unit_vector)).validate()
     assert len(lincomb_calls) == 2 * len({r for row in rows for r in row})
+
+
+def test_product_with_a_left_zero_block_is_built_on_the_whole_table(c2):
+    # one block is not commutative, so neither is the product: row (j, i) is
+    # its block's own row moved, not the mirror of row (i, j)
+    blocks = [crossed_burnside_ring(c2, gb.conjugation_action(c2)), crossed_burnside_ring(c2, left_zero(c2))]
+    prod = product_ring(blocks)
+    o, rows = blocks[0].dim, prod.structure_constants
+    for i, j in [(1, 2), (2, 1)]:
+        assert rows[o + i][o + j] == tuple((o + k, v) for k, v in blocks[1].structure_constants[i][j])
+    assert rows[o + 1][o + 2] != rows[o + 2][o + 1]
+    assert whole_table_verdict(prod) is None
 
 
 @pytest.mark.parametrize("weight", ["conjugation", "trivial"])

@@ -330,9 +330,11 @@ class TestComponents:
         assert gb.connected_components(s3).count == 1
 
     def test_per_object_facts_are_kept(self, corpus):
-        # loops and transports are derived once per groupoid and object, and
-        # the conjugation weight names its elements by the groupoid's own loops
+        # loops and transports are derived once per groupoid and object, the
+        # components once per groupoid, and the conjugation weight names its
+        # elements by the groupoid's own loops
         for name, g in corpus.items():
+            assert gb.connected_components(g) is gb.connected_components(g), name
             loops = conjugation_loops(gb.conjugation_action(g))
             for x in g.objects:
                 assert g.loops(x) is g.loops(x), name

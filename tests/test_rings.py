@@ -89,6 +89,11 @@ def conjugation_decomposition(g):
     return decomposition_hom(g, gb.conjugation_action(g))
 
 
+def _c2_s3_d4() -> gb.FiniteGroupoid:
+    """A new C2 + S3 + D4, whose kept facts no earlier test has filled."""
+    return gb.disjoint_union([gb.from_group(t) for t in (cyclic_table(2), s3_table(), d4_table())])[0]
+
+
 @pytest.fixture
 def s3_natural(s3, s3_perms) -> GSet:
     return GSet(
@@ -461,7 +466,7 @@ class TestDecomposition:
 
     def test_reads_kept_loops_and_transports(self, scans):
         # 91 by_dom and 42 hom calls when every read rescanned by_dom
-        g = gb.disjoint_union([gb.from_group(t) for t in (cyclic_table(2), s3_table(), d4_table())])[0]
+        g = _c2_s3_d4()
         weight = gb.conjugation_action(g)
         scans.clear()
         decomposition_hom(g, weight)
@@ -497,6 +502,30 @@ class TestDecomposition:
         assert len(built) == 3
         assert built[0] is corpus["C2+S3"]
         assert [g.n_morphisms for g in built[1:]] == [2, 6]
+
+    @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
+    @pytest.mark.parametrize("name", ["C2+S3+D4", "(C2xPair(2))+C3"])
+    def test_product_ring_is_proved_not_checked(self, corpus, name, weight, associativity_keys):
+        # the source is checked by its component blocks and each isotropy ring
+        # whole; their product is proved from them, so no check runs on it
+        g = _c2_s3_d4() if name == "C2+S3+D4" else corpus[name]
+        w = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
+        associativity_keys.clear()
+        hom = decomposition_hom(g, w)
+        components = gb.connected_components(g).count
+        assert components > 1 and hom.source._blocks
+        assert associativity_keys == [hom.source._blocks] + [None] * components
+        assert all(hom.verified[k] for k in ("unital", "multiplicative", "bijective"))
+
+    def test_components_are_built_once_per_groupoid(self, monkeypatch):
+        # 9 builds over the 4 groupoids when every call rebuilt them
+        built = []
+        component_data = gb.groupoid.ComponentData
+        monkeypatch.setattr(gb.groupoid, "ComponentData",
+                            lambda **kw: built.append(kw) or component_data(**kw))
+        g = _c2_s3_d4()
+        decomposition_hom(g, gb.conjugation_action(g))
+        assert len(built) == 4
 
     @pytest.mark.parametrize("weight", ["conjugation", "trivial"])
     def test_connected_decomposition_is_the_reduction(self, corpus, weight):
@@ -1536,6 +1565,71 @@ class TestBlocks:
         associativity_keys.clear()
         short.validate()
         assert associativity_keys == [None]
+
+
+class TestProductProof:
+    """``product_ring`` proves its table from its blocks instead of checking
+    it: each refusal below edits the table ``_ring`` built before the proof
+    reads it.  B(C2) x B(S3) has blocks 0..1 (offset 0) and 2..5 (offset 2)."""
+
+    @staticmethod
+    def edited_product(corpus, monkeypatch, edit) -> RingPresentation:
+        blocks = [burnside_ring(corpus["C2"]), burnside_ring(corpus["S3"])]
+        build = rings._ring
+
+        def edited(*args, **kwargs):
+            ring = build(*args, **kwargs)
+            edit(ring)
+            return ring
+
+        monkeypatch.setattr(rings, "_ring", edited)
+        return product_ring(blocks)
+
+    @staticmethod
+    def raise_constant(ring, i, j, k) -> None:
+        row = dict(ring.structure_constants[i][j])
+        row[k] = row.get(k, 0) + 1
+        ring.structure_constants[i][j] = tuple(sorted(row.items()))
+
+    def test_unedited_product_is_proved(self, corpus, monkeypatch, associativity_keys):
+        associativity_keys.clear()
+        ring = self.edited_product(corpus, monkeypatch, lambda ring: None)
+        assert associativity_keys == [None, None]  # B(C2) and B(S3), not their product
+        assert whole_table_verdict(ring) is None
+
+    @pytest.mark.parametrize("edits, message", [
+        # two rows edited: the first in row-major order is named
+        ([(5, 5, 5), (3, 4, 2)], "product row (3, 4) is not block 1's row moved by 2"),
+        ([(1, 0, 0)], "product row (1, 0) is not block 0's row moved by 0"),
+        ([(0, 3, 2)], "product row (0, 3) across two blocks is not empty"),
+        ([(5, 1, 2)], "product row (5, 1) across two blocks is not empty"),
+    ])
+    def test_edited_row_is_refused(self, corpus, monkeypatch, edits, message):
+        def edit(ring):
+            for i, j, k in edits:
+                self.raise_constant(ring, i, j, k)
+
+        with pytest.raises(NotNatural) as err:
+            self.edited_product(corpus, monkeypatch, edit)
+        assert str(err.value) == message
+
+    def test_block_with_fewer_reports_than_its_dim(self, corpus):
+        # validate reads no basis report, so such a block passes it; the
+        # product would have 5 entries for a 6-coordinate unit
+        b = burnside_ring(corpus["C2"])
+        short = RingPresentation(b.dim, b.structure_constants, list(b.unit_vector), b.basis,
+                                 b.basis_info[:-1]).validate()
+        with pytest.raises(NotNatural) as err:
+            product_ring([short, burnside_ring(corpus["S3"])])
+        assert str(err.value) == "product unit is not the blocks' units concatenated"
+
+    def test_unit_that_is_not_the_concatenation(self, corpus, monkeypatch):
+        def edit(ring):
+            ring.unit_vector[2] += 1
+
+        with pytest.raises(NotNatural) as err:
+            self.edited_product(corpus, monkeypatch, edit)
+        assert str(err.value) == "product unit is not the blocks' units concatenated"
 
 
 @settings(max_examples=60, deadline=None)
