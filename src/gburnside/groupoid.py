@@ -390,6 +390,10 @@ class GroupoidFunctor(Record):
         self.object_map, self.morphism_map = object_map, morphism_map
 
     def validate(self) -> "GroupoidFunctor":
+        """Composition is checked with the left factor in the proved
+        generators S of a valid source if the target is valid too (else in
+        every morphism): with identities kept, it holds for e*f, and for
+        y = s*y' F(y*f) = F(s)F(y'*f) = F(s)F(y')F(f) = F(y)F(f)."""
         s, t = self.source, self.target
         if len(self.object_map) != s.n_objects:
             raise DomCodMismatch("object map does not cover every object")
@@ -406,13 +410,18 @@ class GroupoidFunctor(Record):
                 raise DomCodMismatch(f"morphism image {mm[f]} out of range")
             if t.dom[mm[f]] != om[s.dom[f]] or t.cod[mm[f]] != om[s.cod[f]]:
                 raise DomCodMismatch(f"dom/cod not preserved at morphism {f}")
-        for g in s.morphisms:
+        gens = s._generators if t._valid else s.morphisms  # the lemma needs both valid
+        on_generators(self._check_composition, gens, s.morphisms)
+        return self
+
+    def _check_composition(self, lefts) -> None:
+        s, t, mm = self.source, self.target, self.morphism_map
+        for g in lefts:
             for f in s.by_cod(s.dom[g]):
                 if mm[s.compose_table[g][f]] != t.compose_table[mm[g]][mm[f]]:
                     raise NonAssociative(
                         f"composition not preserved at pair ({g}, {f})"
                     )
-        return self
 
 
 def disjoint_union(

@@ -8,9 +8,9 @@ the dom fiber into the cod fiber.  The product's element (i, j) has id
 i*|Y| + j, and the coproduct's elements of Y follow those of X, so every
 coherence map is an index formula.  Products and coproducts are built
 without a proof; ``validate`` proves one on request.  Functoriality, the
-G-monoid hom property and monoid associativity are checked on a proved
-generating set, which is equivalent to checking them everywhere (each
-``validate`` states its lemma).
+G-monoid hom property, monoid associativity and G-map naturality are
+checked on a proved generating set, which is equivalent to checking them
+everywhere (each ``validate`` states its lemma and what it assumes).
 
 The constructors of ``GSet``, ``GMonoid`` and ``GMap`` take ownership of
 the lists they are handed and store them without copying; no operation
@@ -251,12 +251,12 @@ def conjugation_action(g: FiniteGroupoid) -> GMonoid:
     return g._conjugation
 
 
-def conjugation_loops(s: GMonoid) -> list[list[int]] | None:
+def conjugation_loops(s: GMonoid | GSet) -> list[list[int]] | None:
     """If s is structurally the conjugation G-monoid, return per object the
-    loop morphism id of each monoid element; otherwise None.  That is the
-    groupoid's own list of ``loops``, the same on every call: do not change it."""
+    loop morphism id of each monoid element; otherwise (a G-set too) None.
+    That is the groupoid's own ``loops``, the same on every call: keep it."""
     conj = conjugation_action(s.base)
-    if s is conj or (s.monoids == conj.monoids and s.action == conj.action):
+    if s is conj or isinstance(s, GMonoid) and (s.monoids, s.action) == (conj.monoids, conj.action):
         return s.base._loops
     return None
 
@@ -270,6 +270,11 @@ class GMap(Record):
         self.components: list[list[int]] = components
 
     def validate(self) -> "GMap":
+        """Naturality is checked at the proved generators S of a valid base
+        (else at every morphism).  Source X and target X' must be functorial:
+        validated, or products or coproducts of validated G-sets.  Then it
+        holds at identities, and at s*y' if at s and y': c X(s)X(y') =
+        X'(s) c X(y') = X'(s)X'(y') c."""
         if not same_base(self.source.base, self.target.base):
             raise BaseMismatch("source and target live over different groupoids")
         g = self.source.base
@@ -282,7 +287,12 @@ class GMap(Record):
             n = self.target.size(x)
             if any(not (0 <= v < n) for v in comp):
                 raise NotNatural(f"component at {x} maps outside the target fiber")
-        for m in g.morphisms:
+        on_generators(self._check_naturality, g._generators, g.morphisms)
+        return self
+
+    def _check_naturality(self, morphisms) -> None:
+        g = self.source.base
+        for m in morphisms:
             x, y = g.dom[m], g.cod[m]
             src_a, tgt_a = self.source.action[m], self.target.action[m]
             cx, cy = self.components[x], self.components[y]
@@ -291,7 +301,6 @@ class GMap(Record):
                     raise NotNatural(
                         f"naturality fails at morphism {m}, element {i}"
                     )
-        return self
 
     def is_bijection(self) -> bool:
         return all(

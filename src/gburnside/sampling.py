@@ -60,34 +60,6 @@ def shuffle_fibers(c: CrossedGSet, rng: random.Random) -> CrossedGSet:
     return CrossedGSet(GSet(g, list(c.carrier.sizes), action), c.weight, labels)
 
 
-def sample_crossed(
-    g: FiniteGroupoid,
-    weight: GMonoid,
-    rng: random.Random,
-    max_fiber: int,
-    max_orbits: int,
-    options,
-) -> CrossedGSet:
-    """One random crossed G-set with every fiber at most max_fiber, drawn
-    from ``options``, the result of _orbit_options for g and weight."""
-    budget = [max_fiber] * g.n_objects
-    out = None
-    for _ in range(rng.randint(0, max_orbits)):
-        rep, sub, invariant, size, cls, pieces = rng.choice(options)
-        if any(budget[x] < size for x in cls):
-            continue
-        v = rng.choice(invariant)
-        if v not in pieces:
-            (pieces[v],) = induced_crossed(g, weight, rep, sub, [v])
-        piece = pieces[v]
-        for x in cls:
-            budget[x] -= size
-        out = piece if out is None else crossed_coproduct(out, piece)
-    if out is None:
-        out = empty_crossed(g, weight)
-    return shuffle_fibers(out, rng).validate()
-
-
 def sample_many(
     g: FiniteGroupoid,
     weight: GMonoid,
@@ -96,10 +68,25 @@ def sample_many(
     max_fiber: int = 5,
     max_orbits: int = 3,
 ) -> list[CrossedGSet]:
-    """A reproducible list of samples for a fixed seed."""
+    """A reproducible list of samples for a fixed seed.  Each is a
+    coproduct of pieces drawn from _orbit_options, with every fiber at
+    most max_fiber, or the empty crossed set (built once) if none is."""
     rng = random.Random(seed)
     options = _orbit_options(g, weight)
-    return [
-        sample_crossed(g, weight, rng, max_fiber, max_orbits, options)
-        for _ in range(count)
-    ]
+    empty = empty_crossed(g, weight)
+    samples = []
+    for _ in range(count):
+        budget = [max_fiber] * g.n_objects
+        out = empty
+        for _ in range(rng.randint(0, max_orbits)):
+            rep, sub, invariant, size, cls, pieces = rng.choice(options)
+            if any(budget[x] < size for x in cls):
+                continue
+            v = rng.choice(invariant)
+            if v not in pieces:
+                (pieces[v],) = induced_crossed(g, weight, rep, sub, [v])
+            for x in cls:
+                budget[x] -= size
+            out = pieces[v] if out is empty else crossed_coproduct(out, pieces[v])
+        samples.append(shuffle_fibers(out, rng).validate())
+    return samples

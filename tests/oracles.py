@@ -51,7 +51,7 @@ from gburnside.groupoid import (
     pair_groupoid,
     retraction,
 )
-from gburnside.gsets import ActionGroupoid, GMonoid, GSet, fixed_points, same_base
+from gburnside.gsets import ActionGroupoid, GMap, GMonoid, GSet, fixed_points, same_base
 from gburnside.rings import (
     RingHom,
     RingPresentation,
@@ -153,6 +153,31 @@ def compose_functors(f2: GroupoidFunctor, f1: GroupoidFunctor) -> GroupoidFuncto
         [f2.object_map[x] for x in f1.object_map],
         [f2.morphism_map[m] for m in f1.morphism_map],
     ).validate()
+
+
+def functor_on_every_pair(f: GroupoidFunctor) -> str | None:
+    """The composition check of ``GroupoidFunctor.validate`` on every
+    composable pair, left factor first, in id order: the message of the
+    first pair whose composite is not preserved, or None."""
+    s, t, mm = f.source, f.target, f.morphism_map
+    for g in s.morphisms:
+        for h in s.by_cod(s.dom[g]):
+            if mm[s.compose_table[g][h]] != t.compose_table[mm[g]][mm[h]]:
+                return f"composition not preserved at pair ({g}, {h})"
+    return None
+
+
+def natural_on_every_morphism(f: GMap) -> str | None:
+    """The naturality check of ``GMap.validate`` at every morphism, in id
+    order: the message of the first square that does not commute, or None."""
+    g = f.source.base
+    for m in g.morphisms:
+        src_a, tgt_a = f.source.action[m], f.target.action[m]
+        cx, cy = f.components[g.dom[m]], f.components[g.cod[m]]
+        for i in range(len(cx)):
+            if cy[src_a[i]] != tgt_a[cx[i]]:
+                return f"naturality fails at morphism {m}, element {i}"
+    return None
 
 
 def functor_is_isomorphism(f: GroupoidFunctor) -> bool:

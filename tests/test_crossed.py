@@ -91,11 +91,11 @@ def axiom_major_report(samples):
 
 def corrupt_when_first(monkeypatch, samples, k):
     """Corrupt the braiding components (so ``braiding`` too) and the
-    distributivity map exactly when their first operand is samples[k]: the
-    braiding swaps two images, and the distributivity map sends two
-    elements to one image."""
+    distributivity map (so ``distributivity_iso`` too) exactly when their
+    first operand is samples[k]: the braiding swaps two images, and the
+    distributivity map sends two elements to one image."""
     good_braid = crossed_module._braid
-    good_distributivity = crossed_module.distributivity_iso
+    good_distributivity = crossed_module._distributivity_map
 
     def first_long(components):
         return next((c for c in components if len(c) >= 2), None)
@@ -107,15 +107,15 @@ def corrupt_when_first(monkeypatch, samples, k):
             comp[0], comp[1] = comp[1], comp[0]
         return comps
 
-    def bad_distributivity(a, b, c):
-        m = good_distributivity(a, b, c)
+    def bad_distributivity(a, b, c, ab):
+        m = good_distributivity(a, b, c, ab)
         comp = first_long(m.components) if a is samples[k] else None
         if comp is not None:
             comp[1] = comp[0]
         return m
 
     monkeypatch.setattr(crossed_module, "_braid", bad_braid)
-    monkeypatch.setattr(crossed_module, "distributivity_iso", bad_distributivity)
+    monkeypatch.setattr(crossed_module, "_distributivity_map", bad_distributivity)
 
 
 def c1_labeled(table):
@@ -230,8 +230,31 @@ class TestTensorUnit:
     def test_gset_weight_fails_at_the_tensor_call(self, c2, c2_conj):
         weight = underlying_gset(c2_conj)
         c = validate_crossed(gb.terminal_gset(c2), weight, [[1]])
-        with pytest.raises(AttributeError, match="monoids"):
+        with pytest.raises(WeightMismatch) as info:
             tensor(c, c)
+        assert str(info.value) == "the tensor product needs a G-monoid weight, not a GSet"
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda c: unit_object(c.carrier.base, c.weight), WeightMismatch,
+         "the unit object needs a G-monoid weight, not a GSet"),
+        (lambda c: braiding(c, c), WeightNotConjugation,
+         "braiding is only constructed over the conjugation G-monoid"),
+        (lambda c: braiding_inverse(c, c), WeightNotConjugation,
+         "braiding is only constructed over the conjugation G-monoid"),
+        (lambda c: check_monoidal_axioms([c, c]), WeightMismatch,
+         "the tensor product needs a G-monoid weight, not a GSet"),
+    ], ids=["unit_object", "braiding", "braiding_inverse", "check_monoidal_axioms"])
+    def test_gset_weight_is_refused_by_name(self, c2, c2_conj, monkeypatch, call, error, message):
+        # the labels live in the conjugation G-set of C2, with no monoid
+        c = validate_crossed(gb.terminal_gset(c2), underlying_gset(c2_conj), [[1]])
+        assert gb.gsets.conjugation_loops(c.weight) is None
+        windows = []
+        monkeypatch.setattr(crossed_module, "_distributivity",
+                            lambda *w: windows.append(w))
+        with pytest.raises(error) as info:
+            call(c)
+        assert type(info.value) is error and str(info.value) == message
+        assert windows == []  # refused before the first window
 
     def test_unit_object_kept_on_its_weight(self, s3, c2):
         conj = gb.conjugation_action(s3)
@@ -385,13 +408,13 @@ class TestAxiomChecker:
     def test_natural_but_not_bijective_distributivity(self, c2, monkeypatch):
         # over C2 with the trivial weight the unit object is one fixed point,
         # so sending X (x) (Y u Z), two fixed points, onto one is a crossed map
-        good = crossed_module.distributivity_iso
+        good = crossed_module._distributivity_map
 
-        def collapsed(cx, cy, cz):
-            d = good(cx, cy, cz)
+        def collapsed(cx, cy, cz, xy):
+            d = good(cx, cy, cz, xy)
             return CrossedMap(d.source, d.target, [[0] * len(c) for c in d.components])
 
-        monkeypatch.setattr(crossed_module, "distributivity_iso", collapsed)
+        monkeypatch.setattr(crossed_module, "_distributivity_map", collapsed)
         unit = unit_object(c2, gb.trivial_gmonoid(c2))
         assert check_monoidal_axioms([unit]) == [
             {"axiom": "pentagon", "status": "ok"},
@@ -547,10 +570,11 @@ class TestAxiomChecker:
             assert {"symmetry", "unitor-braiding"} <= failed, name
 
     @pytest.mark.parametrize("name, n", [("S3", 5), ("C2+S3", 8), ("C2xPair(2)", 7)])
-    def test_the_checker_tensors_four_times_per_window(self, corpus, monkeypatch, name, n):
-        # 3 products per distributivity window and Y (x) Z per hexagon
-        # window; the braiding families build no map, so every map is a
-        # distributivity map
+    def test_the_checker_tensors_three_times_per_window(self, corpus, monkeypatch, name, n):
+        # 2 products per distributivity window and Y (x) Z per hexagon
+        # window, which is the next window's X (x) Y (window 0's is built
+        # first and is the last window's Y (x) Z); the braiding families
+        # build no map, so every map is a distributivity map
         g = corpus[name]
         samples = sample_many(g, gb.conjugation_action(g), n, seed=17)
         counts = {"tensor": 0, "CrossedMap": 0}
@@ -565,7 +589,7 @@ class TestAxiomChecker:
             monkeypatch.setattr(crossed_module, key, counting(key, getattr(crossed_module, key)))
         report = check_monoidal_axioms(samples)
         assert all(r["status"] == "ok" for r in report)
-        assert counts == {"tensor": 4 * n, "CrossedMap": n}
+        assert counts == {"tensor": 3 * n, "CrossedMap": n}
 
 class TestDistributivity:
     def test_iso_is_crossed_map(self, c2_basis):

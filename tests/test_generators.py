@@ -1,7 +1,8 @@
 """Generator certificates: the greedy generating set is proved by its
 closure, and checking a law on it (associativity, functoriality, the
-G-monoid hom property) gives the same verdict, error type and message as
-checking it on every element."""
+G-monoid hom property, the naturality of a G-map, the composition law of
+a functor) gives the same verdict, error type and message as checking it
+on every element."""
 
 from __future__ import annotations
 
@@ -15,12 +16,14 @@ from hypothesis import given, settings, strategies as st
 import gburnside as gb
 from gburnside import groupoid, gsets
 from gburnside.classify import subgroup_closure
+from gburnside.crossed import distributivity_iso
 from gburnside.errors import GBError
-from gburnside.groupoid import FiniteGroupoid, generating_set, loop_table
-from gburnside.gsets import GMonoid, GSet, Monoid
+from gburnside.groupoid import FiniteGroupoid, GroupoidFunctor, generating_set, loop_table
+from gburnside.gsets import GMap, GMonoid, GSet, Monoid
+from gburnside.sampling import sample_many
 
 from conftest import build_corpus, editable_tables, regular_gset
-from oracles import all_subgroups
+from oracles import all_subgroups, functor_on_every_pair, natural_on_every_morphism
 
 CORPUS = build_corpus()
 
@@ -226,3 +229,90 @@ def test_the_oracle_runs_every_morphism():
     base = _unchecked_copy(g)
     assert fast == verdict(lambda: GSet(base, list(x.sizes), action).validate())
     assert fast[0] == "NotNatural"
+
+
+# -- naturality and functoriality on the proved generators -------------------------
+
+def _oracle(error: str, message: str | None):
+    return "ok" if message is None else (error, message)
+
+
+def _sampled_maps(g: FiniteGroupoid, weight: GMonoid):
+    """The labelings of seeded samples and the carrier maps of their
+    distributivity windows: G-maps between functorial G-sets."""
+    samples = sample_many(g, weight, 6, seed=19)
+    for c in samples:
+        yield GMap(c.carrier, c.weight, c.label)
+    for i in range(len(samples)):
+        d = distributivity_iso(*(samples[(i + j) % len(samples)] for j in range(3)))
+        yield GMap(d.source.carrier, d.target.carrier, d.components)
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_naturality_on_generators_matches_every_morphism(name):
+    g = CORPUS[name]
+    failed = 0
+    for weight in (gb.conjugation_action(g), gb.trivial_gmonoid(g)):
+        for f in _sampled_maps(g, weight):
+            assert natural_on_every_morphism(f) is None and verdict(f.validate) == "ok"
+            # every image moved to the next element of its target fiber
+            for x, comp in enumerate(f.components):
+                n = f.target.size(x)
+                for i in range(len(comp) if n > 1 else 0):
+                    comps = [list(c) for c in f.components]
+                    comps[x][i] = (comps[x][i] + 1) % n
+                    mutant = GMap(f.source, f.target, comps)
+                    expected = natural_on_every_morphism(mutant)
+                    assert verdict(mutant.validate) == _oracle("NotNatural", expected)
+                    failed += expected is not None
+    assert failed > 0 or g.n_morphisms == 1
+
+
+def _functors(g: FiniteGroupoid):
+    """The isotropy inclusion at every object, and the projection of the
+    action groupoid of the conjugation G-set."""
+    for x in g.objects:
+        yield gb.isotropy_group(g, x)[1]
+    yield gb.action_groupoid(g, gb.conjugation_action(g).underlying()).projection
+
+
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_functoriality_on_generators_matches_every_pair(name):
+    g = CORPUS[name]
+    mutants = failed = 0
+    for f in _functors(g):
+        s, t = f.source, f.target
+        assert functor_on_every_pair(f) is None and verdict(f.validate) == "ok"
+        # every morphism's image moved to each other morphism with its ends
+        for m in s.morphisms:
+            img = f.morphism_map[m]
+            for other in t.hom(t.dom[img], t.cod[img]):
+                if other == img:
+                    continue
+                mm = list(f.morphism_map)
+                mm[m] = other
+                mutant = GroupoidFunctor(s, t, f.object_map, mm)
+                if m in s.identity:  # refused before composition is checked
+                    x = s.dom[m]
+                    expected = ("MissingIdentity", f"identity at object {x} not preserved")
+                else:
+                    expected = _oracle("NonAssociative", functor_on_every_pair(mutant))
+                assert verdict(mutant.validate) == expected
+                mutants, failed = mutants + 1, failed + (expected != "ok")
+    assert failed > 0 or mutants == 0
+
+
+def test_the_proved_generators_are_checked_first(monkeypatch):
+    # a functor into a groupoid not known to be valid is checked on every pair
+    g = CORPUS["S3"]
+    projection = gb.action_groupoid(g, gb.conjugation_action(g).underlying()).projection
+    s = projection.source
+    assert len(s._generators) < s.n_morphisms
+    lefts = []
+    check = gb.GroupoidFunctor._check_composition
+    monkeypatch.setattr(gb.GroupoidFunctor, "_check_composition",
+                        lambda self, ms: lefts.append(tuple(ms)) or check(self, ms))
+    projection.validate()
+    unchecked = FiniteGroupoid(g.n_objects, **editable_tables(g))
+    gb.GroupoidFunctor(s, unchecked, projection.object_map, projection.morphism_map).validate()
+    assert lefts == [s._generators, tuple(s.morphisms)]
