@@ -22,11 +22,12 @@ Two independent enumeration routes are provided.  ``enumerate_basis``
 classifies transitive crossed sets by pairs (subgroup of an isotropy group,
 invariant label) up to simultaneous conjugacy and realizes each class as an
 induced crossed set; subgroup classes are built class by class (Neubuser,
-1960), extending one member by one element per coset, and the label values
-of one class share one coset fiber, which gives their marks.  A basis
-carrier is built only when something reads it: the reference routes, the
-brute-force comparison and the sampler.  The plain subgroup lattice, the
-oracle of the class walk, is kept outside the package.
+1960), extending one member by one element per coset, once per component
+representative (``classes_at`` keeps the walk on the groupoid), and the label
+values of one class share one coset fiber, which gives their marks and names
+their row.  A basis carrier is built only when something reads it: the
+reference routes, the brute-force comparison and the sampler.  The plain
+subgroup lattice, the oracle of the class walk, is kept outside the package.
 ``brute_force_basis`` instead enumerates invariant partitions of the
 morphisms out of a component representative (every transitive carrier
 arises as such a quotient), attaches every consistent label, and
@@ -41,10 +42,11 @@ from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 
-from .errors import BaseMismatch, MarksNotTriangular, UnmatchedPiece, WeightMismatch
+from .errors import MarksNotTriangular, UnmatchedPiece, WeightMismatch
 from .crossed import CrossedGSet, CrossedMap, induce, same_weight
 from .groupoid import FiniteGroupoid, Record, component_transports, connected_components
-from .gsets import GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition, same_base
+from .gsets import (GMonoid, GSet, fixed_points, is_transitive, orbit_decomposition,
+                    require_same_base)
 
 
 # -- small-group helpers (tables on dense ids) --------------------------------
@@ -76,7 +78,7 @@ def subgroup_classes(table, elements, e, inv) -> list[tuple[list[frozenset[int]]
     normalizer of its canonical member: classes sorted by (order, least
     member), each class listing its canonical (least) member first.  On a
     groupoid's table, the loops at x name the subgroups of the isotropy
-    group by loop ids.
+    group by loop ids; ``classes_at`` keeps that walk on the groupoid.
 
     Built class by class, without the full lattice: in the extension walk
     each new subgroup registers its whole conjugacy orbit, so only the
@@ -120,6 +122,14 @@ def subgroup_classes(table, elements, e, inv) -> list[tuple[list[frozenset[int]]
         frontier = fresh
     found.sort(key=lambda c: (len(c[0][0]), sorted(c[0][0])))
     return found
+
+
+def classes_at(g: FiniteGroupoid, rep: int) -> list[tuple[list[frozenset[int]], list[int]]]:
+    """``subgroup_classes`` at rep on g's table, walked once and kept on g: do not change it."""
+    if rep not in g._classes:
+        g._classes[rep] = subgroup_classes(g.compose_table, g.loops(rep),
+                                           g.identity[rep], g.inverse)
+    return g._classes[rep]
 
 
 # -- fingerprints and transitive pieces ----------------------------------------
@@ -253,7 +263,7 @@ class CosetFiber:
                 coset_reps.append(m)
                 for h in subgroup:
                     coset_of[ct[m][h]] = k
-        self.g, self.weight, self.rep = g, weight, rep
+        self.g, self.weight, self.rep, self.subgroup = g, weight, rep, subgroup
         self.coset_of, self.coset_reps = coset_of, coset_reps
         self.stabilizers = [frozenset(ct[ct[c][h]][inv[c]] for h in subgroup) for c in coset_reps]
         self.labels = [[weight.action[c][v] for c in coset_reps] for v in label_values]
@@ -320,18 +330,12 @@ class MarkTable:
         self.names = [f"(component {e.component_rep}, subgroup {sorted(e.standard_pair[0])}, "
                       f"label {e.standard_pair[1]})" for e in entries]
         self.totals = [e.fiber.total for e in entries]
-        # distinct (rep, K) over the rows, and per subgroup the row of each label
-        ids: dict[tuple[int, frozenset[int]], int] = {}
-        self.subgroups: list[tuple[int, frozenset[int]]] = []
-        self.row_of: list[dict[int, int]] = []
+        # one row subgroup (rep, K) per distinct fiber, and per fiber the row of each label
+        ids = {f: s for s, f in enumerate(dict.fromkeys(e.fiber for e in entries))}
+        self.subgroups = [(f.rep, f.subgroup) for f in ids]
+        self.row_of: list[dict[int, int]] = [{} for _ in ids]
         for k, e in enumerate(entries):
-            sub, u = e.standard_pair
-            key = (e.component_rep, frozenset(sub))
-            if key not in ids:
-                ids[key] = len(self.subgroups)
-                self.subgroups.append(key)
-                self.row_of.append({})
-            self.row_of[ids[key]][u] = k
+            self.row_of[ids[e.fiber]][e.standard_pair[1]] = k
         self.at_rep: dict[int, list[int]] = {}
         for s, (rep, _) in enumerate(self.subgroups):
             self.at_rep.setdefault(rep, []).append(s)
@@ -478,8 +482,8 @@ class BasisCatalog(Record):
     def _admit(self, c: CrossedGSet) -> None:
         """Refuse a crossed set over another groupoid (BaseMismatch) or
         labeled in another target (WeightMismatch) than the catalog's."""
-        if not same_base(c.carrier.base, self.base):
-            raise BaseMismatch("crossed set does not live over the catalog's groupoid")
+        require_same_base(c.carrier.base, self.base,
+                          "crossed set does not live over the catalog's groupoid")
         if not (c.weight is self.weight or c.weight == self.weight):
             raise WeightMismatch("crossed set is not labeled in the catalog's target")
 
@@ -514,12 +518,10 @@ def enumerate_basis(g: FiniteGroupoid, weight: GMonoid | GSet) -> BasisCatalog:
     label id), components in representative order, so each component's
     entries are consecutive; the catalog is bit-for-bit reproducible.
     """
-    if not same_base(g, weight.base):
-        raise BaseMismatch("weight does not live over this groupoid")
+    require_same_base(g, weight.base, "weight does not live over this groupoid")
     entries = []
     for rep in connected_components(g).representatives:
-        for cls, normalizer in subgroup_classes(g.compose_table, g.loops(rep),
-                                                g.identity[rep], g.inverse):
+        for cls, normalizer in classes_at(g, rep):
             remaining = set(fixed_points(weight, rep, cls[0]))
             if not remaining:
                 continue  # no entry, so no fiber

@@ -41,7 +41,6 @@ from __future__ import annotations
 from itertools import zip_longest
 
 from .errors import (
-    BaseMismatch,
     NotNatural,
     WeightMismatch,
     WeightNotConjugation,
@@ -61,7 +60,7 @@ from .gsets import (
     empty_gset,
     gset_coproduct,
     gset_product,
-    same_base,
+    require_same_base,
     terminal_gset,
 )
 
@@ -88,8 +87,7 @@ class CrossedGSet(Record):
 
 
 def same_weight(a: CrossedGSet, b: CrossedGSet) -> None:
-    if not same_base(a.carrier.base, b.carrier.base):
-        raise BaseMismatch("crossed sets live over different groupoids")
+    require_same_base(a.carrier.base, b.carrier.base, "crossed sets live over different groupoids")
     if not (a.weight is b.weight or a.weight == b.weight):
         raise WeightMismatch("crossed sets are labeled in different G-monoids")
 
@@ -174,8 +172,7 @@ def unit_object(g: FiniteGroupoid, s: GMonoid) -> CrossedGSet:
     once per weight instance and shared, so callers must not mutate it."""
     if not isinstance(s, GMonoid):
         raise WeightMismatch(f"the unit object needs a G-monoid weight, not a {type(s).__name__}")
-    if not same_base(g, s.base):
-        raise BaseMismatch("weight does not live over this groupoid")
+    require_same_base(g, s.base, "weight does not live over this groupoid")
     if s._unit_object is None:
         s._unit_object = CrossedGSet(
             terminal_gset(s.base), s, [[mon.unit] for mon in s.monoids]

@@ -3,8 +3,8 @@ constructions: one-object groups, pair groupoids, disjoint unions, direct
 products, connected components, isotropy groups with their inclusions,
 and the transport morphisms and the retraction along which
 ``crossed.restrict`` and ``crossed.induce`` move crossed sets between a
-component and an isotropy group.  Each per-object fact (loops,
-transports, isotropy group) is derived once and kept on the groupoid.
+component and an isotropy group.  Each per-object fact (loops, transports,
+isotropy group, subgroup classes) is derived once and kept on the groupoid.
 
 Objects and morphisms are dense integers.  Composition is stored as a flat
 table indexed by (g, f) with -1 marking non-composable pairs; validation
@@ -119,9 +119,10 @@ class FiniteGroupoid(BindOnce, Record):
     one raises AttributeError), so no instance, copy or deep copy changes, and
     what it keeps is sound: ``by_dom``/``by_cod``, ``loops``, the pass of
     ``validate_groupoid``, ``component_transports``, ``connected_components``,
-    ``isotropy_group`` and ``gsets.conjugation_action``, each built on first
-    read and shared: callers must not change it.  A mutant is a new instance
-    of edited tables; other structures share lists (see ``gsets``).
+    ``isotropy_group``, the class walk ``classify.classes_at`` and
+    ``gsets.conjugation_action``, each built on first read and shared: callers
+    must not change it.  A mutant is a new instance of edited tables; other
+    structures share lists (see ``gsets``).
     """
 
     _FIELDS = frozenset({"n_objects", "dom", "cod", "compose_table", "identity", "inverse",
@@ -139,10 +140,11 @@ class FiniteGroupoid(BindOnce, Record):
         self._by_dom: list[tuple[int, ...]] | None = None
         self._by_cod: list[tuple[int, ...]] | None = None
         self._loops: list[list[int]] | None = None
-        # filled by component_transports, isotropy_group and gsets.conjugation_action
+        # filled by component_transports, isotropy_group, classes_at and conjugation_action
         self._transports: dict[int, dict[int, int]] = {}
         self._components: ComponentData | None = None  # filled by connected_components
         self._isotropy: dict[int, tuple[FiniteGroupoid, GroupoidFunctor]] = {}
+        self._classes: dict[int, list] = {}
         self._conjugation = None  # the conjugation G-monoid
         self._valid = False  # set by validate_groupoid, with:
         self._generators = self.morphisms  # proved generators once valid

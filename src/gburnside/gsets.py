@@ -43,6 +43,11 @@ def same_base(a: FiniteGroupoid, b: FiniteGroupoid) -> bool:
     return a is b or a == b
 
 
+def require_same_base(a: FiniteGroupoid, b: FiniteGroupoid, message: str) -> None:
+    if not same_base(a, b):
+        raise BaseMismatch(message)
+
+
 class GSet(Record):
     """A functor from the base groupoid to finite sets."""
 
@@ -275,8 +280,8 @@ class GMap(Record):
         validated, or products or coproducts of validated G-sets.  Then it
         holds at identities, and at s*y' if at s and y': c X(s)X(y') =
         X'(s) c X(y') = X'(s)X'(y') c."""
-        if not same_base(self.source.base, self.target.base):
-            raise BaseMismatch("source and target live over different groupoids")
+        require_same_base(self.source.base, self.target.base,
+                          "source and target live over different groupoids")
         g = self.source.base
         if len(self.components) != g.n_objects:
             raise NotNatural("component list does not cover every object")
@@ -330,8 +335,7 @@ def action_groupoid(g: FiniteGroupoid, x: GSet) -> ActionGroupoid:
     a morphism <g, a> : <dom g, a> -> <cod g, g.a> exists for every g and a,
     and <g2, g1.a> after <g1, a> is <g2 g1, a>.  The table is built by
     ``groupoid.tabulate``."""
-    if not same_base(g, x.base):
-        raise BaseMismatch("G-set does not live over this groupoid")
+    require_same_base(g, x.base, "G-set does not live over this groupoid")
     object_tags = [(o, i) for o in g.objects for i in range(x.size(o))]
     morphism_tags = [
         (m, i) for m in g.morphisms for i in range(x.size(g.dom[m]))
@@ -383,8 +387,7 @@ def _orbit_classes(x: GSet) -> list[list[list[int]]]:
 
 def is_transitive(g: FiniteGroupoid, x: GSet) -> bool:
     """Whether the action groupoid of x (functorial) is connected."""
-    if not same_base(g, x.base):
-        raise BaseMismatch("G-set does not live over this groupoid")
+    require_same_base(g, x.base, "G-set does not live over this groupoid")
     if x.total_size == 0:
         raise AllFibersEmpty("transitivity is undefined for the empty G-set")
     return len(_orbit_classes(x)) == 1
@@ -397,8 +400,7 @@ def orbit_decomposition(g: FiniteGroupoid, x: GSet) -> list[tuple[GSet, GMap]]:
     ids in x; the embedding's component lists those ids.  x must be
     functorial: validated, or a product or coproduct of validated G-sets.
     """
-    if not same_base(g, x.base):
-        raise BaseMismatch("G-set does not live over this groupoid")
+    require_same_base(g, x.base, "G-set does not live over this groupoid")
     out = []
     for members in _orbit_classes(x):
         back = [
@@ -421,8 +423,7 @@ def gset_product(x: GSet, y: GSet) -> GSet:
 
     The element (i, j) has dense id i*|Y| + j.
     """
-    if not same_base(x.base, y.base):
-        raise BaseMismatch("product of G-sets over different groupoids")
+    require_same_base(x.base, y.base, "product of G-sets over different groupoids")
     g = x.base
     action = []
     for m in g.morphisms:
@@ -435,8 +436,7 @@ def gset_product(x: GSet, y: GSet) -> GSet:
 def gset_coproduct(x: GSet, y: GSet) -> GSet:
     """Fiberwise disjoint union: at each object the element j of y has id
     |X| + j, after the elements of x."""
-    if not same_base(x.base, y.base):
-        raise BaseMismatch("coproduct of G-sets over different groupoids")
+    require_same_base(x.base, y.base, "coproduct of G-sets over different groupoids")
     g = x.base
     action = []
     for m in g.morphisms:

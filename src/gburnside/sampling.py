@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .classify import induced_crossed, subgroup_classes
+from .classify import classes_at, induced_crossed
 from .crossed import CrossedGSet, crossed_coproduct, empty_crossed
 from .groupoid import FiniteGroupoid, connected_components
 from .gsets import GMonoid, GSet, fixed_points
@@ -25,13 +25,11 @@ def _orbit_options(g: FiniteGroupoid, weight: GMonoid):
     options = []
     comps = connected_components(g)
     for rep, cls in zip(comps.representatives, comps.classes):
-        loops = g.loops(rep)
-        walk = subgroup_classes(g.compose_table, loops, g.identity[rep], g.inverse)
-        subs = [h for members, _ in walk for h in members]
+        subs = [h for members, _ in classes_at(g, rep) for h in members]
         for sub in sorted(subs, key=lambda h: (len(h), sorted(h))):
             invariant = fixed_points(weight, rep, sub)
             if invariant:
-                options.append((rep, sub, invariant, len(loops) // len(sub), cls, {}))
+                options.append((rep, sub, invariant, len(g.loops(rep)) // len(sub), cls, {}))
     return options
 
 

@@ -1,9 +1,15 @@
-"""Isomorphism search, transitive decomposition, basis enumeration, and
-the brute-force oracle agreement."""
+"""Isomorphism search, transitive decomposition, basis enumeration, the
+class walk kept on the groupoid, and the brute-force oracle agreement.
+
+A class walk is kept on its groupoid (``classify.classes_at``), so a test
+that injects a mutant or counting ``subgroup_classes`` must build its own
+groupoid: on a session-scoped fixture or corpus groupoid the kept walk
+would bypass the injected one."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -21,9 +27,11 @@ from gburnside.classify import (
     express_in_basis,
     transitive_decomposition,
 )
+from gburnside.cli import main
 from gburnside.crossed import CrossedGSet, crossed_coproduct, tensor, unit_object
 from gburnside.errors import BaseMismatch, UnmatchedPiece, WeightMismatch
 from gburnside.gsets import GSet, is_transitive
+from gburnside.rings import crossed_burnside_ring, embedding_hom, hadamard_ring
 from gburnside.sampling import sample_many, shuffle_fibers
 
 from conftest import GROUP_TABLES_LEQ8, cyclic_table, regular_gset, table_product
@@ -355,7 +363,8 @@ class TestForeignInputs:
     """A catalog refuses a crossed set over another groupoid or labeled in
     another target, instead of answering with coordinates of nothing."""
 
-    def test_enumerate_basis_refuses_a_weight_over_another_groupoid(self, c2, s3, monkeypatch):
+    def test_enumerate_basis_refuses_a_weight_over_another_groupoid(self, s3, monkeypatch):
+        c2 = gb.from_group(cyclic_table(2))  # no walk kept yet
         walked = []
         monkeypatch.setattr(classify, "subgroup_classes", lambda *args: walked.append(args))
         with pytest.raises(BaseMismatch) as refused:
@@ -623,3 +632,93 @@ class TestWalkOnLoopIds:
         reps = gb.connected_components(g).representatives
         assert any(g.loops(rep) != list(range(len(g.loops(rep)))) for rep in reps)
         self.assert_walks_agree(g)
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list[int]:
+    """The identity loop of each class walk made, which names its object."""
+    calls = []
+    walk = classify.subgroup_classes
+
+    def counted(table, elements, e, inv):
+        calls.append(e)
+        return walk(table, elements, e, inv)
+
+    monkeypatch.setattr(classify, "subgroup_classes", counted)
+    return calls
+
+
+def c2_plus_s3() -> gb.FiniteGroupoid:
+    return gb.disjoint_union([gb.from_group(cyclic_table(2)),
+                              gb.from_group(GROUP_TABLES_LEQ8["S3"])])[0]
+
+
+class TestKeptWalk:
+    """Each (groupoid, representative) is walked once, and every catalog
+    over the groupoid and the sampler read that walk.  Every test here
+    builds its groupoid afresh, so that no walk is kept before it counts."""
+
+    @staticmethod
+    def rep_identities(g: gb.FiniteGroupoid) -> list[int]:
+        return [g.identity[rep] for rep in gb.connected_components(g).representatives]
+
+    def test_embedding_walks_each_representative_once(self, walks):
+        g = c2_plus_s3()
+        hom = embedding_hom(g, gb.conjugation_action(g))
+        assert all(hom.verified[p] for p in ("unital", "multiplicative", "injective"))
+        assert walks == self.rep_identities(g)
+
+    def test_hadamard_after_crossed_adds_no_walk(self, walks):
+        g = c2_plus_s3()
+        crossed_burnside_ring(g, gb.trivial_gmonoid(g))
+        assert walks == self.rep_identities(g)
+        hadamard_ring(g, regular_gset(g))
+        hadamard_ring(g, gb.conjugation_action(g).underlying())
+        assert walks == self.rep_identities(g)
+
+    def test_sampler_after_catalog_adds_no_walk(self, walks, monkeypatch):
+        g = c2_plus_s3()
+        conj = gb.conjugation_action(g)
+        catalog = enumerate_basis(g, conj)
+        assert walks == self.rep_identities(g)
+        # a walk called through another module's own binding of
+        # ``subgroup_classes`` still closes subgroups through ``classify``
+        closures = []
+        closure = classify.subgroup_closure
+
+        def counted(table, seed):
+            closures.append(seed)
+            return closure(table, seed)
+
+        monkeypatch.setattr(classify, "subgroup_closure", counted)
+        samples = sample_many(g, conj, 6, seed=4)
+        assert walks == self.rep_identities(g)
+        assert closures == []
+        for c in samples:
+            assert express_in_basis(c, catalog) == express_by_decomposition(c, catalog)
+
+    @pytest.mark.parametrize("target, groupoid, gset", [
+        ("embedding", {"group": {"perm_gens": [[1, 0, 2], [1, 2, 0]]}}, None),
+        ("marks", {"group": {"table": cyclic_table(2)}}, None),
+        # two crossed and two Hadamard catalogs over one C2
+        ("marks", {"group": {"table": cyclic_table(2)}},
+         {"fibers": {"0": 2}, "action": {"1": [0, 1]}}),
+    ], ids=["embedding", "marks", "marks-gset"])
+    def test_a_verify_command_walks_once(self, walks, tmp_path, capsys, target, groupoid, gset):
+        argv = ["verify", target, "--weight", "conjugation", "--groupoid", str(tmp_path / "g.json")]
+        (tmp_path / "g.json").write_text(json.dumps(groupoid))
+        if gset is not None:
+            (tmp_path / "x.json").write_text(json.dumps(gset))
+            argv += ["--gset", str(tmp_path / "x.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(walks) == 1
+
+    def test_kept_walk_is_the_walk(self, corpus):
+        for g in corpus.values():
+            for rep in gb.connected_components(g).representatives:
+                kept = classify.classes_at(g, rep)
+                assert classify.classes_at(g, rep) is kept
+                assert kept == classify.subgroup_classes(
+                    g.compose_table, g.loops(rep), g.identity[rep], g.inverse
+                )

@@ -288,8 +288,12 @@ class TestMarkTable:
     def test_duplicate_entry_rejected(self, c2):
         catalog = enumerate_basis(c2, gb.conjugation_action(c2))
         e = catalog.entries[0]
-        with pytest.raises(MarksNotTriangular):
+        with pytest.raises(MarksNotTriangular) as raised:
             MarkTable([e, e])
+        assert str(raised.value) == (
+            "mark of row 1 (component 0, subgroup [0], label 0) is 2 on basis entry "
+            "0 (component 0, subgroup [0], label 0) below the diagonal"
+        )
 
     def test_entry_whose_label_misses_its_fiber_rejected(self, c2):
         # every coset of the fiber carries label 0, so the row of label 1
@@ -383,6 +387,17 @@ class TestCosetMarks:
         g = a4_on_points()
         w = gb.conjugation_action(g) if weight == "conjugation" else gb.trivial_gmonoid(g)
         self.check(enumerate_basis(g, w))
+
+    @pytest.mark.parametrize("key, catalog", [(key, catalog) for key, catalog, _ in MARK_TABLES],
+                             ids=[key for key, _, _ in MARK_TABLES])
+    def test_a_fiber_names_its_row_subgroup(self, key, catalog):
+        # one row subgroup per distinct fiber, in entry order, which is the
+        # (rep, K) of each entry's standard pair
+        fibers = list(dict.fromkeys(e.fiber for e in catalog.entries))
+        marks = catalog.marks()
+        assert marks.subgroups == [(f.rep, f.subgroup) for f in fibers]
+        assert marks.subgroups == list(dict.fromkeys(
+            (e.component_rep, e.standard_pair[0]) for e in catalog.entries))
 
 
 class DenseOracle:
